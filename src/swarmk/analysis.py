@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IntegrationError, NoRoot, NotReached
+from .errors import IntegrationError, ModelError, NoRoot, NotReached, \
+    SwarmkError
 from .integrate import integrate, integrate_delayed, iterate_difference
 
 QUADRATIC_RESIDUAL = 1e-12
@@ -246,22 +247,31 @@ def steady_state_of_trajectory(traj, name, window=0.1, tol=1e-5):
     return last
 
 
+def _steady_result(diagram):
+    """Analytic steady state of a stick-pulling diagram: the release-rate
+    model if it has ``gamma``, the gripping-timer model if it has ``tau``."""
+    p = diagram.params
+    if "beta" not in p or "rg" not in p:
+        raise ModelError("steady state needs a stick-pulling model with "
+                         "beta and rg parameters")
+    if "gamma" in p:
+        return steady_state_simple(p["beta"], p["gamma"], p["rg"])
+    if "tau" in p:
+        return steady_state_delayed(p["beta"], p["tau"], p["rg"])
+    raise ModelError("model has neither a release rate (gamma) nor a "
+                     "gripping time (tau)")
+
+
 def _steady_observables(diagram, want):
     """Analytic steady-state observables for the stick-pulling diagrams."""
-    p = diagram.params
-    beta, r_g = p["beta"], p["rg"]
-    if "gamma" in p:
-        res = steady_state_simple(beta, p["gamma"], r_g)
-    elif "tau" in p:
-        res = steady_state_delayed(beta, p["tau"], r_g)
-    else:
-        raise ValueError("model has neither a release rate nor a gripping time")
+    res = _steady_result(diagram)
     out = []
     for name in want:
         if name == "nstar":
             out.append(res.n)
         elif name == "R":
-            out.append(collaboration_rate(res.n, beta, r_g))
+            out.append(collaboration_rate(res.n, diagram.params["beta"],
+                                          diagram.params["rg"]))
         elif name == "residual":
             out.append(res.residual)
         else:
@@ -332,7 +342,8 @@ def sweep(model, param, grid, observables=("nstar", "R"), *, t_end=100.0,
                         raise ValueError(f"unknown observable {o!r}")
             rows.append(tuple(row[o] for o in observables))
             errors.append(None)
-        except Exception as exc:  # failed rows are data, not crashes
+        # failed rows are data; programming errors still propagate
+        except (SwarmkError, ValueError, KeyError, ArithmeticError) as exc:
             rows.append(tuple(None for _ in observables))
             errors.append(f"{type(exc).__name__}: {exc}")
     return SweepTable(param=param, grid=grid, observables=observables,

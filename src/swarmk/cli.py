@@ -16,7 +16,9 @@ from . import analysis, models, stochastic
 from .diagram import compile_rhs, validate_diagram
 from .errors import IntegrationError, ModelError, NoRoot, NotReached, \
     StateSpaceTooLarge, SwarmkError
-from .integrate import integrate, integrate_delayed, iterate_difference
+# all three integrators stay bound here: perfbench/spans.py traces them
+# at these names (``run`` reaches them through analysis)
+from .integrate import integrate, integrate_delayed, iterate_difference  # noqa: F401
 from .parser import parse_file
 
 EXIT_OK = 0
@@ -204,14 +206,8 @@ def _build_parser():
 
 def _cmd_run(args):
     diagram = _load_model(args.model, _parse_overrides(args.set))
-    system = compile_rhs(diagram)
-    if system.flavor == "ode":
-        traj = integrate(system, t_end=args.t_end, dt=args.dt)
-    elif system.flavor == "dde":
-        traj = integrate_delayed(system, t_end=args.t_end, dt=args.dt)
-    else:
-        k = args.steps if args.steps is not None else int(round(args.t_end))
-        traj = iterate_difference(system, k_steps=k)
+    k = args.steps if args.steps is not None else int(round(args.t_end))
+    traj = analysis._run_to_trajectory(diagram, args.t_end, args.dt, k)
     _emit(_traj_csv(traj) if args.format == "csv" else _traj_json(traj),
           args.out)
     return EXIT_OK
@@ -219,16 +215,8 @@ def _cmd_run(args):
 
 def _cmd_steady(args):
     diagram = _load_model(args.model, _parse_overrides(args.set))
+    res = analysis._steady_result(diagram)
     p = diagram.params
-    if "beta" not in p or "rg" not in p:
-        raise ModelError("steady needs a stick-pulling model with "
-                         "beta and rg parameters")
-    if "gamma" in p:
-        res = analysis.steady_state_simple(p["beta"], p["gamma"], p["rg"])
-    elif "tau" in p:
-        res = analysis.steady_state_delayed(p["beta"], p["tau"], p["rg"])
-    else:
-        raise ModelError("model has neither gamma nor tau")
     r = analysis.collaboration_rate(res.n, p["beta"], p["rg"])
     if args.format == "json":
         _emit(json.dumps({"n": res.n, "branch": res.branch,

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import EvalError, ModelError
-from .expr import (EvalContext, compile_expr, delay_windows, eval_expr,
-                   free_names, has_history_terms, unparse)
+from .expr import (Call, EvalContext, compile_expr, delay_windows, eval_expr,
+                   free_names, has_history_terms, nodes, unparse)
 
 
 @dataclass(frozen=True)
@@ -202,23 +202,21 @@ def validate_diagram(diagram, n_samples=64):
     # initial configuration; sampled points check evaluability/finiteness.
     rng = np.random.default_rng(_RNG_SEED)
     history = _ConstantHistory(diagram)
+    base = diagram.base_bindings()
+    names = state_names + env_names
+    env0 = [float(v) for _, v in diagram.env_vars]
     for tr in diagram.transitions:
         fn = compile_expr(tr.rate)
         for sample in range(n_samples + 1):
-            b = diagram.base_bindings()
             if sample == 0:
-                b["t"] = 0.0
-                for n, v in diagram.states:
-                    b[n] = float(v)
+                t, counts = 0.0, [float(v) for _, v in diagram.states]
             else:
-                b["t"] = float(rng.uniform(0.0, 10.0))
+                t = float(rng.uniform(0.0, 10.0))
                 counts = rng.uniform(0.0, 1.0, size=len(state_names))
                 if counts.sum() > 0:
                     counts = counts / counts.sum() * diagram.n0
-                for n, c in zip(state_names, counts):
-                    b[n] = float(c)
-            for n, v in diagram.env_vars:
-                b[n] = float(v)
+                counts = counts.tolist()
+            b = row_bindings(base, names, t, counts + env0)
             history.bind(b)
             try:
                 v = fn(EvalContext(b, history))
@@ -256,6 +254,34 @@ class _ConstantHistory:
         return fn(EvalContext(now_bindings, self)) * (t1 - t0)
 
 
+def row_bindings(base, names, t, row):
+    """Bindings for evaluating rates at one occupation row: ``base`` (the
+    parameters and N0, from ``StateDiagram.base_bindings``), the time
+    ``t``, and each state or env name in ``names`` bound to its value in
+    ``row``."""
+    b = dict(base)
+    b["t"] = t
+    b.update(zip(names, row))
+    return b
+
+
+def transition_table(diagram):
+    """The diagram's transitions compiled once, one row per transition:
+    ``(source index, target index, rate fn, ((env index, effect fn), ...))``.
+
+    Indices address the occupation row (states, then env counters); the
+    functions take an ``EvalContext``.  Every engine reads this table: the
+    mean-field right-hand side, the configuration enumeration and the
+    Gillespie sampler.
+    """
+    names = diagram.state_names + diagram.env_names
+    index = {n: i for i, n in enumerate(names)}
+    return tuple(
+        (index[tr.source], index[tr.target], compile_expr(tr.rate),
+         tuple((index[n], compile_expr(e)) for n, e in tr.env_effects))
+        for tr in diagram.transitions)
+
+
 def compile_rhs(diagram):
     """Compile a validated diagram into a RateSystem.
 
@@ -266,13 +292,6 @@ def compile_rhs(diagram):
     if not report.ok:
         raise ModelError("invalid diagram: " + "; ".join(report.defects))
 
-    state_names = diagram.state_names
-    env_names = diagram.env_names
-    ns = len(state_names)
-    index = {n: i for i, n in enumerate(state_names)}
-    index.update({n: ns + j for j, n in enumerate(env_names)})
-    dim = ns + len(env_names)
-
     delayed = any(has_history_terms(tr.rate) for tr in diagram.transitions)
     if diagram.discrete:
         flavor = "difference"
@@ -282,65 +301,29 @@ def compile_rhs(diagram):
         flavor = "ode"
 
     base = diagram.base_bindings()
-    delay_values = []
-    for tr in diagram.transitions:
-        for w in delay_windows(tr.rate):
-            delay_values.append(eval_expr(w, base))
-    max_delay = max(delay_values, default=0.0)
-
-    compiled = []
-    histint_integrands = []
-    for tr in diagram.transitions:
-        si, ti = index[tr.source], index[tr.target]
-        effects = tuple((index[n], compile_expr(e)) for n, e in tr.env_effects)
-        compiled.append((si, ti, compile_expr(tr.rate), effects))
-        for key, fn in _histint_pairs(tr.rate):
-            histint_integrands.append((key, fn))
-
-    params = dict(diagram.params)
-    n0 = diagram.n0
+    delay_values = [eval_expr(w, base) for tr in diagram.transitions
+                    for w in delay_windows(tr.rate)]
+    histint_integrands = [(unparse(n.args[0]), compile_expr(n.args[0]))
+                          for tr in diagram.transitions
+                          for n in nodes(tr.rate)
+                          if isinstance(n, Call) and n.func == "histint"]
+    table = transition_table(diagram)
+    names = diagram.state_names + diagram.env_names
+    dim = len(names)
 
     def rhs(t, y, history=None):
-        b = dict(params)
-        b["t"] = t
-        b["N0"] = n0
-        for i, name in enumerate(state_names):
-            b[name] = y[i]
-        for j, name in enumerate(env_names):
-            b[name] = y[ns + j]
-        ctx = EvalContext(b, history)
-        d = np.zeros(dim)
-        for si, ti, rate_fn, effects in compiled:
+        ctx = EvalContext(row_bindings(base, names, t, y.tolist()), history)
+        d = [0.0] * dim
+        for si, ti, rate_fn, effects in table:
             flow = rate_fn(ctx)
             if si != ti:
                 d[si] -= flow
                 d[ti] += flow
             for ei, eff_fn in effects:
                 d[ei] += eff_fn(ctx) * flow
-        return d
+        return np.array(d)
 
     return RateSystem(diagram=diagram, flavor=flavor, rhs=rhs,
-                      max_delay=max_delay, delay_values=tuple(delay_values),
+                      max_delay=max(delay_values, default=0.0),
+                      delay_values=tuple(delay_values),
                       histint_integrands=tuple(histint_integrands))
-
-
-def _histint_pairs(e):
-    """(key, compiled integrand) for every histint call in the tree."""
-    from .expr import BinOp, Call, Neg
-
-    out = []
-
-    def walk(node):
-        if isinstance(node, Neg):
-            walk(node.operand)
-        elif isinstance(node, BinOp):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, Call):
-            if node.func == "histint":
-                out.append((unparse(node.args[0]), compile_expr(node.args[0])))
-            for a in node.args:
-                walk(a)
-
-    walk(e)
-    return out

@@ -57,9 +57,9 @@ class DelayMisaligned(IntegrationError):
 
 
 class NegativePopulation(IntegrationError):
-    def __init__(self, k, name, value):
-        self.step = k
-        super().__init__(f"state {name} went negative ({value!r}) at step {k}")
+    def __init__(self, t, name, value):
+        self.t = t
+        super().__init__(f"state {name} went negative ({value!r}) at t={t!r}")
 
 
 class NoRoot(SwarmkError):

@@ -114,7 +114,13 @@ def compile_expr(e):
     if isinstance(e, Call):
         if e.func == "exp":
             f = compile_expr(e.args[0])
-            return lambda ctx: math.exp(f(ctx))
+            def exp_fn(ctx):
+                x = f(ctx)
+                try:
+                    return math.exp(x)
+                except OverflowError:
+                    raise EvalError(f"exp overflows at {x!r}") from None
+            return exp_fn
         if e.func == "ln":
             f = compile_expr(e.args[0])
             def ln_fn(ctx):
@@ -166,48 +172,41 @@ def eval_expr(e, bindings, history=None):
     return compile_expr(e)(EvalContext(bindings, history))
 
 
-def free_names(e):
-    """All identifiers referenced by the expression (excluding call names)."""
-    out = set()
-    _collect_names(e, out)
-    return out
-
-
-def _collect_names(e, out):
-    if isinstance(e, Name):
-        out.add(e.ident)
-    elif isinstance(e, Neg):
-        _collect_names(e.operand, out)
+def nodes(e):
+    """Every node of the tree in pre-order: a node before its children,
+    children left to right."""
+    yield e
+    if isinstance(e, Neg):
+        yield from nodes(e.operand)
     elif isinstance(e, BinOp):
-        _collect_names(e.left, out)
-        _collect_names(e.right, out)
+        yield from nodes(e.left)
+        yield from nodes(e.right)
     elif isinstance(e, Call):
         for a in e.args:
-            _collect_names(a, out)
+            yield from nodes(a)
+
+
+def free_names(e):
+    """All identifiers referenced by the expression (excluding call names)."""
+    return {n.ident for n in nodes(e) if isinstance(n, Name)}
 
 
 def delay_windows(e):
     """Second arguments of every delay/histint call in the tree."""
-    out = []
-    _collect_windows(e, out)
-    return out
-
-
-def _collect_windows(e, out):
-    if isinstance(e, Neg):
-        _collect_windows(e.operand, out)
-    elif isinstance(e, BinOp):
-        _collect_windows(e.left, out)
-        _collect_windows(e.right, out)
-    elif isinstance(e, Call):
-        if e.func in BINARY_CALLS:
-            out.append(e.args[1])
-        for a in e.args:
-            _collect_windows(a, out)
+    return [n.args[1] for n in nodes(e)
+            if isinstance(n, Call) and n.func in BINARY_CALLS]
 
 
 def has_history_terms(e):
     return bool(delay_windows(e))
+
+
+def format_number(v):
+    """Shortest source form of a number: integral values without a
+    decimal point, others as the float's repr."""
+    if float(v) == int(v) and abs(v) < 1e16:
+        return str(int(v))
+    return repr(float(v))
 
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
@@ -220,12 +219,7 @@ def unparse(e):
 
 def _unparse(e, parent_prec):
     if isinstance(e, Num):
-        v = e.value
-        if v == int(v) and abs(v) < 1e16:
-            s = str(int(v))
-        else:
-            s = repr(v)
-        return s
+        return format_number(e.value)
     if isinstance(e, Name):
         return e.ident
     if isinstance(e, Neg):

@@ -12,12 +12,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .diagram import OccupationVector, row_bindings
 from .errors import (ConservationDrift, DelayMisaligned, IntegrationError,
                      NegativePopulation, NonFinite)
 from .expr import EvalContext
 
 CONSERVATION_BUDGET = 1e-6   # hard failure threshold, relative to N0
-NEGATIVE_TOLERANCE = 1e-9    # clamped-to-zero reporting band
+# negative band, relative to max(1, N0): a state below it fails the step,
+# a value inside it is reported as zero
+NEGATIVE_TOLERANCE = 1e-9
 
 
 @dataclass
@@ -57,8 +60,7 @@ class HistoryAccessor:
 
     def __init__(self, state_names, env_names, base_bindings, t0, dt, y0,
                  discrete=False):
-        self.state_names = list(state_names)
-        self.env_names = list(env_names)
+        self.names = list(state_names) + list(env_names)
         self.base = dict(base_bindings)
         self.t0 = t0
         self.dt = dt
@@ -81,23 +83,14 @@ class HistoryAccessor:
             self._caches[key] = cache
             self._extend_cache(cache)
 
-    def _row_bindings(self, i):
-        b = dict(self.base)
-        b["t"] = self.times[i]
-        row = self.rows[i]
-        for j, name in enumerate(self.state_names):
-            b[name] = row[j]
-        ns = len(self.state_names)
-        for j, name in enumerate(self.env_names):
-            b[name] = row[ns + j]
-        return b
-
     def _extend_cache(self, cache):
         fn = cache["fn"]
         vals, cum = cache["vals"], cache["cum"]
         while len(vals) < len(self.rows):
             i = len(vals)
-            v = fn(EvalContext(self._row_bindings(i), self))
+            b = row_bindings(self.base, self.names, self.times[i],
+                             self.rows[i].tolist())
+            v = fn(EvalContext(b, self))
             vals.append(v)
             if i > 0:
                 if self.discrete:
@@ -114,27 +107,19 @@ class HistoryAccessor:
 
     def bindings_at(self, t):
         if t <= self.t0:
-            b = self._row_bindings(0)
-            b["t"] = t
-            return b
-        x = self._locate(t)
-        i = int(math.floor(x + 1e-9))
-        if i >= len(self.rows):
-            raise IntegrationError(
-                f"history query at t={t!r} is beyond the stored window")
-        frac = x - i
-        if frac <= 1e-9 or i + 1 >= len(self.rows):
-            row = self.rows[i]
+            row = self.rows[0]
         else:
-            row = (1.0 - frac) * self.rows[i] + frac * self.rows[i + 1]
-        b = dict(self.base)
-        b["t"] = t
-        for j, name in enumerate(self.state_names):
-            b[name] = row[j]
-        ns = len(self.state_names)
-        for j, name in enumerate(self.env_names):
-            b[name] = row[ns + j]
-        return b
+            x = self._locate(t)
+            i = int(math.floor(x + 1e-9))
+            if i >= len(self.rows):
+                raise IntegrationError(
+                    f"history query at t={t!r} is beyond the stored window")
+            frac = x - i
+            if frac <= 1e-9 or i + 1 >= len(self.rows):
+                row = self.rows[i]
+            else:
+                row = (1.0 - frac) * self.rows[i] + frac * self.rows[i + 1]
+        return row_bindings(self.base, self.names, t, row.tolist())
 
     def window_integral(self, key, fn, t_lo, t_hi, now_bindings):
         if key not in self._caches:
@@ -184,112 +169,85 @@ class HistoryAccessor:
         return cum[i] + 0.5 * h * (vals[i] + f_mid)
 
 
-def _check_finite(t, y):
+def _check_step(t, y, state_names, n0, floor):
+    """The checks after every step: finite values, the state total within
+    CONSERVATION_BUDGET of N0, and no state count below ``floor``."""
     if not np.all(np.isfinite(y)):
         raise NonFinite(t)
+    states = y[:len(state_names)]
+    if n0 > 0:
+        drift = abs(float(states.sum()) - n0)
+        if drift > CONSERVATION_BUDGET * n0:
+            raise ConservationDrift(t, drift, CONSERVATION_BUDGET * n0)
+    if len(states) and float(states.min()) < floor:
+        i = int(np.argmax(states < floor))
+        raise NegativePopulation(t, state_names[i], float(states[i]))
 
 
-def _check_conservation(t, y, n_states, n0):
-    if n0 <= 0:
-        return
-    drift = abs(float(y[:n_states].sum()) - n0)
-    if drift > CONSERVATION_BUDGET * n0:
-        raise ConservationDrift(t, drift, CONSERVATION_BUDGET * n0)
+def _negative_floor(n0):
+    return -NEGATIVE_TOLERANCE * max(1.0, n0)
 
 
-def _check_negative(t, y, n_states, n0):
-    floor = -NEGATIVE_TOLERANCE * max(1.0, n0)
-    worst = float(y[:n_states].min()) if n_states else 0.0
-    if worst < floor:
-        raise IntegrationError(
-            f"state count {worst!r} at t={t!r} below tolerance; reduce dt")
-
-
-def _report(data):
-    """Clamp the tolerated negative band to zero for reporting."""
+def _report(data, n0):
+    """Clamp values inside the tolerated negative band to zero."""
     out = np.asarray(data)
-    return np.where((out < 0) & (out > -1e-6), 0.0, out)
+    return np.where((out < 0) & (out >= _negative_floor(n0)), 0.0, out)
 
 
-def _resolve_init(system, init):
-    from .diagram import OccupationVector
-
+def _start(system, caller, flavor, init, nsteps):
+    """Shared prologue of the integrators: flavor check, initial row and
+    the preallocated output rows (row 0 filled)."""
+    if system.flavor != flavor:
+        article = "an" if flavor == "ode" else "a"
+        raise IntegrationError(
+            f"{caller}() needs {article} {flavor} system, got {system.flavor}")
     if init is None:
-        return system.diagram.initial_vector()
-    if isinstance(init, OccupationVector):
-        return init.as_array(system.state_names, system.env_names)
-    return np.asarray(init, dtype=float)
+        y = system.diagram.initial_vector()
+    elif isinstance(init, OccupationVector):
+        y = init.as_array(system.state_names, system.env_names)
+    else:
+        y = np.asarray(init, dtype=float)
+    data = np.empty((nsteps + 1, len(y)))
+    data[0] = y
+    return y, data
 
 
-def _metadata(system, dt, extra=None):
-    md = {"model": system.diagram.name, "params": dict(system.diagram.params),
-          "dt": dt, "flavor": system.flavor}
-    if extra:
-        md.update(extra)
-    return md
+def _history(system, y, dt, discrete=False):
+    """History store for a system with delayed terms, seeded with ``y``."""
+    history = HistoryAccessor(system.state_names, system.env_names,
+                              system.diagram.base_bindings(), 0.0, dt, y,
+                              discrete=discrete)
+    for key, fn in system.histint_integrands:
+        history.register_integrand(key, fn)
+    return history
 
 
-def integrate(system, init=None, t_end=10.0, dt=0.01):
-    """Fixed-step classical RK4 for an ODE-flavored system."""
-    if system.flavor != "ode":
-        raise IntegrationError(f"integrate() needs an ode system, got {system.flavor}")
+def _metadata(system, dt):
+    return {"model": system.diagram.name, "params": dict(system.diagram.params),
+            "dt": dt, "flavor": system.flavor}
+
+
+def _rk4(system, caller, flavor, init, t_end, dt):
+    """Fixed-step classical RK4.  A DDE system (method of steps) also
+    stores every step in a history that its delayed terms read."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     if t_end < 0:
         raise ValueError("t_end must be non-negative")
-    y = _resolve_init(system, init)
-    n_states = len(system.state_names)
-    n0 = system.diagram.n0
-    rhs = system.rhs
     nsteps = int(round(t_end / dt))
-    times = np.empty(nsteps + 1)
-    data = np.empty((nsteps + 1, len(y)))
-    times[0] = 0.0
-    data[0] = y
-    t = 0.0
-    for k in range(nsteps):
-        k1 = rhs(t, y)
-        k2 = rhs(t + 0.5 * dt, y + 0.5 * dt * k1)
-        k3 = rhs(t + 0.5 * dt, y + 0.5 * dt * k2)
-        k4 = rhs(t + dt, y + dt * k3)
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t = (k + 1) * dt
-        _check_finite(t, y)
-        _check_conservation(t, y, n_states, n0)
-        _check_negative(t, y, n_states, n0)
-        times[k + 1] = t
-        data[k + 1] = y
-    return Trajectory(times, _report(data), system.state_names,
-                      system.env_names, _metadata(system, dt))
-
-
-def integrate_delayed(system, init=None, t_end=10.0, dt=0.01):
-    """Method of steps for a delayed system: RK4 core, linear-interpolated
-    history reads, trapezoid history integrals, constant pre-history."""
-    if system.flavor != "dde":
-        raise IntegrationError(
-            f"integrate_delayed() needs a dde system, got {system.flavor}")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    for delay in system.delay_values:
-        if delay <= 0:
-            continue
-        ratio = delay / dt
-        if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
-            raise DelayMisaligned(delay, dt)
-    y = _resolve_init(system, init)
-    n_states = len(system.state_names)
-    n0 = system.diagram.n0
+    y, data = _start(system, caller, flavor, init, nsteps)
+    history = None
+    if flavor == "dde":
+        for delay in system.delay_values:
+            ratio = delay / dt
+            if delay > 0 and abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
+                raise DelayMisaligned(delay, dt)
+        history = _history(system, y, dt)
+    names, n0 = system.state_names, system.diagram.n0
+    floor = _negative_floor(n0)
     rhs = system.rhs
-    history = HistoryAccessor(system.state_names, system.env_names,
-                              system.diagram.base_bindings(), 0.0, dt, y)
-    for key, fn in system.histint_integrands:
-        history.register_integrand(key, fn)
-    nsteps = int(round(t_end / dt))
     times = np.empty(nsteps + 1)
-    data = np.empty((nsteps + 1, len(y)))
     times[0] = 0.0
-    data[0] = y
     t = 0.0
     for k in range(nsteps):
         k1 = rhs(t, y, history)
@@ -298,44 +256,40 @@ def integrate_delayed(system, init=None, t_end=10.0, dt=0.01):
         k4 = rhs(t + dt, y + dt * k3, history)
         y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t = (k + 1) * dt
-        _check_finite(t, y)
-        _check_conservation(t, y, n_states, n0)
-        _check_negative(t, y, n_states, n0)
-        history.append(t, y)
+        _check_step(t, y, names, n0, floor)
+        if history is not None:
+            history.append(t, y)
         times[k + 1] = t
         data[k + 1] = y
-    return Trajectory(times, _report(data), system.state_names,
-                      system.env_names, _metadata(system, dt))
+    return Trajectory(times, _report(data, n0), names, system.env_names,
+                      _metadata(system, dt))
+
+
+def integrate(system, init=None, t_end=10.0, dt=0.01):
+    """Fixed-step classical RK4 for an ODE-flavored system."""
+    return _rk4(system, "integrate", "ode", init, t_end, dt)
+
+
+def integrate_delayed(system, init=None, t_end=10.0, dt=0.01):
+    """Method of steps for a delayed system: RK4 core, linear-interpolated
+    history reads, trapezoid history integrals, constant pre-history."""
+    return _rk4(system, "integrate_delayed", "dde", init, t_end, dt)
 
 
 def iterate_difference(system, init=None, k_steps=100):
     """Synchronous stepper: all states advance from step k to k+1 at once;
     delayed terms read stored whole-step values."""
-    if system.flavor != "difference":
-        raise IntegrationError(
-            f"iterate_difference() needs a difference system, got {system.flavor}")
     if k_steps < 0:
         raise ValueError("k_steps must be non-negative")
-    y = _resolve_init(system, init)
-    n_states = len(system.state_names)
-    n0 = system.diagram.n0
+    y, data = _start(system, "iterate_difference", "difference", init,
+                     k_steps)
+    history = _history(system, y, 1.0, discrete=True)
+    names, n0 = system.state_names, system.diagram.n0
     rhs = system.rhs
-    history = HistoryAccessor(system.state_names, system.env_names,
-                              system.diagram.base_bindings(), 0.0, 1.0, y,
-                              discrete=True)
-    for key, fn in system.histint_integrands:
-        history.register_integrand(key, fn)
-    times = np.arange(k_steps + 1, dtype=float)
-    data = np.empty((k_steps + 1, len(y)))
-    data[0] = y
     for k in range(k_steps):
         y = y + rhs(float(k), y, history)
-        _check_finite(k + 1, y)
-        for i in range(n_states):
-            if y[i] < 0:
-                raise NegativePopulation(k + 1, system.state_names[i], float(y[i]))
-        _check_conservation(k + 1, y, n_states, n0)
+        _check_step(k + 1, y, names, n0, 0.0)
         history.append(float(k + 1), y)
         data[k + 1] = y
-    return Trajectory(times, data, system.state_names, system.env_names,
-                      _metadata(system, 1.0))
+    return Trajectory(np.arange(k_steps + 1, dtype=float), data, names,
+                      system.env_names, _metadata(system, 1.0))

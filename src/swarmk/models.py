@@ -10,20 +10,18 @@ from dataclasses import dataclass, fields as _dc_fields, \
     replace as _dc_replace
 from importlib import resources
 
+from .expr import format_number
 from .parser import ModelSource, parse_model
 
 BUILTIN_NAMES = ("foraging", "sugawara", "stickpull-simple",
                  "stickpull-delayed", "stickpull-counts", "collab-difference")
 
 
-def _fmt(v):
-    if float(v) == int(v) and abs(v) < 1e16:
-        return str(int(v))
-    return repr(float(v))
+def _render(template, **values):
+    return template.format(**{k: format_number(v) for k, v in values.items()})
 
 
-def _build(template, name, **values):
-    text = template.format(**{k: _fmt(v) for k, v in values.items()})
+def _parse(text, name):
     return parse_model(ModelSource(text, origin=name))
 
 
@@ -82,10 +80,13 @@ class ForagingParams:
         return self.tau_h0 * (1.0 + self.alpha_r2 * self.tau * self.n0)
 
 
+def _render_foraging(p):
+    return _render(FORAGING_TEMPLATE, ap=p.alpha_p, ar=p.alpha_r,
+                   arp=p.alpha_r2, tau=p.tau, tauh=p.tau_h, n0=p.n0, m0=p.m0)
+
+
 def build_foraging(p=ForagingParams()):
-    return _build(FORAGING_TEMPLATE, "foraging",
-                  ap=p.alpha_p, ar=p.alpha_r, arp=p.alpha_r2,
-                  tau=p.tau, tauh=p.tau_h, n0=p.n0, m0=p.m0)
+    return _parse(_render_foraging(p), "foraging")
 
 
 # ---------------------------------------------------------------------------
@@ -140,24 +141,32 @@ class StickPullParams:
         return self.r_g * self.beta
 
 
-def _stickpull(template, name, p, **extra):
-    effect = "" if p.replacement else " ; m -= beta"
-    text = template.format(success_effect=effect,
-                           **{k: _fmt(v) for k, v in extra.items()})
+def _render_stickpull(template, p, **values):
+    text = template.format(
+        success_effect="" if p.replacement else " ; m -= beta",
+        **{k: format_number(v) for k, v in values.items()})
     if not p.replacement and p.mu_prime > 0:
-        text += f"param mu = {_fmt(p.mu_prime)}\n"
+        text += f"param mu = {format_number(p.mu_prime)}\n"
         text += "rate(mu): s -> s ; m += 1\n"
-    return parse_model(ModelSource(text, origin=name))
+    return text
+
+
+def _render_stickpull_simple(p):
+    return _render_stickpull(STICKPULL_SIMPLE_TEMPLATE, p,
+                             beta=p.beta, gamma=p.gamma, rg=p.r_g)
+
+
+def _render_stickpull_delayed(p):
+    return _render_stickpull(STICKPULL_DELAYED_TEMPLATE, p,
+                             beta=p.beta, tau=p.tau, rg=p.r_g)
 
 
 def build_stickpull_simple(p=StickPullParams()):
-    return _stickpull(STICKPULL_SIMPLE_TEMPLATE, "stickpull-simple", p,
-                      beta=p.beta, gamma=p.gamma, rg=p.r_g)
+    return _parse(_render_stickpull_simple(p), "stickpull-simple")
 
 
 def build_stickpull_delayed(p=StickPullParams()):
-    return _stickpull(STICKPULL_DELAYED_TEMPLATE, "stickpull-delayed", p,
-                      beta=p.beta, tau=p.tau, rg=p.r_g)
+    return _parse(_render_stickpull_delayed(p), "stickpull-delayed")
 
 
 # ---------------------------------------------------------------------------
@@ -192,10 +201,13 @@ class StickPullCountsParams:
             raise ValueError("invalid rate parameters")
 
 
+def _render_stickpull_counts(p):
+    return _render(STICKPULL_COUNTS_TEMPLATE, alpha=p.alpha, rg=p.r_g,
+                   gammad=p.gamma_d, m0=p.m0, n0=p.n0)
+
+
 def build_stickpull_counts(p=StickPullCountsParams()):
-    return _build(STICKPULL_COUNTS_TEMPLATE, "stickpull-counts",
-                  alpha=p.alpha, rg=p.r_g, gammad=p.gamma_d,
-                  m0=p.m0, n0=p.n0)
+    return _parse(_render_stickpull_counts(p), "stickpull-counts")
 
 
 # ---------------------------------------------------------------------------
@@ -254,13 +266,17 @@ class SugawaraParams:
             raise ValueError("n0 must be >= 1")
 
 
-def build_sugawara(p=SugawaraParams()):
+def _render_sugawara(p):
     # x = 0 means no broadcast interaction at all: the turn-angle coupling
     # is switched off so robots never react to signals.
     lx = 0.0 if p.x == 0 else p.l_x
-    return _build(SUGAWARA_TEMPLATE, "sugawara",
-                  alpha=p.alpha, b=p.b, tau=p.tau, x=p.x, a=p.a, lx=lx,
-                  d=p.d, v=p.v, gloc=p.gamma_loc, k=p.k_target, n0=p.n0)
+    return _render(SUGAWARA_TEMPLATE, alpha=p.alpha, b=p.b, tau=p.tau,
+                   x=p.x, a=p.a, lx=lx, d=p.d, v=p.v, gloc=p.gamma_loc,
+                   k=p.k_target, n0=p.n0)
+
+
+def build_sugawara(p=SugawaraParams()):
+    return _parse(_render_sugawara(p), "sugawara")
 
 
 # ---------------------------------------------------------------------------
@@ -328,23 +344,32 @@ class CollabDiffParams:
             raise ValueError("alpha_t * n0 must stay below 1 (help probability)")
 
 
+def _render_collab_difference(p):
+    return _render(COLLAB_DIFFERENCE_TEMPLATE, alpha=p.alpha, at=p.alpha_t,
+                   aw=p.alpha_w, ar=p.alpha_r, m0=p.m0, n0=p.n0, ta=p.t_a,
+                   tia=p.t_ia, tca=p.t_ca, tcda=p.t_cda, tcga=p.t_cga,
+                   tga=p.t_ga)
+
+
 def build_collab_difference(p=CollabDiffParams()):
-    d = _build(COLLAB_DIFFERENCE_TEMPLATE, "collab-difference",
-               alpha=p.alpha, at=p.alpha_t, aw=p.alpha_w, ar=p.alpha_r,
-               m0=p.m0, n0=p.n0, ta=p.t_a, tia=p.t_ia, tca=p.t_ca,
-               tcda=p.t_cda, tcga=p.t_cga, tga=p.t_ga)
+    d = _parse(_render_collab_difference(p), "collab-difference")
     return _dc_replace(d, discrete=True)
 
 
 # ---------------------------------------------------------------------------
 
+# name -> (builder, parameter dataclass, .mas text renderer)
 _BUILDERS = {
-    "foraging": (build_foraging, ForagingParams),
-    "sugawara": (build_sugawara, SugawaraParams),
-    "stickpull-simple": (build_stickpull_simple, StickPullParams),
-    "stickpull-delayed": (build_stickpull_delayed, StickPullParams),
-    "stickpull-counts": (build_stickpull_counts, StickPullCountsParams),
-    "collab-difference": (build_collab_difference, CollabDiffParams),
+    "foraging": (build_foraging, ForagingParams, _render_foraging),
+    "sugawara": (build_sugawara, SugawaraParams, _render_sugawara),
+    "stickpull-simple": (build_stickpull_simple, StickPullParams,
+                         _render_stickpull_simple),
+    "stickpull-delayed": (build_stickpull_delayed, StickPullParams,
+                          _render_stickpull_delayed),
+    "stickpull-counts": (build_stickpull_counts, StickPullCountsParams,
+                         _render_stickpull_counts),
+    "collab-difference": (build_collab_difference, CollabDiffParams,
+                          _render_collab_difference),
 }
 
 
@@ -369,7 +394,7 @@ def build_builtin(name, **overrides):
     parameters of the resulting diagram.  Integral floats are coerced for
     integer-valued fields.
     """
-    builder, cls = _builder_entry(name)
+    builder, cls, _ = _builder_entry(name)
     if not overrides:
         return builder()
     kwargs = {}
@@ -397,31 +422,5 @@ def shipped_source(name):
 def render_default_sources():
     """Render every built-in at default parameters (used to generate and
     cross-check the shipped .mas files)."""
-    out = {}
-    fp = ForagingParams()
-    out["foraging"] = FORAGING_TEMPLATE.format(
-        ap=_fmt(fp.alpha_p), ar=_fmt(fp.alpha_r), arp=_fmt(fp.alpha_r2),
-        tau=_fmt(fp.tau), tauh=_fmt(fp.tau_h), n0=_fmt(fp.n0), m0=_fmt(fp.m0))
-    sp = StickPullParams()
-    out["stickpull-simple"] = STICKPULL_SIMPLE_TEMPLATE.format(
-        success_effect="", beta=_fmt(sp.beta), gamma=_fmt(sp.gamma),
-        rg=_fmt(sp.r_g))
-    out["stickpull-delayed"] = STICKPULL_DELAYED_TEMPLATE.format(
-        success_effect="", beta=_fmt(sp.beta), tau=_fmt(sp.tau),
-        rg=_fmt(sp.r_g))
-    cp = StickPullCountsParams()
-    out["stickpull-counts"] = STICKPULL_COUNTS_TEMPLATE.format(
-        alpha=_fmt(cp.alpha), rg=_fmt(cp.r_g), gammad=_fmt(cp.gamma_d),
-        m0=_fmt(cp.m0), n0=_fmt(cp.n0))
-    sg = SugawaraParams()
-    out["sugawara"] = SUGAWARA_TEMPLATE.format(
-        alpha=_fmt(sg.alpha), b=_fmt(sg.b), tau=_fmt(sg.tau), x=_fmt(sg.x),
-        a=_fmt(sg.a), lx=_fmt(sg.l_x), d=_fmt(sg.d), v=_fmt(sg.v),
-        gloc=_fmt(sg.gamma_loc), k=_fmt(sg.k_target), n0=_fmt(sg.n0))
-    cd = CollabDiffParams()
-    out["collab-difference"] = COLLAB_DIFFERENCE_TEMPLATE.format(
-        alpha=_fmt(cd.alpha), at=_fmt(cd.alpha_t), aw=_fmt(cd.alpha_w),
-        ar=_fmt(cd.alpha_r), m0=_fmt(cd.m0), n0=_fmt(cd.n0), ta=_fmt(cd.t_a),
-        tia=_fmt(cd.t_ia), tca=_fmt(cd.t_ca), tcda=_fmt(cd.t_cda),
-        tcga=_fmt(cd.t_cga), tga=_fmt(cd.t_ga))
-    return out
+    return {name: render(cls())
+            for name, (_, cls, render) in _BUILDERS.items()}

@@ -27,7 +27,8 @@ import re
 from dataclasses import dataclass
 
 from .errors import LexError, ParseError, SemanticError
-from .expr import BinOp, Call, Name, Neg, Num, eval_expr
+from .expr import (BinOp, Call, Name, Neg, Num, eval_expr, format_number,
+                   nodes, unparse)
 
 RESERVED = {"param", "state", "env", "rate",
             "exp", "ln", "step", "delay", "histint", "t", "N0"}
@@ -291,30 +292,13 @@ def parse_model(src):
 
 def _identifier_defects(diagram):
     """Unknown identifiers in rate/effect expressions, with locations."""
-    from .expr import Name as _Name
-
     known = set(diagram.params) | {n for n, _ in diagram.states}
     known |= {n for n, _ in diagram.env_vars} | {"t", "N0"}
-    out = []
-
-    def walk(e):
-        if isinstance(e, _Name):
-            if e.ident not in known:
-                out.append((f"unknown identifier {e.ident}", e.line, e.col))
-        elif isinstance(e, Neg):
-            walk(e.operand)
-        elif isinstance(e, BinOp):
-            walk(e.left)
-            walk(e.right)
-        elif isinstance(e, Call):
-            for a in e.args:
-                walk(a)
-
-    for tr in diagram.transitions:
-        walk(tr.rate)
-        for _, eff in tr.env_effects:
-            walk(eff)
-    return out
+    exprs = [e for tr in diagram.transitions
+             for e in (tr.rate, *(eff for _, eff in tr.env_effects))]
+    return [(f"unknown identifier {n.ident}", n.line, n.col)
+            for e in exprs for n in nodes(e)
+            if isinstance(n, Name) and n.ident not in known]
 
 
 def parse_file(path):
@@ -328,15 +312,13 @@ def pretty_print(diagram):
     Round trip: ``parse_model(pretty_print(d))`` is structurally identical
     to ``d`` (state/env initializers are re-emitted as literals).
     """
-    from .expr import unparse
-
     lines = []
     for name, v in sorted(diagram.params.items()):
-        lines.append(f"param {name} = {_fmt(v)}")
+        lines.append(f"param {name} = {format_number(v)}")
     for name, v in diagram.states:
-        lines.append(f"state {name} = {_fmt(v)}")
+        lines.append(f"state {name} = {format_number(v)}")
     for name, v in diagram.env_vars:
-        lines.append(f"env {name} = {_fmt(v)}")
+        lines.append(f"env {name} = {format_number(v)}")
     for tr in diagram.transitions:
         line = f"rate({unparse(tr.rate)}): {tr.source} -> {tr.target}"
         if tr.env_effects:
@@ -349,9 +331,3 @@ def pretty_print(diagram):
             line += " ; " + ", ".join(effs)
         lines.append(line)
     return "\n".join(lines) + "\n"
-
-
-def _fmt(v):
-    if v == int(v) and abs(v) < 1e16:
-        return str(int(v))
-    return repr(v)

@@ -9,35 +9,61 @@ cannot be reduced to a configuration chain).
 from __future__ import annotations
 
 import math
-import os
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ModelError, StateSpaceTooLarge
-from .expr import EvalContext, compile_expr, eval_expr, has_history_terms
+from .diagram import row_bindings, transition_table
+from .errors import IntegrationError, ModelError, StateSpaceTooLarge
+from .expr import EvalContext, free_names, has_history_terms
 from .integrate import Trajectory
 
 CONFIG_CAP = 100_000
 
 
 def _require_memoryless(diagram):
+    """Refuse rates and effects the configuration chain cannot represent:
+    delayed terms (the chain keeps no history) and ``t`` (rates are held
+    constant between jumps)."""
     for tr in diagram.transitions:
-        if has_history_terms(tr.rate):
-            raise ModelError(
-                "delayed terms are not allowed in the configuration chain "
-                f"(transition {tr.source} -> {tr.target})")
+        where = f"(transition {tr.source} -> {tr.target})"
+        for e in (tr.rate, *(eff for _, eff in tr.env_effects)):
+            if has_history_terms(e):
+                raise ModelError("delayed terms are not allowed in the "
+                                 f"configuration chain {where}")
+            if "t" in free_names(e):
+                raise ModelError("time-dependent rates and effects are not "
+                                 f"allowed in the configuration chain {where}")
 
 
-def _integer_bindings(diagram, config):
-    names = diagram.state_names + diagram.env_names
-    b = diagram.base_bindings()
-    b["t"] = 0.0
-    for name, v in zip(names, config):
-        b[name] = float(v)
-    return b
+def _integer_start(diagram):
+    init = diagram.initial_vector()
+    if any(abs(v - round(v)) > 1e-9 for v in init):
+        raise ModelError("initial counts must be integers for the "
+                         "configuration chain")
+    return tuple(int(round(v)) for v in init)
+
+
+def _config_context(base, names, t, config):
+    return EvalContext(row_bindings(base, names, t, map(float, config)), None)
+
+
+def _fire(config, move, ctx):
+    """The integer configuration after one firing of ``move`` (a
+    transition-table row) from ``config``, whose bindings ``ctx`` holds."""
+    si, ti, _, effects = move
+    nxt = list(config)
+    if si != ti:
+        nxt[si] -= 1
+        nxt[ti] += 1
+    for ei, eff_fn in effects:
+        dv = eff_fn(ctx)
+        if abs(dv - round(dv)) > 1e-9:
+            raise ModelError("environment effects must be integer-valued in "
+                             f"the configuration chain (got {dv!r})")
+        nxt[ei] += int(round(dv))
+    return tuple(nxt)
 
 
 @dataclass
@@ -56,23 +82,10 @@ class ConfigurationSpace:
     def build(cls, diagram, cap=CONFIG_CAP):
         """Breadth-first enumeration from the initial configuration."""
         _require_memoryless(diagram)
-        state_names = diagram.state_names
-        env_names = diagram.env_names
-        ns = len(state_names)
-        init = diagram.initial_vector()
-        start = tuple(int(round(v)) for v in init)
-        if any(abs(v - round(v)) > 1e-9 for v in init):
-            raise ModelError("initial counts must be integers for the "
-                             "configuration chain")
-
-        rate_fns = [compile_expr(tr.rate) for tr in diagram.transitions]
-        moves = []
-        for tr in diagram.transitions:
-            si = state_names.index(tr.source)
-            ti = state_names.index(tr.target)
-            effs = [(ns + env_names.index(n), compile_expr(e))
-                    for n, e in tr.env_effects]
-            moves.append((si, ti, effs))
+        start = _integer_start(diagram)
+        table = transition_table(diagram)
+        base = diagram.base_bindings()
+        names = diagram.state_names + diagram.env_names
 
         configs = [start]
         index = {start: 0}
@@ -81,26 +94,15 @@ class ConfigurationSpace:
         while queue:
             i = queue.popleft()
             cfg = configs[i]
-            b = _integer_bindings(diagram, cfg)
-            ctx = EvalContext(b, None)
-            for (si, ti, effs), fn in zip(moves, rate_fns):
+            ctx = _config_context(base, names, 0.0, cfg)
+            for move in table:
+                si, ti, rate_fn, _ = move
                 if si != ti and cfg[si] < 1:
                     continue
-                rate = fn(ctx)
+                rate = rate_fn(ctx)
                 if rate <= 0.0:
                     continue
-                nxt = list(cfg)
-                if si != ti:
-                    nxt[si] -= 1
-                    nxt[ti] += 1
-                for ei, eff_fn in effs:
-                    dv = eff_fn(ctx)
-                    if abs(dv - round(dv)) > 1e-9:
-                        raise ModelError(
-                            "environment effects must be integer-valued in "
-                            f"the configuration chain (got {dv!r})")
-                    nxt[ei] += int(round(dv))
-                nxt = tuple(nxt)
+                nxt = _fire(cfg, move, ctx)
                 j = index.get(nxt)
                 if j is None:
                     j = len(configs)
@@ -153,11 +155,12 @@ def master_exact(diagram, t_end=10.0, dt=0.005, dt_out=None, cap=CONFIG_CAP):
         p = p + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         total = float(p.sum())
         if abs(total - 1.0) > 1e-9:
-            raise ModelError(
+            raise IntegrationError(
                 f"master-equation normalization drifted to {total!r}; reduce dt")
-        if float(p.min()) < -1e-12:
-            raise ModelError(
-                f"master-equation probability went negative ({p.min()!r}); "
+        worst = float(p.min())
+        if worst < -1e-12:
+            raise IntegrationError(
+                f"master-equation probability went negative ({worst!r}); "
                 "reduce dt")
         if (k + 1) % stride == 0:
             out_times.append((k + 1) * dt)
@@ -182,41 +185,21 @@ def ssa_run(diagram, t_end=10.0, seed=0):
     """
     _require_memoryless(diagram)
     rng = np.random.default_rng(seed)
-    state_names = diagram.state_names
-    env_names = diagram.env_names
-    ns = len(state_names)
-    y = diagram.initial_vector()
-    if any(abs(v - round(v)) > 1e-9 for v in y):
-        raise ModelError("initial counts must be integers for Gillespie runs")
-    y = np.array([int(round(v)) for v in y], dtype=float)
-
-    rate_fns = [compile_expr(tr.rate) for tr in diagram.transitions]
-    moves = []
-    for tr in diagram.transitions:
-        si = state_names.index(tr.source)
-        ti = state_names.index(tr.target)
-        effs = [(ns + env_names.index(nm), compile_expr(e))
-                for nm, e in tr.env_effects]
-        moves.append((si, ti, effs))
-
+    y = _integer_start(diagram)
+    table = transition_table(diagram)
     base = diagram.base_bindings()
+    names = diagram.state_names + diagram.env_names
     times = [0.0]
-    rows = [y.copy()]
+    rows = [y]
     t = 0.0
-    rates = np.empty(len(moves))
+    rates = np.empty(len(table))
     while True:
-        b = dict(base)
-        b["t"] = t
-        for i, name in enumerate(state_names):
-            b[name] = y[i]
-        for j, name in enumerate(env_names):
-            b[name] = y[ns + j]
-        ctx = EvalContext(b, None)
-        for i, ((si, ti, _), fn) in enumerate(zip(moves, rate_fns)):
+        ctx = _config_context(base, names, t, y)
+        for i, (si, ti, rate_fn, _) in enumerate(table):
             if si != ti and y[si] < 1:
                 rates[i] = 0.0
             else:
-                rates[i] = max(0.0, fn(ctx))
+                rates[i] = max(0.0, rate_fn(ctx))
         total = float(rates.sum())
         if total <= 0.0:
             break
@@ -225,25 +208,20 @@ def ssa_run(diagram, t_end=10.0, seed=0):
             break
         pick = rng.random() * total
         acc = 0.0
-        chosen = len(moves) - 1
+        chosen = len(table) - 1
         for i, r in enumerate(rates):
             acc += r
             if pick < acc:
                 chosen = i
                 break
-        si, ti, effs = moves[chosen]
-        if si != ti:
-            y[si] -= 1
-            y[ti] += 1
-        for ei, eff_fn in effs:
-            y[ei] += round(eff_fn(ctx))
+        y = _fire(y, table[chosen], ctx)
         times.append(t)
-        rows.append(y.copy())
+        rows.append(y)
     times.append(t_end)
-    rows.append(y.copy())
-    return Trajectory(np.array(times), np.vstack(rows), state_names,
-                      env_names, {"model": diagram.name, "engine": "ssa",
-                                  "seed": seed})
+    rows.append(y)
+    return Trajectory(np.array(times), np.array(rows, dtype=float),
+                      diagram.state_names, diagram.env_names,
+                      {"model": diagram.name, "engine": "ssa", "seed": seed})
 
 
 def semimarkov_run(n0, m0, alpha, r_g, tau, t_end=10.0, seed=0,
@@ -351,45 +329,23 @@ def sample_path(traj, grid):
     return traj.data[idx]
 
 
-def _worker_count():
-    v = os.environ.get("SWARMK_THREADS", "")
-    try:
-        return max(1, int(v))
-    except ValueError:
-        return 1
-
-
-def ensemble(run, n_runs, master_seed, t_grid, threads=None):
+def ensemble(run, n_runs, master_seed, t_grid):
     """Aggregate ``run(seed) -> Trajectory`` over derived per-run seeds.
 
     Seeds are spawned deterministically from the master seed, so the
-    result does not depend on execution order or on the worker count.
+    result is fixed by the master seed alone.
     """
     if n_runs < 2:
         raise ValueError("n_runs must be >= 2")
     t_grid = np.asarray(t_grid, dtype=float)
-    seeds = np.random.SeedSequence(master_seed).spawn(n_runs)
-    if threads is None:
-        threads = _worker_count()
-
-    def one(i):
-        try:
-            traj = run(seeds[i])
-        except Exception as exc:
-            raise RuntimeError(f"ensemble run {i} failed: {exc}") from exc
-        return traj, sample_path(traj, t_grid)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, range(n_runs)))
-    else:
-        results = [one(i) for i in range(n_runs)]
-
-    columns = results[0][0].columns
-    samples = np.stack([s for _, s in results])  # (runs, nt, dim)
+    samples = []
+    for seed in np.random.SeedSequence(master_seed).spawn(n_runs):
+        traj = run(seed)
+        samples.append(sample_path(traj, t_grid))
+    samples = np.stack(samples)  # (runs, nt, dim)
     mean = samples.mean(axis=0)
     std = samples.std(axis=0, ddof=1)
     stderr = std / math.sqrt(n_runs)
-    return EnsembleStats(t_grid, mean, stderr, columns, n_runs,
-                         master_seed, {"engine": results[0][0].metadata.get(
+    return EnsembleStats(t_grid, mean, stderr, traj.columns, n_runs,
+                         master_seed, {"engine": traj.metadata.get(
                              "engine", "unknown")})

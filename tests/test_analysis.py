@@ -283,6 +283,14 @@ def test_sweep_records_row_failures():
     assert table.errors[2] is None
 
 
+def test_sweep_propagates_programming_errors():
+    def make(value):
+        raise TypeError("factory bug")
+
+    with pytest.raises(TypeError):
+        sk.sweep(make, "gamma", [0.1, 0.2], ("nstar",))
+
+
 def test_sweep_rejects_bad_grid():
     d = sk.build_stickpull_simple()
     with pytest.raises(ValueError):

@@ -161,6 +161,21 @@ def test_exact_rejects_delayed_model(capsys):
     assert code == 2
 
 
+def test_mc_rejects_delayed_model(capsys):
+    code, _, err = _run(capsys, "mc", "--model", "stickpull-delayed",
+                        "--t-end", "1", "--runs", "2")
+    assert code == 2
+    assert err.startswith("model error:")
+
+
+def test_exact_numeric_failure_exit_3(capsys):
+    # dt far outside RK4's stability region for this generator
+    code, _, err = _run(capsys, "exact", "--model", "stickpull-counts",
+                        "--t-end", "10", "--dt", "1")
+    assert code == 3
+    assert err.startswith("numeric failure:")
+
+
 def test_compare_has_gap_columns(capsys):
     code, out, _ = _run(capsys, "compare", "--model", "stickpull-counts",
                         "--t-end", "2", "--runs", "5", "--grid-points", "2")

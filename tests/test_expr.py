@@ -43,6 +43,8 @@ def test_exp_ln_step():
         eval_expr(Call("ln", (Num(0),)), {})
     with pytest.raises(EvalError):
         eval_expr(Call("ln", (Num(-1),)), {})
+    with pytest.raises(EvalError):
+        eval_expr(Call("exp", (Num(1000),)), {})
 
 
 def test_delay_zero_lag_uses_current_bindings():

@@ -1,6 +1,7 @@
 """Stochastic engines: exact master equation, Gillespie, agent simulator."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import swarmk as sk
 from swarmk.errors import ModelError, StateSpaceTooLarge
@@ -29,6 +30,62 @@ def test_configuration_space_rejects_delays():
     d = sk.build_stickpull_delayed()
     with pytest.raises(ModelError):
         ConfigurationSpace.build(d)
+
+
+@pytest.mark.parametrize("src", [
+    # with t pinned between jumps, the chain would hold the step at its
+    # t=0 value: E[a](10) = 1.4e-4 where the true value is 3 exp(-5)
+    "param k = 1\nstate a = 3\nstate b = 0\n"
+    "rate(k * a * step(5 - t)): a -> b\n",
+    "state a = 3\nstate b = 0\nenv m = 0\n"
+    "rate(a): a -> b ; m += step(5 - t)\n",
+])
+def test_chain_rejects_time_dependence(src):
+    d = sk.parse_model(src)
+    with pytest.raises(ModelError):
+        sk.master_exact(d, t_end=10.0)
+    with pytest.raises(ModelError):
+        sk.ssa_run(d, t_end=10.0, seed=0)
+
+
+def test_chain_rejects_non_integer_env_effects():
+    d = sk.parse_model("state a = 3\nstate b = 0\nenv m = 0\n"
+                       "rate(a): a -> b ; m += 0.4\n")
+    with pytest.raises(ModelError):
+        ConfigurationSpace.build(d)
+    with pytest.raises(ModelError):
+        sk.ssa_run(d, t_end=10.0, seed=0)
+
+
+@st.composite
+def _first_order_diagrams(draw):
+    """Small random diagrams whose every rate is k * (source count)."""
+    n = draw(st.integers(2, 4))
+    counts = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)
+                  .filter(lambda c: 0 < sum(c) <= 4))
+    moves = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                    st.integers(0, n - 1),
+                                    st.floats(0.05, 1.0))
+                          .filter(lambda m: m[0] != m[1]),
+                          min_size=1, max_size=6))
+    lines = [f"param k{i} = {k!r}" for i, (_, _, k) in enumerate(moves)]
+    lines += [f"state x{j} = {c}" for j, c in enumerate(counts)]
+    lines += [f"rate(k{i} * x{a}): x{a} -> x{b}"
+              for i, (a, b, _) in enumerate(moves)]
+    return sk.parse_model("\n".join(lines) + "\n")
+
+
+@settings(max_examples=30, deadline=None)
+@given(_first_order_diagrams())
+def test_first_order_mean_field_equals_master_mean(d):
+    # first-order rates make the expectations obey the mean-field equations
+    # exactly (Jahnke & Huisinga 2007); RK4 is a polynomial in the
+    # generator, so the two RK4 solutions agree to round-off
+    mf = sk.integrate(sk.compile_rhs(d), t_end=1.0, dt=0.01)
+    tbl, mean = sk.master_exact(d, t_end=1.0, dt=0.01)
+    assert np.allclose(mean.data, mf.data, rtol=0, atol=1e-10)
+    assert np.abs(tbl.probs.sum(axis=1) - 1.0).max() <= 1e-9
+    assert tbl.probs.min() >= -1e-12
 
 
 def test_master_two_state_stationary_split():
@@ -148,16 +205,6 @@ def test_ensemble_stderr_shrinks_with_runs():
     s2 = sk.ensemble(run, 400, 1, grid)
     ratio = np.median(s2.stderr / s1.stderr)
     assert 0.7 / 1.2 < ratio < 0.7 * 1.2
-
-
-def test_ensemble_thread_pool_matches_serial():
-    d = sk.build_stickpull_counts()
-    grid = np.linspace(0, 10, 6)
-    run = lambda seed: sk.ssa_run(d, t_end=10.0, seed=seed)
-    serial = sk.ensemble(run, 30, 4, grid, threads=1)
-    pooled = sk.ensemble(run, 30, 4, grid, threads=4)
-    assert np.array_equal(serial.mean, pooled.mean)
-    assert np.array_equal(serial.stderr, pooled.stderr)
 
 
 def test_ssa_ensemble_agrees_with_master():
