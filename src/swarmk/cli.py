@@ -91,14 +91,19 @@ def _emit(text, out):
         sys.stdout.write(text)
 
 
-def _traj_csv(traj):
-    lines = ["t," + ",".join(traj.columns)]
-    for t, row in zip(traj.times, traj.data):
-        lines.append(",".join([_fmt_float(t)] + [_fmt_float(v) for v in row]))
+def _csv(header, rows):
+    """CSV text: the header line, then one line of numbers per row (None
+    becomes an empty cell)."""
+    lines = [",".join(header)]
+    lines += [",".join(_fmt_float(v) for v in row) for row in rows]
     return "\n".join(lines) + "\n"
 
 
-def _traj_json(traj):
+def _emit_traj(traj, args):
+    if args.format == "csv":
+        _emit(_csv(["t"] + traj.columns,
+                   np.column_stack((traj.times, traj.data))), args.out)
+        return
     payload = {
         "columns": ["t"] + list(traj.columns),
         "rows": [[float(t)] + [float(v) for v in row]
@@ -106,17 +111,7 @@ def _traj_json(traj):
         "metadata": {k: v for k, v in traj.metadata.items()
                      if isinstance(v, (str, int, float, dict))},
     }
-    return json.dumps(payload, indent=2) + "\n"
-
-
-def _sweep_csv(table):
-    lines = ["param," + ",".join(table.observables)]
-    for v, row, err in zip(table.grid, table.rows, table.errors):
-        cells = [_fmt_float(v)]
-        for x in row:
-            cells.append("" if x is None else _fmt_float(x))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    _emit(json.dumps(payload, indent=2) + "\n", args.out)
 
 
 def _sweep_json(table):
@@ -129,21 +124,6 @@ def _sweep_json(table):
                  for v, row, err in zip(table.grid, table.rows, table.errors)],
         "provenance": table.provenance,
     }, indent=2) + "\n"
-
-
-def _stats_csv(stats):
-    cols = []
-    for c in stats.columns:
-        cols.append(f"{c}_mean")
-        cols.append(f"{c}_stderr")
-    lines = ["t," + ",".join(cols)]
-    for i, t in enumerate(stats.times):
-        cells = [_fmt_float(t)]
-        for j in range(len(stats.columns)):
-            cells.append(_fmt_float(stats.mean[i, j]))
-            cells.append(_fmt_float(stats.stderr[i, j]))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
 
 
 def _build_parser():
@@ -207,9 +187,8 @@ def _build_parser():
 def _cmd_run(args):
     diagram = _load_model(args.model, _parse_overrides(args.set))
     k = args.steps if args.steps is not None else int(round(args.t_end))
-    traj = analysis._run_to_trajectory(diagram, args.t_end, args.dt, k)
-    _emit(_traj_csv(traj) if args.format == "csv" else _traj_json(traj),
-          args.out)
+    _emit_traj(analysis._run_to_trajectory(diagram, args.t_end, args.dt, k),
+               args)
     return EXIT_OK
 
 
@@ -251,8 +230,12 @@ def _cmd_sweep(args):
                            t_end=args.t_end, dt=args.dt,
                            counter=args.counter, mode=args.mode,
                            threshold=args.threshold)
-    _emit(_sweep_csv(table) if args.format == "csv" else _sweep_json(table),
-          args.out)
+    if args.format == "csv":
+        _emit(_csv(["param", *table.observables],
+                   ((v, *row) for v, row in zip(table.grid, table.rows))),
+              args.out)
+    else:
+        _emit(_sweep_json(table), args.out)
     return EXIT_OK
 
 
@@ -274,7 +257,12 @@ def _cmd_mc(args):
                    "runs": stats.n_runs, "seed": stats.master_seed}
         _emit(json.dumps(payload, indent=2) + "\n", args.out)
     else:
-        _emit(_stats_csv(stats), args.out)
+        header = ["t"] + [f"{c}_{k}" for c in stats.columns
+                          for k in ("mean", "stderr")]
+        # each column's mean and standard error, side by side
+        pairs = np.stack((stats.mean, stats.stderr), axis=2)
+        pairs = pairs.reshape(len(stats.times), -1)
+        _emit(_csv(header, np.column_stack((stats.times, pairs))), args.out)
     return EXIT_OK
 
 
@@ -282,8 +270,7 @@ def _cmd_exact(args):
     diagram = _load_model(args.model, _parse_overrides(args.set))
     _, traj = stochastic.master_exact(diagram, t_end=args.t_end, dt=args.dt,
                                       dt_out=max(args.dt, args.t_end / 100))
-    _emit(_traj_csv(traj) if args.format == "csv" else _traj_json(traj),
-          args.out)
+    _emit_traj(traj, args)
     return EXIT_OK
 
 
@@ -304,10 +291,9 @@ def _cmd_compare(args):
     for c in cols:
         header += [f"{c}_mf", f"{c}_exact", f"{c}_mc", f"{c}_mc_stderr",
                    f"{c}_gap_exact", f"{c}_gap_mc"]
-    lines = [",".join(header)]
-    rows = []
+    csv_rows, rows = [], []
     for i, t in enumerate(grid):
-        cells = [_fmt_float(t)]
+        csv_rows.append([t])
         row = {}
         for j, c in enumerate(cols):
             v_mf = float(np.interp(t, mf.times, mf.column(c)))
@@ -315,14 +301,13 @@ def _cmd_compare(args):
             v_mc = float(stats.mean[i, j])
             v_se = float(stats.stderr[i, j])
             vals = [v_mf, v_ex, v_mc, v_se, v_ex - v_mf, v_mc - v_ex]
-            cells += [_fmt_float(v) for v in vals]
+            csv_rows[-1] += vals
             row[c] = vals
-        lines.append(",".join(cells))
         rows.append({"t": float(t), "columns": row})
     if args.format == "json":
         _emit(json.dumps({"rows": rows}, indent=2) + "\n", args.out)
     else:
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit(_csv(header, csv_rows), args.out)
     return EXIT_OK
 
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import EvalError, ModelError
-from .expr import (Call, EvalContext, compile_expr, delay_windows, eval_expr,
-                   free_names, has_history_terms, nodes, unparse)
+from .expr import (EvalContext, compile_expr, delay_windows, eval_expr,
+                   free_names, has_history_terms, unparse)
 
 
 @dataclass(frozen=True)
@@ -112,7 +112,6 @@ class RateSystem:
     rhs: object  # callable (t, y, history) -> np.ndarray
     max_delay: float = 0.0
     delay_values: tuple = ()  # every delay/histint window, evaluated
-    histint_integrands: tuple = ()  # (key, fn) pairs needing history caches
 
     @property
     def dimension(self):
@@ -200,13 +199,17 @@ def validate_diagram(diagram, n_samples=64):
     # physically unreachable corners, e.g. negative free-stick counts, and
     # would reject valid models).  Non-negativity is asserted at the
     # initial configuration; sampled points check evaluability/finiteness.
+    # Delayed terms read a one-row history: constant pre-history, so the
+    # past equals the sampled present.
+    from .integrate import HistoryAccessor
+
     rng = np.random.default_rng(_RNG_SEED)
-    history = _ConstantHistory(diagram)
     base = diagram.base_bindings()
     names = state_names + env_names
     env0 = [float(v) for _, v in diagram.env_vars]
     for tr in diagram.transitions:
         fn = compile_expr(tr.rate)
+        delayed = has_history_terms(tr.rate)
         for sample in range(n_samples + 1):
             if sample == 0:
                 t, counts = 0.0, [float(v) for _, v in diagram.states]
@@ -216,10 +219,11 @@ def validate_diagram(diagram, n_samples=64):
                 if counts.sum() > 0:
                     counts = counts / counts.sum() * diagram.n0
                 counts = counts.tolist()
-            b = row_bindings(base, names, t, counts + env0)
-            history.bind(b)
+            row = counts + env0
+            history = HistoryAccessor(state_names, env_names, base, t, 1.0,
+                                      row) if delayed else None
             try:
-                v = fn(EvalContext(b, history))
+                v = fn(EvalContext(row_bindings(base, names, t, row), history))
             except EvalError as exc:
                 defects.append(
                     f"rate {unparse(tr.rate)} failed to evaluate: {exc}")
@@ -233,25 +237,6 @@ def validate_diagram(diagram, n_samples=64):
                     "initial configuration")
                 break
     return ValidationReport(defects)
-
-
-class _ConstantHistory:
-    """History stub used during validation: past == present."""
-
-    def __init__(self, diagram):
-        self.diagram = diagram
-        self._b = None
-
-    def bind(self, bindings):
-        self._b = bindings
-
-    def bindings_at(self, t):
-        past = dict(self._b)
-        past["t"] = t
-        return past
-
-    def window_integral(self, key, fn, t0, t1, now_bindings):
-        return fn(EvalContext(now_bindings, self)) * (t1 - t0)
 
 
 def row_bindings(base, names, t, row):
@@ -274,11 +259,19 @@ def transition_table(diagram):
     mean-field right-hand side, the configuration enumeration and the
     Gillespie sampler.
     """
-    names = diagram.state_names + diagram.env_names
-    index = {n: i for i, n in enumerate(names)}
+    states = {n: i for i, n in enumerate(diagram.state_names)}
+    env = {n: i for i, n in enumerate(diagram.env_names, len(states))}
+
+    def at(index, kind, name):
+        if name not in index:
+            raise ModelError(f"unknown {kind} {name}")
+        return index[name]
+
     return tuple(
-        (index[tr.source], index[tr.target], compile_expr(tr.rate),
-         tuple((index[n], compile_expr(e)) for n, e in tr.env_effects))
+        (at(states, "state", tr.source), at(states, "state", tr.target),
+         compile_expr(tr.rate),
+         tuple((at(env, "env var", n), compile_expr(e))
+               for n, e in tr.env_effects))
         for tr in diagram.transitions)
 
 
@@ -303,10 +296,6 @@ def compile_rhs(diagram):
     base = diagram.base_bindings()
     delay_values = [eval_expr(w, base) for tr in diagram.transitions
                     for w in delay_windows(tr.rate)]
-    histint_integrands = [(unparse(n.args[0]), compile_expr(n.args[0]))
-                          for tr in diagram.transitions
-                          for n in nodes(tr.rate)
-                          if isinstance(n, Call) and n.func == "histint"]
     table = transition_table(diagram)
     names = diagram.state_names + diagram.env_names
     dim = len(names)
@@ -325,5 +314,4 @@ def compile_rhs(diagram):
 
     return RateSystem(diagram=diagram, flavor=flavor, rhs=rhs,
                       max_delay=max(delay_values, default=0.0),
-                      delay_values=tuple(delay_values),
-                      histint_integrands=tuple(histint_integrands))
+                      delay_values=tuple(delay_values))

@@ -62,8 +62,9 @@ class EvalContext:
     """Bindings plus (optionally) a history accessor for delayed terms.
 
     ``history`` must provide ``bindings_at(t)`` and
-    ``window_integral(key, fn, t0, t1, t_now, now_bindings)``; it is only
-    consulted by ``delay``/``histint`` nodes.
+    ``window_integral(key, fn, t_lo, t_hi, now_bindings)`` (the integral
+    of ``fn`` over [t_lo, t_hi]); it is only consulted by
+    ``delay``/``histint`` nodes.
     """
 
     __slots__ = ("bindings", "history")

@@ -48,14 +48,17 @@ class Trajectory:
         return self.state_names + self.env_names
 
 
+# perfbench/spans.py traces the four public methods below by name
 class HistoryAccessor:
-    """Past samples of one trajectory, with linear interpolation.
+    """Past rows of one trajectory on its step grid: row i is the state at
+    ``t0 + i*dt``.
 
-    Values for t earlier than the first sample equal the initial
-    condition (constant pre-history).  Queries beyond the newest sample
-    are errors, except for the explicit stage-overhang path in
-    ``window_integral``.  In ``discrete`` mode times are step indices,
-    reads are exact, and window integrals become sums over whole steps.
+    Values for t earlier than ``t0`` equal the first row (constant
+    pre-history); reads between rows interpolate linearly, and reads
+    beyond the newest row are errors.  Each ``histint`` integrand keeps a
+    running integral over the rows (the trapezoid rule, or in ``discrete``
+    mode a left sum over whole steps), and a window integral is the
+    difference of two reads of it.
     """
 
     def __init__(self, state_names, env_names, base_bindings, t0, dt, y0,
@@ -65,56 +68,30 @@ class HistoryAccessor:
         self.t0 = t0
         self.dt = dt
         self.discrete = discrete
-        self.times = [t0]
         self.rows = [np.asarray(y0, dtype=float)]
-        self._caches = {}  # key -> {'fn': fn, 'vals': [...], 'cum': [...]}
+        # key -> (fn, integrand value per row, running integral per row)
+        self._caches = {}
 
-    # -- sample management ----------------------------------------------
-
-    def append(self, t, row):
-        self.times.append(t)
+    def append(self, row):
         self.rows.append(np.asarray(row, dtype=float))
-        for cache in self._caches.values():
-            self._extend_cache(cache)
 
     def register_integrand(self, key, fn):
-        if key not in self._caches:
-            cache = {"fn": fn, "vals": [], "cum": [0.0]}
-            self._caches[key] = cache
-            self._extend_cache(cache)
-
-    def _extend_cache(self, cache):
-        fn = cache["fn"]
-        vals, cum = cache["vals"], cache["cum"]
-        while len(vals) < len(self.rows):
-            i = len(vals)
-            b = row_bindings(self.base, self.names, self.times[i],
-                             self.rows[i].tolist())
-            v = fn(EvalContext(b, self))
-            vals.append(v)
-            if i > 0:
-                if self.discrete:
-                    cum.append(cum[-1] + vals[i - 1])
-                else:
-                    h = self.times[i] - self.times[i - 1]
-                    cum.append(cum[-1] + 0.5 * h * (vals[i - 1] + vals[i]))
-
-    # -- reads ----------------------------------------------------------
+        self._caches.setdefault(key, (fn, [], [0.0]))
 
     def _locate(self, t):
-        """Fractional index of time t on the stored uniform grid."""
-        return (t - self.t0) / self.dt
+        """Row index at or below ``t`` and the fraction of a step past it."""
+        x = (t - self.t0) / self.dt
+        i = int(math.floor(x + 1e-9))
+        return i, x - i
 
     def bindings_at(self, t):
         if t <= self.t0:
             row = self.rows[0]
         else:
-            x = self._locate(t)
-            i = int(math.floor(x + 1e-9))
+            i, frac = self._locate(t)
             if i >= len(self.rows):
                 raise IntegrationError(
                     f"history query at t={t!r} is beyond the stored window")
-            frac = x - i
             if frac <= 1e-9 or i + 1 >= len(self.rows):
                 row = self.rows[i]
             else:
@@ -125,47 +102,38 @@ class HistoryAccessor:
         if key not in self._caches:
             self.register_integrand(key, fn)
         cache = self._caches[key]
-        self._extend_cache(cache)
-        if self.discrete:
-            return self._window_sum(cache, t_lo, t_hi)
+        fn, vals, cum = cache
+        for i in range(len(vals), len(self.rows)):
+            t = self.t0 + i * self.dt
+            vals.append(fn(EvalContext(row_bindings(
+                self.base, self.names, t, self.rows[i].tolist()), self)))
+            if i == 0:
+                continue
+            if self.discrete:
+                cum.append(cum[-1] + vals[i - 1])
+            else:
+                h = t - (self.t0 + (i - 1) * self.dt)
+                cum.append(cum[-1] + 0.5 * h * (vals[i - 1] + vals[i]))
         return self._cumulative(cache, t_hi, now_bindings) \
             - self._cumulative(cache, t_lo, now_bindings)
 
-    def _window_sum(self, cache, t_lo, t_hi):
-        # sum of integrand over whole steps j in [t_lo, t_hi)
-        vals = cache["vals"]
-        i0 = int(round(t_lo - self.t0))
-        i1 = int(round(t_hi - self.t0))
-        total = 0.0
-        if i0 < 0:
-            total += vals[0] * (min(i1, 0) - i0)
-            i0 = 0
-        if i1 > len(vals):
-            raise IntegrationError("discrete history window exceeds stored steps")
-        for j in range(i0, i1):
-            total += vals[j]
-        return total
-
     def _cumulative(self, cache, t, now_bindings):
-        """Integral of the cached integrand from t0 to t (trapezoid)."""
-        vals, cum = cache["vals"], cache["cum"]
+        """Running integral of a cached integrand from t0 to t."""
+        fn, vals, cum = cache
         if t <= self.t0:
             return (t - self.t0) * vals[0]
-        x = self._locate(t)
-        i = int(math.floor(x + 1e-9))
+        i, frac = self._locate(t)
         last = len(vals) - 1
-        if i >= last:
-            # stage overhang past the newest stored sample: close the
-            # interval with the integrand at the caller's current state
-            fn = cache["fn"]
-            f_now = fn(EvalContext(now_bindings, self))
-            h = t - self.times[last]
-            return cum[last] + 0.5 * h * (vals[last] + f_now)
-        frac = x - i
-        if frac <= 1e-9:
+        if frac <= 1e-9 and i <= last:
             return cum[i]
+        if i >= last:
+            # RK4 stage overhang past the newest row: close the interval
+            # with the integrand at the caller's current state
+            f_now = fn(EvalContext(now_bindings, self))
+            h = t - (self.t0 + last * self.dt)
+            return cum[last] + 0.5 * h * (vals[last] + f_now)
         f_mid = (1.0 - frac) * vals[i] + frac * vals[i + 1]
-        h = t - self.times[i]
+        h = t - (self.t0 + i * self.dt)
         return cum[i] + 0.5 * h * (vals[i] + f_mid)
 
 
@@ -213,13 +181,15 @@ def _start(system, caller, flavor, init, nsteps):
 
 
 def _history(system, y, dt, discrete=False):
-    """History store for a system with delayed terms, seeded with ``y``."""
-    history = HistoryAccessor(system.state_names, system.env_names,
-                              system.diagram.base_bindings(), 0.0, dt, y,
-                              discrete=discrete)
-    for key, fn in system.histint_integrands:
-        history.register_integrand(key, fn)
-    return history
+    """History store for a system with delayed terms, seeded with ``y``.
+    Every lag and window must be a whole number of steps ``dt``."""
+    for delay in system.delay_values:
+        ratio = delay / dt
+        if delay > 0 and abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
+            raise DelayMisaligned(delay, dt)
+    return HistoryAccessor(system.state_names, system.env_names,
+                           system.diagram.base_bindings(), 0.0, dt, y,
+                           discrete=discrete)
 
 
 def _metadata(system, dt):
@@ -236,13 +206,7 @@ def _rk4(system, caller, flavor, init, t_end, dt):
         raise ValueError("t_end must be non-negative")
     nsteps = int(round(t_end / dt))
     y, data = _start(system, caller, flavor, init, nsteps)
-    history = None
-    if flavor == "dde":
-        for delay in system.delay_values:
-            ratio = delay / dt
-            if delay > 0 and abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
-                raise DelayMisaligned(delay, dt)
-        history = _history(system, y, dt)
+    history = _history(system, y, dt) if flavor == "dde" else None
     names, n0 = system.state_names, system.diagram.n0
     floor = _negative_floor(n0)
     rhs = system.rhs
@@ -258,7 +222,7 @@ def _rk4(system, caller, flavor, init, t_end, dt):
         t = (k + 1) * dt
         _check_step(t, y, names, n0, floor)
         if history is not None:
-            history.append(t, y)
+            history.append(y)
         times[k + 1] = t
         data[k + 1] = y
     return Trajectory(times, _report(data, n0), names, system.env_names,
@@ -289,7 +253,7 @@ def iterate_difference(system, init=None, k_steps=100):
     for k in range(k_steps):
         y = y + rhs(float(k), y, history)
         _check_step(k + 1, y, names, n0, 0.0)
-        history.append(float(k + 1), y)
+        history.append(y)
         data[k + 1] = y
     return Trajectory(np.arange(k_steps + 1, dtype=float), data, names,
                       system.env_names, _metadata(system, 1.0))

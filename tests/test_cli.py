@@ -195,6 +195,16 @@ def test_numeric_failure_exit_3(capsys, tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("override", ["tga=55.5", "ta=2.5"])
+def test_difference_lag_off_the_step_grid_exit_3(capsys, override):
+    # a window or lag between whole steps cannot be read from the stored
+    # steps: refused, not rounded to a neighbouring step
+    code, _, err = _run(capsys, "run", "--model", "collab-difference",
+                        "--steps", "100", "--set", override)
+    assert code == 3
+    assert err.startswith("numeric failure: step dt=1.0 does not divide")
+
+
 def test_difference_model_runs_by_steps(capsys):
     code, out, _ = _run(capsys, "run", "--model", "collab-difference",
                         "--steps", "10")

@@ -203,27 +203,44 @@ def test_collab_difference_zero_rates_frozen():
 
 def test_collab_difference_stationary_survival_factor():
     # with the searching count pinned, the help-window survival factor is
-    # the closed-form power (1 - at*s)^tga
+    # the closed-form power (1 - at*s)^tga: the window integral on a
+    # constant history is w * f(y0), also while the window still reaches
+    # back before t0 into the constant pre-history
     import math
+
+    from swarmk.expr import Call, compile_expr, nodes, unparse
+    from swarmk.integrate import HistoryAccessor
 
     p = sk.CollabDiffParams()
     d = sk.build_collab_difference(p)
-    system = sk.compile_rhs(d)
-    hist_key, hist_fn = system.histint_integrands[0]
-    from swarmk.integrate import HistoryAccessor
-
+    node = next(n for tr in d.transitions for n in nodes(tr.rate)
+                if isinstance(n, Call) and n.func == "histint")
+    key, fn = unparse(node.args[0]), compile_expr(node.args[0])
     y0 = d.initial_vector()
+    expected = p.t_ga * math.log(1.0 - p.alpha_t * 8.0)
+
     h = HistoryAccessor(d.state_names, d.env_names, d.base_bindings(),
                         0.0, 1.0, y0, discrete=True)
-    h.register_integrand(hist_key, hist_fn)
     for k in range(1, 200):
-        h.append(float(k), y0)  # s held at its initial value
-    b = h.bindings_at(199.0)
-    total = h.window_integral(hist_key, hist_fn, 199.0 - p.t_ga, 199.0, b)
-    expected = p.t_ga * math.log(1.0 - p.alpha_t * 8.0)
-    assert total == pytest.approx(expected, rel=1e-12)
+        h.append(y0)  # s held at its initial value
+        if k in (10, 199):
+            total = h.window_integral(key, fn, k - p.t_ga, float(k),
+                                      h.bindings_at(float(k)))
+            assert total == pytest.approx(expected, rel=1e-12)
     assert math.exp(total) == pytest.approx(
         (1.0 - p.alpha_t * 8.0) ** p.t_ga, rel=1e-12)
+
+    # continuous mode (trapezoid) on a dt=0.5 grid with rows up to
+    # t=99.5: before t0, on a row, between rows, and the RK4 stage
+    # overhang past the newest row
+    h = HistoryAccessor(d.state_names, d.env_names, d.base_bindings(),
+                        0.0, 0.5, y0)
+    for _ in range(199):
+        h.append(y0)
+    now = h.bindings_at(0.0)
+    for t in (10.0, 99.0, 80.25, 99.75):
+        total = h.window_integral(key, fn, t - p.t_ga, t, now)
+        assert total == pytest.approx(expected, rel=1e-12)
 
 
 def test_collab_difference_param_validation():

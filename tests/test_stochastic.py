@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 import swarmk as sk
 from swarmk.errors import ModelError, StateSpaceTooLarge
+from swarmk.expr import Num
 from swarmk.stochastic import ConfigurationSpace, sample_path
 
 
@@ -55,6 +56,23 @@ def test_chain_rejects_non_integer_env_effects():
         ConfigurationSpace.build(d)
     with pytest.raises(ModelError):
         sk.ssa_run(d, t_end=10.0, seed=0)
+
+
+@pytest.mark.parametrize("transition, message", [
+    (sk.Transition("a", "zz", Num(1.0)), "unknown state zz"),
+    (sk.Transition("a", "a", Num(1.0), (("qq", Num(1.0)),)),
+     "unknown env var qq"),
+])
+def test_chain_engines_refuse_unknown_names(transition, message):
+    # a programmatic diagram is not validated by the chain engines; its
+    # transition table still names the unknown state or counter
+    d = sk.StateDiagram(states=(("a", 1.0),), transitions=(transition,))
+    with pytest.raises(ModelError, match=message):
+        sk.ssa_run(d, t_end=1.0, seed=0)
+    with pytest.raises(ModelError, match=message):
+        sk.master_exact(d, t_end=1.0)
+    with pytest.raises(ModelError, match=message):
+        ConfigurationSpace.build(d)
 
 
 @st.composite
