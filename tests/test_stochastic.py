@@ -1,7 +1,9 @@
 """Stochastic engines: exact master equation, Gillespie, agent simulator."""
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import swarmk as sk
 from swarmk.errors import ModelError, StateSpaceTooLarge
@@ -104,6 +106,120 @@ def test_first_order_mean_field_equals_master_mean(d):
     assert np.allclose(mean.data, mf.data, rtol=0, atol=1e-10)
     assert np.abs(tbl.probs.sum(axis=1) - 1.0).max() <= 1e-9
     assert tbl.probs.min() >= -1e-12
+
+
+@st.composite
+def _mass_action_diagrams(draw):
+    """Small random memoryless diagrams with first-order rates k*xa and
+    second-order rates k*xa*xb, some of them using up an env counter."""
+    n = draw(st.integers(2, 3))
+    counts = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)
+                  .filter(lambda c: 0 < sum(c) <= 5))
+    supply = draw(st.integers(0, 3))
+    moves = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                    st.integers(0, n - 1),
+                                    st.sampled_from(["first", "second",
+                                                     "consume"]),
+                                    st.integers(0, n - 1),
+                                    st.floats(0.05, 1.0))
+                          .filter(lambda m: m[0] != m[1]),
+                          min_size=1, max_size=5))
+    lines = [f"param k{i} = {m[4]!r}" for i, m in enumerate(moves)]
+    lines += [f"state x{j} = {c}" for j, c in enumerate(counts)]
+    lines.append(f"env m = {supply}")
+    for i, (a, b, order, c, _) in enumerate(moves):
+        if order == "first":
+            lines.append(f"rate(k{i} * x{a}): x{a} -> x{b}")
+        elif order == "second":
+            lines.append(f"rate(k{i} * x{a} * x{c}): x{a} -> x{b}")
+        else:
+            lines.append(f"rate(k{i} * x{a} * m): x{a} -> x{b} ; m -= 1")
+    return sk.parse_model("\n".join(lines) + "\n")
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(_mass_action_diagrams())
+def test_ssa_ensemble_mean_matches_master_mean(d):
+    runs = 200
+    tbl, exact = sk.master_exact(d, t_end=2.0, dt=0.01, dt_out=0.25)
+    assume(tbl.space.jumps)
+    assert tbl.space.size <= 100
+    assert np.abs(tbl.probs.sum(axis=1) - 1.0).max() <= 1e-9
+    assert tbl.probs.min() >= -1e-12
+    stats = sk.ensemble(lambda s: sk.ssa_run(d, t_end=2.0, seed=s),
+                        runs, 17, exact.times)
+    # a rarely moved count can show no spread in the sample; bound its
+    # standard error below by the Poisson value sqrt(|E[x - x0]| / runs)
+    x0 = np.array(d.initial_vector())
+    floor = np.sqrt(np.abs(exact.data - x0) / runs)
+    se = np.maximum(np.maximum(stats.stderr, floor), 1e-300)
+    assert (np.abs(stats.mean - exact.data) / se).max() <= 5.0
+
+
+def _dense_master_probs(diagram, t_end, dt, dt_out):
+    """The master equation's RK4 solution with the generator as a dense
+    n x n matrix: the reference for the sparse jump-list product."""
+    space = ConfigurationSpace.build(diagram)
+    n = space.size
+    w = np.zeros((n, n))
+    for i, j, rate in space.jumps:
+        w[j, i] += rate
+        w[i, i] -= rate
+    stride = max(1, int(round(dt_out / dt)))
+    p = np.zeros(n)
+    p[0] = 1.0
+    rows = [p.copy()]
+    for k in range(int(round(t_end / dt))):
+        k1 = w @ p
+        k2 = w @ (p + 0.5 * dt * k1)
+        k3 = w @ (p + 0.5 * dt * k2)
+        k4 = w @ (p + dt * k3)
+        p = p + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if (k + 1) % stride == 0:
+            rows.append(p.copy())
+    return np.vstack(rows)
+
+
+@pytest.mark.parametrize("diagram", [
+    sk.build_stickpull_counts(sk.StickPullCountsParams(n0=4, m0=4)),
+    sk.build_builtin("foraging", n0=2, m0=4),
+    # no robot is searching, so the start configuration has no jump
+    sk.parse_model("param k = 1\nstate a = 0\nstate b = 2\n"
+                   "rate(k * a): a -> b\n"),
+], ids=["stickpull-counts", "foraging", "no-jumps"])
+def test_sparse_generator_matches_dense_reference(diagram):
+    tbl, _ = sk.master_exact(diagram, t_end=5.0, dt=0.01, dt_out=0.1)
+    ref = _dense_master_probs(diagram, 5.0, 0.01, 0.1)
+    assert tbl.probs.shape == ref.shape
+    assert np.abs(tbl.probs - ref).max() <= 1e-13
+    if not tbl.space.jumps:
+        assert np.array_equal(tbl.probs, np.ones((len(tbl.times), 1)))
+
+
+def test_master_memory_bounded_by_jumps():
+    # 4,455 configurations: a dense generator alone would take 159 MB
+    d = sk.build_builtin("foraging", n0=8, m0=30)
+    tracemalloc.start()
+    try:
+        tbl, _ = sk.master_exact(d, t_end=0.05, dt=0.005)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert tbl.space.size == 4455
+    assert peak < 20e6
+
+
+@pytest.mark.parametrize("dt_out, times", [
+    (0.3, [0.0, 0.3, 0.6, 0.9]),
+    (0.004, [0.01 * k for k in range(101)]),
+])
+def test_master_output_stride(dt_out, times):
+    tbl, traj = sk.master_exact(_two_state(), t_end=1.0, dt=0.01,
+                                dt_out=dt_out)
+    assert tbl.times == pytest.approx(times, abs=1e-12)
+    assert tbl.probs.shape == (len(times), 2)
+    assert traj.data.shape == (len(times), 2)
+    assert np.abs(tbl.probs.sum(axis=1) - 1.0).max() <= 1e-9
 
 
 def test_master_two_state_stationary_split():
