@@ -342,7 +342,8 @@ def run_cli(argv=None):
             raise _UsageError("a subcommand is required "
                               f"({', '.join(_COMMANDS)})")
         return _COMMANDS[args.command](args)
-    except _UsageError as exc:
+    except (_UsageError, ValueError) as exc:
+        # ValueError: an argument value the library refuses (dt <= 0, ...)
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ModelError as exc:

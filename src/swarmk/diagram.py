@@ -171,6 +171,9 @@ def validate_diagram(diagram, n_samples=64):
         for endpoint in (tr.source, tr.target):
             if endpoint not in state_names:
                 defects.append(f"unknown state {endpoint}")
+        for n, _ in tr.env_effects:
+            if n not in env_names:
+                defects.append(f"unknown env var {n}")
         exprs = [tr.rate] + [eff for _, eff in tr.env_effects]
         for e in exprs:
             for ident in sorted(free_names(e) - known):
@@ -204,11 +207,8 @@ def validate_diagram(diagram, n_samples=64):
     from .integrate import HistoryAccessor
 
     rng = np.random.default_rng(_RNG_SEED)
-    base = diagram.base_bindings()
-    names = state_names + env_names
     env0 = [float(v) for _, v in diagram.env_vars]
-    for tr in diagram.transitions:
-        fn = compile_expr(tr.rate)
+    for tr, (_, _, fn, _) in zip(diagram.transitions, transition_table(diagram)):
         delayed = has_history_terms(tr.rate)
         for sample in range(n_samples + 1):
             if sample == 0:
@@ -220,10 +220,10 @@ def validate_diagram(diagram, n_samples=64):
                     counts = counts / counts.sum() * diagram.n0
                 counts = counts.tolist()
             row = counts + env0
-            history = HistoryAccessor(state_names, env_names, base, t, 1.0,
-                                      row) if delayed else None
+            history = HistoryAccessor(t, 1.0, np.array([row])) \
+                if delayed else None
             try:
-                v = fn(EvalContext(row_bindings(base, names, t, row), history))
+                v = fn(EvalContext(row + [t], history))
             except EvalError as exc:
                 defects.append(
                     f"rate {unparse(tr.rate)} failed to evaluate: {exc}")
@@ -239,38 +239,37 @@ def validate_diagram(diagram, n_samples=64):
     return ValidationReport(defects)
 
 
-def row_bindings(base, names, t, row):
-    """Bindings for evaluating rates at one occupation row: ``base`` (the
-    parameters and N0, from ``StateDiagram.base_bindings``), the time
-    ``t``, and each state or env name in ``names`` bound to its value in
-    ``row``."""
-    b = dict(base)
-    b["t"] = t
-    b.update(zip(names, row))
-    return b
-
-
 def transition_table(diagram):
     """The diagram's transitions compiled once, one row per transition:
     ``(source index, target index, rate fn, ((env index, effect fn), ...))``.
 
-    Indices address the occupation row (states, then env counters); the
-    functions take an ``EvalContext``.  Every engine reads this table: the
-    mean-field right-hand side, the configuration enumeration and the
-    Gillespie sampler.
+    This is the one place that fixes the evaluation row every function
+    reads: the occupation row (states, then env counters) followed by the
+    time ``t``.  Indices address that row; parameters and N0 are folded
+    into the functions as constants.  Every engine reads this table: the
+    mean-field right-hand side, the validation sampler, the configuration
+    enumeration and the Gillespie sampler.
     """
     states = {n: i for i, n in enumerate(diagram.state_names)}
     env = {n: i for i, n in enumerate(diagram.env_names, len(states))}
+    slots = {"t": len(states) + len(env), **states, **env}
+    consts = diagram.base_bindings()
 
     def at(index, kind, name):
         if name not in index:
             raise ModelError(f"unknown {kind} {name}")
         return index[name]
 
+    def compiled(e):
+        unknown = sorted(free_names(e) - slots.keys() - consts.keys())
+        if unknown:
+            raise ModelError(f"unknown identifier {unknown[0]}")
+        return compile_expr(e, consts, slots)
+
     return tuple(
         (at(states, "state", tr.source), at(states, "state", tr.target),
-         compile_expr(tr.rate),
-         tuple((at(env, "env var", n), compile_expr(e))
+         compiled(tr.rate),
+         tuple((at(env, "env var", n), compiled(e))
                for n, e in tr.env_effects))
         for tr in diagram.transitions)
 
@@ -297,11 +296,10 @@ def compile_rhs(diagram):
     delay_values = [eval_expr(w, base) for tr in diagram.transitions
                     for w in delay_windows(tr.rate)]
     table = transition_table(diagram)
-    names = diagram.state_names + diagram.env_names
-    dim = len(names)
+    dim = len(diagram.states) + len(diagram.env_vars)
 
     def rhs(t, y, history=None):
-        ctx = EvalContext(row_bindings(base, names, t, y.tolist()), history)
+        ctx = EvalContext(y.tolist() + [t], history)
         d = [0.0] * dim
         for si, ti, rate_fn, effects in table:
             flow = rate_fn(ctx)

@@ -59,18 +59,19 @@ class Call(Expr):
 
 
 class EvalContext:
-    """Bindings plus (optionally) a history accessor for delayed terms.
+    """An evaluation row (the values of the slot names, by slot index)
+    plus, for delayed terms, a history accessor.
 
-    ``history`` must provide ``bindings_at(t)`` and
-    ``window_integral(key, fn, t_lo, t_hi, now_bindings)`` (the integral
-    of ``fn`` over [t_lo, t_hi]); it is only consulted by
-    ``delay``/``histint`` nodes.
+    ``history`` must provide ``bindings_at(t)`` (the evaluation row at
+    ``t``) and ``window_integral(key, fn, t_lo, t_hi, now)`` (the integral
+    of ``fn`` over [t_lo, t_hi]; ``now`` is the caller's context); only
+    ``delay``/``histint`` nodes consult it.
     """
 
-    __slots__ = ("bindings", "history")
+    __slots__ = ("row", "history")
 
-    def __init__(self, bindings, history=None):
-        self.bindings = bindings
+    def __init__(self, row, history=None):
+        self.row = row
         self.history = history
 
 
@@ -78,25 +79,36 @@ def _need_history(e):
     raise EvalError(f"history required to evaluate {unparse(e)}")
 
 
-def compile_expr(e):
-    """Compile an expression tree into a closure ``fn(ctx) -> float``."""
+def compile_expr(e, consts, slots):
+    """Compile an expression tree into a closure ``fn(ctx) -> float``.
+
+    Names are resolved once, here: a name in ``slots`` (name -> index)
+    reads ``ctx.row[index]``, else a name in ``consts`` (name -> value) is
+    folded in, else evaluating it raises an unbound ``EvalError``.
+    """
+    def sub(x):
+        return compile_expr(x, consts, slots)
+
     if isinstance(e, Num):
         v = float(e.value)
         return lambda ctx: v
     if isinstance(e, Name):
         ident = e.ident
-        def name_fn(ctx, ident=ident):
-            try:
-                return ctx.bindings[ident]
-            except KeyError:
-                raise EvalError(f"unbound identifier {ident}") from None
-        return name_fn
+        if ident in slots:
+            i = slots[ident]
+            return lambda ctx: ctx.row[i]
+        if ident in consts:
+            v = consts[ident]
+            return lambda ctx: v
+        def unbound_fn(ctx):
+            raise EvalError(f"unbound identifier {ident}")
+        return unbound_fn
     if isinstance(e, Neg):
-        f = compile_expr(e.operand)
+        f = sub(e.operand)
         return lambda ctx: -f(ctx)
     if isinstance(e, BinOp):
-        lf = compile_expr(e.left)
-        rf = compile_expr(e.right)
+        lf = sub(e.left)
+        rf = sub(e.right)
         op = e.op
         if op == "+":
             return lambda ctx: lf(ctx) + rf(ctx)
@@ -113,8 +125,10 @@ def compile_expr(e):
             return div_fn
         raise EvalError(f"unknown operator {op}")
     if isinstance(e, Call):
+        if e.func not in UNARY_CALLS + BINARY_CALLS:
+            raise EvalError(f"unknown function {e.func}")
+        f = sub(e.args[0])
         if e.func == "exp":
-            f = compile_expr(e.args[0])
             def exp_fn(ctx):
                 x = f(ctx)
                 try:
@@ -123,7 +137,6 @@ def compile_expr(e):
                     raise EvalError(f"exp overflows at {x!r}") from None
             return exp_fn
         if e.func == "ln":
-            f = compile_expr(e.args[0])
             def ln_fn(ctx):
                 x = f(ctx)
                 if x <= 0.0:
@@ -131,46 +144,37 @@ def compile_expr(e):
                 return math.log(x)
             return ln_fn
         if e.func == "step":
-            f = compile_expr(e.args[0])
             return lambda ctx: 0.0 if f(ctx) < 0.0 else 1.0
+        # the lag or window, and t: t is read only when the history is
+        # consulted, so a zero lag or window needs no time
+        w_fn, t_fn = sub(e.args[1]), sub(Name("t"))
         if e.func == "delay":
-            inner = e.args[0]
-            inner_fn = compile_expr(inner)
-            lag_fn = compile_expr(e.args[1])
             def delay_fn(ctx):
-                lag = lag_fn(ctx)
+                lag = w_fn(ctx)
                 if lag == 0.0:
-                    return inner_fn(ctx)
+                    return f(ctx)
                 if ctx.history is None:
                     _need_history(e)
-                t_now = ctx.bindings["t"]
-                past = ctx.history.bindings_at(t_now - lag)
-                return inner_fn(EvalContext(past, ctx.history))
+                past = ctx.history.bindings_at(t_fn(ctx) - lag)
+                return f(EvalContext(past, ctx.history))
             return delay_fn
-        if e.func == "histint":
-            inner = e.args[0]
-            inner_fn = compile_expr(inner)
-            win_fn = compile_expr(e.args[1])
-            key = unparse(inner)
-            def histint_fn(ctx):
-                w = win_fn(ctx)
-                if w == 0.0:
-                    return 0.0
-                if ctx.history is None:
-                    _need_history(e)
-                t_now = ctx.bindings["t"]
-                return ctx.history.window_integral(
-                    key, inner_fn, t_now - w, t_now, ctx.bindings
-                )
-            return histint_fn
-        raise EvalError(f"unknown function {e.func}")
+        key = unparse(e.args[0])
+        def histint_fn(ctx):
+            w = w_fn(ctx)
+            if w == 0.0:
+                return 0.0
+            if ctx.history is None:
+                _need_history(e)
+            t_now = t_fn(ctx)
+            return ctx.history.window_integral(key, f, t_now - w, t_now, ctx)
+        return histint_fn
     raise EvalError(f"cannot compile {e!r}")
 
 
-def eval_expr(e, bindings, history=None):
-    """Evaluate ``e`` under ``bindings``; ``history`` is needed iff the
-    expression contains delay/histint with nonzero lag."""
-    return compile_expr(e)(EvalContext(bindings, history))
+def eval_expr(e, bindings):
+    """Evaluate ``e`` with every binding (name -> value) as a constant;
+    a delay/histint term with nonzero lag fails, as there is no history."""
+    return compile_expr(e, bindings, {})(EvalContext(()))
 
 
 def nodes(e):

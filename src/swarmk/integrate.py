@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diagram import OccupationVector, row_bindings
+from .diagram import OccupationVector
 from .errors import (ConservationDrift, DelayMisaligned, IntegrationError,
                      NegativePopulation, NonFinite)
 from .expr import EvalContext
@@ -53,27 +53,29 @@ class HistoryAccessor:
     """Past rows of one trajectory on its step grid: row i is the state at
     ``t0 + i*dt``.
 
-    Values for t earlier than ``t0`` equal the first row (constant
-    pre-history); reads between rows interpolate linearly, and reads
-    beyond the newest row are errors.  Each ``histint`` integrand keeps a
-    running integral over the rows (the trapezoid rule, or in ``discrete``
-    mode a left sum over whole steps), and a window integral is the
-    difference of two reads of it.
+    ``rows`` is the integrator's preallocated output array, row 0 filled;
+    ``append`` stores the next row in it, so each step is kept once.  A
+    read returns the evaluation row of ``diagram.transition_table`` (the
+    occupation row, then ``t``).  Before ``t0`` it is the first row
+    (constant pre-history), between rows it interpolates linearly, and
+    beyond the newest row it is an error.  Each ``histint`` integrand keeps
+    a running integral over the rows (the trapezoid rule, or in
+    ``discrete`` mode a left sum over whole steps), and a window integral
+    is the difference of two reads of it.
     """
 
-    def __init__(self, state_names, env_names, base_bindings, t0, dt, y0,
-                 discrete=False):
-        self.names = list(state_names) + list(env_names)
-        self.base = dict(base_bindings)
+    def __init__(self, t0, dt, rows, discrete=False):
         self.t0 = t0
         self.dt = dt
         self.discrete = discrete
-        self.rows = [np.asarray(y0, dtype=float)]
+        self.rows = rows
+        self.count = 1  # rows stored so far
         # key -> (fn, integrand value per row, running integral per row)
         self._caches = {}
 
     def append(self, row):
-        self.rows.append(np.asarray(row, dtype=float))
+        self.rows[self.count] = row
+        self.count += 1
 
     def register_integrand(self, key, fn):
         self._caches.setdefault(key, (fn, [], [0.0]))
@@ -85,28 +87,30 @@ class HistoryAccessor:
         return i, x - i
 
     def bindings_at(self, t):
+        """The evaluation row at ``t``."""
         if t <= self.t0:
             row = self.rows[0]
         else:
             i, frac = self._locate(t)
-            if i >= len(self.rows):
+            if i >= self.count:
                 raise IntegrationError(
                     f"history query at t={t!r} is beyond the stored window")
-            if frac <= 1e-9 or i + 1 >= len(self.rows):
+            if frac <= 1e-9 or i + 1 >= self.count:
                 row = self.rows[i]
             else:
                 row = (1.0 - frac) * self.rows[i] + frac * self.rows[i + 1]
-        return row_bindings(self.base, self.names, t, row.tolist())
+        return row.tolist() + [t]
 
-    def window_integral(self, key, fn, t_lo, t_hi, now_bindings):
+    def window_integral(self, key, fn, t_lo, t_hi, now):
+        """Integral of ``fn`` over [t_lo, t_hi]; ``now`` is the caller's
+        context, which closes an interval that overhangs the newest row."""
         if key not in self._caches:
             self.register_integrand(key, fn)
         cache = self._caches[key]
         fn, vals, cum = cache
-        for i in range(len(vals), len(self.rows)):
+        for i in range(len(vals), self.count):
             t = self.t0 + i * self.dt
-            vals.append(fn(EvalContext(row_bindings(
-                self.base, self.names, t, self.rows[i].tolist()), self)))
+            vals.append(fn(EvalContext(self.rows[i].tolist() + [t], self)))
             if i == 0:
                 continue
             if self.discrete:
@@ -114,10 +118,10 @@ class HistoryAccessor:
             else:
                 h = t - (self.t0 + (i - 1) * self.dt)
                 cum.append(cum[-1] + 0.5 * h * (vals[i - 1] + vals[i]))
-        return self._cumulative(cache, t_hi, now_bindings) \
-            - self._cumulative(cache, t_lo, now_bindings)
+        return self._cumulative(cache, t_hi, now) \
+            - self._cumulative(cache, t_lo, now)
 
-    def _cumulative(self, cache, t, now_bindings):
+    def _cumulative(self, cache, t, now):
         """Running integral of a cached integrand from t0 to t."""
         fn, vals, cum = cache
         if t <= self.t0:
@@ -129,7 +133,7 @@ class HistoryAccessor:
         if i >= last:
             # RK4 stage overhang past the newest row: close the interval
             # with the integrand at the caller's current state
-            f_now = fn(EvalContext(now_bindings, self))
+            f_now = fn(now)
             h = t - (self.t0 + last * self.dt)
             return cum[last] + 0.5 * h * (vals[last] + f_now)
         f_mid = (1.0 - frac) * vals[i] + frac * vals[i + 1]
@@ -180,16 +184,15 @@ def _start(system, caller, flavor, init, nsteps):
     return y, data
 
 
-def _history(system, y, dt, discrete=False):
-    """History store for a system with delayed terms, seeded with ``y``.
-    Every lag and window must be a whole number of steps ``dt``."""
+def _history(system, data, dt, discrete=False):
+    """History store for a system with delayed terms over the output rows
+    ``data`` (row 0 filled).  Every lag and window must be a whole number
+    of steps ``dt``."""
     for delay in system.delay_values:
         ratio = delay / dt
         if delay > 0 and abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
             raise DelayMisaligned(delay, dt)
-    return HistoryAccessor(system.state_names, system.env_names,
-                           system.diagram.base_bindings(), 0.0, dt, y,
-                           discrete=discrete)
+    return HistoryAccessor(0.0, dt, data, discrete=discrete)
 
 
 def _metadata(system, dt):
@@ -206,7 +209,7 @@ def _rk4(system, caller, flavor, init, t_end, dt):
         raise ValueError("t_end must be non-negative")
     nsteps = int(round(t_end / dt))
     y, data = _start(system, caller, flavor, init, nsteps)
-    history = _history(system, y, dt) if flavor == "dde" else None
+    history = _history(system, data, dt) if flavor == "dde" else None
     names, n0 = system.state_names, system.diagram.n0
     floor = _negative_floor(n0)
     rhs = system.rhs
@@ -221,10 +224,11 @@ def _rk4(system, caller, flavor, init, t_end, dt):
         y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t = (k + 1) * dt
         _check_step(t, y, names, n0, floor)
-        if history is not None:
-            history.append(y)
         times[k + 1] = t
-        data[k + 1] = y
+        if history is not None:
+            history.append(y)  # stores data[k + 1]
+        else:
+            data[k + 1] = y
     return Trajectory(times, _report(data, n0), names, system.env_names,
                       _metadata(system, dt))
 
@@ -247,13 +251,12 @@ def iterate_difference(system, init=None, k_steps=100):
         raise ValueError("k_steps must be non-negative")
     y, data = _start(system, "iterate_difference", "difference", init,
                      k_steps)
-    history = _history(system, y, 1.0, discrete=True)
+    history = _history(system, data, 1.0, discrete=True)
     names, n0 = system.state_names, system.diagram.n0
     rhs = system.rhs
     for k in range(k_steps):
         y = y + rhs(float(k), y, history)
         _check_step(k + 1, y, names, n0, 0.0)
-        history.append(y)
-        data[k + 1] = y
+        history.append(y)  # stores data[k + 1]
     return Trajectory(np.arange(k_steps + 1, dtype=float), data, names,
                       system.env_names, _metadata(system, 1.0))

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diagram import row_bindings, transition_table
+from .diagram import transition_table
 from .errors import IntegrationError, ModelError, StateSpaceTooLarge
 from .expr import EvalContext, free_names, has_history_terms
 from .integrate import Trajectory
@@ -45,13 +45,10 @@ def _integer_start(diagram):
     return tuple(int(round(v)) for v in init)
 
 
-def _config_context(base, names, t, config):
-    return EvalContext(row_bindings(base, names, t, map(float, config)), None)
-
-
 def _fire(config, move, ctx):
     """The integer configuration after one firing of ``move`` (a
-    transition-table row) from ``config``, whose bindings ``ctx`` holds."""
+    transition-table row) from ``config``; ``ctx`` holds the evaluation
+    row of ``config`` that the env effects read."""
     si, ti, _, effects = move
     nxt = list(config)
     if si != ti:
@@ -84,8 +81,6 @@ class ConfigurationSpace:
         _require_memoryless(diagram)
         start = _integer_start(diagram)
         table = transition_table(diagram)
-        base = diagram.base_bindings()
-        names = diagram.state_names + diagram.env_names
 
         configs = [start]
         index = {start: 0}
@@ -94,7 +89,7 @@ class ConfigurationSpace:
         while queue:
             i = queue.popleft()
             cfg = configs[i]
-            ctx = _config_context(base, names, 0.0, cfg)
+            ctx = EvalContext([*map(float, cfg), 0.0])
             for move in table:
                 si, ti, rate_fn, _ = move
                 if si != ti and cfg[si] < 1:
@@ -193,13 +188,11 @@ def ssa_run(diagram, t_end=10.0, seed=0):
     rng = np.random.default_rng(seed)
     y = _integer_start(diagram)
     table = transition_table(diagram)
-    base = diagram.base_bindings()
-    names = diagram.state_names + diagram.env_names
     times = [0.0]
     rows = [y]
     t = 0.0
     while True:
-        ctx = _config_context(base, names, t, y)
+        ctx = EvalContext([*map(float, y), t])
         rates = []
         total = 0.0
         for si, ti, rate_fn, _ in table:

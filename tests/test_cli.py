@@ -96,6 +96,13 @@ def test_usage_errors_exit_1(capsys):
     assert _run(capsys, "run", "--model", "stickpull-simple",
                 "--set", "beta")[0] == 1
     assert _run(capsys, "sweep", "--model", "stickpull-simple")[0] == 1
+    # bad argument values: a usage error, not a traceback
+    for argv in (("run", "--model", "stickpull-simple", "--set", "beta=-1"),
+                 ("run", "--model", "foraging", "--set", "n0=0"),
+                 ("run", "--model", "stickpull-simple", "--dt", "0"),
+                 ("mc", "--model", "stickpull-counts", "--runs", "1")):
+        code, _, err = _run(capsys, *argv)
+        assert code == 1 and err.startswith("usage error: ")
 
 
 def test_unknown_model_exit_2(capsys):

@@ -72,6 +72,17 @@ def test_nonparameter_delay_bound_is_defect():
     assert any("delay bound" in x for x in report.defects)
 
 
+def test_unknown_effect_target_is_defect():
+    # validation samples rates through the transition table, which must
+    # not turn a defect into an exception
+    from swarmk.diagram import StateDiagram, Transition
+    from swarmk.expr import Num
+
+    d = StateDiagram(states=(("a", 1.0),), transitions=(
+        Transition("a", "a", Num(1.0), (("qq", Num(1.0)),)),))
+    assert validate_diagram(d).defects == ["unknown env var qq"]
+
+
 def test_compile_rejects_invalid():
     d = parse_model("state s = 1\nrate(delay(s, s)): s -> s\n")
     with pytest.raises(ModelError):

@@ -13,6 +13,9 @@ from swarmk.expr import (BinOp, Call, EvalContext, Name, Neg, Num,
 def test_literals_and_names():
     assert eval_expr(Num(3.5), {}) == 3.5
     assert eval_expr(Name("x"), {"x": 2.0}) == 2.0
+    # a slot takes precedence over a constant of the same name
+    fn = compile_expr(Name("x"), {"x": 100.0}, {"x": 0})
+    assert fn(EvalContext([2.0])) == 2.0
 
 
 def test_arithmetic():
@@ -26,6 +29,10 @@ def test_arithmetic():
 def test_unbound_name_raises():
     with pytest.raises(EvalError):
         eval_expr(Name("missing"), {})
+    # compiling succeeds; the name fails only when it is evaluated
+    fn = compile_expr(Name("zz"), {"x": 1.0}, {"y": 0})
+    with pytest.raises(EvalError, match="unbound identifier zz"):
+        fn(EvalContext([2.0]))
 
 
 def test_division_by_zero_raises():
@@ -50,6 +57,8 @@ def test_exp_ln_step():
 def test_delay_zero_lag_uses_current_bindings():
     e = Call("delay", (Name("x"), Num(0)))
     assert eval_expr(e, {"x": 5.0, "t": 1.0}) == 5.0
+    # t is read only when the history is: a zero lag needs no time
+    assert eval_expr(Call("delay", (Num(2), Num(0))), {}) == 2.0
 
 
 def test_histint_zero_window_is_zero():
@@ -64,25 +73,28 @@ def test_delay_without_history_raises():
 
 
 class _FlatHistory:
-    """Past values all equal 7; window integrals use length * 7."""
+    """Past rows (x, t) all hold x = 7; window integrals use length * 7."""
 
     def bindings_at(self, t):
-        return {"x": 7.0, "t": t}
+        return [7.0, t]
 
-    def window_integral(self, key, fn, t0, t1, now_bindings):
+    def window_integral(self, key, fn, t0, t1, now):
         return 7.0 * (t1 - t0)
+
+
+_XT = {"x": 0, "t": 1}
 
 
 def test_delay_reads_history():
     e = Call("delay", (Name("x"), Num(2)))
-    ctx = EvalContext({"x": 1.0, "t": 10.0}, _FlatHistory())
-    assert compile_expr(e)(ctx) == 7.0
+    ctx = EvalContext([1.0, 10.0], _FlatHistory())
+    assert compile_expr(e, {}, _XT)(ctx) == 7.0
 
 
 def test_histint_reads_history():
     e = Call("histint", (Name("x"), Num(3)))
-    ctx = EvalContext({"x": 1.0, "t": 10.0}, _FlatHistory())
-    assert compile_expr(e)(ctx) == pytest.approx(21.0)
+    ctx = EvalContext([1.0, 10.0], _FlatHistory())
+    assert compile_expr(e, {}, _XT)(ctx) == pytest.approx(21.0)
 
 
 def test_free_names():
@@ -149,3 +161,7 @@ def test_unparse_preserves_value(e, v):
     if not math.isfinite(expected):
         return
     assert eval_expr(parsed, bindings) == expected
+    # the same tree with x, y and t read from a row and z folded in
+    slots = {"x": 0, "y": 1, "t": 2}
+    fn = compile_expr(e, {"z": bindings["z"]}, slots)
+    assert fn(EvalContext([v, 2 * v, 0.0])) == expected

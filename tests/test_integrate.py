@@ -84,6 +84,28 @@ def test_delayed_constant_prehistory():
     assert slope == pytest.approx(-1.0, abs=1e-6)
 
 
+def test_delayed_history_is_the_trajectory():
+    # the history views the output rows instead of keeping a second copy
+    # of every step: a delayed run peaks at a small multiple of the ODE
+    # run of the same size
+    import tracemalloc
+
+    from swarmk.models import build_builtin
+
+    def peak(run, name):
+        system = compile_rhs(build_builtin(name))
+        tracemalloc.start()
+        try:
+            run(system, t_end=100.0, dt=0.01)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    ode = peak(integrate, "stickpull-simple")
+    dde = peak(integrate_delayed, "stickpull-delayed")
+    assert dde < 3 * ode
+
+
 def test_delayed_reduces_to_ode_when_lag_zero():
     src = "param tau = 0\nstate a = 1\nstate b = 0\nrate(delay(a, tau)): a -> b\n"
     system = compile_rhs(parse_model(src))

@@ -208,36 +208,44 @@ def test_collab_difference_stationary_survival_factor():
     # back before t0 into the constant pre-history
     import math
 
-    from swarmk.expr import Call, compile_expr, nodes, unparse
+    from swarmk.expr import Call, EvalContext, compile_expr, nodes, unparse
     from swarmk.integrate import HistoryAccessor
 
     p = sk.CollabDiffParams()
     d = sk.build_collab_difference(p)
     node = next(n for tr in d.transitions for n in nodes(tr.rate)
                 if isinstance(n, Call) and n.func == "histint")
-    key, fn = unparse(node.args[0]), compile_expr(node.args[0])
+    names = d.state_names + d.env_names + ["t"]
+    key = unparse(node.args[0])
+    fn = compile_expr(node.args[0], d.base_bindings(),
+                      {n: i for i, n in enumerate(names)})
     y0 = d.initial_vector()
     expected = p.t_ga * math.log(1.0 - p.alpha_t * 8.0)
 
-    h = HistoryAccessor(d.state_names, d.env_names, d.base_bindings(),
-                        0.0, 1.0, y0, discrete=True)
+    def history(dt, discrete=False):
+        # a preallocated output array of 200 rows with row 0 filled
+        rows = np.empty((200, len(y0)))
+        rows[0] = y0
+        return HistoryAccessor(0.0, dt, rows, discrete)
+
+    h = history(1.0, discrete=True)
     for k in range(1, 200):
-        h.append(y0)  # s held at its initial value
+        h.append(y0)
         if k in (10, 199):
-            total = h.window_integral(key, fn, k - p.t_ga, float(k),
-                                      h.bindings_at(float(k)))
+            now = EvalContext(h.bindings_at(float(k)), h)
+            total = h.window_integral(key, fn, k - p.t_ga, float(k), now)
             assert total == pytest.approx(expected, rel=1e-12)
+    assert h.count == 200 and np.all(h.rows == y0)
     assert math.exp(total) == pytest.approx(
         (1.0 - p.alpha_t * 8.0) ** p.t_ga, rel=1e-12)
 
     # continuous mode (trapezoid) on a dt=0.5 grid with rows up to
     # t=99.5: before t0, on a row, between rows, and the RK4 stage
     # overhang past the newest row
-    h = HistoryAccessor(d.state_names, d.env_names, d.base_bindings(),
-                        0.0, 0.5, y0)
+    h = history(0.5)
     for _ in range(199):
         h.append(y0)
-    now = h.bindings_at(0.0)
+    now = EvalContext(h.bindings_at(0.0), h)
     for t in (10.0, 99.0, 80.25, 99.75):
         total = h.window_integral(key, fn, t - p.t_ga, t, now)
         assert total == pytest.approx(expected, rel=1e-12)

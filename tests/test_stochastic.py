@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import swarmk as sk
 from swarmk.errors import ModelError, StateSpaceTooLarge
-from swarmk.expr import Num
+from swarmk.expr import Name, Num
 from swarmk.stochastic import ConfigurationSpace, sample_path
 
 
@@ -64,10 +64,11 @@ def test_chain_rejects_non_integer_env_effects():
     (sk.Transition("a", "zz", Num(1.0)), "unknown state zz"),
     (sk.Transition("a", "a", Num(1.0), (("qq", Num(1.0)),)),
      "unknown env var qq"),
+    (sk.Transition("a", "a", Name("zz")), "unknown identifier zz"),
 ])
 def test_chain_engines_refuse_unknown_names(transition, message):
     # a programmatic diagram is not validated by the chain engines; its
-    # transition table still names the unknown state or counter
+    # transition table still names the unknown state, counter or identifier
     d = sk.StateDiagram(states=(("a", 1.0),), transitions=(transition,))
     with pytest.raises(ModelError, match=message):
         sk.ssa_run(d, t_end=1.0, seed=0)
