@@ -110,7 +110,6 @@ class RateSystem:
     diagram: StateDiagram
     flavor: str  # 'ode' | 'dde' | 'difference'
     rhs: object  # callable (t, y, history) -> np.ndarray
-    max_delay: float = 0.0
     delay_values: tuple = ()  # every delay/histint window, evaluated
 
     @property
@@ -311,5 +310,4 @@ def compile_rhs(diagram):
         return np.array(d)
 
     return RateSystem(diagram=diagram, flavor=flavor, rhs=rhs,
-                      max_delay=max(delay_values, default=0.0),
                       delay_values=tuple(delay_values))

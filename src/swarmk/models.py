@@ -1,52 +1,60 @@
 """Canonical builders for the built-in multi-robot systems.
 
-Each builder renders a .mas template with its parameter values and parses
-it, so the shipped .mas files and the programmatic builders are the same
-source of truth (tested for structural identity).
+Each built-in model is its shipped .mas file (``models_mas/<name>.mas``),
+parsed once per process.  A builder sets every parameter and initial count
+of that diagram from its parameter dataclass, so an edit of a shipped
+file's rates or transitions changes the built-in model.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields as _dc_fields, \
     replace as _dc_replace
+from functools import lru_cache
 from importlib import resources
 
-from .expr import format_number
+from .diagram import Transition
+from .expr import Name, Neg, Num
 from .parser import ModelSource, parse_model
 
 BUILTIN_NAMES = ("foraging", "sugawara", "stickpull-simple",
                  "stickpull-delayed", "stickpull-counts", "collab-difference")
 
 
-def _render(template, **values):
-    return template.format(**{k: format_number(v) for k, v in values.items()})
+def shipped_source(name):
+    """Text of the shipped .mas file for a built-in model."""
+    ref = resources.files("swarmk").joinpath(f"models_mas/{name}.mas")
+    return ref.read_text(encoding="utf-8")
 
 
-def _parse(text, name):
-    return parse_model(ModelSource(text, origin=name))
+@lru_cache(maxsize=None)
+def _shipped_diagram(name):
+    return parse_model(ModelSource(shipped_source(name), origin=name))
+
+
+def _floats(values):
+    # the parser yields floats; "+ 0.0" turns -0.0 into the 0.0 it parses
+    return {k: float(v) + 0.0 for k, v in values.items()}
+
+
+def _from_shipped(name, params, inits):
+    """The shipped diagram with the builder's parameters and initial
+    state/env values (dicts of name -> value) set."""
+    inits = _floats(inits)
+    return (_shipped_diagram(name).with_params(**_floats(params))
+            .with_state_init(**inits).with_env_init(**inits))
+
+
+def _require_finite(p, *derived):
+    """Refuse a non-finite numeric field, or derived value, of ``p``."""
+    for name in [f.name for f in _dc_fields(p)] + list(derived):
+        v = getattr(p, name)
+        if not isinstance(v, bool) and not math.isfinite(v):
+            raise ValueError(f"{name} must be finite")
 
 
 # ---------------------------------------------------------------------------
 # Foraging with homing and mutual avoidance (dimensional, seconds)
-
-FORAGING_TEMPLATE = """\
-# Foraging with homing: searching / homing / avoiding robots, undelivered pucks.
-param ap = {ap}         # puck-detection rate
-param ar = {ar}         # robot-detection rate while searching
-param arp = {arp}       # robot-detection rate while homing
-param tau = {tau}       # avoid-maneuver duration
-param tauh = {tauh}     # effective homing time
-state s = {n0}
-state h = 0
-state avs = 0
-state avh = 0
-env m = {m0}
-rate(ap * s * (m - h - avh)): s -> h
-rate(ar * s * (s + N0)): s -> avs
-rate(avs / tau): avs -> s
-rate(arp * h * (h + N0)): h -> avh
-rate(avh / tau): avh -> h
-rate(h / tauh): h -> s ; m -= 1
-"""
 
 
 @dataclass(frozen=True)
@@ -61,6 +69,7 @@ class ForagingParams:
     tau_h0: float = 16.0    # collision-free homing time
 
     def __post_init__(self):
+        _require_finite(self, "tau", "tau_h")
         if self.n0 < 1 or self.m0 < 1:
             raise ValueError("n0 and m0 must be >= 1")
         for f in ("alpha_p", "alpha_r", "alpha_r2", "tau0", "tau_h0"):
@@ -80,43 +89,15 @@ class ForagingParams:
         return self.tau_h0 * (1.0 + self.alpha_r2 * self.tau * self.n0)
 
 
-def _render_foraging(p):
-    return _render(FORAGING_TEMPLATE, ap=p.alpha_p, ar=p.alpha_r,
-                   arp=p.alpha_r2, tau=p.tau, tauh=p.tau_h, n0=p.n0, m0=p.m0)
-
-
 def build_foraging(p=ForagingParams()):
-    return _parse(_render_foraging(p), "foraging")
+    return _from_shipped(
+        "foraging", dict(ap=p.alpha_p, ar=p.alpha_r, arp=p.alpha_r2,
+                         tau=p.tau, tauh=p.tau_h),
+        dict(s=p.n0, m=p.m0))
 
 
 # ---------------------------------------------------------------------------
 # Stick pulling, dimensionless (fractions; time in units of 1/(alpha*M0))
-
-STICKPULL_SIMPLE_TEMPLATE = """\
-# Stick pulling, simplified controller: release at rate gamma (dimensionless).
-param beta = {beta}     # robots per stick
-param gamma = {gamma}   # stick release rate
-param rg = {rg}         # gripped/free detection ratio
-state s = 1
-state g = 0
-env m = 1
-rate(s * (m + beta * s - beta)): s -> g
-rate(rg * beta * s * g): g -> s{success_effect}
-rate(gamma * g): g -> s
-"""
-
-STICKPULL_DELAYED_TEMPLATE = """\
-# Stick pulling with a deterministic gripping timer (dimensionless, delayed).
-param beta = {beta}     # robots per stick
-param tau = {tau}       # gripping time
-param rg = {rg}         # gripped/free detection ratio
-state s = 1
-state g = 0
-env m = 1
-rate(s * (m + beta * s - beta)): s -> g
-rate(rg * beta * s * g): g -> s{success_effect}
-rate(delay(s * (m + beta * s - beta), tau) * exp(-rg * beta * histint(s, tau)) * step(t - tau)): g -> s
-"""
 
 
 @dataclass(frozen=True)
@@ -129,6 +110,7 @@ class StickPullParams:
     mu_prime: float = 0.0   # external task-addition rate (depletion mode)
 
     def __post_init__(self):
+        _require_finite(self)
         if not self.beta > 0:
             raise ValueError("beta must be positive")
         if not 0 < self.r_g <= 1:
@@ -141,49 +123,36 @@ class StickPullParams:
         return self.r_g * self.beta
 
 
-def _render_stickpull(template, p, **values):
-    text = template.format(
-        success_effect="" if p.replacement else " ; m -= beta",
-        **{k: format_number(v) for k, v in values.items()})
-    if not p.replacement and p.mu_prime > 0:
-        text += f"param mu = {format_number(p.mu_prime)}\n"
-        text += "rate(mu): s -> s ; m += 1\n"
-    return text
-
-
-def _render_stickpull_simple(p):
-    return _render_stickpull(STICKPULL_SIMPLE_TEMPLATE, p,
-                             beta=p.beta, gamma=p.gamma, rg=p.r_g)
-
-
-def _render_stickpull_delayed(p):
-    return _render_stickpull(STICKPULL_DELAYED_TEMPLATE, p,
-                             beta=p.beta, tau=p.tau, rg=p.r_g)
+def _stickpull(name, p, params):
+    d = _from_shipped(name, params, {})
+    if p.replacement:
+        return d
+    # depletion: the success transition (the second) removes beta sticks
+    # (m -= beta); with mu_prime > 0 new sticks arrive at rate mu
+    # (rate(mu): s -> s ; m += 1)
+    transitions = list(d.transitions)
+    transitions[1] = _dc_replace(transitions[1],
+                                 env_effects=(("m", Neg(Name("beta"))),))
+    params = d.params
+    if p.mu_prime > 0:
+        params = {**params, "mu": float(p.mu_prime)}
+        transitions.append(Transition("s", "s", Name("mu"),
+                                      (("m", Num(1.0)),)))
+    return _dc_replace(d, params=params, transitions=tuple(transitions))
 
 
 def build_stickpull_simple(p=StickPullParams()):
-    return _parse(_render_stickpull_simple(p), "stickpull-simple")
+    return _stickpull("stickpull-simple", p,
+                      dict(beta=p.beta, gamma=p.gamma, rg=p.r_g))
 
 
 def build_stickpull_delayed(p=StickPullParams()):
-    return _parse(_render_stickpull_delayed(p), "stickpull-delayed")
+    return _stickpull("stickpull-delayed", p,
+                      dict(beta=p.beta, tau=p.tau, rg=p.r_g))
 
 
 # ---------------------------------------------------------------------------
 # Stick pulling, dimensional counts (for stochastic / exact engines)
-
-STICKPULL_COUNTS_TEMPLATE = """\
-# Stick pulling at the level of integer robot counts (dimensional).
-param alpha = {alpha}     # free-stick detection rate
-param rg = {rg}           # gripped/free detection ratio
-param gammad = {gammad}   # stick release rate
-param m0 = {m0}           # sticks
-state s = {n0}
-state g = 0
-rate(alpha * s * (m0 - g)): s -> g
-rate(rg * alpha * s * g): g -> s
-rate(gammad * g): g -> s
-"""
 
 
 @dataclass(frozen=True)
@@ -195,51 +164,22 @@ class StickPullCountsParams:
     gamma_d: float = 0.2
 
     def __post_init__(self):
+        _require_finite(self)
         if self.n0 < 1 or self.m0 < 1:
             raise ValueError("n0 and m0 must be >= 1")
         if not self.alpha > 0 or not 0 < self.r_g <= 1 or self.gamma_d < 0:
             raise ValueError("invalid rate parameters")
 
 
-def _render_stickpull_counts(p):
-    return _render(STICKPULL_COUNTS_TEMPLATE, alpha=p.alpha, rg=p.r_g,
-                   gammad=p.gamma_d, m0=p.m0, n0=p.n0)
-
-
 def build_stickpull_counts(p=StickPullCountsParams()):
-    return _parse(_render_stickpull_counts(p), "stickpull-counts")
+    return _from_shipped(
+        "stickpull-counts",
+        dict(alpha=p.alpha, rg=p.r_g, gammad=p.gamma_d, m0=p.m0),
+        dict(s=p.n0))
 
 
 # ---------------------------------------------------------------------------
 # Communicating foragers (Sugawara-style), dimensional
-
-SUGAWARA_TEMPLATE = """\
-# Communicating foragers: searching, broadcasting, homing, moving-to-signal,
-# avoiding (crowding near a broadcaster); cumulative deliveries counter.
-param alpha = {alpha}    # puck-find rate
-param b = {b}            # signal-loss rate
-param tau = {tau}        # home-return time
-param x = {x}            # interaction (broadcast) duration
-param a = {a}            # signal-catch probability
-param lx = {lx}          # turn-angle factor l(x)
-param d = {d}            # mean robot separation
-param v = {v}            # robot speed
-param gloc = {gloc}      # help-find rate near a broadcaster
-param k_target = {k}     # deliveries that complete the task
-state s = {n0}
-state bc = 0
-state h = 0
-state mv = 0
-state av = 0
-env delivered = 0
-rate(alpha * s): s -> bc
-rate(bc / (x + 1)): bc -> h
-rate(h / tau): h -> s ; delivered += 1
-rate(a * lx * s * bc): s -> mv
-rate(b * mv): mv -> s
-rate(v / d * mv): mv -> av
-rate(gloc / (a + av) * av): av -> bc
-"""
 
 
 @dataclass(frozen=True)
@@ -257,6 +197,7 @@ class SugawaraParams:
     k_target: float = 20.0
 
     def __post_init__(self):
+        _require_finite(self)
         fields = ("alpha", "b", "tau", "x", "a", "l_x", "d", "v", "gamma_loc")
         if any(getattr(self, f) < 0 for f in fields):
             raise ValueError("rates and durations must be non-negative")
@@ -265,56 +206,23 @@ class SugawaraParams:
         if self.n0 < 1:
             raise ValueError("n0 must be >= 1")
 
-
-def _render_sugawara(p):
-    # x = 0 means no broadcast interaction at all: the turn-angle coupling
-    # is switched off so robots never react to signals.
-    lx = 0.0 if p.x == 0 else p.l_x
-    return _render(SUGAWARA_TEMPLATE, alpha=p.alpha, b=p.b, tau=p.tau,
-                   x=p.x, a=p.a, lx=lx, d=p.d, v=p.v, gloc=p.gamma_loc,
-                   k=p.k_target, n0=p.n0)
+    @property
+    def lx(self):
+        """Turn-angle factor of the model: x = 0 means no broadcast
+        interaction at all, so robots never react to signals."""
+        return 0.0 if self.x == 0 else self.l_x
 
 
 def build_sugawara(p=SugawaraParams()):
-    return _parse(_render_sugawara(p), "sugawara")
+    return _from_shipped(
+        "sugawara", dict(alpha=p.alpha, b=p.b, tau=p.tau, x=p.x, a=p.a,
+                         lx=p.lx, d=p.d, v=p.v, gloc=p.gamma_loc,
+                         k_target=p.k_target),
+        dict(s=p.n0))
 
 
 # ---------------------------------------------------------------------------
 # Fine-grained collaboration model, synchronous finite differences
-
-COLLAB_DIFFERENCE_TEMPLATE = """\
-# Fine-grained stick pulling as synchronous finite differences: searching
-# robots enter delay pipelines (wall avoidance, robot interference,
-# centering/dance after success, grip/timeout) and re-enter searching a
-# fixed number of steps later.
-param alpha = {alpha}   # free-stick encounter rate per step
-param at = {at}         # gripped-stick encounter rate per step
-param aw = {aw}         # wall encounter rate per step
-param ar = {ar}         # robot encounter rate per step
-param m0 = {m0}         # sticks
-param ta = {ta}         # steps: avoidance
-param tia = {tia}       # steps: interference + avoidance
-param tca = {tca}       # steps: centering + avoidance
-param tcda = {tcda}     # steps: centering + dance + avoidance
-param tcga = {tcga}     # steps: centering + gripping + avoidance
-param tga = {tga}       # steps: gripping + avoidance (the help window)
-state s = {n0}
-state av = 0
-state intf = 0
-state ca = 0
-state cda = 0
-state g = 0
-rate(aw * s): s -> av
-rate(delay(aw * s, ta) * step(t - ta)): av -> s
-rate(ar * s): s -> intf
-rate(delay(ar * s, tia) * step(t - tia)): intf -> s
-rate(at * g * s): s -> ca
-rate(delay(at * g * s, tca) * step(t - tca)): ca -> s
-rate(at * g * s): g -> cda
-rate(delay(at * g * s, tcda) * step(t - tcda)): cda -> s
-rate(alpha * (m0 - g) * s): s -> g
-rate(delay(alpha * (m0 - g), tcda) * delay(s, tcga) * exp(histint(ln(1 - at * s), tga)) * step(t - tga)): g -> s
-"""
 
 
 @dataclass(frozen=True)
@@ -333,6 +241,7 @@ class CollabDiffParams:
     t_ga: int = 55     # gripping + avoidance (help window)
 
     def __post_init__(self):
+        _require_finite(self)
         for f in ("t_a", "t_ia", "t_ca", "t_cda", "t_cga", "t_ga"):
             v = getattr(self, f)
             if v != int(v) or v < 0:
@@ -344,32 +253,26 @@ class CollabDiffParams:
             raise ValueError("alpha_t * n0 must stay below 1 (help probability)")
 
 
-def _render_collab_difference(p):
-    return _render(COLLAB_DIFFERENCE_TEMPLATE, alpha=p.alpha, at=p.alpha_t,
-                   aw=p.alpha_w, ar=p.alpha_r, m0=p.m0, n0=p.n0, ta=p.t_a,
-                   tia=p.t_ia, tca=p.t_ca, tcda=p.t_cda, tcga=p.t_cga,
-                   tga=p.t_ga)
-
-
 def build_collab_difference(p=CollabDiffParams()):
-    d = _parse(_render_collab_difference(p), "collab-difference")
+    d = _from_shipped(
+        "collab-difference",
+        dict(alpha=p.alpha, at=p.alpha_t, aw=p.alpha_w, ar=p.alpha_r,
+             m0=p.m0, ta=p.t_a, tia=p.t_ia, tca=p.t_ca, tcda=p.t_cda,
+             tcga=p.t_cga, tga=p.t_ga),
+        dict(s=p.n0))
     return _dc_replace(d, discrete=True)
 
 
 # ---------------------------------------------------------------------------
 
-# name -> (builder, parameter dataclass, .mas text renderer)
+# name -> (builder, parameter dataclass)
 _BUILDERS = {
-    "foraging": (build_foraging, ForagingParams, _render_foraging),
-    "sugawara": (build_sugawara, SugawaraParams, _render_sugawara),
-    "stickpull-simple": (build_stickpull_simple, StickPullParams,
-                         _render_stickpull_simple),
-    "stickpull-delayed": (build_stickpull_delayed, StickPullParams,
-                          _render_stickpull_delayed),
-    "stickpull-counts": (build_stickpull_counts, StickPullCountsParams,
-                         _render_stickpull_counts),
-    "collab-difference": (build_collab_difference, CollabDiffParams,
-                          _render_collab_difference),
+    "foraging": (build_foraging, ForagingParams),
+    "sugawara": (build_sugawara, SugawaraParams),
+    "stickpull-simple": (build_stickpull_simple, StickPullParams),
+    "stickpull-delayed": (build_stickpull_delayed, StickPullParams),
+    "stickpull-counts": (build_stickpull_counts, StickPullCountsParams),
+    "collab-difference": (build_collab_difference, CollabDiffParams),
 }
 
 
@@ -390,11 +293,11 @@ def build_builtin(name, **overrides):
     """Build a built-in model, optionally overriding builder fields.
 
     Overrides are fields of the model's parameter dataclass (group sizes
-    and anything else baked into the rendered .mas text), not only the
-    parameters of the resulting diagram.  Integral floats are coerced for
-    integer-valued fields.
+    and anything else the builder sets on the shipped .mas diagram), not
+    only the parameters of the resulting diagram.  Integral floats are
+    coerced for integer-valued fields.
     """
-    builder, cls, _ = _builder_entry(name)
+    builder, cls = _builder_entry(name)
     if not overrides:
         return builder()
     kwargs = {}
@@ -411,16 +314,3 @@ def build_builtin(name, **overrides):
         raise KeyError(f"unknown field(s) for {name!r}: "
                        f"{', '.join(sorted(overrides))}")
     return builder(cls(**kwargs))
-
-
-def shipped_source(name):
-    """Text of the shipped .mas file for a built-in model."""
-    ref = resources.files("swarmk").joinpath(f"models_mas/{name}.mas")
-    return ref.read_text(encoding="utf-8")
-
-
-def render_default_sources():
-    """Render every built-in at default parameters (used to generate and
-    cross-check the shipped .mas files)."""
-    return {name: render(cls())
-            for name, (_, cls, render) in _BUILDERS.items()}

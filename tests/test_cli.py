@@ -100,7 +100,11 @@ def test_usage_errors_exit_1(capsys):
     for argv in (("run", "--model", "stickpull-simple", "--set", "beta=-1"),
                  ("run", "--model", "foraging", "--set", "n0=0"),
                  ("run", "--model", "stickpull-simple", "--dt", "0"),
-                 ("mc", "--model", "stickpull-counts", "--runs", "1")):
+                 ("mc", "--model", "stickpull-counts", "--runs", "1"),
+                 # non-finite builder fields, also a derived one (tau_h)
+                 ("run", "--model", "stickpull-simple", "--set", "gamma=inf"),
+                 ("run", "--model", "stickpull-simple", "--set", "gamma=nan"),
+                 ("run", "--model", "foraging", "--set", "alpha_r2=1e308")):
         code, _, err = _run(capsys, *argv)
         assert code == 1 and err.startswith("usage error: ")
 

@@ -112,7 +112,6 @@ def test_flavor_detection():
     dde = parse_model("param tau = 1\nstate s = 1\n"
                       "rate(delay(s, tau)): s -> s\n")
     assert compile_rhs(dde).flavor == "dde"
-    assert compile_rhs(dde).max_delay == 1.0
     assert compile_rhs(dde).delay_values == (1.0,)
 
 

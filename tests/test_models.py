@@ -1,9 +1,12 @@
 """Built-in model builders: structure, conservation, shipped sources."""
+from collections import Counter
+from importlib import resources
+
 import numpy as np
 import pytest
 
 import swarmk as sk
-from swarmk.models import render_default_sources
+from swarmk import models
 
 
 @pytest.mark.parametrize("name", sk.BUILTIN_NAMES)
@@ -12,14 +15,110 @@ def test_builders_pass_validation(name):
     assert sk.validate_diagram(d).ok
 
 
+# builder, non-default parameter dataclass, and the params (in declaration
+# order), states, env vars and N0 the builder must set on the shipped diagram
+NON_DEFAULT_BUILDS = {
+    "foraging": (
+        sk.build_foraging,
+        sk.ForagingParams(n0=7, m0=12, alpha_p=0.02, alpha_r=0.05,
+                          alpha_r2=0.1, tau0=2.0, tau_slope=0.5,
+                          tau_h0=10.0),
+        # tau = 2 + 0.5 * 6; tauh = 10 * (1 + 0.1 * 5 * 7)
+        {"ap": 0.02, "ar": 0.05, "arp": 0.1, "tau": 5.0, "tauh": 45.0},
+        (("s", 7.0), ("h", 0.0), ("avs", 0.0), ("avh", 0.0)),
+        (("m", 12.0),), 7.0),
+    "sugawara": (
+        sk.build_sugawara,
+        sk.SugawaraParams(alpha=0.1, b=0.3, tau=6.0, x=2.0, a=0.5, l_x=0.1,
+                          d=4.0, v=8.0, gamma_loc=5.0, n0=10, k_target=30),
+        {"alpha": 0.1, "b": 0.3, "tau": 6.0, "x": 2.0, "a": 0.5, "lx": 0.1,
+         "d": 4.0, "v": 8.0, "gloc": 5.0, "k_target": 30.0},
+        (("s", 10.0), ("bc", 0.0), ("h", 0.0), ("mv", 0.0), ("av", 0.0)),
+        (("delivered", 0.0),), 10.0),
+    "stickpull-simple": (
+        sk.build_stickpull_simple,
+        sk.StickPullParams(beta=0.8, r_g=0.5, gamma=0.3, tau=7),
+        {"beta": 0.8, "gamma": 0.3, "rg": 0.5},
+        (("s", 1.0), ("g", 0.0)), (("m", 1.0),), 1.0),
+    "stickpull-delayed": (
+        sk.build_stickpull_delayed,
+        sk.StickPullParams(beta=0.8, r_g=0.5, gamma=0.3, tau=7),
+        {"beta": 0.8, "tau": 7.0, "rg": 0.5},
+        (("s", 1.0), ("g", 0.0)), (("m", 1.0),), 1.0),
+    "stickpull-counts": (
+        sk.build_stickpull_counts,
+        sk.StickPullCountsParams(n0=6, m0=9, alpha=0.1, r_g=0.4,
+                                 gamma_d=0.3),
+        {"alpha": 0.1, "rg": 0.4, "gammad": 0.3, "m0": 9.0},
+        (("s", 6.0), ("g", 0.0)), (), 6.0),
+    "collab-difference": (
+        sk.build_collab_difference,
+        sk.CollabDiffParams(alpha=0.004, alpha_t=0.002, alpha_w=0.006,
+                            alpha_r=0.007, m0=12, n0=6, t_a=4, t_ia=9,
+                            t_ca=7, t_cda=12, t_cga=50, t_ga=45),
+        {"alpha": 0.004, "at": 0.002, "aw": 0.006, "ar": 0.007, "m0": 12.0,
+         "ta": 4.0, "tia": 9.0, "tca": 7.0, "tcda": 12.0, "tcga": 50.0,
+         "tga": 45.0},
+        (("s", 6.0), ("av", 0.0), ("intf", 0.0), ("ca", 0.0), ("cda", 0.0),
+         ("g", 0.0)), (), 6.0),
+}
+
+
 @pytest.mark.parametrize("name", sk.BUILTIN_NAMES)
 def test_shipped_sources_match_builders(name):
-    built = sk.build_builtin(name)
+    # the builder sets every value of the shipped diagram, as floats (the
+    # parser's type), and keeps its structure
+    build, p, params, states, env_vars, n0 = NON_DEFAULT_BUILDS[name]
+    d = build(p)
     shipped = sk.parse_model(sk.shipped_source(name))
-    assert shipped.states == built.states
-    assert shipped.env_vars == built.env_vars
-    assert shipped.params == built.params
-    assert shipped.transitions == built.transitions
+    assert list(d.params.items()) == list(params.items())
+    assert d.states == states
+    assert d.env_vars == env_vars
+    assert d.n0 == n0
+    values = [*d.params.values(), *(v for _, v in states + env_vars), d.n0]
+    assert all(type(v) is float for v in values)
+    assert d.transitions == shipped.transitions
+    assert d.name == name
+    assert d.discrete == (name == "collab-difference")
+
+
+# the variants as .mas text: the shipped file with "m -= beta" on the
+# success transition and, with mu_prime > 0, a task-addition transition
+STICKPULL_HEADS = {
+    "stickpull-simple": ("param beta = 0.5\nparam gamma = 0.2\n"
+                         "param rg = 0.35\n"),
+    "stickpull-delayed": ("param beta = 0.5\nparam tau = 5\n"
+                          "param rg = 0.35\n"),
+}
+STICKPULL_TAILS = {
+    "stickpull-simple": "rate(gamma * g): g -> s\n",
+    "stickpull-delayed": ("rate(delay(s * (m + beta * s - beta), tau) * "
+                          "exp(-rg * beta * histint(s, tau)) * "
+                          "step(t - tau)): g -> s\n"),
+}
+DEPLETION_BODY = """\
+state s = 1
+state g = 0
+env m = 1
+rate(s * (m + beta * s - beta)): s -> g
+rate(rg * beta * s * g): g -> s ; m -= beta
+"""
+TASK_ADDITION = "param mu = 0.3\nrate(mu): s -> s ; m += 1\n"
+
+
+@pytest.mark.parametrize("name", ["stickpull-simple", "stickpull-delayed"])
+@pytest.mark.parametrize("mu_prime", [0.0, 0.3])
+def test_stickpull_variants_match_their_text(name, mu_prime):
+    text = STICKPULL_HEADS[name] + DEPLETION_BODY + STICKPULL_TAILS[name]
+    if mu_prime:
+        text += TASK_ADDITION
+    expected = sk.parse_model(text)
+    d = sk.build_builtin(name, replacement=False, mu_prime=mu_prime)
+    assert list(d.params.items()) == list(expected.params.items())
+    assert d.states == expected.states
+    assert d.env_vars == expected.env_vars
+    assert d.transitions == expected.transitions
+    assert d.n0 == expected.n0
 
 
 def test_unknown_builtin():
@@ -27,8 +126,39 @@ def test_unknown_builtin():
         sk.build_builtin("nope")
 
 
-def test_rendered_defaults_cover_all_builtins():
-    assert set(render_default_sources()) == set(sk.BUILTIN_NAMES)
+def test_shipped_files_are_the_builtins():
+    shipped = resources.files("swarmk").joinpath("models_mas").iterdir()
+    assert sorted(f.name for f in shipped) == \
+        sorted(f"{name}.mas" for name in sk.BUILTIN_NAMES)
+
+
+def test_each_shipped_file_is_parsed_once(monkeypatch):
+    parsed = Counter()
+    parse = models.parse_model
+
+    def counting_parse(src):
+        parsed[src.origin] += 1
+        return parse(src)
+
+    monkeypatch.setattr(models, "parse_model", counting_parse)
+    models._shipped_diagram.cache_clear()
+    overrides = {"foraging": {"n0": 3}, "sugawara": {"x": 0},
+                 "stickpull-simple": {"replacement": False, "mu_prime": 0.3},
+                 "stickpull-delayed": {"tau": 2.0},
+                 "stickpull-counts": {"m0": 6},
+                 "collab-difference": {"t_ga": 40}}
+    first = {}
+    for i in range(50):
+        name = sk.BUILTIN_NAMES[i % len(sk.BUILTIN_NAMES)]
+        kw = overrides[name] if i // len(sk.BUILTIN_NAMES) % 2 else {}
+        d = sk.build_builtin(name, **kw)
+        assert d.params == first.setdefault((name, bool(kw)), dict(d.params))
+        # a caller's edit of one build must not reach the next
+        d.params.update((k, -1.0) for k in list(d.params))
+        d.params["extra"] = 1.0
+    assert len(first) == 2 * len(sk.BUILTIN_NAMES)
+    assert set(parsed) == set(sk.BUILTIN_NAMES)
+    assert max(parsed.values()) == 1
 
 
 # -- foraging ---------------------------------------------------------------
@@ -69,6 +199,8 @@ def test_foraging_param_validation():
         sk.ForagingParams(alpha_p=0.0)
     with pytest.raises(ValueError):
         sk.ForagingParams(tau_slope=-0.1)
+    with pytest.raises(ValueError, match="tau_h must be finite"):
+        sk.ForagingParams(alpha_r2=1e308)
 
 
 def test_foraging_depletion_monotone():
@@ -148,6 +280,8 @@ def test_stickpull_param_validation():
         sk.StickPullParams(r_g=1.5)
     with pytest.raises(ValueError):
         sk.StickPullParams(gamma=-1.0)
+    with pytest.raises(ValueError, match="gamma must be finite"):
+        sk.StickPullParams(gamma=float("inf"))
 
 
 # -- communicating foragers -------------------------------------------------
@@ -254,6 +388,8 @@ def test_collab_difference_stationary_survival_factor():
 def test_collab_difference_param_validation():
     with pytest.raises(ValueError):
         sk.CollabDiffParams(t_a=-1)
+    with pytest.raises(ValueError, match="t_a must be finite"):
+        sk.CollabDiffParams(t_a=float("inf"))
     with pytest.raises(ValueError):
         sk.CollabDiffParams(alpha=1.5)
     with pytest.raises(ValueError):
