@@ -336,6 +336,8 @@ _COMMANDS = {
 
 def run_cli(argv=None):
     parser = _build_parser()
+    # each command builds the built-ins from the shipped files as they are
+    models.forget_parsed_files()
     try:
         args = parser.parse_args(argv)
         if args.command is None:

@@ -1,9 +1,10 @@
 """Canonical builders for the built-in multi-robot systems.
 
 Each built-in model is its shipped .mas file (``models_mas/<name>.mas``),
-parsed once per process.  A builder sets every parameter and initial count
-of that diagram from its parameter dataclass, so an edit of a shipped
-file's rates or transitions changes the built-in model.
+parsed on first use and kept until ``forget_parsed_files`` (the CLI calls
+it at the start of each command).  A builder sets every parameter and
+initial count of that diagram from its parameter dataclass, so an edit of
+a shipped file's rates or transitions changes the built-in model.
 """
 from __future__ import annotations
 
@@ -14,7 +15,8 @@ from functools import lru_cache
 from importlib import resources
 
 from .diagram import Transition
-from .expr import Name, Neg, Num
+from .errors import ModelError
+from .expr import BinOp, Name, Neg, Num
 from .parser import ModelSource, parse_model
 
 BUILTIN_NAMES = ("foraging", "sugawara", "stickpull-simple",
@@ -30,6 +32,11 @@ def shipped_source(name):
 @lru_cache(maxsize=None)
 def _shipped_diagram(name):
     return parse_model(ModelSource(shipped_source(name), origin=name))
+
+
+def forget_parsed_files():
+    """Drop the parsed shipped files; the next build reads them again."""
+    _shipped_diagram.cache_clear()
 
 
 def _floats(values):
@@ -118,21 +125,23 @@ class StickPullParams:
         if self.gamma < 0 or self.tau < 0 or self.mu_prime < 0:
             raise ValueError("gamma, tau and mu_prime must be non-negative")
 
-    @property
-    def beta_tilde(self):
-        return self.r_g * self.beta
+
+# the success transition of both stick-pulling files
+_SUCCESS = Transition("g", "s", BinOp("*", BinOp("*", BinOp(
+    "*", Name("rg"), Name("beta")), Name("s")), Name("g")))
 
 
 def _stickpull(name, p, params):
     d = _from_shipped(name, params, {})
     if p.replacement:
         return d
-    # depletion: the success transition (the second) removes beta sticks
-    # (m -= beta); with mu_prime > 0 new sticks arrive at rate mu
-    # (rate(mu): s -> s ; m += 1)
-    transitions = list(d.transitions)
-    transitions[1] = _dc_replace(transitions[1],
-                                 env_effects=(("m", Neg(Name("beta"))),))
+    # depletion: each success removes beta sticks (m -= beta); with
+    # mu_prime > 0 new sticks arrive at rate mu (rate(mu): s -> s ; m += 1)
+    if _SUCCESS not in d.transitions:
+        raise ModelError(f"{name}.mas has no success transition "
+                         "rate(rg * beta * s * g): g -> s")
+    transitions = [_dc_replace(tr, env_effects=(("m", Neg(Name("beta"))),))
+                   if tr == _SUCCESS else tr for tr in d.transitions]
     params = d.params
     if p.mu_prime > 0:
         params = {**params, "mu": float(p.mu_prime)}

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from swarmk import models
 from swarmk.cli import run_cli
 
 
@@ -63,6 +64,24 @@ def test_identical_invocations_identical_bytes(capsys):
     _, out1, _ = _run(capsys, *args)
     _, out2, _ = _run(capsys, *args)
     assert out1 == out2
+
+
+def test_each_command_reads_the_shipped_files(capsys, monkeypatch):
+    # an edit of a shipped file reaches the next command in the process
+    argv = ("run", "--model", "stickpull-simple", "--t-end", "1",
+            "--dt", "0.5")
+    before = _run(capsys, *argv)
+    shipped = models.shipped_source
+    monkeypatch.setattr(models, "shipped_source", lambda name: shipped(
+        name).replace("rate(gamma * g)", "rate(2 * gamma * g)"))
+    try:
+        after = _run(capsys, *argv)
+    finally:
+        monkeypatch.undo()
+        models.forget_parsed_files()
+    assert before[0] == after[0] == 0
+    assert after[1] != before[1]
+    assert _run(capsys, *argv) == before
 
 
 def test_run_mas_file(capsys, tmp_path):

@@ -80,6 +80,12 @@ def test_shipped_sources_match_builders(name):
     assert d.transitions == shipped.transitions
     assert d.name == name
     assert d.discrete == (name == "collab-difference")
+    # at the dataclass defaults the builder sets the file's own values, so
+    # the name and the file path give the same model
+    default = sk.build_builtin(name)
+    assert list(default.params.items()) == list(shipped.params.items())
+    assert default.states == shipped.states
+    assert default.env_vars == shipped.env_vars
 
 
 # the variants as .mas text: the shipped file with "m -= beta" on the
@@ -119,6 +125,29 @@ def test_stickpull_variants_match_their_text(name, mu_prime):
     assert d.env_vars == expected.env_vars
     assert d.transitions == expected.transitions
     assert d.n0 == expected.n0
+
+
+def test_depletion_edits_the_success_transition_wherever_it_is(monkeypatch):
+    success = "rate(rg * beta * s * g): g -> s\n"
+    release = "rate(gamma * g): g -> s\n"
+    shipped = models.shipped_source
+
+    def edited_file(old, new):
+        monkeypatch.setattr(models, "shipped_source",
+                            lambda name: shipped(name).replace(old, new))
+        models.forget_parsed_files()
+
+    try:
+        edited_file(success + release, release + success)
+        d = sk.build_builtin("stickpull-simple", replacement=False)
+        assert [bool(tr.env_effects) for tr in d.transitions] == \
+            [False, False, True]
+        edited_file(success, "rate(beta * rg * s * g): g -> s\n")
+        with pytest.raises(sk.ModelError, match="no success transition"):
+            sk.build_builtin("stickpull-simple", replacement=False)
+    finally:
+        monkeypatch.undo()
+        models.forget_parsed_files()
 
 
 def test_unknown_builtin():
