@@ -14,8 +14,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import EvalError, ModelError
-from .expr import (EvalContext, compile_expr, delay_windows, eval_expr,
-                   free_names, has_history_terms, unparse)
+from .expr import (Source, delay_windows, eval_expr, free_names,
+                   has_history_terms, unparse)
 
 
 @dataclass(frozen=True)
@@ -202,10 +202,12 @@ def validate_diagram(diagram, n_samples=64):
     # would reject valid models).  Non-negativity is asserted at the
     # initial configuration; sampled points check evaluability/finiteness.
     # Delayed terms read a one-row history: constant pre-history, so the
-    # past equals the sampled present.
+    # past equals the sampled present.  The transitions take their samples
+    # in turn from one stream, each until it fails or has n_samples.
     from .integrate import HistoryAccessor
 
-    rng = np.random.default_rng(_RNG_SEED)
+    times, sampled = _samples(diagram, len(diagram.transitions) * n_samples)
+    taken = 0
     env0 = [float(v) for _, v in diagram.env_vars]
     for tr, (_, _, fn, _) in zip(diagram.transitions, transition_table(diagram)):
         delayed = has_history_terms(tr.rate)
@@ -213,16 +215,13 @@ def validate_diagram(diagram, n_samples=64):
             if sample == 0:
                 t, counts = 0.0, [float(v) for _, v in diagram.states]
             else:
-                t = float(rng.uniform(0.0, 10.0))
-                counts = rng.uniform(0.0, 1.0, size=len(state_names))
-                if counts.sum() > 0:
-                    counts = counts / counts.sum() * diagram.n0
-                counts = counts.tolist()
+                t, counts = times[taken], sampled[taken]
+                taken += 1
             row = counts + env0
             history = HistoryAccessor(t, 1.0, np.array([row])) \
                 if delayed else None
             try:
-                v = fn(EvalContext(row + [t], history))
+                v = fn(row + [t], history)
             except EvalError as exc:
                 defects.append(
                     f"rate {unparse(tr.rate)} failed to evaluate: {exc}")
@@ -238,39 +237,104 @@ def validate_diagram(diagram, n_samples=64):
     return ValidationReport(defects)
 
 
+def _samples(diagram, n):
+    """``n`` sample times in [0, 10) and state rows on the simplex of the
+    conserved total, as lists.  Each sample is one uniform draw for the
+    time, then one per state, scaled to sum to N0 (the same values as
+    drawing them one call at a time)."""
+    u = np.random.default_rng(_RNG_SEED).random((n, len(diagram.states) + 1))
+    counts = u[:, 1:].copy()
+    total = counts.sum(axis=1)
+    pos = total > 0
+    counts[pos] = counts[pos] / total[pos, None] * diagram.n0
+    return (0.0 + 10.0 * u[:, 0]).tolist(), counts.tolist()
+
+
 def transition_table(diagram):
     """The diagram's transitions compiled once, one row per transition:
     ``(source index, target index, rate fn, ((env index, effect fn), ...))``.
 
-    This is the one place that fixes the evaluation row every function
-    reads: the occupation row (states, then env counters) followed by the
-    time ``t``.  Indices address that row; parameters and N0 are folded
-    into the functions as constants.  Every engine reads this table: the
-    mean-field right-hand side, the validation sampler, the configuration
-    enumeration and the Gillespie sampler.
+    Each function is ``fn(row, history=None)`` over the evaluation row:
+    the occupation row (states, then env counters) followed by the time
+    ``t``.  Every engine reads this table or the ``rhs`` generated with
+    it: the mean-field right-hand side, the validation sampler, the
+    configuration enumeration and the Gillespie sampler.
+    """
+    return rate_kernel(diagram)[1]
+
+
+def rate_kernel(diagram):
+    """``(rhs, transition table)`` of the diagram, generated and compiled
+    once per diagram instance and kept on it.  A StateDiagram is frozen but
+    for its ``params`` dict, whose values the kernel folds in: an edit of
+    that dict in place makes the kernel again."""
+    params, kernel = diagram.__dict__.get("_rate_kernel", (None, None))
+    if kernel is None or params != diagram.params:
+        params, kernel = dict(diagram.params), _generate_kernel(diagram)
+        object.__setattr__(diagram, "_rate_kernel", (params, kernel))
+    return kernel
+
+
+def _generate_kernel(diagram):
+    """Generate the Python source of the diagram's rates and compile it.
+
+    Names are bound here: states and env counters are slots of the
+    evaluation row (``t`` last), parameters and N0 are folded in as
+    constants.  ``rhs(t, y, history=None)`` computes, transition by
+    transition, the flow ``f{k}`` and then the env effects ``e{k}_{j}``,
+    then each component as a sum from 0.0 in transition order: minus the
+    flow at the source, plus the flow at the target, plus effect times
+    flow at an env counter.  Under the same names the source also defines
+    one function per rate and effect, for the transition table.
     """
     states = {n: i for i, n in enumerate(diagram.state_names)}
     env = {n: i for i, n in enumerate(diagram.env_names, len(states))}
     slots = {"t": len(states) + len(env), **states, **env}
-    consts = diagram.base_bindings()
+    src = Source(diagram.base_bindings(), slots)
 
     def at(index, kind, name):
         if name not in index:
             raise ModelError(f"unknown {kind} {name}")
         return index[name]
 
-    def compiled(e):
-        unknown = sorted(free_names(e) - slots.keys() - consts.keys())
+    def check(e):
+        unknown = sorted(free_names(e) - slots.keys() - src.consts.keys())
         if unknown:
             raise ModelError(f"unknown identifier {unknown[0]}")
-        return compile_expr(e, consts, slots)
 
-    return tuple(
-        (at(states, "state", tr.source), at(states, "state", tr.target),
-         compiled(tr.rate),
-         tuple((at(env, "env var", n), compiled(e))
-               for n, e in tr.env_effects))
-        for tr in diagram.transitions)
+    def emit(name, e, body):
+        """``e`` as the function ``name`` and, inline in ``body``, as the
+        local ``name``."""
+        check(e)
+        src.function(name, e)
+        x = src.value(e, "r", body, "    ")
+        body.append(f"    {name} = {x}")
+
+    body = ["    r = y.tolist()", "    r.append(t)"]
+    # per component, its signed terms in transition order
+    terms = [[] for _ in range(len(states) + len(env))]
+    rows = []  # (source, target, rate name, ((env index, effect name), ...))
+    for k, tr in enumerate(diagram.transitions):
+        si = at(states, "state", tr.source)
+        ti = at(states, "state", tr.target)
+        emit(f"f{k}", tr.rate, body)
+        if si != ti:
+            terms[si].append(f" - f{k}")
+            terms[ti].append(f" + f{k}")
+        effects = []
+        for j, (n, e) in enumerate(tr.env_effects):
+            ei = at(env, "env var", n)
+            emit(f"e{k}_{j}", e, body)
+            terms[ei].append(f" + e{k}_{j} * f{k}")
+            effects.append((ei, f"e{k}_{j}"))
+        rows.append((si, ti, f"f{k}", effects))
+    d = ", ".join("0.0" + "".join(ts) for ts in terms)
+    src.env["_array"] = np.array
+    src.lines += ["def rhs(t, y, h=None):", *body, f"    return _array([{d}])"]
+    ns = src.compile()
+    table = tuple((si, ti, ns[rate], tuple((ei, ns[e]) for ei, e in effects))
+                  for si, ti, rate, effects in rows)
+    return ns["rhs"], table
 
 
 def compile_rhs(diagram):
@@ -294,20 +358,6 @@ def compile_rhs(diagram):
     base = diagram.base_bindings()
     delay_values = [eval_expr(w, base) for tr in diagram.transitions
                     for w in delay_windows(tr.rate)]
-    table = transition_table(diagram)
-    dim = len(diagram.states) + len(diagram.env_vars)
-
-    def rhs(t, y, history=None):
-        ctx = EvalContext(y.tolist() + [t], history)
-        d = [0.0] * dim
-        for si, ti, rate_fn, effects in table:
-            flow = rate_fn(ctx)
-            if si != ti:
-                d[si] -= flow
-                d[ti] += flow
-            for ei, eff_fn in effects:
-                d[ei] += eff_fn(ctx) * flow
-        return np.array(d)
-
+    rhs, _ = rate_kernel(diagram)
     return RateSystem(diagram=diagram, flavor=flavor, rhs=rhs,
                       delay_values=tuple(delay_values))

@@ -11,6 +11,10 @@ conserved total), and the special forms
 
 ``delay``/``histint`` second arguments must be constant expressions of
 parameters only, so the maximum delay is known before integration starts.
+
+Trees are evaluated through generated Python source (``Source``): one
+function per tree, or one kernel per diagram (``diagram.rate_kernel``),
+compiled once.
 """
 from __future__ import annotations
 
@@ -58,123 +62,175 @@ class Call(Expr):
     args: tuple = ()
 
 
-class EvalContext:
-    """An evaluation row (the values of the slot names, by slot index)
-    plus, for delayed terms, a history accessor.
+class Source:
+    """Python source generated from expression trees and compiled once.
 
-    ``history`` must provide ``bindings_at(t)`` (the evaluation row at
-    ``t``) and ``window_integral(key, fn, t_lo, t_hi, now)`` (the integral
-    of ``fn`` over [t_lo, t_hi]; ``now`` is the caller's context); only
-    ``delay``/``histint`` nodes consult it.
+    Each generated function reads one evaluation row ``r`` (a list) and,
+    for delayed terms, a history ``h``.  Names are resolved here: a name in
+    ``slots`` (name -> index) reads ``r[index]``, else a name in ``consts``
+    (name -> value) is folded into the source, else evaluating it raises
+    the unbound ``EvalError``.  Every operation is the one the tree names,
+    on the same operands, so results match a direct evaluation of the tree
+    bit for bit.  The operations that can fail (``/``, ``exp``, ``ln``) and
+    the history reads (``delay``, ``histint``) become statements, emitted
+    in the order a recursive evaluation reaches them, so the first failure
+    and its message are the same too.
+
+    The history ``h`` must provide ``bindings_at(t)`` (the evaluation row
+    at ``t``) and ``window_integral(key, fn, t_lo, t_hi, now)`` (the
+    integral of the generated integrand ``fn(r, h)`` over [t_lo, t_hi];
+    ``now`` is the caller's row).  Both are looked up on ``h`` at each
+    call, so a replacement of either on the history's class takes effect.
     """
 
-    __slots__ = ("row", "history")
+    def __init__(self, consts, slots):
+        self.consts = consts
+        self.slots = slots
+        self.lines = []
+        self.env = {"EvalError": EvalError, "_exp": math.exp,
+                    "_log": math.log}
+        self._integrands = {}  # histint key -> integrand function name
+        self._count = 0
 
-    def __init__(self, row, history=None):
-        self.row = row
-        self.history = history
+    def _fresh(self, stem="_v"):
+        self._count += 1
+        return f"{stem}{self._count}"
 
+    def _literal(self, v):
+        """Source for the constant ``v``: a literal where one reads back as
+        the very same value, else a name bound to it."""
+        if type(v) is int or (type(v) is float and math.isfinite(v)):
+            s = repr(v)
+            return f"({s})" if s.startswith("-") else s
+        name = self._fresh("_c")
+        self.env[name] = v
+        return name
 
-def _need_history(e):
-    raise EvalError(f"history required to evaluate {unparse(e)}")
+    def _operand(self, e, row, body, pad):
+        """Source for ``e`` that may be read more than once: a leaf as it
+        is, anything else held in a local."""
+        x = self.value(e, row, body, pad)
+        if isinstance(e, (Num, Name)):
+            return x
+        v = self._fresh()
+        body.append(f"{pad}{v} = {x}")
+        return v
 
+    def value(self, e, row, body, pad, prec=0):
+        """Source of an expression for ``e`` over the row named ``row``.
+        Statements it needs first go to ``body``, indented by ``pad``;
+        ``prec`` is the binding strength of the surrounding operator."""
+        if isinstance(e, Num):
+            return self._literal(float(e.value))
+        if isinstance(e, Name):
+            if e.ident in self.slots:
+                return f"{row}[{self.slots[e.ident]}]"
+            if e.ident in self.consts:
+                return self._literal(self.consts[e.ident])
+            msg = f"unbound identifier {e.ident}"
+            body.append(f"{pad}raise EvalError({msg!r})")
+            return "None"
+        if isinstance(e, Neg):
+            s = "-" + self.value(e.operand, row, body, pad, 3)
+            return f"({s})" if prec > 2 else s
+        if isinstance(e, BinOp):
+            if e.op not in _PREC:
+                raise EvalError(f"unknown operator {e.op}")
+            p = _PREC[e.op]
+            if e.op == "/":
+                # the divisor first: it is checked before the dividend
+                right = self._operand(e.right, row, body, pad)
+                body += [f"{pad}if {right} == 0.0:",
+                         f"{pad}    raise EvalError('division by zero')"]
+                left = self.value(e.left, row, body, pad, p)
+            else:
+                left = self.value(e.left, row, body, pad, p)
+                # operations associate to the left, so a right operand of
+                # equal precedence keeps its parentheses
+                right = self.value(e.right, row, body, pad, p + 1)
+            s = f"{left} {e.op} {right}"
+            return f"({s})" if prec > p else s
+        if isinstance(e, Call):
+            return self._call(e, row, body, pad)
+        raise EvalError(f"cannot compile {e!r}")
 
-def compile_expr(e, consts, slots):
-    """Compile an expression tree into a closure ``fn(ctx) -> float``.
-
-    Names are resolved once, here: a name in ``slots`` (name -> index)
-    reads ``ctx.row[index]``, else a name in ``consts`` (name -> value) is
-    folded in, else evaluating it raises an unbound ``EvalError``.
-    """
-    def sub(x):
-        return compile_expr(x, consts, slots)
-
-    if isinstance(e, Num):
-        v = float(e.value)
-        return lambda ctx: v
-    if isinstance(e, Name):
-        ident = e.ident
-        if ident in slots:
-            i = slots[ident]
-            return lambda ctx: ctx.row[i]
-        if ident in consts:
-            v = consts[ident]
-            return lambda ctx: v
-        def unbound_fn(ctx):
-            raise EvalError(f"unbound identifier {ident}")
-        return unbound_fn
-    if isinstance(e, Neg):
-        f = sub(e.operand)
-        return lambda ctx: -f(ctx)
-    if isinstance(e, BinOp):
-        lf = sub(e.left)
-        rf = sub(e.right)
-        op = e.op
-        if op == "+":
-            return lambda ctx: lf(ctx) + rf(ctx)
-        if op == "-":
-            return lambda ctx: lf(ctx) - rf(ctx)
-        if op == "*":
-            return lambda ctx: lf(ctx) * rf(ctx)
-        if op == "/":
-            def div_fn(ctx):
-                d = rf(ctx)
-                if d == 0.0:
-                    raise EvalError("division by zero")
-                return lf(ctx) / d
-            return div_fn
-        raise EvalError(f"unknown operator {op}")
-    if isinstance(e, Call):
+    def _call(self, e, row, body, pad):
         if e.func not in UNARY_CALLS + BINARY_CALLS:
             raise EvalError(f"unknown function {e.func}")
-        f = sub(e.args[0])
-        if e.func == "exp":
-            def exp_fn(ctx):
-                x = f(ctx)
-                try:
-                    return math.exp(x)
-                except OverflowError:
-                    raise EvalError(f"exp overflows at {x!r}") from None
-            return exp_fn
-        if e.func == "ln":
-            def ln_fn(ctx):
-                x = f(ctx)
-                if x <= 0.0:
-                    raise EvalError(f"ln of non-positive value {x!r}")
-                return math.log(x)
-            return ln_fn
+        arg = e.args[0]
         if e.func == "step":
-            return lambda ctx: 0.0 if f(ctx) < 0.0 else 1.0
-        # the lag or window, and t: t is read only when the history is
-        # consulted, so a zero lag or window needs no time
-        w_fn, t_fn = sub(e.args[1]), sub(Name("t"))
+            return f"(0.0 if {self.value(arg, row, body, pad)} < 0.0 else 1.0)"
+        if e.func == "exp":
+            x = self._operand(arg, row, body, pad)
+            v = self._fresh()
+            body += [f"{pad}try:",
+                     f"{pad}    {v} = _exp({x})",
+                     f"{pad}except OverflowError:",
+                     f"{pad}    raise EvalError(f'exp overflows at {{{x}!r}}')"
+                     " from None"]
+            return v
+        if e.func == "ln":
+            x = self._operand(arg, row, body, pad)
+            body += [f"{pad}if {x} <= 0.0:",
+                     f"{pad}    raise EvalError("
+                     f"f'ln of non-positive value {{{x}!r}}')"]
+            return f"_log({x})"
+        # delay and histint: the lag or window first; t is read only when
+        # the history is consulted, so a zero lag or window needs no time
+        w = self._operand(e.args[1], row, body, pad)
+        v, inner = self._fresh(), pad + "    "
+        body.append(f"{pad}if {w} == 0.0:")
         if e.func == "delay":
-            def delay_fn(ctx):
-                lag = w_fn(ctx)
-                if lag == 0.0:
-                    return f(ctx)
-                if ctx.history is None:
-                    _need_history(e)
-                past = ctx.history.bindings_at(t_fn(ctx) - lag)
-                return f(EvalContext(past, ctx.history))
-            return delay_fn
-        key = unparse(e.args[0])
-        def histint_fn(ctx):
-            w = w_fn(ctx)
-            if w == 0.0:
-                return 0.0
-            if ctx.history is None:
-                _need_history(e)
-            t_now = t_fn(ctx)
-            return ctx.history.window_integral(key, f, t_now - w, t_now, ctx)
-        return histint_fn
-    raise EvalError(f"cannot compile {e!r}")
+            x = self.value(arg, row, body, inner)
+            body.append(f"{inner}{v} = {x}")
+        else:
+            body.append(f"{inner}{v} = 0.0")
+        msg = f"history required to evaluate {unparse(e)}"
+        body += [f"{pad}else:",
+                 f"{inner}if h is None:",
+                 f"{inner}    raise EvalError({msg!r})"]
+        t = self.value(Name("t"), row, body, inner, 1)
+        if e.func == "delay":
+            past = self._fresh("_p")
+            body.append(f"{inner}{past} = h.bindings_at({t} - {w})")
+            x = self.value(arg, past, body, inner)
+            body.append(f"{inner}{v} = {x}")
+        else:
+            key = unparse(arg)
+            fn = self._integrands.get(key)
+            if fn is None:
+                fn = self._integrands[key] = self._fresh("_integrand")
+                self.function(fn, arg)
+            body.append(f"{inner}{v} = h.window_integral("
+                        f"{key!r}, {fn}, {t} - {w}, {t}, {row})")
+        return v
+
+    def function(self, name, e):
+        """Emit ``def name(r, h=None)``, which returns the value of ``e``."""
+        body = []
+        x = self.value(e, "r", body, "    ")
+        self.lines += [f"def {name}(r, h=None):", *body, f"    return {x}"]
+
+    def compile(self):
+        """Compile the source once and return its namespace."""
+        ns = dict(self.env)
+        exec(compile("\n".join(self.lines) + "\n", "<rate kernel>", "exec"),
+             ns)
+        return ns
+
+
+def generate_function(e, consts, slots):
+    """``e`` as one generated function ``fn(row, history=None)``; names
+    are resolved as in ``Source``."""
+    src = Source(consts, slots)
+    src.function("value", e)
+    return src.compile()["value"]
 
 
 def eval_expr(e, bindings):
     """Evaluate ``e`` with every binding (name -> value) as a constant;
     a delay/histint term with nonzero lag fails, as there is no history."""
-    return compile_expr(e, bindings, {})(EvalContext(()))
+    return generate_function(e, bindings, {})(())
 
 
 def nodes(e):

@@ -15,7 +15,6 @@ import numpy as np
 from .diagram import OccupationVector
 from .errors import (ConservationDrift, DelayMisaligned, IntegrationError,
                      NegativePopulation, NonFinite)
-from .expr import EvalContext
 
 CONSERVATION_BUDGET = 1e-6   # hard failure threshold, relative to N0
 # negative band, relative to max(1, N0): a state below it fails the step,
@@ -102,15 +101,16 @@ class HistoryAccessor:
         return row.tolist() + [t]
 
     def window_integral(self, key, fn, t_lo, t_hi, now):
-        """Integral of ``fn`` over [t_lo, t_hi]; ``now`` is the caller's
-        context, which closes an interval that overhangs the newest row."""
+        """Integral of ``fn(row, history)`` over [t_lo, t_hi]; ``now`` is
+        the caller's evaluation row, which closes an interval that
+        overhangs the newest row."""
         if key not in self._caches:
             self.register_integrand(key, fn)
         cache = self._caches[key]
         fn, vals, cum = cache
         for i in range(len(vals), self.count):
             t = self.t0 + i * self.dt
-            vals.append(fn(EvalContext(self.rows[i].tolist() + [t], self)))
+            vals.append(fn(self.rows[i].tolist() + [t], self))
             if i == 0:
                 continue
             if self.discrete:
@@ -133,7 +133,7 @@ class HistoryAccessor:
         if i >= last:
             # RK4 stage overhang past the newest row: close the interval
             # with the integrand at the caller's current state
-            f_now = fn(now)
+            f_now = fn(now, self)
             h = t - (self.t0 + last * self.dt)
             return cum[last] + 0.5 * h * (vals[last] + f_now)
         f_mid = (1.0 - frac) * vals[i] + frac * vals[i + 1]

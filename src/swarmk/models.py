@@ -214,6 +214,8 @@ class SugawaraParams:
             raise ValueError("tau and d must be positive")
         if self.n0 < 1:
             raise ValueError("n0 must be >= 1")
+        if self.k_target < 1:
+            raise ValueError("k_target must be >= 1")
 
     @property
     def lx(self):

@@ -16,7 +16,7 @@ import numpy as np
 
 from .diagram import transition_table
 from .errors import IntegrationError, ModelError, StateSpaceTooLarge
-from .expr import EvalContext, free_names, has_history_terms
+from .expr import free_names, has_history_terms
 from .integrate import Trajectory
 
 CONFIG_CAP = 100_000
@@ -37,6 +37,17 @@ def _require_memoryless(diagram):
                                  f"allowed in the configuration chain {where}")
 
 
+def _chain(diagram):
+    """The diagram's transition table for the configuration chain.  The
+    memoryless check reads only the transitions, which are immutable, so
+    it is done once per diagram instance, as is the compile behind the
+    table: an ensemble of runs pays for them once."""
+    if "_memoryless" not in diagram.__dict__:
+        _require_memoryless(diagram)
+        object.__setattr__(diagram, "_memoryless", True)
+    return transition_table(diagram)
+
+
 def _integer_start(diagram):
     init = diagram.initial_vector()
     if any(abs(v - round(v)) > 1e-9 for v in init):
@@ -45,17 +56,17 @@ def _integer_start(diagram):
     return tuple(int(round(v)) for v in init)
 
 
-def _fire(config, move, ctx):
+def _fire(config, move, row):
     """The integer configuration after one firing of ``move`` (a
-    transition-table row) from ``config``; ``ctx`` holds the evaluation
-    row of ``config`` that the env effects read."""
+    transition-table row) from ``config``; ``row`` is the evaluation row
+    of ``config`` that the env effects read."""
     si, ti, _, effects = move
     nxt = list(config)
     if si != ti:
         nxt[si] -= 1
         nxt[ti] += 1
     for ei, eff_fn in effects:
-        dv = eff_fn(ctx)
+        dv = eff_fn(row)
         if abs(dv - round(dv)) > 1e-9:
             raise ModelError("environment effects must be integer-valued in "
                              f"the configuration chain (got {dv!r})")
@@ -78,9 +89,8 @@ class ConfigurationSpace:
     @classmethod
     def build(cls, diagram, cap=CONFIG_CAP):
         """Breadth-first enumeration from the initial configuration."""
-        _require_memoryless(diagram)
+        table = _chain(diagram)
         start = _integer_start(diagram)
-        table = transition_table(diagram)
 
         configs = [start]
         index = {start: 0}
@@ -89,15 +99,15 @@ class ConfigurationSpace:
         while queue:
             i = queue.popleft()
             cfg = configs[i]
-            ctx = EvalContext([*map(float, cfg), 0.0])
+            row = [*map(float, cfg), 0.0]
             for move in table:
                 si, ti, rate_fn, _ = move
                 if si != ti and cfg[si] < 1:
                     continue
-                rate = rate_fn(ctx)
+                rate = rate_fn(row)
                 if rate <= 0.0:
                     continue
-                nxt = _fire(cfg, move, ctx)
+                nxt = _fire(cfg, move, row)
                 j = index.get(nxt)
                 if j is None:
                     j = len(configs)
@@ -184,19 +194,18 @@ def ssa_run(diagram, t_end=10.0, seed=0):
     proportionally to individual rates; fully determined by the seed.
     Returns a piecewise-constant Trajectory sampled at the jump times.
     """
-    _require_memoryless(diagram)
+    table = _chain(diagram)
     rng = np.random.default_rng(seed)
     y = _integer_start(diagram)
-    table = transition_table(diagram)
     times = [0.0]
     rows = [y]
     t = 0.0
     while True:
-        ctx = EvalContext([*map(float, y), t])
+        row = [*map(float, y), t]
         rates = []
         total = 0.0
         for si, ti, rate_fn, _ in table:
-            r = 0.0 if si != ti and y[si] < 1 else max(0.0, rate_fn(ctx))
+            r = 0.0 if si != ti and y[si] < 1 else max(0.0, rate_fn(row))
             rates.append(r)
             total += r
         if total <= 0.0:
@@ -212,7 +221,7 @@ def ssa_run(diagram, t_end=10.0, seed=0):
             if pick < acc:
                 chosen = i
                 break
-        y = _fire(y, table[chosen], ctx)
+        y = _fire(y, table[chosen], row)
         times.append(t)
         rows.append(y)
     times.append(t_end)

@@ -123,7 +123,8 @@ def test_usage_errors_exit_1(capsys):
                  # non-finite builder fields, also a derived one (tau_h)
                  ("run", "--model", "stickpull-simple", "--set", "gamma=inf"),
                  ("run", "--model", "stickpull-simple", "--set", "gamma=nan"),
-                 ("run", "--model", "foraging", "--set", "alpha_r2=1e308")):
+                 ("run", "--model", "foraging", "--set", "alpha_r2=1e308"),
+                 ("run", "--model", "sugawara", "--set", "k_target=-5")):
         code, _, err = _run(capsys, *argv)
         assert code == 1 and err.startswith("usage error: ")
 
@@ -242,3 +243,37 @@ def test_difference_model_runs_by_steps(capsys):
     lines = out.strip().splitlines()
     assert lines[0].startswith("t,s,")
     assert len(lines) == 12
+
+
+# SHA-256 of the standard output of each command, recorded before rates
+# were evaluated through generated source: every digit of every output must
+# stay the same (repr of each float, so one ulp anywhere changes a digest)
+_OUTPUT_DIGESTS = {
+    ("run", "--model", "stickpull-delayed", "--t-end", "10"):
+        "bb688fd21715c7317808726c87b5197a10c329a87b8bd26ec764f276e7350801",
+    ("run", "--model", "collab-difference", "--steps", "200"):
+        "6613f09406a991472f5e26bde52a453130e44ad402a8a39c33474398b88ef4a2",
+    ("run", "--model", "sugawara", "--t-end", "10"):
+        "a90b2b1c43da89a4b9b14ab253865790cbfcb5c1015750bd7304645d431bdf34",
+    ("sweep", "--model", "foraging", "--param", "n0", "--from", "1",
+     "--to", "3", "--sweep-steps", "3", "--observables", "T",
+     "--counter", "m", "--mode", "deplete", "--threshold", "1",
+     "--t-end", "1600", "--dt", "0.5"):
+        "8f44d8cebd8e0b5a8deec9b676049e909f7bc94223572626b4ea3d19eceb6549",
+    ("exact", "--model", "stickpull-counts"):
+        "6af5e8549726d93967531e645dd0ad99a5bb8b27f2475c7138d06fafc3e52921",
+    ("mc", "--model", "stickpull-counts", "--runs", "50", "--seed", "3"):
+        "7109f4dff775591ee0f68bd5e83bb0626bddb06d1f387683e6d398340849eabe",
+}
+
+
+def test_outputs_byte_identical(capsys):
+    import hashlib
+
+    changed = []
+    for argv, digest in _OUTPUT_DIGESTS.items():
+        code, out, err = _run(capsys, *argv)
+        assert code == 0, err
+        if hashlib.sha256(out.encode()).hexdigest() != digest:
+            changed.append(" ".join(argv[:3]))
+    assert not changed

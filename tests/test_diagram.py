@@ -131,3 +131,17 @@ def test_env_effect_scales_with_flow():
     system = compile_rhs(d)
     dy = system.rhs(0.0, np.array([2.0, 0.0, 0.0]))
     assert dy[2] == pytest.approx(12.0)  # 2 per unit flow, flow = 6
+
+
+def test_in_place_param_edit_reaches_the_kernel():
+    # the compiled rates are kept on the diagram; an edit of its params
+    # dict in place must not leave them stale
+    from dataclasses import replace
+
+    d = parse_model(TWO_STATE)
+    y = d.initial_vector()
+    before = compile_rhs(d).rhs(0.0, y)
+    d.params["k"] = 2.0 * d.params["k"]
+    after = compile_rhs(d).rhs(0.0, y)
+    assert not np.array_equal(after, before)
+    assert np.array_equal(after, compile_rhs(replace(d)).rhs(0.0, y))

@@ -1,12 +1,12 @@
-"""Expression evaluation, compilation, and unparsing."""
+"""Expression evaluation, generated source, and unparsing."""
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from swarmk.errors import EvalError
-from swarmk.expr import (BinOp, Call, EvalContext, Name, Neg, Num,
-                         compile_expr, delay_windows, eval_expr, free_names,
+from swarmk.expr import (BinOp, Call, Name, Neg, Num, delay_windows,
+                         eval_expr, free_names, generate_function,
                          has_history_terms, unparse)
 
 
@@ -14,8 +14,8 @@ def test_literals_and_names():
     assert eval_expr(Num(3.5), {}) == 3.5
     assert eval_expr(Name("x"), {"x": 2.0}) == 2.0
     # a slot takes precedence over a constant of the same name
-    fn = compile_expr(Name("x"), {"x": 100.0}, {"x": 0})
-    assert fn(EvalContext([2.0])) == 2.0
+    fn = generate_function(Name("x"), {"x": 100.0}, {"x": 0})
+    assert fn([2.0]) == 2.0
 
 
 def test_arithmetic():
@@ -29,10 +29,10 @@ def test_arithmetic():
 def test_unbound_name_raises():
     with pytest.raises(EvalError):
         eval_expr(Name("missing"), {})
-    # compiling succeeds; the name fails only when it is evaluated
-    fn = compile_expr(Name("zz"), {"x": 1.0}, {"y": 0})
+    # generating succeeds; the name fails only when it is evaluated
+    fn = generate_function(Name("zz"), {"x": 1.0}, {"y": 0})
     with pytest.raises(EvalError, match="unbound identifier zz"):
-        fn(EvalContext([2.0]))
+        fn([2.0])
 
 
 def test_division_by_zero_raises():
@@ -87,14 +87,13 @@ _XT = {"x": 0, "t": 1}
 
 def test_delay_reads_history():
     e = Call("delay", (Name("x"), Num(2)))
-    ctx = EvalContext([1.0, 10.0], _FlatHistory())
-    assert compile_expr(e, {}, _XT)(ctx) == 7.0
+    assert generate_function(e, {}, _XT)([1.0, 10.0], _FlatHistory()) == 7.0
 
 
 def test_histint_reads_history():
     e = Call("histint", (Name("x"), Num(3)))
-    ctx = EvalContext([1.0, 10.0], _FlatHistory())
-    assert compile_expr(e, {}, _XT)(ctx) == pytest.approx(21.0)
+    value = generate_function(e, {}, _XT)([1.0, 10.0], _FlatHistory())
+    assert value == pytest.approx(21.0)
 
 
 def test_free_names():
@@ -163,5 +162,133 @@ def test_unparse_preserves_value(e, v):
     assert eval_expr(parsed, bindings) == expected
     # the same tree with x, y and t read from a row and z folded in
     slots = {"x": 0, "y": 1, "t": 2}
-    fn = compile_expr(e, {"z": bindings["z"]}, slots)
-    assert fn(EvalContext([v, 2 * v, 0.0])) == expected
+    fn = generate_function(e, {"z": bindings["z"]}, slots)
+    assert fn([v, 2 * v, 0.0]) == expected
+
+
+# -- the generated source against a direct evaluation ------------------------
+
+
+def _reference(e, env):
+    """Direct recursive evaluation of a tree without history terms: the
+    operations, their order (a divisor before its dividend) and the
+    refusals of swarmk's rate semantics."""
+    if isinstance(e, Num):
+        return float(e.value)
+    if isinstance(e, Name):
+        if e.ident not in env:
+            raise EvalError(f"unbound identifier {e.ident}")
+        return env[e.ident]
+    if isinstance(e, Neg):
+        return -_reference(e.operand, env)
+    if isinstance(e, BinOp):
+        if e.op == "/":
+            d = _reference(e.right, env)
+            if d == 0.0:
+                raise EvalError("division by zero")
+            return _reference(e.left, env) / d
+        a = _reference(e.left, env)
+        b = _reference(e.right, env)
+        return {"+": a + b, "-": a - b, "*": a * b}[e.op]
+    x = _reference(e.args[0], env)
+    if e.func == "exp":
+        try:
+            return math.exp(x)
+        except OverflowError:
+            raise EvalError(f"exp overflows at {x!r}") from None
+    if e.func == "ln":
+        if x <= 0.0:
+            raise EvalError(f"ln of non-positive value {x!r}")
+        return math.log(x)
+    return 0.0 if x < 0.0 else 1.0
+
+
+def _outcome(fn):
+    """The float a call returns, or the EvalError message it raises."""
+    try:
+        return fn()
+    except EvalError as exc:
+        return f"EvalError: {exc}"
+
+
+def _same(a, b):
+    """Equal bit for bit: the same float with the same sign (any NaN
+    matches any NaN), or the same error message."""
+    if isinstance(a, float) and isinstance(b, float):
+        if math.isnan(a) or math.isnan(b):
+            return math.isnan(a) and math.isnan(b)
+        return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+    return a == b
+
+
+_values = st.one_of(
+    st.floats(min_value=-1e3, max_value=1e3),
+    st.sampled_from([0.0, -0.0, 1e308, -1e308, 5e-324, math.inf, -math.inf,
+                     math.nan]))
+# x and y are row slots, z a folded constant, w unbound
+_oracle_leaf = st.one_of(_values.map(Num),
+                         st.sampled_from("xyzw").map(Name))
+
+
+def _oracle_tree(children):
+    return st.one_of(
+        st.tuples(st.sampled_from("+-*/"), children, children).map(
+            lambda t: BinOp(*t)),
+        children.map(Neg),
+        st.tuples(st.sampled_from(["exp", "ln", "step"]), children).map(
+            lambda t: Call(t[0], (t[1],))),
+    )
+
+
+_oracle_exprs = st.recursive(_oracle_leaf, _oracle_tree, max_leaves=16)
+
+
+@given(_oracle_exprs, _values, _values, _values)
+# a failing divisor is reached before a failing dividend
+@example(BinOp("/", Name("w"), Num(0.0)), 1.0, 1.0, 1.0)
+@example(BinOp("/", Call("ln", (Name("x"),)), Call("exp", (Name("y"),))),
+         -1.0, 1e3, 1.0)
+def test_generated_source_matches_direct_evaluation(e, x, y, z):
+    expected = _outcome(lambda: _reference(e, {"x": x, "y": y, "z": z}))
+    fn = generate_function(e, {"z": z}, {"x": 0, "y": 1})
+    assert _same(_outcome(lambda: fn([x, y])), expected)
+    assert _same(_outcome(lambda: eval_expr(e, {"x": x, "y": y, "z": z})),
+                 expected)
+
+
+@given(st.lists(st.tuples(st.sampled_from("xy"), st.sampled_from("xy"),
+                          _oracle_exprs, st.lists(_oracle_exprs, max_size=1)),
+                min_size=1, max_size=4),
+       _values, _values, _values)
+def test_generated_rhs_matches_direct_evaluation(moves, x, y, z):
+    # states x and y and env counter z are row slots, w is a parameter;
+    # each component is a sum from 0.0 in transition order
+    import numpy as np
+
+    from swarmk.diagram import StateDiagram, Transition, rate_kernel
+
+    transitions = tuple(
+        Transition(src, dst, rate, tuple(("z", eff) for eff in effects))
+        for src, dst, rate, effects in moves)
+    d = StateDiagram(states=(("x", 1.0), ("y", 0.0)), env_vars=(("z", 0.0),),
+                     params={"w": -1.5}, transitions=transitions)
+    env = {"x": x, "y": y, "z": z, "w": -1.5}
+
+    def direct():
+        acc = [0.0, 0.0, 0.0]
+        for tr in transitions:
+            flow = _reference(tr.rate, env)
+            if tr.source != tr.target:
+                acc["xy".index(tr.source)] -= flow
+                acc["xy".index(tr.target)] += flow
+            for _, eff in tr.env_effects:
+                acc[2] += _reference(eff, env) * flow
+        return acc
+
+    rhs, _ = rate_kernel(d)
+    got = _outcome(lambda: rhs(0.0, np.array([x, y, z])).tolist())
+    expected = _outcome(direct)
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        assert all(_same(g, v) for g, v in zip(got, expected))

@@ -371,7 +371,7 @@ def test_collab_difference_stationary_survival_factor():
     # back before t0 into the constant pre-history
     import math
 
-    from swarmk.expr import Call, EvalContext, compile_expr, nodes, unparse
+    from swarmk.expr import Call, generate_function, nodes, unparse
     from swarmk.integrate import HistoryAccessor
 
     p = sk.CollabDiffParams()
@@ -380,8 +380,8 @@ def test_collab_difference_stationary_survival_factor():
                 if isinstance(n, Call) and n.func == "histint")
     names = d.state_names + d.env_names + ["t"]
     key = unparse(node.args[0])
-    fn = compile_expr(node.args[0], d.base_bindings(),
-                      {n: i for i, n in enumerate(names)})
+    fn = generate_function(node.args[0], d.base_bindings(),
+                           {n: i for i, n in enumerate(names)})
     y0 = d.initial_vector()
     expected = p.t_ga * math.log(1.0 - p.alpha_t * 8.0)
 
@@ -395,7 +395,7 @@ def test_collab_difference_stationary_survival_factor():
     for k in range(1, 200):
         h.append(y0)
         if k in (10, 199):
-            now = EvalContext(h.bindings_at(float(k)), h)
+            now = h.bindings_at(float(k))
             total = h.window_integral(key, fn, k - p.t_ga, float(k), now)
             assert total == pytest.approx(expected, rel=1e-12)
     assert h.count == 200 and np.all(h.rows == y0)
@@ -408,7 +408,7 @@ def test_collab_difference_stationary_survival_factor():
     h = history(0.5)
     for _ in range(199):
         h.append(y0)
-    now = EvalContext(h.bindings_at(0.0), h)
+    now = h.bindings_at(0.0)
     for t in (10.0, 99.0, 80.25, 99.75):
         total = h.window_integral(key, fn, t - p.t_ga, t, now)
         assert total == pytest.approx(expected, rel=1e-12)

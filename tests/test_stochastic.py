@@ -270,6 +270,35 @@ def test_ssa_deterministic_given_seed():
                 and np.array_equal(a.data, c.data))
 
 
+def test_ssa_compiles_once_per_diagram(monkeypatch):
+    # an ensemble's runs share one generated kernel and one memoryless
+    # check; a fresh copy of the diagram gives the same paths
+    from dataclasses import replace
+
+    from swarmk import diagram as dg, stochastic
+
+    calls = {"kernel": 0, "check": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(dg, "_generate_kernel",
+                        counted("kernel", dg._generate_kernel))
+    monkeypatch.setattr(stochastic, "_require_memoryless",
+                        counted("check", stochastic._require_memoryless))
+    d = sk.build_foraging(sk.ForagingParams(n0=3, m0=6))
+    paths = [sk.ssa_run(d, t_end=20.0, seed=s) for s in range(50)]
+    assert calls == {"kernel": 1, "check": 1}
+    for s, path in enumerate(paths):
+        fresh = sk.ssa_run(replace(d), t_end=20.0, seed=s)
+        assert np.array_equal(path.times, fresh.times)
+        assert np.array_equal(path.data, fresh.data)
+    assert calls == {"kernel": 51, "check": 51}
+
+
 def test_ssa_zero_rates_constant_path():
     d = sk.parse_model("state a = 3\nstate b = 0\nrate(0 * a): a -> b\n")
     traj = sk.ssa_run(d, t_end=5.0, seed=1)
