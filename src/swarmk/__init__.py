@@ -5,9 +5,9 @@ delayed, or finite-difference), integrate them, analyze steady states and
 optima, and cross-check the mean-field predictions against exact
 master-equation solutions and stochastic simulation.
 """
-from .diagram import (OccupationVector, RateSystem, StateDiagram, Transition,
-                      ValidationReport, compile_rhs, conserved_total,
-                      encounter_rate, validate_diagram)
+from .diagram import (RateSystem, StateDiagram, Transition, ValidationReport,
+                      compile_rhs, conserved_total, encounter_rate,
+                      validate_diagram)
 from .errors import (ConservationDrift, DelayMisaligned, EvalError,
                      IntegrationError, LexError, ModelError,
                      NegativePopulation, NonFinite, NoRoot, NotReached,
@@ -36,8 +36,8 @@ __all__ = [
     "ConservationDrift", "DelayMisaligned", "EnsembleStats", "EvalError",
     "ForagingParams", "HistoryAccessor", "IntegrationError", "LexError",
     "ModelError", "ModelSource", "NegativePopulation", "NoRoot", "NonFinite",
-    "NotReached", "OccupationVector", "ParseError", "RateSystem",
-    "SemanticError", "StateDiagram", "StateSpaceTooLarge",
+    "NotReached", "ParseError", "RateSystem", "SemanticError",
+    "StateDiagram", "StateSpaceTooLarge",
     "SteadyStateResult", "StickPullCountsParams", "StickPullParams",
     "SugawaraParams", "SwarmkError", "SweepTable", "Trajectory", "Transition",
     "ValidationReport", "beta_critical", "build_builtin",

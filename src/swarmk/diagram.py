@@ -80,18 +80,6 @@ class StateDiagram:
 
 
 @dataclass
-class OccupationVector:
-    """Counts per state plus environment values at one instant."""
-    time: float
-    states: dict
-    env: dict
-
-    def as_array(self, state_names, env_names):
-        return np.array([self.states[n] for n in state_names]
-                        + [self.env[n] for n in env_names], dtype=float)
-
-
-@dataclass
 class ValidationReport:
     defects: list
 
@@ -111,10 +99,6 @@ class RateSystem:
     flavor: str  # 'ode' | 'dde' | 'difference'
     rhs: object  # callable (t, y, history) -> np.ndarray
     delay_values: tuple = ()  # every delay/histint window, evaluated
-
-    @property
-    def dimension(self):
-        return len(self.diagram.states) + len(self.diagram.env_vars)
 
     @property
     def state_names(self):
@@ -140,9 +124,10 @@ def encounter_rate(speed, detection_width, arena_radius):
 
 
 _RNG_SEED = 0x5157
+N_SAMPLES = 64  # sampled points per transition, after the initial one
 
 
-def validate_diagram(diagram, n_samples=64):
+def validate_diagram(diagram):
     """Check a diagram for defects.  Defects are data, not exceptions."""
     defects = []
     state_names = diagram.state_names
@@ -203,15 +188,15 @@ def validate_diagram(diagram, n_samples=64):
     # initial configuration; sampled points check evaluability/finiteness.
     # Delayed terms read a one-row history: constant pre-history, so the
     # past equals the sampled present.  The transitions take their samples
-    # in turn from one stream, each until it fails or has n_samples.
+    # in turn from one stream, each until it fails or has N_SAMPLES.
     from .integrate import HistoryAccessor
 
-    times, sampled = _samples(diagram, len(diagram.transitions) * n_samples)
+    times, sampled = _samples(diagram, len(diagram.transitions) * N_SAMPLES)
     taken = 0
     env0 = [float(v) for _, v in diagram.env_vars]
     for tr, (_, _, fn, _) in zip(diagram.transitions, transition_table(diagram)):
         delayed = has_history_terms(tr.rate)
-        for sample in range(n_samples + 1):
+        for sample in range(N_SAMPLES + 1):
             if sample == 0:
                 t, counts = 0.0, [float(v) for _, v in diagram.states]
             else:

@@ -1,18 +1,19 @@
 """Deterministic time evolution of compiled rate systems.
 
-Three flavors share one module: classical fixed-step RK4 for ordinary
-systems, method of steps (same RK4 core, stored history, linear
+Three flavors share one fixed-step loop: classical RK4 for ordinary
+systems, method of steps (the same RK4 step, stored history, linear
 interpolation, grid-aligned delays) for delayed systems, and a
-synchronous stepper for finite-difference systems.
+synchronous step for finite-difference systems.  Every run starts from
+the diagram's initial values.
 """
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diagram import OccupationVector
 from .errors import (ConservationDrift, DelayMisaligned, IntegrationError,
                      NegativePopulation, NonFinite)
 
@@ -32,15 +33,13 @@ class Trajectory:
     metadata: dict = field(default_factory=dict)
 
     def column(self, name):
-        names = self.state_names + self.env_names
         try:
-            return self.data[:, names.index(name)]
+            return self.data[:, self.columns.index(name)]
         except ValueError:
             raise KeyError(name) from None
 
     def final(self):
-        names = self.state_names + self.env_names
-        return dict(zip(names, self.data[-1]))
+        return dict(zip(self.columns, self.data[-1]))
 
     @property
     def columns(self):
@@ -77,7 +76,7 @@ class HistoryAccessor:
         self.count += 1
 
     def register_integrand(self, key, fn):
-        self._caches.setdefault(key, (fn, [], [0.0]))
+        self._caches.setdefault(key, (fn, array("d"), array("d", [0.0])))
 
     def _locate(self, t):
         """Row index at or below ``t`` and the fraction of a step past it."""
@@ -156,107 +155,103 @@ def _check_step(t, y, state_names, n0, floor):
         raise NegativePopulation(t, state_names[i], float(states[i]))
 
 
-def _negative_floor(n0):
-    return -NEGATIVE_TOLERANCE * max(1.0, n0)
+def _off_grid(span, dt):
+    ratio = span / dt
+    return abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio)
 
 
-def _report(data, n0):
-    """Clamp values inside the tolerated negative band to zero."""
-    out = np.asarray(data)
-    return np.where((out < 0) & (out >= _negative_floor(n0)), 0.0, out)
-
-
-def _start(system, caller, flavor, init, nsteps):
-    """Shared prologue of the integrators: flavor check, initial row and
-    the preallocated output rows (row 0 filled)."""
-    if system.flavor != flavor:
-        article = "an" if flavor == "ode" else "a"
-        raise IntegrationError(
-            f"{caller}() needs {article} {flavor} system, got {system.flavor}")
-    if init is None:
-        y = system.diagram.initial_vector()
-    elif isinstance(init, OccupationVector):
-        y = init.as_array(system.state_names, system.env_names)
-    else:
-        y = np.asarray(init, dtype=float)
-    data = np.empty((nsteps + 1, len(y)))
-    data[0] = y
-    return y, data
-
-
-def _history(system, data, dt, discrete=False):
-    """History store for a system with delayed terms over the output rows
-    ``data`` (row 0 filled).  Every lag and window must be a whole number
-    of steps ``dt``."""
-    for delay in system.delay_values:
-        ratio = delay / dt
-        if delay > 0 and abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
-            raise DelayMisaligned(delay, dt)
-    return HistoryAccessor(0.0, dt, data, discrete=discrete)
-
-
-def _metadata(system, dt):
-    return {"model": system.diagram.name, "params": dict(system.diagram.params),
-            "dt": dt, "flavor": system.flavor}
-
-
-def _rk4(system, caller, flavor, init, t_end, dt):
-    """Fixed-step classical RK4.  A DDE system (method of steps) also
-    stores every step in a history that its delayed terms read."""
+def _step_count(t_end, dt, delays=()):
+    """Number of steps ``dt`` from 0 to ``t_end``.  ``t_end`` and every
+    positive lag or window in ``delays`` must be a whole number of steps
+    (to 1e-9 relative); a lag is checked first."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     if t_end < 0:
         raise ValueError("t_end must be non-negative")
-    nsteps = int(round(t_end / dt))
-    y, data = _start(system, caller, flavor, init, nsteps)
-    history = _history(system, data, dt) if flavor == "dde" else None
+    for delay in delays:
+        if delay > 0 and _off_grid(delay, dt):
+            raise DelayMisaligned(delay, float(dt))
+    if _off_grid(t_end, dt):
+        raise ValueError(
+            f"t_end={t_end!r} is not a whole number of steps dt={dt!r}")
+    return int(round(t_end / dt))
+
+
+def _rk4_step(f, t, y, dt, history=None):
+    """One classical RK4 step of dy/dt = f(t, y, history) from ``t``."""
+    k1 = f(t, y, history)
+    k2 = f(t + 0.5 * dt, y + 0.5 * dt * k1, history)
+    k3 = f(t + 0.5 * dt, y + 0.5 * dt * k2, history)
+    k4 = f(t + dt, y + dt * k3, history)
+    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _difference_step(f, t, y, dt, history):
+    """One synchronous step: every state moves from step t to t+1 at once."""
+    return y + f(float(t), y, history)
+
+
+# flavor -> (entry point, step, history, negative tolerance): all that
+# differs between the runs.  The history is None or its ``discrete`` flag.
+# A difference run steps by the integer 1, so a failure names the step,
+# and its states may not go below zero at all.
+_FLAVORS = {
+    "ode": ("integrate", _rk4_step, None, NEGATIVE_TOLERANCE),
+    "dde": ("integrate_delayed", _rk4_step, False, NEGATIVE_TOLERANCE),
+    "difference": ("iterate_difference", _difference_step, True, 0.0),
+}
+
+
+def _march(system, flavor, t_end, dt):
+    """Run ``system`` from the diagram's initial values to ``t_end`` in
+    fixed steps ``dt``, checking every step.  Values inside the tolerated
+    negative band are reported as zero."""
+    caller, step, discrete, tolerance = _FLAVORS[flavor]
+    if system.flavor != flavor:
+        article = "an" if flavor == "ode" else "a"
+        raise IntegrationError(
+            f"{caller}() needs {article} {flavor} system, got {system.flavor}")
+    nsteps = _step_count(t_end, dt, system.delay_values)
+    y = system.diagram.initial_vector()
+    data = np.empty((nsteps + 1, len(y)))
+    data[0] = y
+    history = None if discrete is None \
+        else HistoryAccessor(0.0, dt, data, discrete=discrete)
     names, n0 = system.state_names, system.diagram.n0
-    floor = _negative_floor(n0)
+    floor = -tolerance * max(1.0, n0)
     rhs = system.rhs
-    times = np.empty(nsteps + 1)
-    times[0] = 0.0
-    t = 0.0
     for k in range(nsteps):
-        k1 = rhs(t, y, history)
-        k2 = rhs(t + 0.5 * dt, y + 0.5 * dt * k1, history)
-        k3 = rhs(t + 0.5 * dt, y + 0.5 * dt * k2, history)
-        k4 = rhs(t + dt, y + dt * k3, history)
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t = (k + 1) * dt
-        _check_step(t, y, names, n0, floor)
-        times[k + 1] = t
-        if history is not None:
-            history.append(y)  # stores data[k + 1]
-        else:
+        y = step(rhs, k * dt, y, dt, history)
+        _check_step((k + 1) * dt, y, names, n0, floor)
+        if history is None:
             data[k + 1] = y
-    return Trajectory(times, _report(data, n0), names, system.env_names,
-                      _metadata(system, dt))
+        else:
+            history.append(y)  # stores data[k + 1]
+    data[(data < 0) & (data >= floor)] = 0.0
+    times = np.arange(nsteps + 1, dtype=float) * dt
+    return Trajectory(times, data, names, system.env_names,
+                      {"model": system.diagram.name,
+                       "params": dict(system.diagram.params),
+                       "dt": float(dt), "flavor": flavor})
 
 
-def integrate(system, init=None, t_end=10.0, dt=0.01):
-    """Fixed-step classical RK4 for an ODE-flavored system."""
-    return _rk4(system, "integrate", "ode", init, t_end, dt)
+def integrate(system, *, t_end=10.0, dt=0.01):
+    """Fixed-step classical RK4 for an ODE-flavored system.  ``t_end``
+    must be a whole number of steps ``dt``."""
+    return _march(system, "ode", t_end, dt)
 
 
-def integrate_delayed(system, init=None, t_end=10.0, dt=0.01):
+def integrate_delayed(system, *, t_end=10.0, dt=0.01):
     """Method of steps for a delayed system: RK4 core, linear-interpolated
-    history reads, trapezoid history integrals, constant pre-history."""
-    return _rk4(system, "integrate_delayed", "dde", init, t_end, dt)
+    history reads, trapezoid history integrals, constant pre-history.
+    ``t_end`` and every lag and window must be whole numbers of steps
+    ``dt``."""
+    return _march(system, "dde", t_end, dt)
 
 
-def iterate_difference(system, init=None, k_steps=100):
+def iterate_difference(system, *, k_steps=100):
     """Synchronous stepper: all states advance from step k to k+1 at once;
     delayed terms read stored whole-step values."""
     if k_steps < 0:
         raise ValueError("k_steps must be non-negative")
-    y, data = _start(system, "iterate_difference", "difference", init,
-                     k_steps)
-    history = _history(system, data, 1.0, discrete=True)
-    names, n0 = system.state_names, system.diagram.n0
-    rhs = system.rhs
-    for k in range(k_steps):
-        y = y + rhs(float(k), y, history)
-        _check_step(k + 1, y, names, n0, 0.0)
-        history.append(y)  # stores data[k + 1]
-    return Trajectory(np.arange(k_steps + 1, dtype=float), data, names,
-                      system.env_names, _metadata(system, 1.0))
+    return _march(system, "difference", k_steps, 1)

@@ -17,7 +17,7 @@ import numpy as np
 from .diagram import transition_table
 from .errors import IntegrationError, ModelError, StateSpaceTooLarge
 from .expr import free_names, has_history_terms
-from .integrate import Trajectory
+from .integrate import Trajectory, _rk4_step, _step_count
 
 CONFIG_CAP = 100_000
 
@@ -138,8 +138,7 @@ def master_exact(diagram, t_end=10.0, dt=0.005, dt_out=None, cap=CONFIG_CAP):
     memory of a step grow with the number of jumps, not with the square
     of the number of configurations.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    nsteps = _step_count(t_end, dt)
     if dt_out is None:
         dt_out = dt
     stride = max(1, int(round(dt_out / dt)))
@@ -151,22 +150,17 @@ def master_exact(diagram, t_end=10.0, dt=0.005, dt_out=None, cap=CONFIG_CAP):
     rate = np.array([r for _, _, r in space.jumps], dtype=float)
     exit_rate = np.bincount(src, weights=rate, minlength=n)
 
-    def apply_w(p):
+    def apply_w(t, p, history):
         return (np.bincount(dst, weights=rate * p[src], minlength=n)
                 - exit_rate * p)
 
-    nsteps = int(round(t_end / dt))
     times = np.arange(nsteps // stride + 1) * stride * dt
     probs = np.empty((len(times), n))
     p = np.zeros(n)
     p[0] = 1.0
     probs[0] = p
     for k in range(nsteps):
-        k1 = apply_w(p)
-        k2 = apply_w(p + 0.5 * dt * k1)
-        k3 = apply_w(p + 0.5 * dt * k2)
-        k4 = apply_w(p + dt * k3)
-        p = p + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        p = _rk4_step(apply_w, k * dt, p, dt)
         total = float(p.sum())
         if abs(total - 1.0) > 1e-9:
             raise IntegrationError(

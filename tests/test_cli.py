@@ -1,5 +1,8 @@
 """Command-line interface: subcommands, exit codes, serialization."""
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -19,6 +22,16 @@ def test_list(capsys):
     assert code == 0
     assert "stickpull-simple" in out.splitlines()
     assert "foraging" in out.splitlines()
+
+
+def test_module_entry_point_lists_the_builtins():
+    src = os.path.dirname(os.path.dirname(models.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-m", "swarmk", "list"],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == list(models.BUILTIN_NAMES)
 
 
 def test_steady(capsys):
@@ -124,7 +137,17 @@ def test_usage_errors_exit_1(capsys):
                  ("run", "--model", "stickpull-simple", "--set", "gamma=inf"),
                  ("run", "--model", "stickpull-simple", "--set", "gamma=nan"),
                  ("run", "--model", "foraging", "--set", "alpha_r2=1e308"),
-                 ("run", "--model", "sugawara", "--set", "k_target=-5")):
+                 ("run", "--model", "sugawara", "--set", "k_target=-5"),
+                 # t_end off the dt grid: the run would end at t=1.2, 0.9,
+                 # 0.9 and 6.0
+                 ("run", "--model", "stickpull-simple", "--t-end", "1",
+                  "--dt", "0.6"),
+                 ("run", "--model", "stickpull-simple", "--t-end", "1",
+                  "--dt", "0.3"),
+                 ("compare", "--model", "stickpull-counts", "--t-end", "1",
+                  "--dt", "0.3", "--runs", "5"),
+                 ("exact", "--model", "stickpull-counts", "--t-end", "5",
+                  "--dt", "3")):
         code, _, err = _run(capsys, *argv)
         assert code == 1 and err.startswith("usage error: ")
 
@@ -224,6 +247,25 @@ def test_numeric_failure_exit_3(capsys, tmp_path):
     code, _, err = _run(capsys, "run", "--model", str(f),
                         "--t-end", "10", "--dt", "0.5")
     assert code == 3
+
+
+@pytest.mark.parametrize("argv, message", [
+    # a difference run names the whole step, an ODE run the time
+    (("run", "--model", "collab-difference", "--set", "alpha_r=1",
+      "--set", "alpha_w=1", "--steps", "50"),
+     "state s went negative (-8.384) at t=1"),
+    (("run", "--model", "stickpull-simple", "--dt", "2", "--t-end", "200",
+      "--set", "beta=5"),
+     "state s went negative (-59.89839999999999) at t=2.0"),
+    # the lag is checked before t_end (10 is not a whole number of 0.3)
+    (("run", "--model", "stickpull-delayed", "--dt", "0.3"),
+     "step dt=0.3 does not divide delay 5.0"),
+    (("exact", "--model", "stickpull-counts", "--t-end", "6", "--dt", "3"),
+     "master-equation probability went negative (-2135.9236435546873); "
+     "reduce dt"),
+])
+def test_numeric_failure_messages(capsys, argv, message):
+    assert _run(capsys, *argv) == (3, "", f"numeric failure: {message}\n")
 
 
 @pytest.mark.parametrize("override", ["tga=55.5", "ta=2.5"])

@@ -8,6 +8,7 @@ from swarmk.diagram import compile_rhs
 from swarmk.errors import DelayMisaligned, IntegrationError
 from swarmk.integrate import integrate, integrate_delayed, iterate_difference
 from swarmk.parser import parse_model
+from swarmk.stochastic import master_exact
 
 DECAY = "state n = 1\nstate sink = 0\nrate(n): n -> sink\n"
 
@@ -40,10 +41,16 @@ def test_trajectory_access():
 
 def test_flavor_mismatch_rejected():
     system = compile_rhs(parse_model(DECAY))
-    with pytest.raises(IntegrationError):
+    with pytest.raises(IntegrationError, match=r"^integrate_delayed\(\) "
+                       "needs a dde system, got ode$"):
         integrate_delayed(system, t_end=1.0)
-    with pytest.raises(IntegrationError):
+    with pytest.raises(IntegrationError, match=r"^iterate_difference\(\) "
+                       "needs a difference system, got ode$"):
         iterate_difference(system, k_steps=5)
+    delayed = compile_rhs(parse_model(DELAYED_SHIFT))
+    with pytest.raises(IntegrationError, match=r"^integrate\(\) needs an "
+                       "ode system, got dde$"):
+        integrate(delayed, t_end=1.0)
 
 
 def test_invalid_step_arguments():
@@ -52,6 +59,21 @@ def test_invalid_step_arguments():
         integrate(system, t_end=1.0, dt=0.0)
     with pytest.raises(ValueError):
         integrate(system, t_end=-1.0, dt=0.1)
+    with pytest.raises(TypeError):  # the start comes from the diagram
+        integrate(system, None, 1.0, 0.1)
+
+
+@pytest.mark.parametrize("dt", [0.6, 0.3])
+def test_t_end_off_the_step_grid_rejected(dt):
+    # round(t_end / dt) steps would end at t=1.2 or at t=0.9
+    message = f"^t_end=1.0 is not a whole number of steps dt={dt}$"
+    with pytest.raises(ValueError, match=message):
+        integrate(compile_rhs(parse_model(DECAY)), t_end=1.0, dt=dt)
+    no_lag = compile_rhs(parse_model(DELAYED_SHIFT).with_params(tau=0.0))
+    with pytest.raises(ValueError, match=message):
+        integrate_delayed(no_lag, t_end=1.0, dt=dt)
+    with pytest.raises(ValueError, match=message):
+        master_exact(parse_model(DECAY), t_end=1.0, dt=dt)
 
 
 DELAYED_SHIFT = """\
@@ -103,7 +125,7 @@ def test_delayed_history_is_the_trajectory():
 
     ode = peak(integrate, "stickpull-simple")
     dde = peak(integrate_delayed, "stickpull-delayed")
-    assert dde < 3 * ode
+    assert dde < 2 * ode
 
 
 def test_delayed_reduces_to_ode_when_lag_zero():
