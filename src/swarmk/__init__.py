@@ -12,7 +12,7 @@ from .errors import (ConservationDrift, DelayMisaligned, EvalError,
                      IntegrationError, LexError, ModelError,
                      NegativePopulation, NonFinite, NoRoot, NotReached,
                      ParseError, SemanticError, StateSpaceTooLarge,
-                     SwarmkError)
+                     StepGridError, SwarmkError)
 from .integrate import (HistoryAccessor, Trajectory, integrate,
                         integrate_delayed, iterate_difference)
 from .models import (BUILTIN_NAMES, CollabDiffParams, ForagingParams,
@@ -37,7 +37,7 @@ __all__ = [
     "ForagingParams", "HistoryAccessor", "IntegrationError", "LexError",
     "ModelError", "ModelSource", "NegativePopulation", "NoRoot", "NonFinite",
     "NotReached", "ParseError", "RateSystem", "SemanticError",
-    "StateDiagram", "StateSpaceTooLarge",
+    "StateDiagram", "StateSpaceTooLarge", "StepGridError",
     "SteadyStateResult", "StickPullCountsParams", "StickPullParams",
     "SugawaraParams", "SwarmkError", "SweepTable", "Trajectory", "Transition",
     "ValidationReport", "beta_critical", "build_builtin",

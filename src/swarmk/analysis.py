@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import IntegrationError, ModelError, NoRoot, NotReached, \
-    SwarmkError
+    StepGridError, SwarmkError
 from .integrate import integrate, integrate_delayed, iterate_difference
 
 QUADRATIC_RESIDUAL = 1e-12
@@ -279,7 +279,8 @@ def _steady_observables(diagram, want):
     return tuple(out)
 
 
-def _run_to_trajectory(diagram, t_end, dt, k_steps):
+def _run_to_trajectory(diagram, t_end, dt, k_steps=None):
+    """Run the diagram; a difference run takes k_steps, else t_end, steps."""
     from .diagram import compile_rhs
 
     system = compile_rhs(diagram)
@@ -287,11 +288,13 @@ def _run_to_trajectory(diagram, t_end, dt, k_steps):
         return integrate(system, t_end=t_end, dt=dt)
     if system.flavor == "dde":
         return integrate_delayed(system, t_end=t_end, dt=dt)
+    if k_steps is None:
+        k_steps = t_end  # the run refuses a t_end between whole steps
     return iterate_difference(system, k_steps=k_steps)
 
 
 def sweep(model, param, grid, observables=("nstar", "R"), *, t_end=100.0,
-          dt=0.01, k_steps=1000, counter=None, mode="deplete", threshold=None):
+          dt=0.01, k_steps=None, counter=None, mode="deplete", threshold=None):
     """Evaluate observables over a parameter grid.
 
     ``model`` is a StateDiagram (the swept name must be one of its
@@ -299,8 +302,10 @@ def sweep(model, param, grid, observables=("nstar", "R"), *, t_end=100.0,
     Observables: ``nstar`` and ``R`` use the analytic steady state of the
     stick-pulling models; ``T`` integrates the model and interpolates the
     crossing time of ``counter`` (``deplete``/``reach`` at ``threshold``);
-    ``steady:<col>`` averages a settled trajectory column.  Rows that fail
-    are recorded with their error message instead of aborting the sweep.
+    ``steady:<col>`` averages a settled trajectory column.  A difference
+    model runs ``k_steps`` steps, else ``t_end``.  Rows that fail are
+    recorded with their error message instead of aborting the sweep; a
+    StepGridError (``t_end`` off the ``dt`` grid, ...) fails it at once.
     """
     grid = tuple(float(v) for v in grid)
     if not grid:
@@ -342,6 +347,8 @@ def sweep(model, param, grid, observables=("nstar", "R"), *, t_end=100.0,
                         raise ValueError(f"unknown observable {o!r}")
             rows.append(tuple(row[o] for o in observables))
             errors.append(None)
+        except StepGridError:
+            raise  # every integrated row would fail alike
         # failed rows are data; programming errors still propagate
         except (SwarmkError, ValueError, KeyError, ArithmeticError) as exc:
             rows.append(tuple(None for _ in observables))

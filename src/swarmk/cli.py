@@ -18,7 +18,8 @@ from .errors import IntegrationError, ModelError, NoRoot, NotReached, \
     StateSpaceTooLarge, SwarmkError
 # all three integrators stay bound here: perfbench/spans.py traces them
 # at these names (``run`` reaches them through analysis)
-from .integrate import integrate, integrate_delayed, iterate_difference  # noqa: F401
+from .integrate import (_step_count, integrate, integrate_delayed,  # noqa: F401
+                        iterate_difference)
 from .parser import parse_file
 
 EXIT_OK = 0
@@ -156,7 +157,7 @@ def _build_parser():
     sp.add_argument("--param", required=False)
     sp.add_argument("--from", dest="lo", type=float)
     sp.add_argument("--to", dest="hi", type=float)
-    sp.add_argument("--sweep-steps", "--grid", dest="npts", type=int, default=20)
+    sp.add_argument("--sweep-steps", dest="npts", type=int, default=20)
     sp.add_argument("--observables", default="nstar,R")
     sp.add_argument("--counter")
     sp.add_argument("--mode", choices=("deplete", "reach"), default="deplete")
@@ -186,9 +187,8 @@ def _build_parser():
 
 def _cmd_run(args):
     diagram = _load_model(args.model, _parse_overrides(args.set))
-    k = args.steps if args.steps is not None else int(round(args.t_end))
-    _emit_traj(analysis._run_to_trajectory(diagram, args.t_end, args.dt, k),
-               args)
+    _emit_traj(analysis._run_to_trajectory(diagram, args.t_end, args.dt,
+                                           args.steps), args)
     return EXIT_OK
 
 
@@ -227,7 +227,7 @@ def _cmd_sweep(args):
     grid = np.linspace(args.lo, args.hi, args.npts)
     observables = tuple(s.strip() for s in args.observables.split(",") if s.strip())
     table = analysis.sweep(model, args.param, grid, observables,
-                           t_end=args.t_end, dt=args.dt,
+                           t_end=args.t_end, dt=args.dt, k_steps=args.steps,
                            counter=args.counter, mode=args.mode,
                            threshold=args.threshold)
     if args.format == "csv":
@@ -268,20 +268,21 @@ def _cmd_mc(args):
 
 def _cmd_exact(args):
     diagram = _load_model(args.model, _parse_overrides(args.set))
+    # ~100 rows ending at t_end: the least divisor of steps >= steps // 100
+    n = _step_count(args.t_end, args.dt)
+    stride = next(k for k in range(max(1, n // 100), n + 2) if n % k == 0)
     _, traj = stochastic.master_exact(diagram, t_end=args.t_end, dt=args.dt,
-                                      dt_out=max(args.dt, args.t_end / 100))
+                                      dt_out=stride * args.dt)
     _emit_traj(traj, args)
     return EXIT_OK
 
 
 def _cmd_compare(args):
     diagram = _load_model(args.model, _parse_overrides(args.set))
-    system = compile_rhs(diagram)
-    if system.flavor != "ode":
-        raise ModelError("compare needs a memoryless (ode) model")
-    mf = integrate(system, t_end=args.t_end, dt=args.dt)
+    # the chain refuses first what it cannot represent: any flavor but ode
     _, exact = stochastic.master_exact(diagram, t_end=args.t_end, dt=args.dt,
                                        dt_out=args.dt)
+    mf = integrate(compile_rhs(diagram), t_end=args.t_end, dt=args.dt)
     grid = _grid(args)
     stats = stochastic.ensemble(
         lambda seed: stochastic.ssa_run(diagram, t_end=args.t_end, seed=seed),

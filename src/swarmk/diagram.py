@@ -26,8 +26,9 @@ class Transition:
     env_effects: tuple = ()  # ((env name, Expr), ...)
 
     @property
-    def kind(self):
-        return "delayed" if has_history_terms(self.rate) else "memoryless"
+    def exprs(self):
+        """The rate, then each env effect."""
+        return (self.rate, *(e for _, e in self.env_effects))
 
 
 @dataclass(frozen=True)
@@ -158,12 +159,11 @@ def validate_diagram(diagram):
         for n, _ in tr.env_effects:
             if n not in env_names:
                 defects.append(f"unknown env var {n}")
-        exprs = [tr.rate] + [eff for _, eff in tr.env_effects]
-        for e in exprs:
+        for e in tr.exprs:
             for ident in sorted(free_names(e) - known):
                 defects.append(f"unknown identifier {ident}")
         # delay bounds must be computable from params alone
-        for w in delay_windows(tr.rate):
+        for w in (w for e in tr.exprs for w in delay_windows(e)):
             bad = free_names(w) - set(diagram.params)
             if bad:
                 defects.append(
@@ -248,16 +248,41 @@ def transition_table(diagram):
     return rate_kernel(diagram)[1]
 
 
+def _kept(diagram, attr, make):
+    """``make(diagram)``, computed once per diagram instance and kept on it
+    as ``attr``.  A StateDiagram is frozen but for its ``params`` dict,
+    whose values the kernel and the gate read: an edit of that dict in
+    place computes it again."""
+    params, value = diagram.__dict__.get(attr, (None, None))
+    if value is None or params != diagram.params:
+        params, value = dict(diagram.params), make(diagram)
+        object.__setattr__(diagram, attr, (params, value))
+    return value
+
+
 def rate_kernel(diagram):
-    """``(rhs, transition table)`` of the diagram, generated and compiled
-    once per diagram instance and kept on it.  A StateDiagram is frozen but
-    for its ``params`` dict, whose values the kernel folds in: an edit of
-    that dict in place makes the kernel again."""
-    params, kernel = diagram.__dict__.get("_rate_kernel", (None, None))
-    if kernel is None or params != diagram.params:
-        params, kernel = dict(diagram.params), _generate_kernel(diagram)
-        object.__setattr__(diagram, "_rate_kernel", (params, kernel))
-    return kernel
+    """``(rhs, transition table)`` of a structurally valid diagram,
+    generated and compiled once per diagram instance."""
+    return _kept(diagram, "_rate_kernel", _generate_kernel)
+
+
+def gate(diagram):
+    """``(flavor, delay values, reads t)`` of a valid diagram, decided once
+    per instance; an invalid diagram raises ModelError.  Every engine passes
+    here: the integrators through ``compile_rhs``, the chain directly."""
+    return _kept(diagram, "_gate", _open_gate)
+
+
+def _open_gate(diagram):
+    """Validate, then read flavor, delays and ``t`` off rates and effects."""
+    report = validate_diagram(diagram)
+    if not report.ok:
+        raise ModelError("invalid diagram: " + "; ".join(report.defects))
+    exprs = [e for tr in diagram.transitions for e in tr.exprs]
+    base = diagram.base_bindings()
+    delays = tuple(eval_expr(w, base) for e in exprs for w in delay_windows(e))
+    flavor = "difference" if diagram.discrete else "dde" if delays else "ode"
+    return flavor, delays, any("t" in free_names(e) for e in exprs)
 
 
 def _generate_kernel(diagram):
@@ -277,20 +302,9 @@ def _generate_kernel(diagram):
     slots = {"t": len(states) + len(env), **states, **env}
     src = Source(diagram.base_bindings(), slots)
 
-    def at(index, kind, name):
-        if name not in index:
-            raise ModelError(f"unknown {kind} {name}")
-        return index[name]
-
-    def check(e):
-        unknown = sorted(free_names(e) - slots.keys() - src.consts.keys())
-        if unknown:
-            raise ModelError(f"unknown identifier {unknown[0]}")
-
     def emit(name, e, body):
         """``e`` as the function ``name`` and, inline in ``body``, as the
         local ``name``."""
-        check(e)
         src.function(name, e)
         x = src.value(e, "r", body, "    ")
         body.append(f"    {name} = {x}")
@@ -300,15 +314,14 @@ def _generate_kernel(diagram):
     terms = [[] for _ in range(len(states) + len(env))]
     rows = []  # (source, target, rate name, ((env index, effect name), ...))
     for k, tr in enumerate(diagram.transitions):
-        si = at(states, "state", tr.source)
-        ti = at(states, "state", tr.target)
+        si, ti = states[tr.source], states[tr.target]
         emit(f"f{k}", tr.rate, body)
         if si != ti:
             terms[si].append(f" - f{k}")
             terms[ti].append(f" + f{k}")
         effects = []
         for j, (n, e) in enumerate(tr.env_effects):
-            ei = at(env, "env var", n)
+            ei = env[n]
             emit(f"e{k}_{j}", e, body)
             terms[ei].append(f" + e{k}_{j} * f{k}")
             effects.append((ei, f"e{k}_{j}"))
@@ -323,26 +336,10 @@ def _generate_kernel(diagram):
 
 
 def compile_rhs(diagram):
-    """Compile a validated diagram into a RateSystem.
+    """Compile a valid diagram into a RateSystem.
 
     For each state k: dn_k/dt = sum(incoming rates) - sum(outgoing rates);
     environment counters evolve by declared effects times transition flows.
     """
-    report = validate_diagram(diagram)
-    if not report.ok:
-        raise ModelError("invalid diagram: " + "; ".join(report.defects))
-
-    delayed = any(has_history_terms(tr.rate) for tr in diagram.transitions)
-    if diagram.discrete:
-        flavor = "difference"
-    elif delayed:
-        flavor = "dde"
-    else:
-        flavor = "ode"
-
-    base = diagram.base_bindings()
-    delay_values = [eval_expr(w, base) for tr in diagram.transitions
-                    for w in delay_windows(tr.rate)]
-    rhs, _ = rate_kernel(diagram)
-    return RateSystem(diagram=diagram, flavor=flavor, rhs=rhs,
-                      delay_values=tuple(delay_values))
+    flavor, delays, _ = gate(diagram)
+    return RateSystem(diagram, flavor, rate_kernel(diagram)[0], delays)

@@ -36,6 +36,10 @@ class IntegrationError(SwarmkError):
     pass
 
 
+class StepGridError(ValueError):
+    """A step or run length no run can take (dt <= 0, t_end off the grid)."""
+
+
 class NonFinite(IntegrationError):
     def __init__(self, t, detail=""):
         self.t = t

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (ConservationDrift, DelayMisaligned, IntegrationError,
-                     NegativePopulation, NonFinite)
+                     NegativePopulation, NonFinite, StepGridError)
 
 CONSERVATION_BUDGET = 1e-6   # hard failure threshold, relative to N0
 # negative band, relative to max(1, N0): a state below it fails the step,
@@ -165,14 +165,14 @@ def _step_count(t_end, dt, delays=()):
     positive lag or window in ``delays`` must be a whole number of steps
     (to 1e-9 relative); a lag is checked first."""
     if dt <= 0:
-        raise ValueError("dt must be positive")
+        raise StepGridError("dt must be positive")
     if t_end < 0:
-        raise ValueError("t_end must be non-negative")
+        raise StepGridError("t_end must be non-negative")
     for delay in delays:
         if delay > 0 and _off_grid(delay, dt):
             raise DelayMisaligned(delay, float(dt))
     if _off_grid(t_end, dt):
-        raise ValueError(
+        raise StepGridError(
             f"t_end={t_end!r} is not a whole number of steps dt={dt!r}")
     return int(round(t_end / dt))
 
@@ -253,5 +253,5 @@ def iterate_difference(system, *, k_steps=100):
     """Synchronous stepper: all states advance from step k to k+1 at once;
     delayed terms read stored whole-step values."""
     if k_steps < 0:
-        raise ValueError("k_steps must be non-negative")
+        raise StepGridError("k_steps must be non-negative")
     return _march(system, "difference", k_steps, 1)

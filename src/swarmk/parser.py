@@ -294,8 +294,7 @@ def _identifier_defects(diagram):
     """Unknown identifiers in rate/effect expressions, with locations."""
     known = set(diagram.params) | {n for n, _ in diagram.states}
     known |= {n for n, _ in diagram.env_vars} | {"t", "N0"}
-    exprs = [e for tr in diagram.transitions
-             for e in (tr.rate, *(eff for _, eff in tr.env_effects))]
+    exprs = [e for tr in diagram.transitions for e in tr.exprs]
     return [(f"unknown identifier {n.ident}", n.line, n.col)
             for e in exprs for n in nodes(e)
             if isinstance(n, Name) and n.ident not in known]

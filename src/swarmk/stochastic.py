@@ -14,46 +14,30 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diagram import transition_table
+from .diagram import gate, transition_table
 from .errors import IntegrationError, ModelError, StateSpaceTooLarge
-from .expr import free_names, has_history_terms
-from .integrate import Trajectory, _rk4_step, _step_count
+from .integrate import Trajectory, _off_grid, _rk4_step, _step_count
 
 CONFIG_CAP = 100_000
 
 
-def _require_memoryless(diagram):
-    """Refuse rates and effects the configuration chain cannot represent:
-    delayed terms (the chain keeps no history) and ``t`` (rates are held
-    constant between jumps)."""
-    for tr in diagram.transitions:
-        where = f"(transition {tr.source} -> {tr.target})"
-        for e in (tr.rate, *(eff for _, eff in tr.env_effects)):
-            if has_history_terms(e):
-                raise ModelError("delayed terms are not allowed in the "
-                                 f"configuration chain {where}")
-            if "t" in free_names(e):
-                raise ModelError("time-dependent rates and effects are not "
-                                 f"allowed in the configuration chain {where}")
-
-
 def _chain(diagram):
-    """The diagram's transition table for the configuration chain.  The
-    memoryless check reads only the transitions, which are immutable, so
-    it is done once per diagram instance, as is the compile behind the
-    table: an ensemble of runs pays for them once."""
-    if "_memoryless" not in diagram.__dict__:
-        _require_memoryless(diagram)
-        object.__setattr__(diagram, "_memoryless", True)
-    return transition_table(diagram)
-
-
-def _integer_start(diagram):
-    init = diagram.initial_vector()
-    if any(abs(v - round(v)) > 1e-9 for v in init):
+    """``(transition table, integer start)`` of the configuration chain,
+    which keeps no history, holds rates constant between jumps and moves
+    whole agents: it takes a valid ode diagram, without ``t``, of integer
+    initial values.  The gate and the table are kept on the instance."""
+    flavor, _, reads_t = gate(diagram)
+    if flavor != "ode":
+        raise ModelError("the configuration chain needs a memoryless (ode) "
+                         f"model, not a {flavor} one")
+    if reads_t:
+        raise ModelError("time-dependent rates and effects are not allowed "
+                         "in the configuration chain")
+    init = [v for _, v in (*diagram.states, *diagram.env_vars)]
+    if not all(math.isfinite(v) and abs(v - round(v)) <= 1e-9 for v in init):
         raise ModelError("initial counts must be integers for the "
                          "configuration chain")
-    return tuple(int(round(v)) for v in init)
+    return transition_table(diagram), tuple(int(round(v)) for v in init)
 
 
 def _fire(config, move, row):
@@ -89,8 +73,7 @@ class ConfigurationSpace:
     @classmethod
     def build(cls, diagram, cap=CONFIG_CAP):
         """Breadth-first enumeration from the initial configuration."""
-        table = _chain(diagram)
-        start = _integer_start(diagram)
+        table, start = _chain(diagram)
 
         configs = [start]
         index = {start: 0}
@@ -136,12 +119,17 @@ def master_exact(diagram, t_end=10.0, dt=0.005, dt_out=None, cap=CONFIG_CAP):
     W is applied through its jump list (sparse generator): inflow along
     each jump minus the exit rate of each configuration, so the cost and
     memory of a step grow with the number of jumps, not with the square
-    of the number of configurations.
+    of the number of configurations.  Rows are ``dt_out`` (default ``dt``)
+    apart, a whole number of steps dividing the step count: the last is at
+    ``t_end``.
     """
     nsteps = _step_count(t_end, dt)
     if dt_out is None:
         dt_out = dt
-    stride = max(1, int(round(dt_out / dt)))
+    stride = round(dt_out / dt)
+    if stride < 1 or nsteps % stride or _off_grid(dt_out, dt):
+        raise ValueError(f"dt_out={dt_out!r} is not a whole number of steps "
+                         f"dt={dt!r} that divides t_end={t_end!r}")
     space = ConfigurationSpace.build(diagram, cap=cap)
     n = space.size
 
@@ -188,9 +176,8 @@ def ssa_run(diagram, t_end=10.0, seed=0):
     proportionally to individual rates; fully determined by the seed.
     Returns a piecewise-constant Trajectory sampled at the jump times.
     """
-    table = _chain(diagram)
+    table, y = _chain(diagram)
     rng = np.random.default_rng(seed)
-    y = _integer_start(diagram)
     times = [0.0]
     rows = [y]
     t = 0.0

@@ -147,7 +147,21 @@ def test_usage_errors_exit_1(capsys):
                  ("compare", "--model", "stickpull-counts", "--t-end", "1",
                   "--dt", "0.3", "--runs", "5"),
                  ("exact", "--model", "stickpull-counts", "--t-end", "5",
-                  "--dt", "3")):
+                  "--dt", "3"),
+                 # a difference run takes --steps or whole --t-end steps
+                 ("run", "--model", "collab-difference", "--t-end", "10.4"),
+                 ("sweep", "--model", "collab-difference", "--param",
+                  "alpha", "--from", "0.01", "--to", "0.02",
+                  "--sweep-steps", "2", "--observables", "final:s",
+                  "--t-end", "10.4"),
+                 # one usage error, not a failure of every row
+                 ("sweep", "--model", "foraging", "--param", "n0",
+                  "--from", "1", "--to", "2", "--sweep-steps", "2",
+                  "--observables", "T", "--counter", "m", "--threshold", "1",
+                  "--t-end", "10", "--dt", "0.3"),
+                 # --sweep-steps has no alias
+                 ("sweep", "--model", "stickpull-delayed", "--param", "tau",
+                  "--from", "1", "--to", "2", "--grid", "3")):
         code, _, err = _run(capsys, *argv)
         assert code == 1 and err.startswith("usage error: ")
 
@@ -285,6 +299,72 @@ def test_difference_model_runs_by_steps(capsys):
     lines = out.strip().splitlines()
     assert lines[0].startswith("t,s,")
     assert len(lines) == 12
+
+
+def test_difference_steps_in_run_and_sweep(capsys):
+    # --t-end 10 is 10 steps; sweep runs --steps, not a fixed count
+    by_steps = _run(capsys, "run", "--model", "collab-difference",
+                    "--steps", "10")
+    assert _run(capsys, "run", "--model", "collab-difference",
+                "--t-end", "10") == by_steps
+    argv = ("sweep", "--model", "collab-difference", "--param", "alpha",
+            "--from", "0.01", "--to", "0.02", "--sweep-steps", "2",
+            "--observables", "final:s")
+    rows = {}
+    for steps in ("10", "20", "2000"):
+        code, out, err = _run(capsys, *argv, "--steps", steps)
+        assert (code, err) == (0, "")
+        rows[steps] = out
+    assert len({rows["10"], rows["20"], rows["2000"]}) == 3
+    assert _run(capsys, *argv, "--t-end", "10") == (0, rows["10"], "")
+
+
+def test_exact_rows_end_at_t_end(capsys):
+    # 175 steps of 0.04: the stride divides the step count
+    code, out, _ = _run(capsys, "exact", "--model", "stickpull-counts",
+                        "--t-end", "7", "--dt", "0.04")
+    assert code == 0
+    times = [float(line.split(",")[0]) for line in out.splitlines()[1:]]
+    assert times[-1] == 7.0
+    assert len(times) == 176
+
+
+_CHAIN_REFUSALS = {
+    "negative": ("state s = -1\nstate g = 2\nrate(s): s -> g\n",
+                 "invalid diagram: negative initial count for state s"),
+    "division": ("param k = 1\nstate s = 2\nstate g = 0\n"
+                 "rate(k * s / g): s -> g\n",
+                 "invalid diagram: rate k * s / g failed to evaluate: "
+                 "division by zero"),
+    # compare: the chain refuses before the mean field fails (exit 3)
+    "time": ("state a = 1\nstate b = 0\n"
+             "rate(a * a * a * 1e6 * step(t)): a -> b\n"
+             "rate(b * b * b * 1e6): b -> a\n",
+             "time-dependent rates and effects are not allowed in the "
+             "configuration chain"),
+}
+
+
+@pytest.mark.parametrize("command, source, message", [
+    pytest.param(command, *_CHAIN_REFUSALS[case], id=f"{command}-{case}")
+    for case in _CHAIN_REFUSALS for command in ("exact", "mc", "compare")
+    # compare refused the other two through the mean field already
+    if command != "compare" or case == "time"])
+def test_chain_commands_refuse_what_run_refuses(capsys, tmp_path, command,
+                                                source, message):
+    f = tmp_path / "model.mas"
+    f.write_text(source)
+    argv = (command, "--model", str(f), "--t-end", "10", "--dt", "0.5")
+    if command != "exact":
+        argv += ("--runs", "2")
+    assert _run(capsys, *argv) == (2, "", f"model error: {message}\n")
+
+
+def test_compare_refuses_a_difference_model(capsys):
+    assert _run(capsys, "compare", "--model", "collab-difference",
+                "--runs", "2") == (
+        2, "", "model error: the configuration chain needs a memoryless "
+               "(ode) model, not a difference one\n")
 
 
 # SHA-256 of the standard output of each command, recorded before rates

@@ -1,5 +1,6 @@
 """Diagram validation, compilation, and the encounter-rate helper."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -113,6 +114,34 @@ def test_flavor_detection():
                       "rate(delay(s, tau)): s -> s\n")
     assert compile_rhs(dde).flavor == "dde"
     assert compile_rhs(dde).delay_values == (1.0,)
+
+
+def test_delayed_env_effect_makes_a_dde_system():
+    # flavor and delays are read from the effects too: a delayed effect
+    # needs the history of the method of steps
+    src = ("param w = 1\nstate a = 1\nstate b = 0\nenv m = 0\n"
+           "rate(a): a -> b ; m += delay(a, w)\n")
+    system = compile_rhs(parse_model(src))
+    assert system.flavor == "dde"
+    assert system.delay_values == (1.0,)
+    bad = parse_model(src.replace("delay(a, w)", "delay(a, a)"))
+    assert validate_diagram(bad).defects == [
+        "delay bound depends on non-parameter name(s): a"]
+
+
+def test_gate_decides_once_per_instance_and_after_a_param_edit():
+    from swarmk.diagram import gate
+
+    d = parse_model("param k = 1\nstate a = 1\nstate b = 0\n"
+                    "rate(a / k * step(t - 1)): a -> b\n")
+    assert gate(d) is gate(d)
+    assert gate(d) == ("ode", (), True)
+    assert compile_rhs(d) is not compile_rhs(d)  # a fresh system per call
+    d.params["k"] = 0.0
+    message = ("invalid diagram: rate a / k * step(t - 1) failed to "
+               "evaluate: division by zero")
+    with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
+        gate(d)
 
 
 def test_encounter_rate_formula():

@@ -110,8 +110,9 @@ def test_delay_and_histint_parse():
     d = parse_model(
         "param tau = 2\nstate s = 1\n"
         "rate(delay(s, tau) * exp(-histint(s, tau)) * step(t - tau)): s -> s\n")
-    tr = d.transitions[0]
-    assert tr.kind == "delayed"
+    from swarmk.diagram import compile_rhs
+
+    assert compile_rhs(d).flavor == "dde"
 
 
 def test_effects_multiple():

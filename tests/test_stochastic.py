@@ -51,6 +51,22 @@ def test_chain_rejects_time_dependence(src):
         sk.ssa_run(d, t_end=10.0, seed=0)
 
 
+def test_chain_rejects_synchronous_steps():
+    # one synchronous step of b += 0.3 a gives E[b](1) = 0.3; read as a
+    # continuous-time chain the same diagram gave 1 - exp(-0.3) = 0.259
+    from dataclasses import replace
+
+    d = replace(sk.parse_model("state a = 1\nstate b = 0\n"
+                               "rate(0.3 * a): a -> b\n"), discrete=True)
+    message = "^the configuration chain needs a memoryless .* difference"
+    with pytest.raises(ModelError, match=message):
+        sk.ssa_run(d, t_end=1.0, seed=0)
+    with pytest.raises(ModelError, match=message):
+        sk.master_exact(d, t_end=1.0, dt=0.01)
+    with pytest.raises(ModelError, match=message):
+        ConfigurationSpace.build(d)
+
+
 def test_chain_rejects_non_integer_env_effects():
     d = sk.parse_model("state a = 3\nstate b = 0\nenv m = 0\n"
                        "rate(a): a -> b ; m += 0.4\n")
@@ -67,8 +83,8 @@ def test_chain_rejects_non_integer_env_effects():
     (sk.Transition("a", "a", Name("zz")), "unknown identifier zz"),
 ])
 def test_chain_engines_refuse_unknown_names(transition, message):
-    # a programmatic diagram is not validated by the chain engines; its
-    # transition table still names the unknown state, counter or identifier
+    # a programmatic diagram is validated by the chain engines, as by
+    # compile_rhs: the defect names the unknown state, counter or identifier
     d = sk.StateDiagram(states=(("a", 1.0),), transitions=(transition,))
     with pytest.raises(ModelError, match=message):
         sk.ssa_run(d, t_end=1.0, seed=0)
@@ -211,10 +227,18 @@ def test_master_memory_bounded_by_jumps():
 
 
 @pytest.mark.parametrize("dt_out, times", [
-    (0.3, [0.0, 0.3, 0.6, 0.9]),
-    (0.004, [0.01 * k for k in range(101)]),
+    # no rows: 0.3 would stop at t=0.9, and 0.004 is less than one step
+    (0.3, []),
+    (0.004, []),
+    (0.25, [0.0, 0.25, 0.5, 0.75, 1.0]),
 ])
 def test_master_output_stride(dt_out, times):
+    if not times:
+        with pytest.raises(ValueError, match=f"^dt_out={dt_out} is not a "
+                           "whole number of steps dt=0.01 that divides "
+                           "t_end=1.0$"):
+            sk.master_exact(_two_state(), t_end=1.0, dt=0.01, dt_out=dt_out)
+        return
     tbl, traj = sk.master_exact(_two_state(), t_end=1.0, dt=0.01,
                                 dt_out=dt_out)
     assert tbl.times == pytest.approx(times, abs=1e-12)
@@ -271,13 +295,13 @@ def test_ssa_deterministic_given_seed():
 
 
 def test_ssa_compiles_once_per_diagram(monkeypatch):
-    # an ensemble's runs share one generated kernel and one memoryless
-    # check; a fresh copy of the diagram gives the same paths
+    # an ensemble's runs share one generated kernel and one pass through
+    # the gate; a fresh copy of the diagram gives the same paths
     from dataclasses import replace
 
-    from swarmk import diagram as dg, stochastic
+    from swarmk import diagram as dg
 
-    calls = {"kernel": 0, "check": 0}
+    calls = {"kernel": 0, "gate": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -287,16 +311,15 @@ def test_ssa_compiles_once_per_diagram(monkeypatch):
 
     monkeypatch.setattr(dg, "_generate_kernel",
                         counted("kernel", dg._generate_kernel))
-    monkeypatch.setattr(stochastic, "_require_memoryless",
-                        counted("check", stochastic._require_memoryless))
+    monkeypatch.setattr(dg, "_open_gate", counted("gate", dg._open_gate))
     d = sk.build_foraging(sk.ForagingParams(n0=3, m0=6))
     paths = [sk.ssa_run(d, t_end=20.0, seed=s) for s in range(50)]
-    assert calls == {"kernel": 1, "check": 1}
+    assert calls == {"kernel": 1, "gate": 1}
     for s, path in enumerate(paths):
         fresh = sk.ssa_run(replace(d), t_end=20.0, seed=s)
         assert np.array_equal(path.times, fresh.times)
         assert np.array_equal(path.data, fresh.data)
-    assert calls == {"kernel": 51, "check": 51}
+    assert calls == {"kernel": 51, "gate": 51}
 
 
 def test_ssa_zero_rates_constant_path():
