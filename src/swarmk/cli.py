@@ -230,6 +230,9 @@ def _cmd_sweep(args):
                            t_end=args.t_end, dt=args.dt, k_steps=args.steps,
                            counter=args.counter, mode=args.mode,
                            threshold=args.threshold)
+    for v, err in zip(table.grid, table.errors):
+        if err:
+            print(f"row {args.param}={_fmt_float(v)}: {err}", file=sys.stderr)
     if args.format == "csv":
         _emit(_csv(["param", *table.observables],
                    ((v, *row) for v, row in zip(table.grid, table.rows))),

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import EvalError, ModelError
-from .expr import (Source, delay_windows, eval_expr, free_names,
+from .expr import (Neg, Source, delay_windows, eval_expr, free_names,
                    has_history_terms, unparse)
 
 
@@ -184,18 +184,24 @@ def validate_diagram(diagram):
     # Sampled domain checks.  States are drawn on the conserved simplex and
     # env counters held at their initial values (random boxes reach
     # physically unreachable corners, e.g. negative free-stick counts, and
-    # would reject valid models).  Non-negativity is asserted at the
-    # initial configuration; sampled points check evaluability/finiteness.
-    # Delayed terms read a one-row history: constant pre-history, so the
-    # past equals the sampled present.  The transitions take their samples
-    # in turn from one stream, each until it fails or has N_SAMPLES.
+    # would reject valid models).  A rate must not be negative at the
+    # initial configuration; each point checks that the rate, then each
+    # env effect, evaluates to a finite value.  Delayed terms read a
+    # one-row history: constant pre-history, so the past equals the sampled
+    # present.  The transitions take their samples in turn from one stream,
+    # each until its rate or an effect fails or it has N_SAMPLES.
     from .integrate import HistoryAccessor
 
     times, sampled = _samples(diagram, len(diagram.transitions) * N_SAMPLES)
     taken = 0
     env0 = [float(v) for _, v in diagram.env_vars]
-    for tr, (_, _, fn, _) in zip(diagram.transitions, transition_table(diagram)):
-        delayed = has_history_terms(tr.rate)
+    for tr, (_, _, fn, effects) in zip(diagram.transitions,
+                                       transition_table(diagram)):
+        rate = f"rate {unparse(tr.rate)}"
+        checks = [(rate, fn)] + [
+            (f"env effect {effect_source(n, e)} of {rate}", efn)
+            for (n, e), (_, efn) in zip(tr.env_effects, effects)]
+        delayed = any(map(has_history_terms, tr.exprs))
         for sample in range(N_SAMPLES + 1):
             if sample == 0:
                 t, counts = 0.0, [float(v) for _, v in diagram.states]
@@ -205,21 +211,30 @@ def validate_diagram(diagram):
             row = counts + env0
             history = HistoryAccessor(t, 1.0, np.array([row])) \
                 if delayed else None
-            try:
-                v = fn(row + [t], history)
-            except EvalError as exc:
-                defects.append(
-                    f"rate {unparse(tr.rate)} failed to evaluate: {exc}")
-                break
-            if not math.isfinite(v):
-                defects.append(f"rate {unparse(tr.rate)} is non-finite on a sample")
-                break
-            if sample == 0 and v < 0:
-                defects.append(
-                    f"rate {unparse(tr.rate)} is negative ({v!r}) at the "
-                    "initial configuration")
-                break
+            for what, f in checks:
+                try:
+                    v = f(row + [t], history)
+                except EvalError as exc:
+                    defects.append(f"{what} failed to evaluate: {exc}")
+                    break
+                if not math.isfinite(v):
+                    defects.append(f"{what} is non-finite on a sample")
+                    break
+                if sample == 0 and v < 0 and f is fn:
+                    defects.append(f"{what} is negative ({v!r}) at the "
+                                   "initial configuration")
+                    break
+            else:
+                continue
+            break  # one defect per transition
     return ValidationReport(defects)
+
+
+def effect_source(name, e):
+    """An env effect as ``.mas`` source: ``name -= x`` for a negated x."""
+    if isinstance(e, Neg):
+        return f"{name} -= {unparse(e.operand)}"
+    return f"{name} += {unparse(e)}"
 
 
 def _samples(diagram, n):
@@ -292,39 +307,30 @@ def _generate_kernel(diagram):
     evaluation row (``t`` last), parameters and N0 are folded in as
     constants.  ``rhs(t, y, history=None)`` computes, transition by
     transition, the flow ``f{k}`` and then the env effects ``e{k}_{j}``,
-    then each component as a sum from 0.0 in transition order: minus the
-    flow at the source, plus the flow at the target, plus effect times
-    flow at an env counter.  Under the same names the source also defines
-    one function per rate and effect, for the transition table.
+    one line each, then each component as a sum from 0.0 in transition
+    order: minus the flow at the source, plus the flow at the target, plus
+    effect times flow at an env counter.  Under the same names the source
+    also defines one function per rate and effect, for the transition table.
     """
     states = {n: i for i, n in enumerate(diagram.state_names)}
     env = {n: i for i, n in enumerate(diagram.env_names, len(states))}
     slots = {"t": len(states) + len(env), **states, **env}
     src = Source(diagram.base_bindings(), slots)
-
-    def emit(name, e, body):
-        """``e`` as the function ``name`` and, inline in ``body``, as the
-        local ``name``."""
-        src.function(name, e)
-        x = src.value(e, "r", body, "    ")
-        body.append(f"    {name} = {x}")
-
     body = ["    r = y.tolist()", "    r.append(t)"]
     # per component, its signed terms in transition order
     terms = [[] for _ in range(len(states) + len(env))]
     rows = []  # (source, target, rate name, ((env index, effect name), ...))
     for k, tr in enumerate(diagram.transitions):
         si, ti = states[tr.source], states[tr.target]
-        emit(f"f{k}", tr.rate, body)
+        names = [f"f{k}", *(f"e{k}_{j}" for j in range(len(tr.env_effects)))]
+        body += [f"    {n} = {src.function(n, e)}"
+                 for n, e in zip(names, tr.exprs)]
         if si != ti:
             terms[si].append(f" - f{k}")
             terms[ti].append(f" + f{k}")
-        effects = []
-        for j, (n, e) in enumerate(tr.env_effects):
-            ei = env[n]
-            emit(f"e{k}_{j}", e, body)
-            terms[ei].append(f" + e{k}_{j} * f{k}")
-            effects.append((ei, f"e{k}_{j}"))
+        effects = [(env[n], e) for (n, _), e in zip(tr.env_effects, names[1:])]
+        for ei, e in effects:
+            terms[ei].append(f" + {e} * f{k}")
         rows.append((si, ti, f"f{k}", effects))
     d = ", ".join("0.0" + "".join(ts) for ts in terms)
     src.env["_array"] = np.array

@@ -62,19 +62,36 @@ class Call(Expr):
     args: tuple = ()
 
 
+def _exp(x):
+    try:
+        return math.exp(x)
+    except OverflowError:
+        raise EvalError(f"exp overflows at {x!r}") from None
+
+
+def _ln(x):
+    if x <= 0.0:
+        raise EvalError(f"ln of non-positive value {x!r}")
+    return math.log(x)
+
+
+def _fail(message):
+    raise EvalError(message)
+
+
 class Source:
     """Python source generated from expression trees and compiled once.
 
-    Each generated function reads one evaluation row ``r`` (a list) and,
-    for delayed terms, a history ``h``.  Names are resolved here: a name in
-    ``slots`` (name -> index) reads ``r[index]``, else a name in ``consts``
-    (name -> value) is folded into the source, else evaluating it raises
-    the unbound ``EvalError``.  Every operation is the one the tree names,
-    on the same operands, so results match a direct evaluation of the tree
-    bit for bit.  The operations that can fail (``/``, ``exp``, ``ln``) and
-    the history reads (``delay``, ``histint``) become statements, emitted
-    in the order a recursive evaluation reaches them, so the first failure
-    and its message are the same too.
+    Each tree becomes one Python expression over an evaluation row ``r``
+    (a list) and, for delayed terms, a history ``h``.  Names are resolved
+    here: a name in ``slots`` (name -> index) reads ``r[index]``, else a
+    name in ``consts`` (name -> value) is folded into the source, else
+    evaluating it raises the unbound ``EvalError``.  Every operation is the
+    one the tree names, on the same operands, so results match a direct
+    evaluation of the tree bit for bit.  Python evaluates operands left to
+    right and a conditional's test first, so the checks (a divisor or lag
+    tested before use, ``_exp``, ``_ln``, ``_fail``) run in the order a
+    recursive evaluation reaches them: the first failure is the same too.
 
     The history ``h`` must provide ``bindings_at(t)`` (the evaluation row
     at ``t``) and ``window_integral(key, fn, t_lo, t_hi, now)`` (the
@@ -87,9 +104,8 @@ class Source:
         self.consts = consts
         self.slots = slots
         self.lines = []
-        self.env = {"EvalError": EvalError, "_exp": math.exp,
-                    "_log": math.log}
-        self._integrands = {}  # histint key -> integrand function name
+        self.env = {"_exp": _exp, "_ln": _ln, "_fail": _fail}
+        self._functions = {}  # expression source -> generated function name
         self._count = 0
 
     def _fresh(self, stem="_v"):
@@ -106,110 +122,83 @@ class Source:
         self.env[name] = v
         return name
 
-    def _operand(self, e, row, body, pad):
-        """Source for ``e`` that may be read more than once: a leaf as it
-        is, anything else held in a local."""
-        x = self.value(e, row, body, pad)
-        if isinstance(e, (Num, Name)):
-            return x
-        v = self._fresh()
-        body.append(f"{pad}{v} = {x}")
-        return v
-
-    def value(self, e, row, body, pad, prec=0):
-        """Source of an expression for ``e`` over the row named ``row``.
-        Statements it needs first go to ``body``, indented by ``pad``;
-        ``prec`` is the binding strength of the surrounding operator."""
+    def value(self, e, prec=0):
+        """Source of one expression for ``e`` over the row ``r``; ``prec``
+        is the binding strength of the surrounding operator."""
         if isinstance(e, Num):
             return self._literal(float(e.value))
         if isinstance(e, Name):
             if e.ident in self.slots:
-                return f"{row}[{self.slots[e.ident]}]"
+                return f"r[{self.slots[e.ident]}]"
             if e.ident in self.consts:
                 return self._literal(self.consts[e.ident])
-            msg = f"unbound identifier {e.ident}"
-            body.append(f"{pad}raise EvalError({msg!r})")
-            return "None"
+            return f"_fail({'unbound identifier ' + e.ident!r})"
         if isinstance(e, Neg):
-            s = "-" + self.value(e.operand, row, body, pad, 3)
+            s = "-" + self.value(e.operand, 3)
             return f"({s})" if prec > 2 else s
         if isinstance(e, BinOp):
             if e.op not in _PREC:
                 raise EvalError(f"unknown operator {e.op}")
             p = _PREC[e.op]
             if e.op == "/":
-                # the divisor first: it is checked before the dividend
-                right = self._operand(e.right, row, body, pad)
-                body += [f"{pad}if {right} == 0.0:",
-                         f"{pad}    raise EvalError('division by zero')"]
-                left = self.value(e.left, row, body, pad, p)
-            else:
-                left = self.value(e.left, row, body, pad, p)
-                # operations associate to the left, so a right operand of
-                # equal precedence keeps its parentheses
-                right = self.value(e.right, row, body, pad, p + 1)
+                # the divisor first: it is tested before the dividend is
+                # evaluated; a leaf is read in place, anything else held
+                right = test = self.value(e.right)
+                if not isinstance(e.right, (Num, Name)):
+                    right = self._fresh()
+                    test = f"({right} := {test})"
+                left = self.value(e.left, p)
+                return (f"({left} / {right} if {test} != 0.0 "
+                        "else _fail('division by zero'))")
+            left = self.value(e.left, p)
+            # operations associate to the left, so a right operand of
+            # equal precedence keeps its parentheses
+            right = self.value(e.right, p + 1)
             s = f"{left} {e.op} {right}"
             return f"({s})" if prec > p else s
         if isinstance(e, Call):
-            return self._call(e, row, body, pad)
+            return self._call(e)
         raise EvalError(f"cannot compile {e!r}")
 
-    def _call(self, e, row, body, pad):
+    def _call(self, e):
         if e.func not in UNARY_CALLS + BINARY_CALLS:
             raise EvalError(f"unknown function {e.func}")
         arg = e.args[0]
         if e.func == "step":
-            return f"(0.0 if {self.value(arg, row, body, pad)} < 0.0 else 1.0)"
-        if e.func == "exp":
-            x = self._operand(arg, row, body, pad)
-            v = self._fresh()
-            body += [f"{pad}try:",
-                     f"{pad}    {v} = _exp({x})",
-                     f"{pad}except OverflowError:",
-                     f"{pad}    raise EvalError(f'exp overflows at {{{x}!r}}')"
-                     " from None"]
-            return v
-        if e.func == "ln":
-            x = self._operand(arg, row, body, pad)
-            body += [f"{pad}if {x} <= 0.0:",
-                     f"{pad}    raise EvalError("
-                     f"f'ln of non-positive value {{{x}!r}}')"]
-            return f"_log({x})"
+            return f"(0.0 if {self.value(arg)} < 0.0 else 1.0)"
+        if e.func in UNARY_CALLS:
+            return f"_{e.func}({self.value(arg)})"
         # delay and histint: the lag or window first; t is read only when
         # the history is consulted, so a zero lag or window needs no time
-        w = self._operand(e.args[1], row, body, pad)
-        v, inner = self._fresh(), pad + "    "
-        body.append(f"{pad}if {w} == 0.0:")
-        if e.func == "delay":
-            x = self.value(arg, row, body, inner)
-            body.append(f"{inner}{v} = {x}")
-        else:
-            body.append(f"{inner}{v} = 0.0")
+        v = self._fresh()
+        w = self.value(e.args[1])
+        now = self.value(arg) if e.func == "delay" else "0.0"
         msg = f"history required to evaluate {unparse(e)}"
-        body += [f"{pad}else:",
-                 f"{inner}if h is None:",
-                 f"{inner}    raise EvalError({msg!r})"]
-        t = self.value(Name("t"), row, body, inner, 1)
+        t = self.value(Name("t"), 1)
         if e.func == "delay":
-            past = self._fresh("_p")
-            body.append(f"{inner}{past} = h.bindings_at({t} - {w})")
-            x = self.value(arg, past, body, inner)
-            body.append(f"{inner}{v} = {x}")
+            past = f"{self._function_of(now)}(h.bindings_at({t} - {v}), h)"
         else:
-            key = unparse(arg)
-            fn = self._integrands.get(key)
-            if fn is None:
-                fn = self._integrands[key] = self._fresh("_integrand")
-                self.function(fn, arg)
-            body.append(f"{inner}{v} = h.window_integral("
-                        f"{key!r}, {fn}, {t} - {w}, {t}, {row})")
-        return v
+            fn = self._function_of(self.value(arg))
+            past = (f"h.window_integral({unparse(arg)!r}, {fn}, {t} - {v}, "
+                    f"{t}, r)")
+        return (f"({now} if ({v} := {w}) == 0.0 else {past} "
+                f"if h is not None else _fail({msg!r}))")
+
+    def _function_of(self, x):
+        """The name of a generated function ``fn(r, h=None)`` that returns
+        the expression ``x``: one per distinct source, so trees that print
+        alike but differ in a signed zero keep their own."""
+        if x not in self._functions:
+            self._functions[x] = name = self._fresh("_f")
+            self.lines.append(f"def {name}(r, h=None): return {x}")
+        return self._functions[x]
 
     def function(self, name, e):
-        """Emit ``def name(r, h=None)``, which returns the value of ``e``."""
-        body = []
-        x = self.value(e, "r", body, "    ")
-        self.lines += [f"def {name}(r, h=None):", *body, f"    return {x}"]
+        """Emit ``def name(r, h=None)``, which returns the value of ``e``;
+        return the source of that value."""
+        x = self.value(e)
+        self.lines.append(f"def {name}(r, h=None): return {x}")
+        return x
 
     def compile(self):
         """Compile the source once and return its namespace."""
@@ -264,8 +253,8 @@ def has_history_terms(e):
 
 def format_number(v):
     """Shortest source form of a number: integral values without a
-    decimal point, others as the float's repr."""
-    if float(v) == int(v) and abs(v) < 1e16:
+    decimal point, others (non-finite ones too) as the float's repr."""
+    if math.isfinite(v) and float(v) == int(v) and abs(v) < 1e16:
         return str(int(v))
     return repr(float(v))
 

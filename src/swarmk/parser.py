@@ -23,9 +23,11 @@ time and may reference previously declared params.
 """
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
+from .diagram import StateDiagram, Transition, effect_source
 from .errors import LexError, ParseError, SemanticError
 from .expr import (BinOp, Call, Name, Neg, Num, eval_expr, format_number,
                    nodes, unparse)
@@ -200,7 +202,11 @@ class _Parser:
         tok = self.cur
         if tok.kind == "num":
             self.advance()
-            return Num(float(tok.text), line=tok.line, col=tok.col)
+            value = float(tok.text)
+            if not math.isfinite(value):
+                raise ParseError(f"number {tok.text} is out of range",
+                                 tok.line, tok.col)
+            return Num(value, line=tok.line, col=tok.col)
         if tok.kind == "ident":
             name = tok.text
             if name in ("exp", "ln", "step", "delay", "histint"):
@@ -227,8 +233,6 @@ class _Parser:
 
 def parse_model(src):
     """Parse a ModelSource (or raw text) into a StateDiagram."""
-    from .diagram import StateDiagram, Transition
-
     if isinstance(src, str):
         src = ModelSource(src)
     decls = _Parser(tokenize(src.text)).parse_model()
@@ -321,12 +325,7 @@ def pretty_print(diagram):
     for tr in diagram.transitions:
         line = f"rate({unparse(tr.rate)}): {tr.source} -> {tr.target}"
         if tr.env_effects:
-            effs = []
-            for name, eff in tr.env_effects:
-                if isinstance(eff, Neg):
-                    effs.append(f"{name} -= {unparse(eff.operand)}")
-                else:
-                    effs.append(f"{name} += {unparse(eff)}")
-            line += " ; " + ", ".join(effs)
+            line += " ; " + ", ".join(effect_source(name, eff)
+                                      for name, eff in tr.env_effects)
         lines.append(line)
     return "\n".join(lines) + "\n"

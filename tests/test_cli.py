@@ -399,3 +399,44 @@ def test_outputs_byte_identical(capsys):
         if hashlib.sha256(out.encode()).hexdigest() != digest:
             changed.append(" ".join(argv[:3]))
     assert not changed
+
+
+_EFFECT_FAILURE = ("env effect m += 1 / b of rate a failed to evaluate: "
+                   "division by zero")
+
+
+@pytest.mark.parametrize("argv, err", [
+    (("validate",), f"defect: {_EFFECT_FAILURE}\n"),
+    (("run", "--t-end", "1", "--dt", "0.5"),
+     f"model error: invalid diagram: {_EFFECT_FAILURE}\n"),
+    (("mc", "--t-end", "1", "--runs", "2"),
+     f"model error: invalid diagram: {_EFFECT_FAILURE}\n"),
+], ids=["validate", "run", "mc"])
+def test_validation_evaluates_env_effects(capsys, tmp_path, argv, err):
+    f = tmp_path / "effect.mas"
+    f.write_text("state a = 1\nstate b = 0\nenv m = 0\n"
+                 "rate(a): a -> b ; m += 1 / b\n")
+    assert _run(capsys, argv[0], "--model", str(f), *argv[1:]) == (2, "", err)
+
+
+@pytest.mark.parametrize("rate, col", [("1e999 * s", 6),
+                                       ("delay(s, 1e999)", 15)])
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_out_of_range_number_is_a_model_error(capsys, tmp_path, command,
+                                              rate, col):
+    f = tmp_path / "big.mas"
+    f.write_text(f"state s = 1\nstate g = 0\nrate({rate}): s -> g\n")
+    assert _run(capsys, command, "--model", str(f)) == (
+        2, "", f"model error: 3:{col}: number 1e999 is out of range\n")
+
+
+def test_sweep_reports_failed_rows_on_stderr(capsys):
+    code, out, err = _run(capsys, "sweep", "--model", "stickpull-delayed",
+                          "--param", "beta", "--from", "0.5", "--to", "0.6",
+                          "--sweep-steps", "2", "--observables", "final:s",
+                          "--t-end", "9", "--dt", "0.3")
+    # failed rows stay row data: empty cells and exit 0
+    assert (code, out) == (0, "param,final:s\n0.5,\n0.6,\n")
+    assert err == "".join(
+        f"row beta={v}: DelayMisaligned: step dt=0.3 does not divide "
+        "delay 5.0\n" for v in ("0.5", "0.6"))

@@ -84,6 +84,19 @@ def test_unknown_effect_target_is_defect():
     assert validate_diagram(d).defects == ["unknown env var qq"]
 
 
+def test_env_effects_are_sampled_with_their_rate():
+    # an effect may be negative; one that fails or is not finite on a
+    # sampled point is a defect, written as in the source
+    base = "state a = 1\nstate b = 0\nenv m = 0\nrate(a): a -> b ; "
+    assert validate_diagram(parse_model(base + "m -= a\n")).ok
+    for effect, problem in [
+            ("m -= exp(1000 * a)", "failed to evaluate: exp overflows at 1000.0"),
+            ("m += 1e+308 * a * 10", "is non-finite on a sample")]:
+        d = parse_model(base + effect + "\n")
+        assert validate_diagram(d).defects == [
+            f"env effect {effect} of rate a {problem}"]
+
+
 def test_compile_rejects_invalid():
     d = parse_model("state s = 1\nrate(delay(s, s)): s -> s\n")
     with pytest.raises(ModelError):

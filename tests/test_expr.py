@@ -109,6 +109,11 @@ def test_delay_windows_and_history_flag():
     assert not has_history_terms(BinOp("+", Name("x"), Num(1)))
 
 
+def test_unparse_writes_non_finite_numbers():
+    assert unparse(Num(math.inf)) == "inf"
+    assert unparse(BinOp("*", Num(-math.inf), Num(math.nan))) == "-inf * nan"
+
+
 def test_unparse_precedence():
     e = BinOp("*", BinOp("+", Name("a"), Name("b")), Name("c"))
     assert unparse(e) == "(a + b) * c"
@@ -169,10 +174,25 @@ def test_unparse_preserves_value(e, v):
 # -- the generated source against a direct evaluation ------------------------
 
 
-def _reference(e, env):
-    """Direct recursive evaluation of a tree without history terms: the
-    operations, their order (a divisor before its dividend) and the
-    refusals of swarmk's rate semantics."""
+class _TimedHistory:
+    """A history whose past rows and window integrals depend on the time:
+    slot k of the row at time t holds (k + 0.5) * t, and the last slot t."""
+
+    def __init__(self, names):
+        self.names = names  # the row's slot names, t last
+
+    def bindings_at(self, t):
+        return [(k + 0.5) * t for k in range(len(self.names) - 1)] + [t]
+
+    def window_integral(self, key, fn, t_lo, t_hi, now):
+        return (t_hi - t_lo) * (t_hi + 0.5)
+
+
+def _reference(e, env, h=None):
+    """Direct recursive evaluation of a tree over the bindings ``env`` and
+    the history ``h`` (a _TimedHistory or None): the operations, their
+    order (a divisor before its dividend; a lag or window, then the
+    history, then ``t``) and the refusals of swarmk's rate semantics."""
     if isinstance(e, Num):
         return float(e.value)
     if isinstance(e, Name):
@@ -180,17 +200,29 @@ def _reference(e, env):
             raise EvalError(f"unbound identifier {e.ident}")
         return env[e.ident]
     if isinstance(e, Neg):
-        return -_reference(e.operand, env)
+        return -_reference(e.operand, env, h)
     if isinstance(e, BinOp):
         if e.op == "/":
-            d = _reference(e.right, env)
+            d = _reference(e.right, env, h)
             if d == 0.0:
                 raise EvalError("division by zero")
-            return _reference(e.left, env) / d
-        a = _reference(e.left, env)
-        b = _reference(e.right, env)
+            return _reference(e.left, env, h) / d
+        a = _reference(e.left, env, h)
+        b = _reference(e.right, env, h)
         return {"+": a + b, "-": a - b, "*": a * b}[e.op]
-    x = _reference(e.args[0], env)
+    if e.func in ("delay", "histint"):
+        lag = _reference(e.args[1], env, h)
+        if lag == 0.0:
+            return _reference(e.args[0], env, h) if e.func == "delay" else 0.0
+        if h is None:
+            raise EvalError(f"history required to evaluate {unparse(e)}")
+        t = _reference(Name("t"), env, h)
+        if e.func == "histint":
+            return h.window_integral(None, None, t - lag, t, None)
+        # the row at t - lag replaces the slots; folded constants stay
+        past = dict(env, **dict(zip(h.names, h.bindings_at(t - lag))))
+        return _reference(e.args[0], past, h)
+    x = _reference(e.args[0], env, h)
     if e.func == "exp":
         try:
             return math.exp(x)
@@ -230,7 +262,7 @@ _oracle_leaf = st.one_of(_values.map(Num),
                          st.sampled_from("xyzw").map(Name))
 
 
-def _oracle_tree(children):
+def _arithmetic(children):
     return st.one_of(
         st.tuples(st.sampled_from("+-*/"), children, children).map(
             lambda t: BinOp(*t)),
@@ -240,29 +272,59 @@ def _oracle_tree(children):
     )
 
 
+def _history_terms(operands):
+    return st.tuples(st.sampled_from(["delay", "histint"]), operands,
+                     operands).map(lambda t: Call(t[0], t[1:]))
+
+
+# history terms take finite literals: their refusal message prints the
+# term, and printing non-finite numbers is pinned on its own
+# (test_unparse_writes_non_finite_numbers); x, y and z still carry any value
+_history_operands = st.recursive(
+    st.one_of(st.floats(min_value=-1e3, max_value=1e3).map(Num),
+              st.sampled_from("xyzw").map(Name)),
+    lambda c: st.one_of(_arithmetic(c), _history_terms(c)), max_leaves=6)
+
+
+def _oracle_tree(children):
+    return st.one_of(_arithmetic(children), _history_terms(_history_operands))
+
+
 _oracle_exprs = st.recursive(_oracle_leaf, _oracle_tree, max_leaves=16)
 
 
-@given(_oracle_exprs, _values, _values, _values)
+@given(_oracle_exprs, _values, _values, _values,
+       st.one_of(st.none(), _values), st.booleans())
 # a failing divisor is reached before a failing dividend
-@example(BinOp("/", Name("w"), Num(0.0)), 1.0, 1.0, 1.0)
+@example(BinOp("/", Name("w"), Num(0.0)), 1.0, 1.0, 1.0, None, False)
 @example(BinOp("/", Call("ln", (Name("x"),)), Call("exp", (Name("y"),))),
-         -1.0, 1e3, 1.0)
-def test_generated_source_matches_direct_evaluation(e, x, y, z):
-    expected = _outcome(lambda: _reference(e, {"x": x, "y": y, "z": z}))
-    fn = generate_function(e, {"z": z}, {"x": 0, "y": 1})
-    assert _same(_outcome(lambda: fn([x, y])), expected)
-    assert _same(_outcome(lambda: eval_expr(e, {"x": x, "y": y, "z": z})),
-                 expected)
+         -1.0, 1e3, 1.0, None, False)
+# a lag is checked first, then the history, then t is read
+@example(Call("delay", (Name("x"), Num(1.0))), 1.0, 1.0, 1.0, None, False)
+@example(Call("delay", (Name("x"), Num(1.0))), 1.0, 1.0, 1.0, None, True)
+@example(Call("delay", (Name("x"), Call("ln", (Num(0.0),)))),
+         1.0, 1.0, 1.0, 2.0, True)
+@example(Call("histint", (Name("x"), Num(0.0))), 1.0, 1.0, 1.0, None, False)
+def test_generated_source_matches_direct_evaluation(e, x, y, z, t, history):
+    # x, y and (when drawn) t are row slots, z a folded constant
+    slots = {"x": 0, "y": 1} if t is None else {"x": 0, "y": 1, "t": 2}
+    env = dict(zip(slots, (x, y, t)), z=z)
+    h = _TimedHistory(list(slots)) if history else None
+    fn = generate_function(e, {"z": z}, slots)
+    assert _same(_outcome(lambda: fn([env[n] for n in slots], h)),
+                 _outcome(lambda: _reference(e, env, h)))
+    # eval_expr folds every binding in and reads no history
+    assert _same(_outcome(lambda: eval_expr(e, env)),
+                 _outcome(lambda: _reference(e, env)))
 
 
 @given(st.lists(st.tuples(st.sampled_from("xy"), st.sampled_from("xy"),
                           _oracle_exprs, st.lists(_oracle_exprs, max_size=1)),
                 min_size=1, max_size=4),
-       _values, _values, _values)
-def test_generated_rhs_matches_direct_evaluation(moves, x, y, z):
-    # states x and y and env counter z are row slots, w is a parameter;
-    # each component is a sum from 0.0 in transition order
+       _values, _values, _values, _values, st.booleans())
+def test_generated_rhs_matches_direct_evaluation(moves, x, y, z, t, history):
+    # states x and y and env counter z are row slots, then t; w is a
+    # parameter; each component is a sum from 0.0 in transition order
     import numpy as np
 
     from swarmk.diagram import StateDiagram, Transition, rate_kernel
@@ -272,21 +334,22 @@ def test_generated_rhs_matches_direct_evaluation(moves, x, y, z):
         for src, dst, rate, effects in moves)
     d = StateDiagram(states=(("x", 1.0), ("y", 0.0)), env_vars=(("z", 0.0),),
                      params={"w": -1.5}, transitions=transitions)
-    env = {"x": x, "y": y, "z": z, "w": -1.5}
+    env = {"x": x, "y": y, "z": z, "t": t, "w": -1.5}
+    h = _TimedHistory(["x", "y", "z", "t"]) if history else None
 
     def direct():
         acc = [0.0, 0.0, 0.0]
         for tr in transitions:
-            flow = _reference(tr.rate, env)
+            flow = _reference(tr.rate, env, h)
             if tr.source != tr.target:
                 acc["xy".index(tr.source)] -= flow
                 acc["xy".index(tr.target)] += flow
             for _, eff in tr.env_effects:
-                acc[2] += _reference(eff, env) * flow
+                acc[2] += _reference(eff, env, h) * flow
         return acc
 
     rhs, _ = rate_kernel(d)
-    got = _outcome(lambda: rhs(0.0, np.array([x, y, z])).tolist())
+    got = _outcome(lambda: rhs(t, np.array([x, y, z]), h).tolist())
     expected = _outcome(direct)
     if isinstance(expected, str):
         assert got == expected

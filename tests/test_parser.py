@@ -54,6 +54,7 @@ def test_number_forms():
     ("state s = 1\nrate(s ~ 2): s -> s\n", LexError, 2, 8),
     ("param t = 1\n", ParseError, 1, 7),
     ("state exp = 1\n", ParseError, 1, 7),
+    ("param k = 1e999\n", ParseError, 1, 11),
 ])
 def test_malformed_sources_report_location(src, err, line, col):
     with pytest.raises(err) as ei:
