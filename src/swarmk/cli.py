@@ -39,30 +39,15 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _split_overrides(name, overrides):
-    """Route overrides to builder fields vs diagram parameters."""
-    if name not in models.BUILTIN_NAMES:
-        return {}, overrides
-    fields = set(models.builder_fields(name))
-    builder = {k: v for k, v in overrides.items() if k in fields}
-    params = {k: v for k, v in overrides.items() if k not in fields}
-    return builder, params
-
-
 def _load_model(name, overrides):
     if name is None:
         raise _UsageError("--model is required")
     if name in models.BUILTIN_NAMES:
-        builder_kw, overrides = _split_overrides(name, overrides)
-        diagram = models.build_builtin(name, **builder_kw)
-    elif os.path.exists(name):
-        diagram = parse_file(name)
-    else:
-        raise ModelError(f"unknown model {name!r}: not a built-in "
-                         f"({', '.join(models.BUILTIN_NAMES)}) and not a file")
-    if overrides:
-        diagram = diagram.with_params(**overrides)
-    return diagram
+        return models.build_builtin(name, **overrides)
+    if os.path.exists(name):
+        return parse_file(name).with_params(**overrides)
+    raise ModelError(f"unknown model {name!r}: not a built-in "
+                     f"({', '.join(models.BUILTIN_NAMES)}) and not a file")
 
 
 def _parse_overrides(pairs):
@@ -214,14 +199,10 @@ def _cmd_sweep(args):
     if args.npts < 1:
         raise _UsageError("--sweep-steps must be >= 1")
     overrides = _parse_overrides(args.set)
-    if args.model in models.BUILTIN_NAMES and \
-            args.param in models.builder_fields(args.model):
-        builder_kw, param_kw = _split_overrides(args.model, overrides)
-
+    if args.model in models.BUILTIN_NAMES:
         def model(value):
-            d = models.build_builtin(args.model,
-                                     **{**builder_kw, args.param: value})
-            return d.with_params(**param_kw) if param_kw else d
+            return models.build_builtin(args.model,
+                                        **{**overrides, args.param: value})
     else:
         model = _load_model(args.model, overrides)
     grid = np.linspace(args.lo, args.hi, args.npts)

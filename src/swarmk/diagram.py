@@ -40,6 +40,9 @@ class StateDiagram:
     discrete: bool = False  # synchronous finite-difference semantics
     name: str = "<model>"
     n0: float = None  # declared conserved total; defaults to sum of initials
+    # declarations whose value is an expression of earlier parameters,
+    # ((name, Expr), ...) in declaration order; with_params evaluates them
+    derived: tuple = ()
 
     def __post_init__(self):
         if self.n0 is None:
@@ -63,21 +66,34 @@ class StateDiagram:
         return b
 
     def with_params(self, **overrides):
+        """The diagram with parameters set.  A parameter that is set is no
+        longer derived (the value is pinned); the remaining derived
+        declarations are evaluated again, in order, so the parameters,
+        initial values and N0 that follow from the set ones follow them."""
         unknown = set(overrides) - set(self.params)
         if unknown:
             raise ModelError(f"unknown parameter(s): {', '.join(sorted(unknown))}")
-        params = dict(self.params)
-        params.update(overrides)
-        return replace(self, params=params)
+        params = {**self.params, **overrides}
+        derived = tuple(d for d in self.derived if d[0] not in overrides)
+        inits = dict(self.states + self.env_vars)
+        for name, e in derived:
+            try:
+                v = eval_expr(e, params)
+            except EvalError as exc:
+                raise ValueError(f"{name} cannot be evaluated: {exc}") from None
+            if not math.isfinite(v):
+                raise ValueError(f"{name} must be finite")
+            (params if name in params else inits)[name] = v
+        states = tuple((n, inits[n]) for n, _ in self.states)
+        return replace(self, params=params, derived=derived, states=states,
+                       env_vars=tuple((n, inits[n]) for n, _ in self.env_vars),
+                       n0=self.n0 if states == self.states else None)
 
     def with_state_init(self, **inits):
+        """The diagram with initial state counts set (and pinned)."""
         states = tuple((n, inits.get(n, v)) for n, v in self.states)
-        d = replace(self, states=states, n0=None)
-        return d
-
-    def with_env_init(self, **inits):
-        env = tuple((n, inits.get(n, v)) for n, v in self.env_vars)
-        return replace(self, env_vars=env)
+        derived = tuple(d for d in self.derived if d[0] not in inits)
+        return replace(self, states=states, derived=derived, n0=None)
 
 
 @dataclass

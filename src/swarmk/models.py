@@ -2,9 +2,11 @@
 
 Each built-in model is its shipped .mas file (``models_mas/<name>.mas``),
 parsed on first use and kept until ``forget_parsed_files`` (the CLI calls
-it at the start of each command).  A builder sets every parameter and
-initial count of that diagram from its parameter dataclass, so an edit of
-a shipped file's rates or transitions changes the built-in model.
+it at the start of each command).  The file states the whole model: its
+derived declarations (foraging's ``tau``, every initial count) and, for a
+difference model, ``synchronous``.  A builder checks its parameter
+dataclass and sets the file's parameters from its fields; the diagram
+derives the rest.
 """
 from __future__ import annotations
 
@@ -44,17 +46,15 @@ def _floats(values):
     return {k: float(v) + 0.0 for k, v in values.items()}
 
 
-def _from_shipped(name, params, inits):
-    """The shipped diagram with the builder's parameters and initial
-    state/env values (dicts of name -> value) set."""
-    inits = _floats(inits)
-    return (_shipped_diagram(name).with_params(**_floats(params))
-            .with_state_init(**inits).with_env_init(**inits))
+def _from_shipped(name, params):
+    """The shipped diagram with the builder's parameters (a dict of
+    name -> value) set."""
+    return _shipped_diagram(name).with_params(**_floats(params))
 
 
-def _require_finite(p, *derived):
-    """Refuse a non-finite numeric field, or derived value, of ``p``."""
-    for name in [f.name for f in _dc_fields(p)] + list(derived):
+def _require_finite(p):
+    """Refuse a non-finite numeric field of ``p``."""
+    for name in (f.name for f in _dc_fields(p)):
         v = getattr(p, name)
         if not isinstance(v, bool) and not math.isfinite(v):
             raise ValueError(f"{name} must be finite")
@@ -76,7 +76,7 @@ class ForagingParams:
     tau_h0: float = 16.0    # collision-free homing time
 
     def __post_init__(self):
-        _require_finite(self, "tau", "tau_h")
+        _require_finite(self)
         if self.n0 < 1 or self.m0 < 1:
             raise ValueError("n0 and m0 must be >= 1")
         for f in ("alpha_p", "alpha_r", "alpha_r2", "tau0", "tau_h0"):
@@ -85,22 +85,12 @@ class ForagingParams:
         if self.tau_slope < 0:
             raise ValueError("tau_slope must be non-negative")
 
-    @property
-    def tau(self):
-        """Avoid duration grows linearly with the group size."""
-        return self.tau0 + self.tau_slope * (self.n0 - 1)
-
-    @property
-    def tau_h(self):
-        """Effective homing time including interference near home."""
-        return self.tau_h0 * (1.0 + self.alpha_r2 * self.tau * self.n0)
-
 
 def build_foraging(p=ForagingParams()):
     return _from_shipped(
         "foraging", dict(ap=p.alpha_p, ar=p.alpha_r, arp=p.alpha_r2,
-                         tau=p.tau, tauh=p.tau_h),
-        dict(s=p.n0, m=p.m0))
+                         n0=p.n0, m0=p.m0, tau0=p.tau0,
+                         tau_slope=p.tau_slope, tau_h0=p.tau_h0))
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +122,7 @@ _SUCCESS = Transition("g", "s", BinOp("*", BinOp("*", BinOp(
 
 
 def _stickpull(name, p, params):
-    d = _from_shipped(name, params, {})
+    d = _from_shipped(name, params)
     if p.replacement:
         return d
     # depletion: each success removes beta sticks (m -= beta); with
@@ -183,8 +173,7 @@ class StickPullCountsParams:
 def build_stickpull_counts(p=StickPullCountsParams()):
     return _from_shipped(
         "stickpull-counts",
-        dict(alpha=p.alpha, rg=p.r_g, gammad=p.gamma_d, m0=p.m0),
-        dict(s=p.n0))
+        dict(alpha=p.alpha, rg=p.r_g, gammad=p.gamma_d, m0=p.m0, n0=p.n0))
 
 
 # ---------------------------------------------------------------------------
@@ -217,19 +206,12 @@ class SugawaraParams:
         if self.k_target < 1:
             raise ValueError("k_target must be >= 1")
 
-    @property
-    def lx(self):
-        """Turn-angle factor of the model: x = 0 means no broadcast
-        interaction at all, so robots never react to signals."""
-        return 0.0 if self.x == 0 else self.l_x
-
 
 def build_sugawara(p=SugawaraParams()):
     return _from_shipped(
         "sugawara", dict(alpha=p.alpha, b=p.b, tau=p.tau, x=p.x, a=p.a,
-                         lx=p.lx, d=p.d, v=p.v, gloc=p.gamma_loc,
-                         k_target=p.k_target),
-        dict(s=p.n0))
+                         l_x=p.l_x, d=p.d, v=p.v, gloc=p.gamma_loc,
+                         k_target=p.k_target, n0=p.n0))
 
 
 # ---------------------------------------------------------------------------
@@ -265,13 +247,11 @@ class CollabDiffParams:
 
 
 def build_collab_difference(p=CollabDiffParams()):
-    d = _from_shipped(
+    return _from_shipped(
         "collab-difference",
         dict(alpha=p.alpha, at=p.alpha_t, aw=p.alpha_w, ar=p.alpha_r,
              m0=p.m0, ta=p.t_a, tia=p.t_ia, tca=p.t_ca, tcda=p.t_cda,
-             tcga=p.t_cga, tga=p.t_ga),
-        dict(s=p.n0))
-    return _dc_replace(d, discrete=True)
+             tcga=p.t_cga, tga=p.t_ga, n0=p.n0))
 
 
 # ---------------------------------------------------------------------------
@@ -287,30 +267,19 @@ _BUILDERS = {
 }
 
 
-def _builder_entry(name):
+def build_builtin(name, **overrides):
+    """Build a built-in model with overrides by name.
+
+    A field of the model's parameter dataclass goes to the dataclass,
+    which checks it (integral floats are coerced for integer-valued
+    fields); any other name must be a parameter of the diagram and is set
+    with ``with_params``.  This is the one place that knows the split.
+    """
     try:
-        return _BUILDERS[name]
+        builder, cls = _BUILDERS[name]
     except KeyError:
         raise KeyError(f"unknown built-in model {name!r}; "
                        f"available: {', '.join(BUILTIN_NAMES)}") from None
-
-
-def builder_fields(name):
-    """Field names of a built-in model's parameter dataclass."""
-    return tuple(f.name for f in _dc_fields(_builder_entry(name)[1]))
-
-
-def build_builtin(name, **overrides):
-    """Build a built-in model, optionally overriding builder fields.
-
-    Overrides are fields of the model's parameter dataclass (group sizes
-    and anything else the builder sets on the shipped .mas diagram), not
-    only the parameters of the resulting diagram.  Integral floats are
-    coerced for integer-valued fields.
-    """
-    builder, cls = _builder_entry(name)
-    if not overrides:
-        return builder()
     kwargs = {}
     for f in _dc_fields(cls):
         if f.name not in overrides:
@@ -321,7 +290,5 @@ def build_builtin(name, **overrides):
         elif isinstance(f.default, int) and float(v).is_integer():
             v = int(v)
         kwargs[f.name] = v
-    if overrides:
-        raise KeyError(f"unknown field(s) for {name!r}: "
-                       f"{', '.join(sorted(overrides))}")
-    return builder(cls(**kwargs))
+    d = builder(cls(**kwargs))
+    return d.with_params(**overrides) if overrides else d

@@ -6,6 +6,7 @@ Grammar (whitespace and #-comments insignificant)::
     stmt    := "param" IDENT "=" expr
              | "state" IDENT "=" expr
              | "env"   IDENT "=" expr
+             | "synchronous"
              | "rate" "(" expr ")" ":" IDENT "->" IDENT effects?
     effects := ";" effect ("," effect)*
     effect  := IDENT ("+="|"-=") expr
@@ -16,10 +17,12 @@ Grammar (whitespace and #-comments insignificant)::
     call    := ("exp"|"ln"|"step") "(" expr ")"
              | ("delay"|"histint") "(" expr "," expr ")"
 
-Identifiers are case-sensitive.  Reserved words: param, state, env, rate,
-exp, ln, step, delay, histint, t, N0.  Numbers are decimal with an
-optional exponent.  State and env initializers are evaluated at parse
-time and may reference previously declared params.
+Identifiers are case-sensitive.  Reserved words: param, state, env,
+synchronous, rate, exp, ln, step, delay, histint, t, N0.  Numbers are
+decimal with an optional exponent.  An initializer may reference earlier
+params; one that is not a (negated) number is derived: kept in
+``StateDiagram.derived`` and evaluated again by ``with_params``.
+``synchronous`` sets ``StateDiagram.discrete`` (difference semantics).
 """
 from __future__ import annotations
 
@@ -32,7 +35,7 @@ from .errors import LexError, ParseError, SemanticError
 from .expr import (BinOp, Call, Name, Neg, Num, eval_expr, format_number,
                    nodes, unparse)
 
-RESERVED = {"param", "state", "env", "rate",
+RESERVED = {"param", "state", "env", "synchronous", "rate",
             "exp", "ln", "step", "delay", "histint", "t", "N0"}
 
 _TOKEN_RE = re.compile(
@@ -134,8 +137,10 @@ class _Parser:
                 decls.append(self.parse_decl("env"))
             elif self.at_keyword("rate"):
                 decls.append(self.parse_trans())
+            elif self.at_keyword("synchronous"):
+                decls.append((self.advance().text,))
             else:
-                self.fail("'param', 'state', 'env' or 'rate'")
+                self.fail("'param', 'state', 'env', 'synchronous' or 'rate'")
         return decls
 
     def parse_decl(self, kw):
@@ -241,6 +246,7 @@ def parse_model(src):
     states = []
     env_vars = []
     transitions = []
+    derived = []
     seen = {}
 
     def check_fresh(name, line, col):
@@ -253,19 +259,22 @@ def parse_model(src):
             _, name_tok, value = d
             name = name_tok.text
             check_fresh(name, name_tok.line, name_tok.col)
-            try:
-                v = eval_expr(value, dict(params))
-            except Exception as exc:
-                raise SemanticError(
-                    f"initializer for {name!r} is not constant: {exc}",
-                    name_tok.line, name_tok.col) from None
+            v = _literal(value)
+            if v is None:
+                try:
+                    v = eval_expr(value, dict(params))
+                except Exception as exc:
+                    raise SemanticError(
+                        f"initializer for {name!r} is not constant: {exc}",
+                        name_tok.line, name_tok.col) from None
+                derived.append((name, value))
             if d[0] == "param":
                 params[name] = v
             elif d[0] == "state":
                 states.append((name, v))
             else:
                 env_vars.append((name, v))
-        else:
+        elif d[0] == "rate":
             _, rate, src_tok, dst_tok, effects = d
             state_names = {n for n, _ in states}
             for tok in (src_tok, dst_tok):
@@ -285,13 +294,22 @@ def parse_model(src):
         env_vars=tuple(env_vars),
         params=dict(params),
         transitions=tuple(transitions),
+        discrete=any(d[0] == "synchronous" for d in decls),
         name=src.origin,
+        derived=tuple(derived),
     )
     defects = _identifier_defects(diagram)
     if defects:
         msg, line, col = defects[0]
         raise SemanticError(msg, line, col)
     return diagram
+
+
+def _literal(e):
+    """The value of a number or negated number, else None."""
+    if isinstance(e, Neg) and isinstance(e.operand, Num):
+        return -e.operand.value
+    return e.value if isinstance(e, Num) else None
 
 
 def _identifier_defects(diagram):
@@ -313,15 +331,15 @@ def pretty_print(diagram):
     """Render a diagram back to .mas source.
 
     Round trip: ``parse_model(pretty_print(d))`` is structurally identical
-    to ``d`` (state/env initializers are re-emitted as literals).
+    to ``d``.  Params are written in declaration order, derived
+    declarations as their expressions, the others as literals.
     """
-    lines = []
-    for name, v in sorted(diagram.params.items()):
-        lines.append(f"param {name} = {format_number(v)}")
-    for name, v in diagram.states:
-        lines.append(f"state {name} = {format_number(v)}")
-    for name, v in diagram.env_vars:
-        lines.append(f"env {name} = {format_number(v)}")
+    derived = {n: unparse(e) for n, e in diagram.derived}
+    lines = ["synchronous"] if diagram.discrete else []
+    for kw, decls in (("param", diagram.params.items()),
+                      ("state", diagram.states), ("env", diagram.env_vars)):
+        lines += [f"{kw} {n} = {derived.get(n) or format_number(v)}"
+                  for n, v in decls]
     for tr in diagram.transitions:
         line = f"rate({unparse(tr.rate)}): {tr.source} -> {tr.target}"
         if tr.env_effects:

@@ -262,13 +262,16 @@ MALFORMED = [
 def test_criterion_10_parser_round_trip_and_errors():
     with _criterion(10, "parser"):
         t0 = time.perf_counter()
-        for name in sk.BUILTIN_NAMES:
-            d = sk.parse_model(sk.shipped_source(name))
+        built = sk.build_builtin("foraging", n0=3, tau=4.0)
+        for d in [sk.parse_model(sk.shipped_source(name))
+                  for name in sk.BUILTIN_NAMES] + [built]:
             d2 = sk.parse_model(sk.pretty_print(d))
             assert d2.states == d.states
             assert d2.env_vars == d.env_vars
             assert d2.params == d.params
             assert d2.transitions == d.transitions
+            assert d2.derived == d.derived
+            assert d2.discrete == d.discrete
         for src, line, col in MALFORMED:
             with pytest.raises(sk.ModelError) as ei:
                 sk.parse_model(src)

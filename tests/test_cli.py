@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -133,7 +134,7 @@ def test_usage_errors_exit_1(capsys):
                  ("run", "--model", "foraging", "--set", "n0=0"),
                  ("run", "--model", "stickpull-simple", "--dt", "0"),
                  ("mc", "--model", "stickpull-counts", "--runs", "1"),
-                 # non-finite builder fields, also a derived one (tau_h)
+                 # non-finite builder fields, also a derived param (tauh)
                  ("run", "--model", "stickpull-simple", "--set", "gamma=inf"),
                  ("run", "--model", "stickpull-simple", "--set", "gamma=nan"),
                  ("run", "--model", "foraging", "--set", "alpha_r2=1e308"),
@@ -440,3 +441,31 @@ def test_sweep_reports_failed_rows_on_stderr(capsys):
     assert err == "".join(
         f"row beta={v}: DelayMisaligned: step dt=0.3 does not divide "
         "delay 5.0\n" for v in ("0.5", "0.6"))
+
+
+def _shipped_path(name):
+    return str(resources.files("swarmk").joinpath(f"models_mas/{name}.mas"))
+
+
+@pytest.mark.parametrize("name, overrides", [
+    *(pytest.param(name, (), id=name) for name in models.BUILTIN_NAMES),
+    # the shipped files that declare the group size n0
+    *(pytest.param(name, ("--set", "n0=3"), id=f"{name}-n0=3") for name in
+      ("foraging", "sugawara", "stickpull-counts", "collab-difference"))])
+def test_file_states_the_whole_model(capsys, name, overrides):
+    # a shipped file loaded by its path is the built-in model: the same
+    # synchronous steps, derived values and initial counts, byte for byte
+    argv = ("run", "--t-end", "1", *overrides)
+    by_name = _run(capsys, *argv, "--model", name)
+    assert by_name[0] == 0
+    assert _run(capsys, *argv, "--model", _shipped_path(name)) == by_name
+
+
+def test_sweep_by_path_matches_sweep_by_name(capsys):
+    argv = ("sweep", "--param", "n0", "--from", "1", "--to", "3",
+            "--sweep-steps", "3", "--observables", "T", "--counter", "m",
+            "--threshold", "1", "--t-end", "1600", "--dt", "0.5")
+    by_name = _run(capsys, *argv, "--model", "foraging")
+    by_path = _run(capsys, *argv, "--model", _shipped_path("foraging"))
+    assert by_path == by_name
+    assert by_name[0] == 0 and ",," not in by_name[1]

@@ -48,6 +48,20 @@ def test_with_params_override_and_reject_unknown():
         d.with_params(zz=1.0)
 
 
+def test_with_params_rederives_or_refuses():
+    d = parse_model("param a = 2\nparam b = 1 / a\nstate s = b * 4\n"
+                    "state r = 0\n")
+    assert d.derived and d.states == (("s", 2.0), ("r", 0.0))
+    d2 = d.with_params(a=4.0)
+    assert d2.params["b"] == 0.25 and d2.states[0] == ("s", 1.0)
+    assert d2.n0 == 1.0
+    with pytest.raises(ValueError, match="b cannot be evaluated: "
+                                         "division by zero"):
+        d.with_params(a=0.0)
+    with pytest.raises(ValueError, match="b must be finite"):
+        d.with_params(a=1e-320)
+
+
 def test_with_state_init_recomputes_total():
     d = parse_model(TWO_STATE)
     d2 = d.with_state_init(a=7.0)

@@ -1,9 +1,11 @@
 """Built-in model builders: structure, conservation, shipped sources."""
+import math
 from collections import Counter
 from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import swarmk as sk
 from swarmk import models
@@ -24,15 +26,18 @@ NON_DEFAULT_BUILDS = {
                           alpha_r2=0.1, tau0=2.0, tau_slope=0.5,
                           tau_h0=10.0),
         # tau = 2 + 0.5 * 6; tauh = 10 * (1 + 0.1 * 5 * 7)
-        {"ap": 0.02, "ar": 0.05, "arp": 0.1, "tau": 5.0, "tauh": 45.0},
+        {"ap": 0.02, "ar": 0.05, "arp": 0.1, "n0": 7.0, "m0": 12.0,
+         "tau0": 2.0, "tau_slope": 0.5, "tau_h0": 10.0, "tau": 5.0,
+         "tauh": 45.0},
         (("s", 7.0), ("h", 0.0), ("avs", 0.0), ("avh", 0.0)),
         (("m", 12.0),), 7.0),
     "sugawara": (
         sk.build_sugawara,
         sk.SugawaraParams(alpha=0.1, b=0.3, tau=6.0, x=2.0, a=0.5, l_x=0.1,
                           d=4.0, v=8.0, gamma_loc=5.0, n0=10, k_target=30),
-        {"alpha": 0.1, "b": 0.3, "tau": 6.0, "x": 2.0, "a": 0.5, "lx": 0.1,
-         "d": 4.0, "v": 8.0, "gloc": 5.0, "k_target": 30.0},
+        {"alpha": 0.1, "b": 0.3, "tau": 6.0, "x": 2.0, "a": 0.5, "l_x": 0.1,
+         "lx": 0.1, "d": 4.0, "v": 8.0, "gloc": 5.0, "k_target": 30.0,
+         "n0": 10.0},
         (("s", 10.0), ("bc", 0.0), ("h", 0.0), ("mv", 0.0), ("av", 0.0)),
         (("delivered", 0.0),), 10.0),
     "stickpull-simple": (
@@ -49,7 +54,7 @@ NON_DEFAULT_BUILDS = {
         sk.build_stickpull_counts,
         sk.StickPullCountsParams(n0=6, m0=9, alpha=0.1, r_g=0.4,
                                  gamma_d=0.3),
-        {"alpha": 0.1, "rg": 0.4, "gammad": 0.3, "m0": 9.0},
+        {"alpha": 0.1, "rg": 0.4, "gammad": 0.3, "m0": 9.0, "n0": 6.0},
         (("s", 6.0), ("g", 0.0)), (), 6.0),
     "collab-difference": (
         sk.build_collab_difference,
@@ -58,7 +63,7 @@ NON_DEFAULT_BUILDS = {
                             t_ca=7, t_cda=12, t_cga=50, t_ga=45),
         {"alpha": 0.004, "at": 0.002, "aw": 0.006, "ar": 0.007, "m0": 12.0,
          "ta": 4.0, "tia": 9.0, "tca": 7.0, "tcda": 12.0, "tcga": 50.0,
-         "tga": 45.0},
+         "tga": 45.0, "n0": 6.0},
         (("s", 6.0), ("av", 0.0), ("intf", 0.0), ("ca", 0.0), ("cda", 0.0),
          ("g", 0.0)), (), 6.0),
 }
@@ -228,8 +233,54 @@ def test_foraging_param_validation():
         sk.ForagingParams(alpha_p=0.0)
     with pytest.raises(ValueError):
         sk.ForagingParams(tau_slope=-0.1)
-    with pytest.raises(ValueError, match="tau_h must be finite"):
-        sk.ForagingParams(alpha_r2=1e308)
+    with pytest.raises(ValueError, match="tauh must be finite"):
+        sk.build_foraging(sk.ForagingParams(alpha_r2=1e308))
+
+
+_rates = st.floats(min_value=1e-4, max_value=2.0)
+
+
+@given(st.builds(sk.ForagingParams, n0=st.integers(1, 50),
+                 m0=st.integers(1, 50), alpha_p=_rates, alpha_r=_rates,
+                 alpha_r2=_rates, tau0=st.floats(0.01, 100.0),
+                 tau_slope=st.floats(0.0, 10.0),
+                 tau_h0=st.floats(0.01, 100.0)))
+def test_foraging_derived_params_match_the_formulas(p):
+    # the formulas of the removed ForagingParams.tau/tau_h, written out
+    tau = p.tau0 + p.tau_slope * (p.n0 - 1)
+    tau_h = p.tau_h0 * (1.0 + p.alpha_r2 * tau * p.n0)
+    d = sk.build_foraging(p)
+    assert d.params["tau"] == tau
+    assert d.params["tauh"] == tau_h
+
+
+@given(st.builds(sk.SugawaraParams,
+                 x=st.one_of(st.sampled_from([0, 0.0, -0.0]),
+                             st.floats(0.0, 50.0)),
+                 l_x=st.one_of(st.just(-0.0), st.floats(0.0, 1.0))))
+def test_sugawara_derived_lx_matches_the_formula(p):
+    # the removed SugawaraParams.lx: no broadcast at x = 0
+    lx = sk.build_sugawara(p).params["lx"]
+    assert lx == (0.0 if p.x == 0 else p.l_x)
+    if p.x == 0:
+        assert math.copysign(1.0, lx) == 1.0
+
+
+def test_overrides_pin_and_rederive():
+    d = sk.build_foraging().with_params(tau=4.0)
+    assert d.params["tauh"] == 16.0 * (1 + 0.08 * 4.0 * 5)
+    # a pinned value stays pinned; what still derives follows n0
+    d = d.with_params(n0=3.0)
+    assert d.params["tau"] == 4.0
+    assert d.params["tauh"] == 16.0 * (1 + 0.08 * 4.0 * 3.0)
+    assert d.states[0] == ("s", 3.0) and d.n0 == 3.0
+    # so does a state set by with_state_init
+    d = sk.build_foraging().with_state_init(s=2.0).with_params(n0=3.0)
+    assert d.states[0] == ("s", 2.0) and d.n0 == 2.0
+    assert d.params["tau"] == 3.0 + 0.2 * (3.0 - 1)
+    # by name and by override alike
+    assert sk.build_builtin("foraging", tau=4.0, n0=3) == \
+        sk.build_foraging().with_params(tau=4.0, n0=3.0)
 
 
 def test_foraging_depletion_monotone():
@@ -447,7 +498,7 @@ def test_build_builtin_field_overrides():
     # integral floats coerce for integer fields
     d2 = sk.build_builtin("foraging", n0=3.0)
     assert dict(d2.states)["s"] == 3.0
-    with pytest.raises(KeyError):
+    with pytest.raises(sk.ModelError):
         sk.build_builtin("foraging", nope=1)
     with pytest.raises(KeyError):
         sk.build_builtin("no-such-model")

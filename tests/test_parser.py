@@ -1,6 +1,7 @@
 """Model-language parsing: grammar, errors with locations, round trips."""
 import pytest
 
+from swarmk import expr, models
 from swarmk.errors import LexError, ParseError, SemanticError
 from swarmk.parser import ModelSource, parse_model, pretty_print, tokenize
 
@@ -123,15 +124,56 @@ def test_effects_multiple():
 
 
 def test_pretty_print_round_trip():
-    d = parse_model(GOOD)
-    text = pretty_print(d)
-    d2 = parse_model(text)
-    assert d2.states == d.states
-    assert d2.env_vars == d.env_vars
-    assert d2.params == d.params
-    assert d2.transitions == d.transitions
-    # and printing again is a fixed point
-    assert pretty_print(d2) == text
+    # declaration order, derived declarations and synchronous survive, for
+    # every shipped file and a built diagram with an override pinned
+    for d in [parse_model(GOOD), parse_model("synchronous\n" + GOOD),
+              models.build_builtin("foraging", n0=3, tau=4.0),
+              *(parse_model(models.shipped_source(n))
+                for n in models.BUILTIN_NAMES)]:
+        text = pretty_print(d)
+        d2 = parse_model(text)
+        assert d2.states == d.states
+        assert d2.env_vars == d.env_vars
+        assert list(d2.params.items()) == list(d.params.items())
+        assert d2.transitions == d.transitions
+        assert d2.derived == d.derived
+        assert d2.discrete == d.discrete
+        # and printing again is a fixed point
+        assert pretty_print(d2) == text
+
+
+def test_synchronous_and_derived_declarations():
+    d = parse_model("param k = 2\nparam j = -1\nsynchronous\n"
+                    "state s = k * 3\nenv m = k\nrate(k * s): s -> s\n")
+    assert d.discrete
+    assert d.params == {"k": 2.0, "j": -1.0}
+    assert d.states == (("s", 6.0),) and d.env_vars == (("m", 2.0),)
+    assert [n for n, _ in d.derived] == ["s", "m"]
+    assert not parse_model(GOOD.replace("k * 2", "1")).derived
+    with pytest.raises(ParseError, match="reserved word 'synchronous'"):
+        parse_model("param synchronous = 1\n")
+
+
+# derived declarations per shipped file: foraging tau, tauh, s and m;
+# sugawara lx and s; s in counts and collab
+DERIVED_COUNTS = {"foraging": 4, "sugawara": 2, "stickpull-simple": 0,
+                  "stickpull-delayed": 0, "stickpull-counts": 1,
+                  "collab-difference": 1}
+
+
+@pytest.mark.parametrize("name", models.BUILTIN_NAMES)
+def test_one_compile_per_derived_declaration(monkeypatch, name):
+    # a literal initializer takes its value without generating code
+    calls = []
+    generate = expr.generate_function
+
+    def counting(*args):
+        calls.append(args)
+        return generate(*args)
+
+    monkeypatch.setattr(expr, "generate_function", counting)
+    d = parse_model(models.shipped_source(name))
+    assert len(calls) == len(d.derived) == DERIVED_COUNTS[name]
 
 
 def test_origin_recorded():
