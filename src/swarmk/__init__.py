@@ -15,11 +15,7 @@ from .errors import (ConservationDrift, DelayMisaligned, EvalError,
                      StepGridError, SwarmkError)
 from .integrate import (HistoryAccessor, Trajectory, integrate,
                         integrate_delayed, iterate_difference)
-from .models import (BUILTIN_NAMES, CollabDiffParams, ForagingParams,
-                     StickPullCountsParams, StickPullParams, SugawaraParams,
-                     build_builtin, build_collab_difference, build_foraging,
-                     build_stickpull_counts, build_stickpull_delayed,
-                     build_stickpull_simple, build_sugawara, shipped_source)
+from .models import BUILTIN_NAMES, build_builtin, shipped_source
 from .parser import ModelSource, parse_file, parse_model, pretty_print
 from .analysis import (SteadyStateResult, SweepTable, beta_critical,
                        collaboration_rate, completion_time,
@@ -32,22 +28,19 @@ from .stochastic import (ConfigurationSpace, EnsembleStats, ensemble,
 __version__ = "1.0.0"
 
 __all__ = [
-    "BUILTIN_NAMES", "CollabDiffParams", "ConfigurationSpace",
-    "ConservationDrift", "DelayMisaligned", "EnsembleStats", "EvalError",
-    "ForagingParams", "HistoryAccessor", "IntegrationError", "LexError",
-    "ModelError", "ModelSource", "NegativePopulation", "NoRoot", "NonFinite",
-    "NotReached", "ParseError", "RateSystem", "SemanticError",
-    "StateDiagram", "StateSpaceTooLarge", "StepGridError",
-    "SteadyStateResult", "StickPullCountsParams", "StickPullParams",
-    "SugawaraParams", "SwarmkError", "SweepTable", "Trajectory", "Transition",
+    "BUILTIN_NAMES", "ConfigurationSpace", "ConservationDrift",
+    "DelayMisaligned", "EnsembleStats", "EvalError", "HistoryAccessor",
+    "IntegrationError", "LexError", "ModelError", "ModelSource",
+    "NegativePopulation", "NoRoot", "NonFinite", "NotReached",
+    "ParseError", "RateSystem", "SemanticError", "StateDiagram",
+    "StateSpaceTooLarge", "StepGridError", "SteadyStateResult",
+    "SwarmkError", "SweepTable", "Trajectory", "Transition",
     "ValidationReport", "beta_critical", "build_builtin",
-    "build_collab_difference", "build_foraging", "build_stickpull_counts",
-    "build_stickpull_delayed", "build_stickpull_simple", "build_sugawara",
-    "collaboration_rate", "compile_rhs", "completion_time", "conserved_total",
-    "efficiency_per_robot", "encounter_rate", "ensemble", "gamma_opt",
-    "integrate", "integrate_delayed", "iterate_difference", "master_exact",
-    "parse_file", "parse_model", "pretty_print", "scaling_exponent",
-    "semimarkov_run", "shipped_source", "ssa_run", "steady_state_delayed",
-    "steady_state_of_trajectory", "steady_state_simple", "sweep", "tau_opt",
-    "validate_diagram",
+    "collaboration_rate", "compile_rhs", "completion_time",
+    "conserved_total", "efficiency_per_robot", "encounter_rate",
+    "ensemble", "gamma_opt", "integrate", "integrate_delayed",
+    "iterate_difference", "master_exact", "parse_file", "parse_model",
+    "pretty_print", "scaling_exponent", "semimarkov_run", "shipped_source",
+    "ssa_run", "steady_state_delayed", "steady_state_of_trajectory",
+    "steady_state_simple", "sweep", "tau_opt", "validate_diagram",
 ]

@@ -297,15 +297,15 @@ def sweep(model, param, grid, observables=("nstar", "R"), *, t_end=100.0,
           dt=0.01, k_steps=None, counter=None, mode="deplete", threshold=None):
     """Evaluate observables over a parameter grid.
 
-    ``model`` is a StateDiagram (the swept name must be one of its
-    parameters) or a callable mapping a grid value to a StateDiagram.
-    Observables: ``nstar`` and ``R`` use the analytic steady state of the
-    stick-pulling models; ``T`` integrates the model and interpolates the
-    crossing time of ``counter`` (``deplete``/``reach`` at ``threshold``);
-    ``steady:<col>`` averages a settled trajectory column.  A difference
-    model runs ``k_steps`` steps, else ``t_end``.  Rows that fail are
-    recorded with their error message instead of aborting the sweep; a
-    StepGridError (``t_end`` off the ``dt`` grid, ...) fails it at once.
+    Each row sets the swept parameter of the StateDiagram ``model`` with
+    ``with_params``.  Observables: ``nstar`` and ``R`` use the analytic
+    steady state of the stick-pulling models; ``T`` integrates the model
+    and interpolates the crossing time of ``counter`` (``deplete``/
+    ``reach`` at ``threshold``); ``steady:<col>`` averages a settled
+    trajectory column.  A difference model runs ``k_steps`` steps, else
+    ``t_end``.  Rows that fail are recorded with their error message
+    instead of aborting the sweep; a StepGridError (``t_end`` off the
+    ``dt`` grid, ...) fails it at once.
     """
     grid = tuple(float(v) for v in grid)
     if not grid:
@@ -315,20 +315,14 @@ def sweep(model, param, grid, observables=("nstar", "R"), *, t_end=100.0,
         raise ValueError("grid must be strictly monotone")
     observables = tuple(observables)
 
-    if callable(model):
-        make = model
-        provenance = {"model": "<factory>"}
-    else:
-        def make(value):
-            return model.with_params(**{param: value})
-        provenance = {"model": model.name, "params": dict(model.params)}
-    provenance.update({"observables": list(observables)})
+    provenance = {"model": model.name, "params": dict(model.params),
+                  "observables": list(observables)}
 
     steady_names = [o for o in observables if o in ("nstar", "R", "residual")]
     rows, errors = [], []
     for value in grid:
         try:
-            d = make(value)
+            d = model.with_params(**{param: value})
             row = {}
             if steady_names:
                 vals = _steady_observables(d, steady_names)

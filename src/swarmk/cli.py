@@ -18,8 +18,8 @@ from .errors import IntegrationError, ModelError, NoRoot, NotReached, \
     StateSpaceTooLarge, SwarmkError
 # all three integrators stay bound here: perfbench/spans.py traces them
 # at these names (``run`` reaches them through analysis)
-from .integrate import (_step_count, integrate, integrate_delayed,  # noqa: F401
-                        iterate_difference)
+from .integrate import (_check_t_end, _step_count, integrate,  # noqa: F401
+                        integrate_delayed, iterate_difference)
 from .parser import parse_file
 
 EXIT_OK = 0
@@ -64,6 +64,7 @@ def _parse_overrides(pairs):
 
 
 def _fmt_float(v):
+    """A number as its float's repr; None as an empty cell."""
     if v is None:
         return ""
     return repr(float(v))
@@ -77,18 +78,20 @@ def _emit(text, out):
         sys.stdout.write(text)
 
 
-def _csv(header, rows):
-    """CSV text: the header line, then one line of numbers per row (None
-    becomes an empty cell)."""
+def _csv(header, rows, cell=repr):
+    """CSV text: the header line, then one line per row, each value written
+    by ``cell``.  A float array goes in as ``map(np.ndarray.tolist, a)``:
+    row by row, a whole-array ``tolist`` would hold every value at once."""
     lines = [",".join(header)]
-    lines += [",".join(_fmt_float(v) for v in row) for row in rows]
+    lines += [",".join(map(cell, row)) for row in rows]
     return "\n".join(lines) + "\n"
 
 
 def _emit_traj(traj, args):
     if args.format == "csv":
-        _emit(_csv(["t"] + traj.columns,
-                   np.column_stack((traj.times, traj.data))), args.out)
+        rows = np.column_stack((traj.times, traj.data))
+        _emit(_csv(["t"] + traj.columns, map(np.ndarray.tolist, rows)),
+              args.out)
         return
     payload = {
         "columns": ["t"] + list(traj.columns),
@@ -198,13 +201,7 @@ def _cmd_sweep(args):
         raise _UsageError("sweep requires --param, --from and --to")
     if args.npts < 1:
         raise _UsageError("--sweep-steps must be >= 1")
-    overrides = _parse_overrides(args.set)
-    if args.model in models.BUILTIN_NAMES:
-        def model(value):
-            return models.build_builtin(args.model,
-                                        **{**overrides, args.param: value})
-    else:
-        model = _load_model(args.model, overrides)
+    model = _load_model(args.model, _parse_overrides(args.set))
     grid = np.linspace(args.lo, args.hi, args.npts)
     observables = tuple(s.strip() for s in args.observables.split(",") if s.strip())
     table = analysis.sweep(model, args.param, grid, observables,
@@ -216,14 +213,19 @@ def _cmd_sweep(args):
             print(f"row {args.param}={_fmt_float(v)}: {err}", file=sys.stderr)
     if args.format == "csv":
         _emit(_csv(["param", *table.observables],
-                   ((v, *row) for v, row in zip(table.grid, table.rows))),
-              args.out)
+                   ((v, *row) for v, row in zip(table.grid, table.rows)),
+                   _fmt_float), args.out)
     else:
         _emit(_sweep_json(table), args.out)
     return EXIT_OK
 
 
 def _grid(args):
+    """The ensemble's output times, ``--grid-points`` steps over
+    [0, t_end] (refused first where ``linspace`` would fail or warn)."""
+    if args.grid_points < 1:
+        raise _UsageError("--grid-points must be >= 1")
+    _check_t_end(args.t_end)
     return np.linspace(0.0, args.t_end, args.grid_points + 1)
 
 
@@ -246,7 +248,8 @@ def _cmd_mc(args):
         # each column's mean and standard error, side by side
         pairs = np.stack((stats.mean, stats.stderr), axis=2)
         pairs = pairs.reshape(len(stats.times), -1)
-        _emit(_csv(header, np.column_stack((stats.times, pairs))), args.out)
+        rows = np.column_stack((stats.times, pairs))
+        _emit(_csv(header, map(np.ndarray.tolist, rows)), args.out)
     return EXIT_OK
 
 
@@ -263,11 +266,11 @@ def _cmd_exact(args):
 
 def _cmd_compare(args):
     diagram = _load_model(args.model, _parse_overrides(args.set))
+    grid = _grid(args)
     # the chain refuses first what it cannot represent: any flavor but ode
     _, exact = stochastic.master_exact(diagram, t_end=args.t_end, dt=args.dt,
                                        dt_out=args.dt)
     mf = integrate(compile_rhs(diagram), t_end=args.t_end, dt=args.dt)
-    grid = _grid(args)
     stats = stochastic.ensemble(
         lambda seed: stochastic.ssa_run(diagram, t_end=args.t_end, seed=seed),
         args.runs, args.seed, grid)
@@ -277,7 +280,7 @@ def _cmd_compare(args):
         header += [f"{c}_mf", f"{c}_exact", f"{c}_mc", f"{c}_mc_stderr",
                    f"{c}_gap_exact", f"{c}_gap_mc"]
     csv_rows, rows = [], []
-    for i, t in enumerate(grid):
+    for i, t in enumerate(grid.tolist()):
         csv_rows.append([t])
         row = {}
         for j, c in enumerate(cols):

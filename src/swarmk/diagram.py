@@ -14,8 +14,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import EvalError, ModelError
-from .expr import (Neg, Source, delay_windows, eval_expr, free_names,
-                   has_history_terms, unparse)
+from .expr import (Neg, Source, delay_windows, eval_expr, format_number,
+                   free_names, has_history_terms, unparse)
 
 
 @dataclass(frozen=True)
@@ -43,6 +43,9 @@ class StateDiagram:
     # declarations whose value is an expression of earlier parameters,
     # ((name, Expr), ...) in declaration order; with_params evaluates them
     derived: tuple = ()
+    # param name -> (lo, hi, brackets): the values it may take, e.g.
+    # (0.0, 1.0, "(]") for ``in (0, 1]``; with_params refuses the others
+    domains: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.n0 is None:
@@ -69,11 +72,15 @@ class StateDiagram:
         """The diagram with parameters set.  A parameter that is set is no
         longer derived (the value is pinned); the remaining derived
         declarations are evaluated again, in order, so the parameters,
-        initial values and N0 that follow from the set ones follow them."""
+        initial values and N0 that follow from the set ones follow them.
+        Every set or derived value must be finite and inside its domain."""
         unknown = set(overrides) - set(self.params)
         if unknown:
             raise ModelError(f"unknown parameter(s): {', '.join(sorted(unknown))}")
-        params = {**self.params, **overrides}
+        # "+ 0.0" turns -0.0 into the 0.0 the parser gives
+        params = {**self.params, **{
+            k: check_param(k, float(v) + 0.0, self.domains.get(k))
+            for k, v in overrides.items()}}
         derived = tuple(d for d in self.derived if d[0] not in overrides)
         inits = dict(self.states + self.env_vars)
         for name, e in derived:
@@ -81,8 +88,7 @@ class StateDiagram:
                 v = eval_expr(e, params)
             except EvalError as exc:
                 raise ValueError(f"{name} cannot be evaluated: {exc}") from None
-            if not math.isfinite(v):
-                raise ValueError(f"{name} must be finite")
+            v = check_param(name, v, self.domains.get(name))
             (params if name in params else inits)[name] = v
         states = tuple((n, inits[n]) for n, _ in self.states)
         return replace(self, params=params, derived=derived, states=states,
@@ -94,6 +100,26 @@ class StateDiagram:
         states = tuple((n, inits.get(n, v)) for n, v in self.states)
         derived = tuple(d for d in self.derived if d[0] not in inits)
         return replace(self, states=states, derived=derived, n0=None)
+
+
+def domain_source(domain):
+    """A parameter domain ``(lo, hi, brackets)`` as ``.mas`` source."""
+    lo, hi, (left, right) = domain
+    return f"{left}{format_number(lo)}, {format_number(hi)}{right}"
+
+
+def check_param(name, v, domain=None):
+    """``v`` if it is finite and inside ``domain`` (None: anywhere), else
+    ValueError."""
+    if not math.isfinite(v):
+        raise ValueError(f"{name} must be finite")
+    if domain is not None:
+        lo, hi, (left, right) = domain
+        if not ((lo < v if left == "(" else lo <= v)
+                and (v < hi if right == ")" else v <= hi)):
+            raise ValueError(f"{name} = {v!r} is outside "
+                             f"{domain_source(domain)}")
+    return v
 
 
 @dataclass

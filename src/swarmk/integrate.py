@@ -87,17 +87,18 @@ class HistoryAccessor:
     def bindings_at(self, t):
         """The evaluation row at ``t``."""
         if t <= self.t0:
-            row = self.rows[0]
+            row = self.rows[0].tolist()
         else:
             i, frac = self._locate(t)
             if i >= self.count:
                 raise IntegrationError(
                     f"history query at t={t!r} is beyond the stored window")
-            if frac <= 1e-9 or i + 1 >= self.count:
-                row = self.rows[i]
-            else:
-                row = (1.0 - frac) * self.rows[i] + frac * self.rows[i + 1]
-        return row.tolist() + [t]
+            row = self.rows[i].tolist()
+            if frac > 1e-9 and i + 1 < self.count:
+                row = [(1.0 - frac) * a + frac * b
+                       for a, b in zip(row, self.rows[i + 1].tolist())]
+        row.append(t)
+        return row
 
     def window_integral(self, key, fn, t_lo, t_hi, now):
         """Integral of ``fn(row, history)`` over [t_lo, t_hi]; ``now`` is
@@ -160,14 +161,23 @@ def _off_grid(span, dt):
     return abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio)
 
 
-def _step_count(t_end, dt, delays=()):
-    """Number of steps ``dt`` from 0 to ``t_end``.  ``t_end`` and every
-    positive lag or window in ``delays`` must be a whole number of steps
-    (to 1e-9 relative); a lag is checked first."""
-    if dt <= 0:
-        raise StepGridError("dt must be positive")
+def _check_t_end(t_end):
+    """Refuse a ``t_end`` that is not finite or is negative."""
+    if not math.isfinite(t_end):
+        raise StepGridError("t_end must be finite")
     if t_end < 0:
         raise StepGridError("t_end must be non-negative")
+
+
+def _step_count(t_end, dt, delays=()):
+    """Number of steps ``dt`` from 0 to ``t_end``.  Both must be finite;
+    ``t_end`` and every positive lag or window in ``delays`` must be a
+    whole number of steps (to 1e-9 relative); a lag is checked first."""
+    if not math.isfinite(dt):
+        raise StepGridError("dt must be finite")
+    _check_t_end(t_end)
+    if dt <= 0:
+        raise StepGridError("dt must be positive")
     for delay in delays:
         if delay > 0 and _off_grid(delay, dt):
             raise DelayMisaligned(delay, float(dt))

@@ -3,11 +3,13 @@
 Grammar (whitespace and #-comments insignificant)::
 
     model   := stmt*
-    stmt    := "param" IDENT "=" expr
+    stmt    := "param" IDENT "=" expr domain?
              | "state" IDENT "=" expr
              | "env"   IDENT "=" expr
              | "synchronous"
              | "rate" "(" expr ")" ":" IDENT "->" IDENT effects?
+    domain  := "in" ("(" | "[") bound "," bound (")" | "]")
+    bound   := "-"? (NUMBER | "inf")
     effects := ";" effect ("," effect)*
     effect  := IDENT ("+="|"-=") expr
     expr    := term  (("+"|"-") term)*
@@ -18,11 +20,15 @@ Grammar (whitespace and #-comments insignificant)::
              | ("delay"|"histint") "(" expr "," expr ")"
 
 Identifiers are case-sensitive.  Reserved words: param, state, env,
-synchronous, rate, exp, ln, step, delay, histint, t, N0.  Numbers are
-decimal with an optional exponent.  An initializer may reference earlier
-params; one that is not a (negated) number is derived: kept in
-``StateDiagram.derived`` and evaluated again by ``with_params``.
-``synchronous`` sets ``StateDiagram.discrete`` (difference semantics).
+synchronous, rate, in, inf, exp, ln, step, delay, histint, t, N0.
+Numbers are decimal with an optional exponent.  An initializer may
+reference earlier params; one that is not a (negated) number is derived:
+kept in ``StateDiagram.derived`` and evaluated again by ``with_params``.
+A domain (``param rg = 0.35 in (0, 1]``; a round bracket leaves its end
+out, a square one keeps it) is kept in ``StateDiagram.domains``: the
+file's value must lie in it, and so must every value ``with_params``
+sets or derives.  ``synchronous`` sets ``StateDiagram.discrete``
+(difference semantics).
 """
 from __future__ import annotations
 
@@ -30,12 +36,13 @@ import math
 import re
 from dataclasses import dataclass
 
-from .diagram import StateDiagram, Transition, effect_source
+from .diagram import (StateDiagram, Transition, check_param, domain_source,
+                      effect_source)
 from .errors import LexError, ParseError, SemanticError
 from .expr import (BinOp, Call, Name, Neg, Num, eval_expr, format_number,
                    nodes, unparse)
 
-RESERVED = {"param", "state", "env", "synchronous", "rate",
+RESERVED = {"param", "state", "env", "synchronous", "rate", "in", "inf",
             "exp", "ln", "step", "delay", "histint", "t", "N0"}
 
 _TOKEN_RE = re.compile(
@@ -44,7 +51,7 @@ _TOKEN_RE = re.compile(
       | (?P<nl>\n)
       | (?P<num>(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?)
       | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-      | (?P<op>\+=|-=|->|[()+\-*/=:;,])
+      | (?P<op>\+=|-=|->|[()\[\]+\-*/=:;,])
     """,
     re.VERBOSE,
 )
@@ -107,10 +114,10 @@ class _Parser:
         got = tok.text if tok.kind != "eof" else "end of input"
         raise ParseError(f"expected {expected}, got {got!r}", tok.line, tok.col)
 
-    def expect_op(self, text):
-        if self.cur.kind == "op" and self.cur.text == text:
+    def expect_op(self, *texts):
+        if self.cur.kind == "op" and self.cur.text in texts:
             return self.advance()
-        self.fail(f"'{text}'")
+        self.fail(" or ".join(f"'{t}'" for t in texts))
 
     def expect_ident(self):
         if self.cur.kind == "ident" and self.cur.text not in RESERVED:
@@ -148,7 +155,40 @@ class _Parser:
         name = self.expect_ident()
         self.expect_op("=")
         value = self.parse_expr()
-        return (kw, name, value)
+        domain = None
+        if kw == "param" and self.at_keyword("in"):
+            domain = self.parse_domain()
+        return (kw, name, value, domain)
+
+    def parse_domain(self):
+        """``in`` and its interval: ``((lo, hi, brackets), in token)``."""
+        tok = self.advance()
+        left = self.expect_op("(", "[").text
+        lo = self.parse_bound()
+        self.expect_op(",")
+        hi = self.parse_bound()
+        right = self.expect_op(")", "]").text
+        domain = (lo, hi, left + right)
+        if (left == "[" and math.isinf(lo)) or (right == "]" and math.isinf(hi)):
+            raise SemanticError(f"domain {domain_source(domain)} closes an "
+                                "infinite end", tok.line, tok.col)
+        if not (lo < hi or (lo == hi and left + right == "[]")):
+            raise SemanticError(f"domain {domain_source(domain)} is empty",
+                                tok.line, tok.col)
+        return domain, tok
+
+    def parse_bound(self):
+        negate = self.cur.kind == "op" and self.cur.text == "-"
+        if negate:
+            self.advance()
+        if self.at_keyword("inf"):
+            self.advance()
+            v = math.inf
+        elif self.cur.kind == "num":
+            v = self.parse_primary().value
+        else:
+            self.fail("number or 'inf'")
+        return -v if negate else v
 
     def parse_trans(self):
         self.advance()
@@ -247,6 +287,7 @@ def parse_model(src):
     env_vars = []
     transitions = []
     derived = []
+    domains = {}
     seen = {}
 
     def check_fresh(name, line, col):
@@ -256,7 +297,7 @@ def parse_model(src):
 
     for d in decls:
         if d[0] in ("param", "state", "env"):
-            _, name_tok, value = d
+            _, name_tok, value, domain = d
             name = name_tok.text
             check_fresh(name, name_tok.line, name_tok.col)
             v = _literal(value)
@@ -268,6 +309,13 @@ def parse_model(src):
                         f"initializer for {name!r} is not constant: {exc}",
                         name_tok.line, name_tok.col) from None
                 derived.append((name, value))
+            if domain is not None:
+                domains[name], in_tok = domain
+                try:
+                    check_param(name, v, domains[name])
+                except ValueError as exc:
+                    raise SemanticError(str(exc), in_tok.line,
+                                        in_tok.col) from None
             if d[0] == "param":
                 params[name] = v
             elif d[0] == "state":
@@ -297,6 +345,7 @@ def parse_model(src):
         discrete=any(d[0] == "synchronous" for d in decls),
         name=src.origin,
         derived=tuple(derived),
+        domains=domains,
     )
     defects = _identifier_defects(diagram)
     if defects:
@@ -331,15 +380,17 @@ def pretty_print(diagram):
     """Render a diagram back to .mas source.
 
     Round trip: ``parse_model(pretty_print(d))`` is structurally identical
-    to ``d``.  Params are written in declaration order, derived
-    declarations as their expressions, the others as literals.
+    to ``d``.  Params are written in declaration order with their domains,
+    derived declarations as their expressions, the others as literals.
     """
     derived = {n: unparse(e) for n, e in diagram.derived}
+    domains = {n: f" in {domain_source(b)}"
+               for n, b in diagram.domains.items()}
     lines = ["synchronous"] if diagram.discrete else []
     for kw, decls in (("param", diagram.params.items()),
                       ("state", diagram.states), ("env", diagram.env_vars)):
         lines += [f"{kw} {n} = {derived.get(n) or format_number(v)}"
-                  for n, v in decls]
+                  f"{domains.get(n, '')}" for n, v in decls]
     for tr in diagram.transitions:
         line = f"rate({unparse(tr.rate)}): {tr.source} -> {tr.target}"
         if tr.env_effects:

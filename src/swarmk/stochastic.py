@@ -16,7 +16,8 @@ import numpy as np
 
 from .diagram import gate, transition_table
 from .errors import IntegrationError, ModelError, StateSpaceTooLarge
-from .integrate import Trajectory, _off_grid, _rk4_step, _step_count
+from .integrate import (Trajectory, _check_t_end, _off_grid, _rk4_step,
+                        _step_count)
 
 CONFIG_CAP = 100_000
 
@@ -175,7 +176,9 @@ def ssa_run(diagram, t_end=10.0, seed=0):
     Exponential waiting times with the total rate, jump category chosen
     proportionally to individual rates; fully determined by the seed.
     Returns a piecewise-constant Trajectory sampled at the jump times.
+    ``t_end`` must be finite and non-negative.
     """
+    _check_t_end(t_end)
     table, y = _chain(diagram)
     rng = np.random.default_rng(seed)
     times = [0.0]

@@ -71,7 +71,7 @@ def test_criterion_3_delayed_model():
         root = sk.steady_state_delayed(0.5, 5.0, 0.35)
         assert root.residual <= 1e-10
 
-        d = sk.build_stickpull_delayed(sk.StickPullParams(beta=0.5, tau=5.0))
+        d = sk.build_builtin("stickpull-delayed", beta=0.5, tau=5.0)
         traj = sk.integrate_delayed(sk.compile_rhs(d), t_end=200.0, dt=0.01)
         settled = sk.steady_state_of_trajectory(traj, "s")
         assert abs(settled - root.n) < 1e-3
@@ -114,7 +114,7 @@ def test_criterion_4_two_model_consistency():
 def test_criterion_5_foraging_shapes_and_group_size():
     with _criterion(5, "foraging"):
         t0 = time.perf_counter()
-        d = sk.build_foraging()  # M0=20, N0=5, base avoid 3 s, homing 16 s
+        d = sk.build_builtin("foraging")  # M0=20, N0=5, base avoid 3 s, homing 16 s
         traj = sk.integrate(sk.compile_rhs(d), t_end=700.0, dt=0.05)
         s = traj.column("s")
         m = traj.column("m")
@@ -127,7 +127,7 @@ def test_criterion_5_foraging_shapes_and_group_size():
 
         times = {}
         for n0 in range(1, 11):
-            dn = sk.build_foraging(sk.ForagingParams(n0=n0))
+            dn = sk.build_builtin("foraging", n0=n0)
             tr = sk.integrate(sk.compile_rhs(dn), t_end=1600.0, dt=0.25)
             times[n0] = sk.completion_time(tr, "m", "deplete", 1.0)
         n_best = min(times, key=times.get)
@@ -146,7 +146,7 @@ def test_criterion_6_communication_scaling():
         def completion_points(**overrides):
             pts = []
             for n in (2, 4, 8, 16, 32):
-                g = sk.build_sugawara(sk.SugawaraParams(n0=n, **overrides))
+                g = sk.build_builtin("sugawara", n0=n, **overrides)
                 tr = sk.integrate(sk.compile_rhs(g), t_end=400.0, dt=0.1)
                 pts.append((n, sk.completion_time(tr, "delivered", "reach",
                                                   20.0)))
@@ -164,8 +164,8 @@ def test_criterion_7_oracle_chain_small_instances():
     # dimensionless clock) are the documented small-instance settings
     with _criterion(7, "oracle chain"):
         t0 = time.perf_counter()
-        d4 = sk.build_stickpull_counts(sk.StickPullCountsParams(
-            n0=4, m0=4, alpha=0.25, gamma_d=0.2))
+        d4 = sk.build_builtin("stickpull-counts", n0=4, m0=4, alpha=0.25,
+                              gammad=0.2)
         _, exact = sk.master_exact(d4, t_end=20.0, dt=0.005, dt_out=0.5)
         grid = np.linspace(1.0, 20.0, 20)
         stats = sk.ensemble(lambda s: sk.ssa_run(d4, t_end=20.0, seed=s),
@@ -176,12 +176,11 @@ def test_criterion_7_oracle_chain_small_instances():
         assert z.max() < 3.0
 
         def mean_field_gap(n0):
-            p = sk.StickPullCountsParams(n0=n0, m0=n0, alpha=1.0 / n0,
-                                         gamma_d=0.2)
-            _, tr = sk.master_exact(sk.build_stickpull_counts(p),
-                                    t_end=20.0, dt=0.005, dt_out=0.5)
-            mf = sk.integrate(sk.compile_rhs(sk.build_stickpull_simple(
-                sk.StickPullParams(beta=1.0, gamma=0.2))),
+            d = sk.build_builtin("stickpull-counts", n0=n0, m0=n0,
+                                 alpha=1.0 / n0, gammad=0.2)
+            _, tr = sk.master_exact(d, t_end=20.0, dt=0.005, dt_out=0.5)
+            mf = sk.integrate(sk.compile_rhs(sk.build_builtin(
+                "stickpull-simple", beta=1.0, gamma=0.2)),
                 t_end=20.0, dt=0.005)
             n_mf = np.interp(tr.times, mf.times, mf.column("s"))
             return np.abs(tr.column("s") / n0 - n_mf).max()
@@ -243,7 +242,7 @@ def test_criterion_9_solver_properties():
             drift = np.abs(tr.data[:, :ns].sum(axis=1) - d.n0).max()
             assert drift <= 1e-9 * d.n0
 
-        tbl, _ = sk.master_exact(sk.build_stickpull_counts(), t_end=10.0,
+        tbl, _ = sk.master_exact(sk.build_builtin("stickpull-counts"), t_end=10.0,
                                  dt=0.005, dt_out=0.5)
         assert np.abs(tbl.probs.sum(axis=1) - 1.0).max() <= 1e-9
         assert time.perf_counter() - t0 < 10.0
@@ -271,6 +270,7 @@ def test_criterion_10_parser_round_trip_and_errors():
             assert d2.params == d.params
             assert d2.transitions == d.transitions
             assert d2.derived == d.derived
+            assert d2.domains == d.domains
             assert d2.discrete == d.discrete
         for src, line, col in MALFORMED:
             with pytest.raises(sk.ModelError) as ei:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import swarmk as sk
+from swarmk import analysis
 from swarmk.errors import NoRoot, NotReached
 
 
@@ -113,7 +114,7 @@ def test_steady_delayed_residual_bound(beta, tau, r_g):
 
 
 def test_steady_delayed_matches_integration():
-    d = sk.build_stickpull_delayed(sk.StickPullParams(beta=0.5, tau=5.0))
+    d = sk.build_builtin("stickpull-delayed", beta=0.5, tau=5.0)
     traj = sk.integrate_delayed(sk.compile_rhs(d), t_end=200.0, dt=0.01)
     settled = sk.steady_state_of_trajectory(traj, "s")
     assert abs(settled - sk.steady_state_delayed(0.5, 5.0, 0.35).n) < 1e-3
@@ -253,7 +254,7 @@ def test_efficiency_per_robot():
 
 
 def test_sweep_over_release_rate():
-    d = sk.build_stickpull_simple()
+    d = sk.build_builtin("stickpull-simple")
     grid = np.linspace(0.1, 1.5, 15)
     table = sk.sweep(d, "gamma", grid, ("nstar", "R"))
     assert table.errors == (None,) * 15
@@ -262,10 +263,12 @@ def test_sweep_over_release_rate():
 
 
 def test_sweep_interior_maximum_matches_formula():
-    d = sk.build_stickpull_simple()
+    # the release time 1/gamma, swept through a derived declaration
+    d = sk.parse_model(sk.shipped_source("stickpull-simple").replace(
+        "param gamma = 0.2",
+        "param inv_gamma = 5\nparam gamma = 1 / inv_gamma"))
     inv_grid = np.linspace(0.5, 10.0, 200)
-    table = sk.sweep(lambda x: d.with_params(gamma=1.0 / x), "inv_gamma",
-                     inv_grid, ("R",))
+    table = sk.sweep(d, "inv_gamma", inv_grid, ("R",))
     r = table.column("R")
     i = int(np.argmax(r))
     assert 0 < i < len(inv_grid) - 1
@@ -274,25 +277,26 @@ def test_sweep_interior_maximum_matches_formula():
 
 
 def test_sweep_records_row_failures():
-    d = sk.build_stickpull_simple()
-    table = sk.sweep(lambda g: d.with_params(gamma=g), "gamma",
-                     [-1.0, 0.5, 1.0], ("nstar",))
+    d = sk.build_builtin("stickpull-simple")
+    table = sk.sweep(d, "gamma", [-1.0, 0.5, 1.0], ("nstar",))
     assert table.errors[0] is not None
     assert table.rows[0] == (None,)
     assert table.errors[1] is None
     assert table.errors[2] is None
 
 
-def test_sweep_propagates_programming_errors():
-    def make(value):
-        raise TypeError("factory bug")
+def test_sweep_propagates_programming_errors(monkeypatch):
+    def broken(diagram, want):
+        raise TypeError("observable bug")
 
+    monkeypatch.setattr(analysis, "_steady_observables", broken)
     with pytest.raises(TypeError):
-        sk.sweep(make, "gamma", [0.1, 0.2], ("nstar",))
+        sk.sweep(sk.build_builtin("stickpull-simple"), "gamma", [0.1, 0.2],
+                 ("nstar",))
 
 
 def test_sweep_rejects_bad_grid():
-    d = sk.build_stickpull_simple()
+    d = sk.build_builtin("stickpull-simple")
     with pytest.raises(ValueError):
         sk.sweep(d, "gamma", [], ("nstar",))
     with pytest.raises(ValueError):
@@ -300,10 +304,8 @@ def test_sweep_rejects_bad_grid():
 
 
 def test_sweep_completion_time_observable():
-    def make(n0):
-        return sk.build_foraging(sk.ForagingParams(n0=int(n0)))
-
-    table = sk.sweep(make, "n0", [1, 3, 10], ("T",), t_end=1600, dt=0.25,
-                     counter="m", mode="deplete", threshold=1.0)
+    table = sk.sweep(sk.build_builtin("foraging"), "n0", [1, 3, 10], ("T",),
+                     t_end=1600, dt=0.25, counter="m", mode="deplete",
+                     threshold=1.0)
     T = table.column("T")
     assert T[1] < T[0] and T[1] < T[2]

@@ -65,7 +65,7 @@ def test_run_json_round_trip(capsys, tmp_path):
     assert payload["columns"] == ["t", "s", "g", "m"]
     import swarmk as sk
 
-    traj = sk.integrate(sk.compile_rhs(sk.build_stickpull_simple()),
+    traj = sk.integrate(sk.compile_rhs(sk.build_builtin("stickpull-simple")),
                         t_end=2.0, dt=0.25)
     rows = np.array(payload["rows"])
     assert np.array_equal(rows[:, 0], traj.times)
@@ -122,6 +122,8 @@ def test_validate_good_model(capsys):
     assert "no defects" in out
 
 
+# a warning (numpy's on a non-finite linspace end, ...) fails the test
+@pytest.mark.filterwarnings("error")
 def test_usage_errors_exit_1(capsys):
     assert _run(capsys, "nosuch")[0] == 1
     assert _run(capsys)[0] == 1
@@ -137,7 +139,7 @@ def test_usage_errors_exit_1(capsys):
                  # non-finite builder fields, also a derived param (tauh)
                  ("run", "--model", "stickpull-simple", "--set", "gamma=inf"),
                  ("run", "--model", "stickpull-simple", "--set", "gamma=nan"),
-                 ("run", "--model", "foraging", "--set", "alpha_r2=1e308"),
+                 ("run", "--model", "foraging", "--set", "arp=1e308"),
                  ("run", "--model", "sugawara", "--set", "k_target=-5"),
                  # t_end off the dt grid: the run would end at t=1.2, 0.9,
                  # 0.9 and 6.0
@@ -162,9 +164,26 @@ def test_usage_errors_exit_1(capsys):
                   "--t-end", "10", "--dt", "0.3"),
                  # --sweep-steps has no alias
                  ("sweep", "--model", "stickpull-delayed", "--param", "tau",
-                  "--from", "1", "--to", "2", "--grid", "3")):
+                  "--from", "1", "--to", "2", "--grid", "3"),
+                 # run lengths that are not finite and non-negative; the
+                 # first two mc runs would never end
+                 ("mc", "--model", "stickpull-counts", "--t-end", "inf",
+                  "--runs", "3"),
+                 ("mc", "--model", "stickpull-counts", "--t-end", "nan",
+                  "--runs", "3"),
+                 ("mc", "--model", "stickpull-counts", "--t-end", "-1",
+                  "--runs", "3"),
+                 ("run", "--model", "stickpull-simple", "--t-end", "inf"),
+                 ("exact", "--model", "stickpull-counts", "--t-end", "inf"),
+                 ("run", "--model", "stickpull-simple", "--t-end", "nan"),
+                 ("run", "--model", "stickpull-simple", "--dt", "nan"),
+                 ("mc", "--model", "stickpull-counts", "--grid-points", "-1",
+                  "--runs", "3"),
+                 ("compare", "--model", "stickpull-counts",
+                  "--grid-points", "-2", "--runs", "3")):
         code, _, err = _run(capsys, *argv)
         assert code == 1 and err.startswith("usage error: ")
+        assert err.count("\n") == 1, err
 
 
 def test_unknown_model_exit_2(capsys):
@@ -266,8 +285,8 @@ def test_numeric_failure_exit_3(capsys, tmp_path):
 
 @pytest.mark.parametrize("argv, message", [
     # a difference run names the whole step, an ODE run the time
-    (("run", "--model", "collab-difference", "--set", "alpha_r=1",
-      "--set", "alpha_w=1", "--steps", "50"),
+    (("run", "--model", "collab-difference", "--set", "ar=1",
+      "--set", "aw=1", "--steps", "50"),
      "state s went negative (-8.384) at t=1"),
     (("run", "--model", "stickpull-simple", "--dt", "2", "--t-end", "200",
       "--set", "beta=5"),
@@ -469,3 +488,31 @@ def test_sweep_by_path_matches_sweep_by_name(capsys):
     by_path = _run(capsys, *argv, "--model", _shipped_path("foraging"))
     assert by_path == by_name
     assert by_name[0] == 0 and ",," not in by_name[1]
+
+
+@pytest.mark.parametrize("name, override", [
+    ("stickpull-simple", "rg=2"), ("stickpull-simple", "gamma=inf"),
+    ("stickpull-simple", "gamma=-1"), ("stickpull-delayed", "beta=0"),
+    ("stickpull-delayed", "tau=-1"), ("stickpull-simple-depletion", "mu=-1"),
+    ("stickpull-delayed-depletion", "rg=0"), ("foraging", "ap=-1"),
+    ("foraging", "n0=0"), ("foraging", "tau_slope=-0.1"),
+    ("foraging", "arp=1e308"), ("stickpull-counts", "alpha=0"),
+    ("stickpull-counts", "m0=0.5"), ("sugawara", "d=0"),
+    ("sugawara", "k_target=-5"), ("sugawara", "l_x=nan"),
+    ("collab-difference", "alpha=1.5"), ("collab-difference", "ta=-1")])
+def test_refused_set_by_name_and_by_path(capsys, name, override):
+    # the domain is in the file, so a path refuses what the name refuses
+    argv = ("run", "--t-end", "1", "--set", override)
+    by_name = _run(capsys, *argv, "--model", name)
+    assert by_name[:2] == (1, "") and by_name[2].startswith("usage error: ")
+    assert _run(capsys, *argv, "--model", _shipped_path(name)) == by_name
+
+
+def test_sweep_provenance_names_the_model(capsys):
+    code, out, _ = _run(capsys, "sweep", "--model", "stickpull-delayed",
+                        "--set", "beta=0.8", "--param", "tau", "--from", "1",
+                        "--to", "2", "--sweep-steps", "2", "--format", "json")
+    assert code == 0
+    provenance = json.loads(out)["provenance"]
+    assert provenance["model"] == "stickpull-delayed"
+    assert provenance["params"] == {"beta": 0.8, "tau": 5.0, "rg": 0.35}

@@ -62,6 +62,15 @@ def test_with_params_rederives_or_refuses():
         d.with_params(a=1e-320)
 
 
+def test_with_params_stores_finite_floats():
+    d = parse_model(TWO_STATE)
+    assert repr(d.with_params(k=-0.0).params["k"]) == "0.0"
+    assert type(d.with_params(k=2).params["k"]) is float
+    for bad in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ValueError, match="k must be finite"):
+            d.with_params(k=bad)
+
+
 def test_with_state_init_recomputes_total():
     d = parse_model(TWO_STATE)
     d2 = d.with_state_init(a=7.0)

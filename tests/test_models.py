@@ -1,4 +1,4 @@
-"""Built-in model builders: structure, conservation, shipped sources."""
+"""Built-in models: structure, domains, conservation, shipped sources."""
 import math
 from collections import Counter
 from importlib import resources
@@ -17,14 +17,12 @@ def test_builders_pass_validation(name):
     assert sk.validate_diagram(d).ok
 
 
-# builder, non-default parameter dataclass, and the params (in declaration
-# order), states, env vars and N0 the builder must set on the shipped diagram
+# non-default parameters by name, and the params (in declaration order),
+# states, env vars and N0 a build must set on the shipped diagram
 NON_DEFAULT_BUILDS = {
     "foraging": (
-        sk.build_foraging,
-        sk.ForagingParams(n0=7, m0=12, alpha_p=0.02, alpha_r=0.05,
-                          alpha_r2=0.1, tau0=2.0, tau_slope=0.5,
-                          tau_h0=10.0),
+        dict(n0=7, m0=12, ap=0.02, ar=0.05, arp=0.1, tau0=2.0,
+             tau_slope=0.5, tau_h0=10.0),
         # tau = 2 + 0.5 * 6; tauh = 10 * (1 + 0.1 * 5 * 7)
         {"ap": 0.02, "ar": 0.05, "arp": 0.1, "n0": 7.0, "m0": 12.0,
          "tau0": 2.0, "tau_slope": 0.5, "tau_h0": 10.0, "tau": 5.0,
@@ -32,49 +30,50 @@ NON_DEFAULT_BUILDS = {
         (("s", 7.0), ("h", 0.0), ("avs", 0.0), ("avh", 0.0)),
         (("m", 12.0),), 7.0),
     "sugawara": (
-        sk.build_sugawara,
-        sk.SugawaraParams(alpha=0.1, b=0.3, tau=6.0, x=2.0, a=0.5, l_x=0.1,
-                          d=4.0, v=8.0, gamma_loc=5.0, n0=10, k_target=30),
+        dict(alpha=0.1, b=0.3, tau=6.0, x=2.0, a=0.5, l_x=0.1, d=4.0, v=8.0,
+             gloc=5.0, n0=10, k_target=30),
         {"alpha": 0.1, "b": 0.3, "tau": 6.0, "x": 2.0, "a": 0.5, "l_x": 0.1,
          "lx": 0.1, "d": 4.0, "v": 8.0, "gloc": 5.0, "k_target": 30.0,
          "n0": 10.0},
         (("s", 10.0), ("bc", 0.0), ("h", 0.0), ("mv", 0.0), ("av", 0.0)),
         (("delivered", 0.0),), 10.0),
     "stickpull-simple": (
-        sk.build_stickpull_simple,
-        sk.StickPullParams(beta=0.8, r_g=0.5, gamma=0.3, tau=7),
+        dict(beta=0.8, rg=0.5, gamma=0.3),
         {"beta": 0.8, "gamma": 0.3, "rg": 0.5},
         (("s", 1.0), ("g", 0.0)), (("m", 1.0),), 1.0),
     "stickpull-delayed": (
-        sk.build_stickpull_delayed,
-        sk.StickPullParams(beta=0.8, r_g=0.5, gamma=0.3, tau=7),
+        dict(beta=0.8, rg=0.5, tau=7),
         {"beta": 0.8, "tau": 7.0, "rg": 0.5},
         (("s", 1.0), ("g", 0.0)), (("m", 1.0),), 1.0),
     "stickpull-counts": (
-        sk.build_stickpull_counts,
-        sk.StickPullCountsParams(n0=6, m0=9, alpha=0.1, r_g=0.4,
-                                 gamma_d=0.3),
+        dict(n0=6, m0=9, alpha=0.1, rg=0.4, gammad=0.3),
         {"alpha": 0.1, "rg": 0.4, "gammad": 0.3, "m0": 9.0, "n0": 6.0},
         (("s", 6.0), ("g", 0.0)), (), 6.0),
     "collab-difference": (
-        sk.build_collab_difference,
-        sk.CollabDiffParams(alpha=0.004, alpha_t=0.002, alpha_w=0.006,
-                            alpha_r=0.007, m0=12, n0=6, t_a=4, t_ia=9,
-                            t_ca=7, t_cda=12, t_cga=50, t_ga=45),
+        dict(alpha=0.004, at=0.002, aw=0.006, ar=0.007, m0=12, n0=6, ta=4,
+             tia=9, tca=7, tcda=12, tcga=50, tga=45),
         {"alpha": 0.004, "at": 0.002, "aw": 0.006, "ar": 0.007, "m0": 12.0,
          "ta": 4.0, "tia": 9.0, "tca": 7.0, "tcda": 12.0, "tcga": 50.0,
          "tga": 45.0, "n0": 6.0},
         (("s", 6.0), ("av", 0.0), ("intf", 0.0), ("ca", 0.0), ("cda", 0.0),
          ("g", 0.0)), (), 6.0),
+    "stickpull-simple-depletion": (
+        dict(beta=0.8, rg=0.5, gamma=0.3, mu=1),
+        {"beta": 0.8, "gamma": 0.3, "rg": 0.5, "mu": 1.0},
+        (("s", 1.0), ("g", 0.0)), (("m", 1.0),), 1.0),
+    "stickpull-delayed-depletion": (
+        dict(beta=0.8, rg=0.5, tau=7, mu=1),
+        {"beta": 0.8, "tau": 7.0, "rg": 0.5, "mu": 1.0},
+        (("s", 1.0), ("g", 0.0)), (("m", 1.0),), 1.0),
 }
 
 
 @pytest.mark.parametrize("name", sk.BUILTIN_NAMES)
 def test_shipped_sources_match_builders(name):
-    # the builder sets every value of the shipped diagram, as floats (the
+    # a build sets every value of the shipped diagram, as floats (the
     # parser's type), and keeps its structure
-    build, p, params, states, env_vars, n0 = NON_DEFAULT_BUILDS[name]
-    d = build(p)
+    overrides, params, states, env_vars, n0 = NON_DEFAULT_BUILDS[name]
+    d = sk.build_builtin(name, **overrides)
     shipped = sk.parse_model(sk.shipped_source(name))
     assert list(d.params.items()) == list(params.items())
     assert d.states == states
@@ -83,18 +82,51 @@ def test_shipped_sources_match_builders(name):
     values = [*d.params.values(), *(v for _, v in states + env_vars), d.n0]
     assert all(type(v) is float for v in values)
     assert d.transitions == shipped.transitions
+    assert d.domains == shipped.domains
     assert d.name == name
     assert d.discrete == (name == "collab-difference")
-    # at the dataclass defaults the builder sets the file's own values, so
-    # the name and the file path give the same model
+    # with nothing set a build has the file's own values, so the name and
+    # the file path give the same model
     default = sk.build_builtin(name)
     assert list(default.params.items()) == list(shipped.params.items())
     assert default.states == shipped.states
     assert default.env_vars == shipped.env_vars
 
 
-# the variants as .mas text: the shipped file with "m -= beta" on the
-# success transition and, with mu_prime > 0, a task-addition transition
+# each parameter's domain, per shipped file: the checks of the removed
+# parameter dataclasses
+_POS = (0.0, math.inf, "()")
+_NONNEG = (0.0, math.inf, "[)")
+_COUNT = (1.0, math.inf, "[)")
+_FRACTION = (0.0, 1.0, "(]")
+DOMAINS = {
+    "foraging": {**dict.fromkeys(("ap", "ar", "arp", "tau0", "tau_h0"), _POS),
+                 "tau_slope": _NONNEG, "n0": _COUNT, "m0": _COUNT},
+    "sugawara": {"tau": _POS, "d": _POS, "n0": _COUNT, "k_target": _COUNT,
+                 **dict.fromkeys(("alpha", "b", "x", "a", "l_x", "v", "gloc"),
+                                 _NONNEG)},
+    "stickpull-simple": {"beta": _POS, "rg": _FRACTION, "gamma": _NONNEG},
+    "stickpull-delayed": {"beta": _POS, "rg": _FRACTION, "tau": _NONNEG},
+    "stickpull-counts": {"alpha": _POS, "rg": _FRACTION, "gammad": _NONNEG,
+                         "n0": _COUNT, "m0": _COUNT},
+    "collab-difference": {
+        **dict.fromkeys(("alpha", "at", "aw", "ar"), (0.0, 1.0, "[]")),
+        **dict.fromkeys(("ta", "tia", "tca", "tcda", "tcga", "tga"),
+                        _NONNEG)},
+    "stickpull-simple-depletion": {"beta": _POS, "rg": _FRACTION,
+                                   "gamma": _NONNEG, "mu": _NONNEG},
+    "stickpull-delayed-depletion": {"beta": _POS, "rg": _FRACTION,
+                                    "tau": _NONNEG, "mu": _NONNEG},
+}
+
+
+@pytest.mark.parametrize("name", sk.BUILTIN_NAMES)
+def test_shipped_domains(name):
+    assert sk.build_builtin(name).domains == DOMAINS[name]
+
+
+# the depletion variants as .mas text: the replacement model's text with
+# "m -= beta" on the success transition, then the arrival rate mu
 STICKPULL_HEADS = {
     "stickpull-simple": ("param beta = 0.5\nparam gamma = 0.2\n"
                          "param rg = 0.35\n"),
@@ -114,45 +146,26 @@ env m = 1
 rate(s * (m + beta * s - beta)): s -> g
 rate(rg * beta * s * g): g -> s ; m -= beta
 """
-TASK_ADDITION = "param mu = 0.3\nrate(mu): s -> s ; m += 1\n"
+TASK_ADDITION = "rate(mu): s -> s ; m += 1\n"
 
 
 @pytest.mark.parametrize("name", ["stickpull-simple", "stickpull-delayed"])
-@pytest.mark.parametrize("mu_prime", [0.0, 0.3])
-def test_stickpull_variants_match_their_text(name, mu_prime):
-    text = STICKPULL_HEADS[name] + DEPLETION_BODY + STICKPULL_TAILS[name]
-    if mu_prime:
-        text += TASK_ADDITION
+@pytest.mark.parametrize("mu", [0.0, 0.3])
+def test_stickpull_variants_match_their_text(name, mu):
+    text = (STICKPULL_HEADS[name] + f"param mu = {mu}\n" + DEPLETION_BODY
+            + STICKPULL_TAILS[name] + TASK_ADDITION)
     expected = sk.parse_model(text)
-    d = sk.build_builtin(name, replacement=False, mu_prime=mu_prime)
+    d = sk.build_builtin(f"{name}-depletion", mu=mu)
     assert list(d.params.items()) == list(expected.params.items())
     assert d.states == expected.states
     assert d.env_vars == expected.env_vars
     assert d.transitions == expected.transitions
     assert d.n0 == expected.n0
-
-
-def test_depletion_edits_the_success_transition_wherever_it_is(monkeypatch):
-    success = "rate(rg * beta * s * g): g -> s\n"
-    release = "rate(gamma * g): g -> s\n"
-    shipped = models.shipped_source
-
-    def edited_file(old, new):
-        monkeypatch.setattr(models, "shipped_source",
-                            lambda name: shipped(name).replace(old, new))
-        models.forget_parsed_files()
-
-    try:
-        edited_file(success + release, release + success)
-        d = sk.build_builtin("stickpull-simple", replacement=False)
-        assert [bool(tr.env_effects) for tr in d.transitions] == \
-            [False, False, True]
-        edited_file(success, "rate(beta * rg * s * g): g -> s\n")
-        with pytest.raises(sk.ModelError, match="no success transition"):
-            sk.build_builtin("stickpull-simple", replacement=False)
-    finally:
-        monkeypatch.undo()
-        models.forget_parsed_files()
+    # the replacement model is that text without mu and the two edits
+    base = sk.build_builtin(name)
+    assert list(base.params.items()) == list(d.params.items())[:-1]
+    assert [tr.rate for tr in base.transitions] == \
+        [tr.rate for tr in d.transitions[:-1]]
 
 
 def test_unknown_builtin():
@@ -177,10 +190,12 @@ def test_each_shipped_file_is_parsed_once(monkeypatch):
     monkeypatch.setattr(models, "parse_model", counting_parse)
     models._shipped_diagram.cache_clear()
     overrides = {"foraging": {"n0": 3}, "sugawara": {"x": 0},
-                 "stickpull-simple": {"replacement": False, "mu_prime": 0.3},
+                 "stickpull-simple": {"gamma": 0.3},
                  "stickpull-delayed": {"tau": 2.0},
                  "stickpull-counts": {"m0": 6},
-                 "collab-difference": {"t_ga": 40}}
+                 "collab-difference": {"tga": 40},
+                 "stickpull-simple-depletion": {"mu": 0.3},
+                 "stickpull-delayed-depletion": {"mu": 0.3}}
     first = {}
     for i in range(50):
         name = sk.BUILTIN_NAMES[i % len(sk.BUILTIN_NAMES)]
@@ -199,7 +214,7 @@ def test_each_shipped_file_is_parsed_once(monkeypatch):
 
 
 def test_foraging_structure():
-    d = sk.build_foraging()
+    d = sk.build_builtin("foraging")
     assert d.state_names == ["s", "h", "avs", "avh"]
     assert d.env_names == ["m"]
     assert d.n0 == 5.0
@@ -208,7 +223,7 @@ def test_foraging_structure():
 
 
 def test_foraging_state_derivatives_sum_to_zero():
-    system = sk.compile_rhs(sk.build_foraging())
+    system = sk.compile_rhs(sk.build_builtin("foraging"))
     rng = np.random.default_rng(1)
     for _ in range(25):
         y = rng.uniform(0, 2, size=5)
@@ -218,8 +233,7 @@ def test_foraging_state_derivatives_sum_to_zero():
 
 
 def test_foraging_interference_off_reduces_to_search_home_cycle():
-    p = sk.ForagingParams(alpha_r=1e-12, alpha_r2=1e-12)
-    d = sk.build_foraging(p)
+    d = sk.build_builtin("foraging", ar=1e-12, arp=1e-12)
     traj = sk.integrate(sk.compile_rhs(d), t_end=200.0, dt=0.05)
     # avoidance pools stay empty when robot detection is off
     assert traj.column("avs").max() < 1e-8
@@ -228,46 +242,44 @@ def test_foraging_interference_off_reduces_to_search_home_cycle():
 
 def test_foraging_param_validation():
     with pytest.raises(ValueError):
-        sk.ForagingParams(n0=0)
+        sk.build_builtin("foraging", n0=0)
     with pytest.raises(ValueError):
-        sk.ForagingParams(alpha_p=0.0)
+        sk.build_builtin("foraging", ap=0.0)
     with pytest.raises(ValueError):
-        sk.ForagingParams(tau_slope=-0.1)
+        sk.build_builtin("foraging", tau_slope=-0.1)
     with pytest.raises(ValueError, match="tauh must be finite"):
-        sk.build_foraging(sk.ForagingParams(alpha_r2=1e308))
+        sk.build_builtin("foraging", arp=1e308)
 
 
 _rates = st.floats(min_value=1e-4, max_value=2.0)
 
 
-@given(st.builds(sk.ForagingParams, n0=st.integers(1, 50),
-                 m0=st.integers(1, 50), alpha_p=_rates, alpha_r=_rates,
-                 alpha_r2=_rates, tau0=st.floats(0.01, 100.0),
-                 tau_slope=st.floats(0.0, 10.0),
-                 tau_h0=st.floats(0.01, 100.0)))
+@given(st.fixed_dictionaries(dict(
+    n0=st.integers(1, 50), m0=st.integers(1, 50), ap=_rates, ar=_rates,
+    arp=_rates, tau0=st.floats(0.01, 100.0), tau_slope=st.floats(0.0, 10.0),
+    tau_h0=st.floats(0.01, 100.0))))
 def test_foraging_derived_params_match_the_formulas(p):
     # the formulas of the removed ForagingParams.tau/tau_h, written out
-    tau = p.tau0 + p.tau_slope * (p.n0 - 1)
-    tau_h = p.tau_h0 * (1.0 + p.alpha_r2 * tau * p.n0)
-    d = sk.build_foraging(p)
+    tau = p["tau0"] + p["tau_slope"] * (p["n0"] - 1)
+    tau_h = p["tau_h0"] * (1.0 + p["arp"] * tau * p["n0"])
+    d = sk.build_builtin("foraging", **p)
     assert d.params["tau"] == tau
     assert d.params["tauh"] == tau_h
 
 
-@given(st.builds(sk.SugawaraParams,
-                 x=st.one_of(st.sampled_from([0, 0.0, -0.0]),
-                             st.floats(0.0, 50.0)),
-                 l_x=st.one_of(st.just(-0.0), st.floats(0.0, 1.0))))
+@given(st.fixed_dictionaries(dict(
+    x=st.one_of(st.sampled_from([0, 0.0, -0.0]), st.floats(0.0, 50.0)),
+    l_x=st.one_of(st.just(-0.0), st.floats(0.0, 1.0)))))
 def test_sugawara_derived_lx_matches_the_formula(p):
     # the removed SugawaraParams.lx: no broadcast at x = 0
-    lx = sk.build_sugawara(p).params["lx"]
-    assert lx == (0.0 if p.x == 0 else p.l_x)
-    if p.x == 0:
+    lx = sk.build_builtin("sugawara", **p).params["lx"]
+    assert lx == (0.0 if p["x"] == 0 else p["l_x"])
+    if p["x"] == 0:
         assert math.copysign(1.0, lx) == 1.0
 
 
 def test_overrides_pin_and_rederive():
-    d = sk.build_foraging().with_params(tau=4.0)
+    d = sk.build_builtin("foraging").with_params(tau=4.0)
     assert d.params["tauh"] == 16.0 * (1 + 0.08 * 4.0 * 5)
     # a pinned value stays pinned; what still derives follows n0
     d = d.with_params(n0=3.0)
@@ -275,16 +287,16 @@ def test_overrides_pin_and_rederive():
     assert d.params["tauh"] == 16.0 * (1 + 0.08 * 4.0 * 3.0)
     assert d.states[0] == ("s", 3.0) and d.n0 == 3.0
     # so does a state set by with_state_init
-    d = sk.build_foraging().with_state_init(s=2.0).with_params(n0=3.0)
+    d = sk.build_builtin("foraging").with_state_init(s=2.0).with_params(n0=3.0)
     assert d.states[0] == ("s", 2.0) and d.n0 == 2.0
     assert d.params["tau"] == 3.0 + 0.2 * (3.0 - 1)
     # by name and by override alike
     assert sk.build_builtin("foraging", tau=4.0, n0=3) == \
-        sk.build_foraging().with_params(tau=4.0, n0=3.0)
+        sk.build_builtin("foraging").with_params(tau=4.0, n0=3.0)
 
 
 def test_foraging_depletion_monotone():
-    traj = sk.integrate(sk.compile_rhs(sk.build_foraging()), t_end=300, dt=0.05)
+    traj = sk.integrate(sk.compile_rhs(sk.build_builtin("foraging")), t_end=300, dt=0.05)
     m = traj.column("m")
     assert np.all(np.diff(m) < 0)
 
@@ -293,15 +305,15 @@ def test_foraging_depletion_monotone():
 
 
 def test_stickpull_simple_matches_closed_form_steady_state():
-    d = sk.build_stickpull_simple()
+    d = sk.build_builtin("stickpull-simple")
     traj = sk.integrate(sk.compile_rhs(d), t_end=100.0, dt=0.01)
     root = sk.steady_state_simple(0.5, 0.2, 0.35)
     assert abs(traj.final()["s"] - root.n) < 1e-4
 
 
 def test_stickpull_simple_gamma_zero_absorbs_everyone():
-    p = sk.StickPullParams(beta=0.5, gamma=0.0)
-    traj = sk.integrate(sk.compile_rhs(sk.build_stickpull_simple(p)),
+    d = sk.build_builtin("stickpull-simple", beta=0.5, gamma=0.0)
+    traj = sk.integrate(sk.compile_rhs(d),
                         t_end=200.0, dt=0.01)
     assert traj.final()["s"] < 1e-6
 
@@ -309,21 +321,21 @@ def test_stickpull_simple_gamma_zero_absorbs_everyone():
 def test_stickpull_simple_huge_gamma_pins_searching():
     # the release transient relaxes on the 1/gamma timescale, so a short
     # horizon already reaches the pinned state
-    p = sk.StickPullParams(beta=0.5, gamma=1e6)
-    traj = sk.integrate(sk.compile_rhs(sk.build_stickpull_simple(p)),
+    d = sk.build_builtin("stickpull-simple", beta=0.5, gamma=1e6)
+    traj = sk.integrate(sk.compile_rhs(d),
                         t_end=2e-3, dt=1e-6)
     assert traj.final()["s"] == pytest.approx(1.0, abs=1e-4)
 
 
 def test_stickpull_replacement_keeps_m_constant():
-    traj = sk.integrate(sk.compile_rhs(sk.build_stickpull_simple()),
+    traj = sk.integrate(sk.compile_rhs(sk.build_builtin("stickpull-simple")),
                         t_end=10.0, dt=0.01)
     assert np.allclose(traj.column("m"), 1.0)
 
 
 def test_stickpull_depletion_m_decreases():
-    p = sk.StickPullParams(replacement=False)
-    traj = sk.integrate(sk.compile_rhs(sk.build_stickpull_simple(p)),
+    d = sk.build_builtin("stickpull-simple-depletion")
+    traj = sk.integrate(sk.compile_rhs(d),
                         t_end=10.0, dt=0.01)
     m = traj.column("m")
     assert m[-1] < 1.0
@@ -331,23 +343,21 @@ def test_stickpull_depletion_m_decreases():
 
 
 def test_stickpull_delayed_tau_zero_steady_is_one():
-    p = sk.StickPullParams(tau=0.0)
-    d = sk.build_stickpull_delayed(p)
+    d = sk.build_builtin("stickpull-delayed", tau=0.0)
     traj = sk.integrate_delayed(sk.compile_rhs(d), t_end=30.0, dt=0.01)
     assert traj.final()["s"] == pytest.approx(1.0, abs=1e-6)
 
 
 def test_stickpull_delayed_supercritical_stays_positive():
-    p = sk.StickPullParams(beta=1.5, tau=50.0)
-    d = sk.build_stickpull_delayed(p)
+    d = sk.build_builtin("stickpull-delayed", beta=1.5, tau=50.0)
     traj = sk.integrate_delayed(sk.compile_rhs(d), t_end=400.0, dt=0.05)
     tail = traj.column("s")[traj.times > 200]
     assert tail.min() > 0.05
 
 
 def test_stickpull_models_share_topology():
-    simple = sk.build_stickpull_simple()
-    delayed = sk.build_stickpull_delayed()
+    simple = sk.build_builtin("stickpull-simple")
+    delayed = sk.build_builtin("stickpull-delayed")
     assert simple.state_names == delayed.state_names
     assert ([(t.source, t.target) for t in simple.transitions]
             == [(t.source, t.target) for t in delayed.transitions])
@@ -355,20 +365,20 @@ def test_stickpull_models_share_topology():
 
 def test_stickpull_param_validation():
     with pytest.raises(ValueError):
-        sk.StickPullParams(beta=0.0)
+        sk.build_builtin("stickpull-simple", beta=0.0)
     with pytest.raises(ValueError):
-        sk.StickPullParams(r_g=1.5)
+        sk.build_builtin("stickpull-simple", rg=1.5)
     with pytest.raises(ValueError):
-        sk.StickPullParams(gamma=-1.0)
+        sk.build_builtin("stickpull-simple", gamma=-1.0)
     with pytest.raises(ValueError, match="gamma must be finite"):
-        sk.StickPullParams(gamma=float("inf"))
+        sk.build_builtin("stickpull-simple", gamma=float("inf"))
 
 
 # -- communicating foragers -------------------------------------------------
 
 
 def test_sugawara_conserves_and_delivers():
-    d = sk.build_sugawara()
+    d = sk.build_builtin("sugawara")
     system = sk.compile_rhs(d)
     rng = np.random.default_rng(3)
     for _ in range(25):
@@ -382,7 +392,7 @@ def test_sugawara_conserves_and_delivers():
 
 
 def test_sugawara_x_zero_disables_interaction():
-    d = sk.build_sugawara(sk.SugawaraParams(x=0))
+    d = sk.build_builtin("sugawara", x=0)
     assert d.params["lx"] == 0.0
     traj = sk.integrate(sk.compile_rhs(d), t_end=50.0, dt=0.02)
     assert traj.column("mv").max() < 1e-10
@@ -393,7 +403,7 @@ def test_sugawara_x_zero_disables_interaction():
 
 
 def test_collab_difference_flags_and_delays():
-    d = sk.build_collab_difference()
+    d = sk.build_builtin("collab-difference")
     assert d.discrete
     system = sk.compile_rhs(d)
     assert system.flavor == "difference"
@@ -401,17 +411,16 @@ def test_collab_difference_flags_and_delays():
 
 
 def test_collab_difference_conserves_exactly():
-    traj = sk.iterate_difference(sk.compile_rhs(sk.build_collab_difference()),
-                                 k_steps=2000)
+    d = sk.build_builtin("collab-difference")
+    traj = sk.iterate_difference(sk.compile_rhs(d), k_steps=2000)
     tot = traj.data.sum(axis=1)
     assert np.abs(tot - 8.0).max() < 1e-10
     assert traj.data.min() >= 0.0
 
 
 def test_collab_difference_zero_rates_frozen():
-    p = sk.CollabDiffParams(alpha=0, alpha_t=0, alpha_w=0, alpha_r=0)
-    traj = sk.iterate_difference(sk.compile_rhs(sk.build_collab_difference(p)),
-                                 k_steps=100)
+    d = sk.build_builtin("collab-difference", alpha=0, at=0, aw=0, ar=0)
+    traj = sk.iterate_difference(sk.compile_rhs(d), k_steps=100)
     assert np.allclose(traj.column("s"), 8.0)
 
 
@@ -425,8 +434,8 @@ def test_collab_difference_stationary_survival_factor():
     from swarmk.expr import Call, generate_function, nodes, unparse
     from swarmk.integrate import HistoryAccessor
 
-    p = sk.CollabDiffParams()
-    d = sk.build_collab_difference(p)
+    d = sk.build_builtin("collab-difference")
+    tga, at = d.params["tga"], d.params["at"]
     node = next(n for tr in d.transitions for n in nodes(tr.rate)
                 if isinstance(n, Call) and n.func == "histint")
     names = d.state_names + d.env_names + ["t"]
@@ -434,7 +443,7 @@ def test_collab_difference_stationary_survival_factor():
     fn = generate_function(node.args[0], d.base_bindings(),
                            {n: i for i, n in enumerate(names)})
     y0 = d.initial_vector()
-    expected = p.t_ga * math.log(1.0 - p.alpha_t * 8.0)
+    expected = tga * math.log(1.0 - at * 8.0)
 
     def history(dt, discrete=False):
         # a preallocated output array of 200 rows with row 0 filled
@@ -447,11 +456,11 @@ def test_collab_difference_stationary_survival_factor():
         h.append(y0)
         if k in (10, 199):
             now = h.bindings_at(float(k))
-            total = h.window_integral(key, fn, k - p.t_ga, float(k), now)
+            total = h.window_integral(key, fn, k - tga, float(k), now)
             assert total == pytest.approx(expected, rel=1e-12)
     assert h.count == 200 and np.all(h.rows == y0)
     assert math.exp(total) == pytest.approx(
-        (1.0 - p.alpha_t * 8.0) ** p.t_ga, rel=1e-12)
+        (1.0 - at * 8.0) ** tga, rel=1e-12)
 
     # continuous mode (trapezoid) on a dt=0.5 grid with rows up to
     # t=99.5: before t0, on a row, between rows, and the RK4 stage
@@ -461,19 +470,20 @@ def test_collab_difference_stationary_survival_factor():
         h.append(y0)
     now = h.bindings_at(0.0)
     for t in (10.0, 99.0, 80.25, 99.75):
-        total = h.window_integral(key, fn, t - p.t_ga, t, now)
+        total = h.window_integral(key, fn, t - tga, t, now)
         assert total == pytest.approx(expected, rel=1e-12)
 
 
 def test_collab_difference_param_validation():
     with pytest.raises(ValueError):
-        sk.CollabDiffParams(t_a=-1)
-    with pytest.raises(ValueError, match="t_a must be finite"):
-        sk.CollabDiffParams(t_a=float("inf"))
+        sk.build_builtin("collab-difference", ta=-1)
+    with pytest.raises(ValueError, match="ta must be finite"):
+        sk.build_builtin("collab-difference", ta=float("inf"))
     with pytest.raises(ValueError):
-        sk.CollabDiffParams(alpha=1.5)
-    with pytest.raises(ValueError):
-        sk.CollabDiffParams(alpha_t=0.2, n0=8)
+        sk.build_builtin("collab-difference", alpha=1.5)
+    # at * n0 >= 1 leaves the help window's ln without a value
+    with pytest.raises(sk.ModelError, match="ln of non-positive value"):
+        sk.compile_rhs(sk.build_builtin("collab-difference", at=0.2, n0=8))
 
 
 # -- dimensional counts model ----------------------------------------------
@@ -481,8 +491,8 @@ def test_collab_difference_param_validation():
 
 def test_stickpull_counts_matches_dimensionless_mean_field():
     # alpha*M0 = 1 makes the count-level clock equal the dimensionless one
-    p = sk.StickPullCountsParams(n0=10, m0=20, alpha=0.05, gamma_d=0.2)
-    d = sk.build_stickpull_counts(p)
+    d = sk.build_builtin("stickpull-counts", n0=10, m0=20, alpha=0.05,
+                         gammad=0.2)
     traj = sk.integrate(sk.compile_rhs(d), t_end=50.0, dt=0.01)
     root = sk.steady_state_simple(0.5, 0.2, 0.35)
     assert traj.final()["s"] / 10 == pytest.approx(root.n, abs=1e-4)
@@ -495,7 +505,6 @@ def test_build_builtin_field_overrides():
     d = sk.build_builtin("foraging", n0=3, m0=10)
     assert dict(d.states)["s"] == 3.0
     assert dict(d.env_vars)["m"] == 10.0
-    # integral floats coerce for integer fields
     d2 = sk.build_builtin("foraging", n0=3.0)
     assert dict(d2.states)["s"] == 3.0
     with pytest.raises(sk.ModelError):

@@ -1,4 +1,6 @@
 """Model-language parsing: grammar, errors with locations, round trips."""
+import math
+
 import pytest
 
 from swarmk import expr, models
@@ -124,8 +126,9 @@ def test_effects_multiple():
 
 
 def test_pretty_print_round_trip():
-    # declaration order, derived declarations and synchronous survive, for
-    # every shipped file and a built diagram with an override pinned
+    # declaration order, domains, derived declarations and synchronous
+    # survive, for every shipped file and a built diagram with an override
+    # pinned
     for d in [parse_model(GOOD), parse_model("synchronous\n" + GOOD),
               models.build_builtin("foraging", n0=3, tau=4.0),
               *(parse_model(models.shipped_source(n))
@@ -137,9 +140,64 @@ def test_pretty_print_round_trip():
         assert list(d2.params.items()) == list(d.params.items())
         assert d2.transitions == d.transitions
         assert d2.derived == d.derived
+        assert d2.domains == d.domains
         assert d2.discrete == d.discrete
         # and printing again is a fixed point
         assert pretty_print(d2) == text
+
+
+def test_param_domains():
+    d = parse_model("param a = 0.5 in (0, 1]\nparam b = -2 in [-3, inf)\n"
+                    "param c = a * 4 in (-inf, 2]\nparam e = 1 in [1, 1]\n"
+                    "state s = 1\n")
+    assert d.domains == {"a": (0.0, 1.0, "(]"), "b": (-3.0, math.inf, "[)"),
+                         "c": (-math.inf, 2.0, "(]"), "e": (1.0, 1.0, "[]")}
+    assert "param c = a * 4 in (-inf, 2]" in pretty_print(d).splitlines()
+    assert d.with_params(a=0.25, b=-3).params == \
+        {"a": 0.25, "b": -3.0, "c": 1.0, "e": 1.0}
+    # a set value and a value derived from it are checked alike
+    for kw, message in ((dict(a=0.0), "a = 0.0 is outside (0, 1]"),
+                        (dict(b=-3.5), "b = -3.5 is outside [-3, inf)"),
+                        (dict(a=0.75), "c = 3.0 is outside (-inf, 2]"),
+                        (dict(e=1.5), "e = 1.5 is outside [1, 1]")):
+        with pytest.raises(ValueError) as ei:
+            d.with_params(**kw)
+        assert str(ei.value) == message
+
+
+@pytest.mark.parametrize("src, message, col", [
+    # the file's own value must lie in its domain
+    ("param a = 2 in (0, 1]", "a = 2.0 is outside (0, 1]", 13),
+    ("param a = 1\nparam b = a - 1 in (0, inf)",
+     "b = 0.0 is outside (0, inf)", 17),
+    # a lower bound above the upper, or an empty interval
+    ("param a = 1 in [2, 1]", "domain [2, 1] is empty", 13),
+    ("param a = 1 in (1, 1]", "domain (1, 1] is empty", 13),
+    # a closed infinite end
+    ("param a = 1 in [0, inf]", "domain [0, inf] closes an infinite end", 13),
+    ("param a = 1 in [-inf, 2)", "domain [-inf, 2) closes an infinite end",
+     13),
+])
+def test_bad_domains_are_semantic_errors(src, message, col):
+    with pytest.raises(SemanticError) as ei:
+        parse_model(src)
+    line = src.count("\n") + 1
+    assert (ei.value.line, ei.value.col) == (line, col)
+    assert str(ei.value) == f"{line}:{col}: {message}"
+
+
+@pytest.mark.parametrize("src, err, col", [
+    ("param a = 1 in 0, 1]", ParseError, 16),
+    ("param a = 1 in (0 1]", ParseError, 19),
+    ("param a = 1 in (0, x]", ParseError, 20),
+    ("param a = 1 in (0, 1e999]", ParseError, 20),
+    ("state in = 1", ParseError, 7),
+    ("param inf = 1", ParseError, 7),
+])
+def test_malformed_domains(src, err, col):
+    with pytest.raises(err) as ei:
+        parse_model(src)
+    assert (ei.value.line, ei.value.col) == (1, col)
 
 
 def test_synchronous_and_derived_declarations():
@@ -158,7 +216,8 @@ def test_synchronous_and_derived_declarations():
 # sugawara lx and s; s in counts and collab
 DERIVED_COUNTS = {"foraging": 4, "sugawara": 2, "stickpull-simple": 0,
                   "stickpull-delayed": 0, "stickpull-counts": 1,
-                  "collab-difference": 1}
+                  "collab-difference": 1, "stickpull-simple-depletion": 0,
+                  "stickpull-delayed-depletion": 0}
 
 
 @pytest.mark.parametrize("name", models.BUILTIN_NAMES)

@@ -12,8 +12,8 @@ from swarmk.stochastic import ConfigurationSpace, sample_path
 
 
 def _two_state(alpha=1.0, gamma_d=1.0):
-    p = sk.StickPullCountsParams(n0=1, m0=1, alpha=alpha, gamma_d=gamma_d)
-    return sk.build_stickpull_counts(p)
+    return sk.build_builtin("stickpull-counts", n0=1, m0=1, alpha=alpha,
+                            gammad=gamma_d)
 
 
 def test_configuration_space_two_state():
@@ -24,13 +24,13 @@ def test_configuration_space_two_state():
 
 
 def test_configuration_space_cap():
-    d = sk.build_stickpull_counts(sk.StickPullCountsParams(n0=4, m0=4))
+    d = sk.build_builtin("stickpull-counts", n0=4, m0=4)
     with pytest.raises(StateSpaceTooLarge):
         ConfigurationSpace.build(d, cap=3)
 
 
 def test_configuration_space_rejects_delays():
-    d = sk.build_stickpull_delayed()
+    d = sk.build_builtin("stickpull-delayed")
     with pytest.raises(ModelError):
         ConfigurationSpace.build(d)
 
@@ -198,7 +198,7 @@ def _dense_master_probs(diagram, t_end, dt, dt_out):
 
 
 @pytest.mark.parametrize("diagram", [
-    sk.build_stickpull_counts(sk.StickPullCountsParams(n0=4, m0=4)),
+    sk.build_builtin("stickpull-counts", n0=4, m0=4),
     sk.build_builtin("foraging", n0=2, m0=4),
     # no robot is searching, so the start configuration has no jump
     sk.parse_model("param k = 1\nstate a = 0\nstate b = 2\n"
@@ -262,7 +262,7 @@ def test_master_asymmetric_two_state():
 
 
 def test_master_normalization_everywhere():
-    d = sk.build_stickpull_counts(sk.StickPullCountsParams(n0=4, m0=4))
+    d = sk.build_builtin("stickpull-counts", n0=4, m0=4)
     tbl, _ = sk.master_exact(d, t_end=10.0, dt=0.005, dt_out=0.5)
     sums = tbl.probs.sum(axis=1)
     assert np.abs(sums - 1.0).max() <= 1e-9
@@ -271,12 +271,11 @@ def test_master_normalization_everywhere():
 
 def test_master_gap_shrinks_with_system_size():
     def gap(n0):
-        p = sk.StickPullCountsParams(n0=n0, m0=n0, alpha=1.0 / n0,
-                                     gamma_d=0.2)
-        _, tr = sk.master_exact(sk.build_stickpull_counts(p), t_end=20.0,
-                                dt=0.005, dt_out=0.5)
-        mf = sk.integrate(sk.compile_rhs(sk.build_stickpull_simple(
-            sk.StickPullParams(beta=1.0, gamma=0.2))), t_end=20.0, dt=0.005)
+        d = sk.build_builtin("stickpull-counts", n0=n0, m0=n0,
+                             alpha=1.0 / n0, gammad=0.2)
+        _, tr = sk.master_exact(d, t_end=20.0, dt=0.005, dt_out=0.5)
+        mf = sk.integrate(sk.compile_rhs(sk.build_builtin(
+            "stickpull-simple", beta=1.0, gamma=0.2)), t_end=20.0, dt=0.005)
         n_mf = np.interp(tr.times, mf.times, mf.column("s"))
         return np.abs(tr.column("s") / n0 - n_mf).max()
 
@@ -284,7 +283,7 @@ def test_master_gap_shrinks_with_system_size():
 
 
 def test_ssa_deterministic_given_seed():
-    d = sk.build_stickpull_counts()
+    d = sk.build_builtin("stickpull-counts")
     a = sk.ssa_run(d, t_end=10.0, seed=7)
     b = sk.ssa_run(d, t_end=10.0, seed=7)
     assert np.array_equal(a.times, b.times)
@@ -312,7 +311,7 @@ def test_ssa_compiles_once_per_diagram(monkeypatch):
     monkeypatch.setattr(dg, "_generate_kernel",
                         counted("kernel", dg._generate_kernel))
     monkeypatch.setattr(dg, "_open_gate", counted("gate", dg._open_gate))
-    d = sk.build_foraging(sk.ForagingParams(n0=3, m0=6))
+    d = sk.build_builtin("foraging", n0=3, m0=6)
     paths = [sk.ssa_run(d, t_end=20.0, seed=s) for s in range(50)]
     assert calls == {"kernel": 1, "gate": 1}
     for s, path in enumerate(paths):
@@ -330,7 +329,7 @@ def test_ssa_zero_rates_constant_path():
 
 
 def test_ssa_counts_stay_integral_and_bounded():
-    d = sk.build_stickpull_counts()
+    d = sk.build_builtin("stickpull-counts")
     traj = sk.ssa_run(d, t_end=50.0, seed=3)
     assert np.array_equal(traj.data, np.round(traj.data))
     assert traj.data.min() >= 0
@@ -359,7 +358,7 @@ def test_sample_path_piecewise_constant():
 
 
 def test_ensemble_seed_derivation_and_stderr():
-    d = sk.build_stickpull_counts()
+    d = sk.build_builtin("stickpull-counts")
     grid = np.linspace(0, 10, 6)
     run = lambda seed: sk.ssa_run(d, t_end=10.0, seed=seed)
     a = sk.ensemble(run, 50, 9, grid)
@@ -371,7 +370,7 @@ def test_ensemble_seed_derivation_and_stderr():
 
 
 def test_ensemble_identical_runs_zero_stderr():
-    d = sk.build_stickpull_counts()
+    d = sk.build_builtin("stickpull-counts")
     grid = np.linspace(0, 5, 4)
     run = lambda seed: sk.ssa_run(d, t_end=5.0, seed=123)  # ignore seed
     stats = sk.ensemble(run, 5, 0, grid)
@@ -379,13 +378,13 @@ def test_ensemble_identical_runs_zero_stderr():
 
 
 def test_ensemble_requires_two_runs():
-    d = sk.build_stickpull_counts()
+    d = sk.build_builtin("stickpull-counts")
     with pytest.raises(ValueError):
         sk.ensemble(lambda s: sk.ssa_run(d, 1.0, s), 1, 0, [0.0, 1.0])
 
 
 def test_ensemble_stderr_shrinks_with_runs():
-    d = sk.build_stickpull_counts()
+    d = sk.build_builtin("stickpull-counts")
     grid = np.linspace(2, 10, 5)
     run = lambda seed: sk.ssa_run(d, t_end=10.0, seed=seed)
     s1 = sk.ensemble(run, 200, 1, grid)
@@ -395,7 +394,7 @@ def test_ensemble_stderr_shrinks_with_runs():
 
 
 def test_ssa_ensemble_agrees_with_master():
-    d = sk.build_stickpull_counts()  # N0 = M0 = 4
+    d = sk.build_builtin("stickpull-counts")  # N0 = M0 = 4
     _, exact = sk.master_exact(d, t_end=20.0, dt=0.005, dt_out=0.5)
     grid = np.linspace(1, 20, 20)
     stats = sk.ensemble(lambda s: sk.ssa_run(d, t_end=20.0, seed=s),
