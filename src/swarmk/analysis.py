@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import models
 from .errors import IntegrationError, ModelError, NoRoot, NotReached, \
     StepGridError, SwarmkError
 from .integrate import integrate, integrate_delayed, iterate_difference
@@ -249,17 +250,28 @@ def steady_state_of_trajectory(traj, name, window=0.1, tol=1e-5):
 
 def _steady_result(diagram):
     """Analytic steady state of a stick-pulling diagram: the release-rate
-    model if it has ``gamma``, the gripping-timer model if it has ``tau``."""
+    model if it has ``gamma``, the gripping-timer model if it has ``tau``.
+    Its states, env counters and transitions must be those of that model's
+    shipped file; parameters may differ (a derived one is added, ...)."""
     p = diagram.params
     if "beta" not in p or "rg" not in p:
         raise ModelError("steady state needs a stick-pulling model with "
                          "beta and rg parameters")
     if "gamma" in p:
-        return steady_state_simple(p["beta"], p["gamma"], p["rg"])
-    if "tau" in p:
-        return steady_state_delayed(p["beta"], p["tau"], p["rg"])
-    raise ModelError("model has neither a release rate (gamma) nor a "
-                     "gripping time (tau)")
+        name, solve, key = "stickpull-simple", steady_state_simple, "gamma"
+    elif "tau" in p:
+        name, solve, key = "stickpull-delayed", steady_state_delayed, "tau"
+    else:
+        raise ModelError("model has neither a release rate (gamma) nor a "
+                         "gripping time (tau)")
+    # a built-in shares the shipped file's transitions: one identity test
+    shipped = models._shipped_diagram(name)
+    if (diagram.transitions, diagram.states, diagram.env_vars) != \
+            (shipped.transitions, shipped.states, shipped.env_vars):
+        raise ModelError(f"no closed-form steady state for {diagram.name}: "
+                         f"its states, counters or transitions differ from "
+                         f"{name}")
+    return solve(p["beta"], p[key], p["rg"])
 
 
 def _steady_observables(diagram, want):
@@ -274,6 +286,8 @@ def _steady_observables(diagram, want):
                                           diagram.params["rg"]))
         elif name == "residual":
             out.append(res.residual)
+        elif name == "branch":
+            out.append(res.branch)
         else:
             raise ValueError(f"unknown steady observable {name!r}")
     return tuple(out)

@@ -121,27 +121,31 @@ def _build_parser():
                             "multi-robot systems.")
     sub = p.add_subparsers(dest="command")
 
-    def common(sp, dt=True):
+    options = {"format": dict(choices=("csv", "json"), default="csv"),
+               "dt": dict(type=float, default=0.01),
+               "t-end": dict(type=float, default=10.0),
+               "steps": dict(type=int, default=None,
+                             help="step count of a synchronous model")}
+
+    def common(sp, *reads):
+        """The options of every model command, then those of ``options``
+        that the command reads."""
         sp.add_argument("--model", help="built-in name or .mas file path")
         sp.add_argument("--set", action="append", metavar="NAME=VALUE",
                         help="override a model parameter (repeatable)")
         sp.add_argument("--out", help="write output to this file")
-        sp.add_argument("--format", choices=("csv", "json"), default="csv")
-        if dt:
-            sp.add_argument("--dt", type=float, default=0.01)
-            sp.add_argument("--t-end", type=float, default=10.0)
-            sp.add_argument("--steps", type=int, default=None,
-                            help="step count for difference models")
+        for name in reads:
+            sp.add_argument(f"--{name}", **options[name])
 
     sp = sub.add_parser("run", help="integrate a model, emit the trajectory")
-    common(sp)
+    common(sp, "format", "dt", "t-end", "steps")
 
     sp = sub.add_parser("steady", help="steady searching fraction of a "
                                        "stick-pulling model")
-    common(sp, dt=False)
+    common(sp, "format")
 
     sp = sub.add_parser("sweep", help="observables over a parameter grid")
-    common(sp)
+    common(sp, "format", "dt", "t-end", "steps")
     sp.add_argument("--param", required=False)
     sp.add_argument("--from", dest="lo", type=float)
     sp.add_argument("--to", dest="hi", type=float)
@@ -152,29 +156,37 @@ def _build_parser():
     sp.add_argument("--threshold", type=float)
 
     sp = sub.add_parser("mc", help="Gillespie ensemble statistics")
-    common(sp)
+    common(sp, "format", "t-end")
     sp.add_argument("--runs", type=int, default=100)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--grid-points", type=int, default=50)
 
     sp = sub.add_parser("exact", help="master-equation expectations")
-    common(sp)
+    common(sp, "format", "dt", "t-end")
 
     sp = sub.add_parser("compare", help="mean-field vs exact vs mc")
-    common(sp)
+    common(sp, "format", "dt", "t-end")
     sp.add_argument("--runs", type=int, default=100)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--grid-points", type=int, default=50)
 
     sp = sub.add_parser("validate", help="report diagram defects")
-    common(sp, dt=False)
+    common(sp)
 
     sub.add_parser("list", help="list built-in models")
     return p
 
 
-def _cmd_run(args):
+def _load_stepped(args):
+    """The model of ``run``/``sweep``; ``--steps`` needs a synchronous one."""
     diagram = _load_model(args.model, _parse_overrides(args.set))
+    if args.steps is not None and not diagram.discrete:
+        raise _UsageError("--steps applies only to a synchronous model")
+    return diagram
+
+
+def _cmd_run(args):
+    diagram = _load_stepped(args)
     _emit_traj(analysis._run_to_trajectory(diagram, args.t_end, args.dt,
                                            args.steps), args)
     return EXIT_OK
@@ -182,16 +194,15 @@ def _cmd_run(args):
 
 def _cmd_steady(args):
     diagram = _load_model(args.model, _parse_overrides(args.set))
-    res = analysis._steady_result(diagram)
-    p = diagram.params
-    r = analysis.collaboration_rate(res.n, p["beta"], p["rg"])
+    n, branch, residual, r = analysis._steady_observables(
+        diagram, ("nstar", "branch", "residual", "R"))
     if args.format == "json":
-        _emit(json.dumps({"n": res.n, "branch": res.branch,
-                          "residual": res.residual, "R": r}, indent=2) + "\n",
+        _emit(json.dumps({"n": n, "branch": branch,
+                          "residual": residual, "R": r}, indent=2) + "\n",
               args.out)
     else:
-        _emit(f"n={_fmt_float(res.n)}\nbranch={res.branch}\n"
-              f"residual={_fmt_float(res.residual)}\nR={_fmt_float(r)}\n",
+        _emit(f"n={_fmt_float(n)}\nbranch={branch}\n"
+              f"residual={_fmt_float(residual)}\nR={_fmt_float(r)}\n",
               args.out)
     return EXIT_OK
 
@@ -201,7 +212,7 @@ def _cmd_sweep(args):
         raise _UsageError("sweep requires --param, --from and --to")
     if args.npts < 1:
         raise _UsageError("--sweep-steps must be >= 1")
-    model = _load_model(args.model, _parse_overrides(args.set))
+    model = _load_stepped(args)
     grid = np.linspace(args.lo, args.hi, args.npts)
     observables = tuple(s.strip() for s in args.observables.split(",") if s.strip())
     table = analysis.sweep(model, args.param, grid, observables,

@@ -39,7 +39,6 @@ class StateDiagram:
     transitions: tuple = ()
     discrete: bool = False  # synchronous finite-difference semantics
     name: str = "<model>"
-    n0: float = None  # declared conserved total; defaults to sum of initials
     # declarations whose value is an expression of earlier parameters,
     # ((name, Expr), ...) in declaration order; with_params evaluates them
     derived: tuple = ()
@@ -47,9 +46,10 @@ class StateDiagram:
     # (0.0, 1.0, "(]") for ``in (0, 1]``; with_params refuses the others
     domains: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        if self.n0 is None:
-            object.__setattr__(self, "n0", float(sum(v for _, v in self.states)))
+    @property
+    def n0(self):
+        """The conserved total N0: the sum of the initial counts."""
+        return float(sum(v for _, v in self.states))
 
     @property
     def state_names(self):
@@ -90,16 +90,15 @@ class StateDiagram:
                 raise ValueError(f"{name} cannot be evaluated: {exc}") from None
             v = check_param(name, v, self.domains.get(name))
             (params if name in params else inits)[name] = v
-        states = tuple((n, inits[n]) for n, _ in self.states)
-        return replace(self, params=params, derived=derived, states=states,
-                       env_vars=tuple((n, inits[n]) for n, _ in self.env_vars),
-                       n0=self.n0 if states == self.states else None)
+        return replace(self, params=params, derived=derived,
+                       states=tuple((n, inits[n]) for n, _ in self.states),
+                       env_vars=tuple((n, inits[n]) for n, _ in self.env_vars))
 
     def with_state_init(self, **inits):
         """The diagram with initial state counts set (and pinned)."""
         states = tuple((n, inits.get(n, v)) for n, v in self.states)
         derived = tuple(d for d in self.derived if d[0] not in inits)
-        return replace(self, states=states, derived=derived, n0=None)
+        return replace(self, states=states, derived=derived)
 
 
 def domain_source(domain):
@@ -188,10 +187,6 @@ def validate_diagram(diagram):
     for n, v in diagram.states:
         if v < 0:
             defects.append(f"negative initial count for state {n}")
-    total = sum(v for _, v in diagram.states)
-    if not math.isclose(total, diagram.n0, rel_tol=1e-12, abs_tol=1e-12):
-        defects.append(
-            f"conservation mismatch: initial counts sum to {total!r}, N0={diagram.n0!r}")
 
     known = set(all_names) | {"t", "N0"}
     for tr in diagram.transitions:

@@ -1,8 +1,8 @@
 """Expression trees for transition-rate formulas.
 
 An expression may reference parameter names, state counts, environment
-counters, the reserved names ``t`` (current time) and ``N0`` (declared
-conserved total), and the special forms
+counters, the reserved names ``t`` (current time) and ``N0`` (the conserved
+total, the sum of the initial state counts), and the special forms
 
 * ``delay(x, d)``   -- x evaluated at time t - d,
 * ``histint(x, w)`` -- integral of x over [t - w, t] (a window sum of the

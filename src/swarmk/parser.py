@@ -29,6 +29,13 @@ out, a square one keeps it) is kept in ``StateDiagram.domains``: the
 file's value must lie in it, and so must every value ``with_params``
 sets or derives.  ``synchronous`` sets ``StateDiagram.discrete``
 (difference semantics).
+
+The file is read in one pass, straight into the diagram, and a bad file
+raises the first error in file order, with its line:col: a name is
+checked at the token that declares or uses it.  Two kinds come out of
+order: a lexical error comes first (the text is tokenized whole), and an
+unknown identifier in a rate or effect comes last, as a rate may use a
+name declared further down.
 """
 from __future__ import annotations
 
@@ -39,11 +46,11 @@ from dataclasses import dataclass
 from .diagram import (StateDiagram, Transition, check_param, domain_source,
                       effect_source)
 from .errors import LexError, ParseError, SemanticError
-from .expr import (BinOp, Call, Name, Neg, Num, eval_expr, format_number,
-                   nodes, unparse)
+from .expr import (_PREC, BINARY_CALLS, UNARY_CALLS, BinOp, Call, Name, Neg,
+                   Num, eval_expr, format_number, nodes, unparse)
 
-RESERVED = {"param", "state", "env", "synchronous", "rate", "in", "inf",
-            "exp", "ln", "step", "delay", "histint", "t", "N0"}
+RESERVED = {"param", "state", "env", "synchronous", "rate", "in", "inf", "t",
+            "N0", *UNARY_CALLS, *BINARY_CALLS}
 
 _TOKEN_RE = re.compile(
     r"""(?P<ws>[ \t\r]+)
@@ -96,9 +103,16 @@ class ModelSource:
 
 
 class _Parser:
+    """Reads the tokens once, straight into the diagram's parts."""
+
     def __init__(self, tokens):
         self.tokens = tokens
         self.i = 0
+        self.decls = {"param": {}, "state": {}, "env": {}}  # name -> value
+        self.derived = []
+        self.domains = {}
+        self.transitions = []
+        self.discrete = False
 
     @property
     def cur(self):
@@ -113,6 +127,9 @@ class _Parser:
         tok = self.cur
         got = tok.text if tok.kind != "eof" else "end of input"
         raise ParseError(f"expected {expected}, got {got!r}", tok.line, tok.col)
+
+    def at_op(self, text):
+        return self.cur.kind == "op" and self.cur.text == text
 
     def expect_op(self, *texts):
         if self.cur.kind == "op" and self.cur.text in texts:
@@ -133,35 +150,50 @@ class _Parser:
 
     # -- statements ------------------------------------------------------
 
-    def parse_model(self):
-        decls = []
+    def parse_model(self, origin):
         while self.cur.kind != "eof":
-            if self.at_keyword("param"):
-                decls.append(self.parse_decl("param"))
-            elif self.at_keyword("state"):
-                decls.append(self.parse_decl("state"))
-            elif self.at_keyword("env"):
-                decls.append(self.parse_decl("env"))
-            elif self.at_keyword("rate"):
-                decls.append(self.parse_trans())
-            elif self.at_keyword("synchronous"):
-                decls.append((self.advance().text,))
+            kw = self.cur.text if self.cur.kind == "ident" else None
+            if kw in self.decls:
+                self.parse_decl(kw)
+            elif kw == "rate":
+                self.parse_trans()
+            elif kw == "synchronous":
+                self.advance()
+                self.discrete = True
             else:
                 self.fail("'param', 'state', 'env', 'synchronous' or 'rate'")
-        return decls
+        return StateDiagram(
+            states=tuple(self.decls["state"].items()),
+            env_vars=tuple(self.decls["env"].items()),
+            params=self.decls["param"], transitions=tuple(self.transitions),
+            discrete=self.discrete, name=origin, derived=tuple(self.derived),
+            domains=self.domains)
 
     def parse_decl(self, kw):
         self.advance()
-        name = self.expect_ident()
+        tok = self.expect_ident()
+        name = tok.text
+        if any(name in names for names in self.decls.values()):
+            raise SemanticError(f"duplicate name {name!r}", tok.line, tok.col)
         self.expect_op("=")
         value = self.parse_expr()
-        domain = None
+        v = _literal(value)
+        if v is None:
+            try:
+                v = eval_expr(value, self.decls["param"])
+            except Exception as exc:
+                raise SemanticError(
+                    f"initializer for {name!r} is not constant: {exc}",
+                    tok.line, tok.col) from None
+            self.derived.append((name, value))
         if kw == "param" and self.at_keyword("in"):
-            domain = self.parse_domain()
-        return (kw, name, value, domain)
+            self.domains[name] = self.parse_domain(name, v)
+        self.decls[kw][name] = v
 
-    def parse_domain(self):
-        """``in`` and its interval: ``((lo, hi, brackets), in token)``."""
+    def parse_domain(self, name, v):
+        """``in`` and its interval ``(lo, hi, brackets)``: not empty, no
+        infinite end closed, holding the declared value ``v``; a fault in
+        any is a SemanticError at ``in``."""
         tok = self.advance()
         left = self.expect_op("(", "[").text
         lo = self.parse_bound()
@@ -169,16 +201,19 @@ class _Parser:
         hi = self.parse_bound()
         right = self.expect_op(")", "]").text
         domain = (lo, hi, left + right)
-        if (left == "[" and math.isinf(lo)) or (right == "]" and math.isinf(hi)):
-            raise SemanticError(f"domain {domain_source(domain)} closes an "
-                                "infinite end", tok.line, tok.col)
-        if not (lo < hi or (lo == hi and left + right == "[]")):
-            raise SemanticError(f"domain {domain_source(domain)} is empty",
-                                tok.line, tok.col)
-        return domain, tok
+        try:
+            if (left == "[" and math.isinf(lo)) or (right == "]" and math.isinf(hi)):
+                raise ValueError(f"domain {domain_source(domain)} closes an "
+                                 "infinite end")
+            if not (lo < hi or (lo == hi and left + right == "[]")):
+                raise ValueError(f"domain {domain_source(domain)} is empty")
+            check_param(name, v, domain)
+        except ValueError as exc:
+            raise SemanticError(str(exc), tok.line, tok.col) from None
+        return domain
 
     def parse_bound(self):
-        negate = self.cur.kind == "op" and self.cur.text == "-"
+        negate = self.at_op("-")
         if negate:
             self.advance()
         if self.at_keyword("inf"):
@@ -196,49 +231,45 @@ class _Parser:
         rate = self.parse_expr()
         self.expect_op(")")
         self.expect_op(":")
-        src = self.expect_ident()
+        src = self.declared("state")
         self.expect_op("->")
-        dst = self.expect_ident()
+        dst = self.declared("state")
         effects = []
-        if self.cur.kind == "op" and self.cur.text == ";":
+        sep = ";"  # before the first effect, then "," before each other
+        while self.at_op(sep):
             self.advance()
-            effects.append(self.parse_effect())
-            while self.cur.kind == "op" and self.cur.text == ",":
-                self.advance()
-                effects.append(self.parse_effect())
-        return ("rate", rate, src, dst, effects)
+            name = self.declared("env")
+            op = self.expect_op("+=", "-=").text
+            value = self.parse_expr()
+            if op == "-=":
+                value = Neg(value, line=value.line, col=value.col)
+            effects.append((name, value))
+            sep = ","
+        self.transitions.append(Transition(src, dst, rate, tuple(effects)))
 
-    def parse_effect(self):
-        name = self.expect_ident()
-        if self.cur.kind == "op" and self.cur.text in ("+=", "-="):
-            op = self.advance().text
-        else:
-            self.fail("'+=' or '-='")
-        value = self.parse_expr()
-        if op == "-=":
-            value = Neg(value, line=value.line, col=value.col)
-        return (name.text, value, name.line, name.col)
+    def declared(self, kw):
+        """The name at the cursor, which must be a declared ``kw``."""
+        tok = self.expect_ident()
+        if tok.text not in self.decls[kw]:
+            what = "env var" if kw == "env" else kw
+            raise SemanticError(f"unknown {what} {tok.text!r}", tok.line,
+                                tok.col)
+        return tok.text
 
     # -- expressions -----------------------------------------------------
 
-    def parse_expr(self):
-        left = self.parse_term()
-        while self.cur.kind == "op" and self.cur.text in ("+", "-"):
-            op = self.advance().text
-            right = self.parse_term()
-            left = BinOp(op, left, right, line=left.line, col=left.col)
-        return left
-
-    def parse_term(self):
+    def parse_expr(self, prec=1):
+        """Operands joined by operators that bind at least as tightly as
+        ``prec``; each operator associates to the left."""
         left = self.parse_factor()
-        while self.cur.kind == "op" and self.cur.text in ("*", "/"):
+        while _PREC.get(self.cur.text, 0) >= prec:
             op = self.advance().text
-            right = self.parse_factor()
+            right = self.parse_expr(_PREC[op] + 1)
             left = BinOp(op, left, right, line=left.line, col=left.col)
         return left
 
     def parse_factor(self):
-        if self.cur.kind == "op" and self.cur.text == "-":
+        if self.at_op("-"):
             tok = self.advance()
             return Neg(self.parse_factor(), line=tok.line, col=tok.col)
         return self.parse_primary()
@@ -254,11 +285,11 @@ class _Parser:
             return Num(value, line=tok.line, col=tok.col)
         if tok.kind == "ident":
             name = tok.text
-            if name in ("exp", "ln", "step", "delay", "histint"):
+            if name in UNARY_CALLS + BINARY_CALLS:
                 self.advance()
                 self.expect_op("(")
                 args = [self.parse_expr()]
-                if name in ("delay", "histint"):
+                if name in BINARY_CALLS:
                     self.expect_op(",")
                     args.append(self.parse_expr())
                 self.expect_op(")")
@@ -268,7 +299,7 @@ class _Parser:
                                  tok.line, tok.col)
             self.advance()
             return Name(name, line=tok.line, col=tok.col)
-        if tok.kind == "op" and tok.text == "(":
+        if self.at_op("("):
             self.advance()
             inner = self.parse_expr()
             self.expect_op(")")
@@ -280,77 +311,10 @@ def parse_model(src):
     """Parse a ModelSource (or raw text) into a StateDiagram."""
     if isinstance(src, str):
         src = ModelSource(src)
-    decls = _Parser(tokenize(src.text)).parse_model()
-
-    params = {}
-    states = []
-    env_vars = []
-    transitions = []
-    derived = []
-    domains = {}
-    seen = {}
-
-    def check_fresh(name, line, col):
-        if name in seen:
-            raise SemanticError(f"duplicate name {name!r}", line, col)
-        seen[name] = True
-
-    for d in decls:
-        if d[0] in ("param", "state", "env"):
-            _, name_tok, value, domain = d
-            name = name_tok.text
-            check_fresh(name, name_tok.line, name_tok.col)
-            v = _literal(value)
-            if v is None:
-                try:
-                    v = eval_expr(value, dict(params))
-                except Exception as exc:
-                    raise SemanticError(
-                        f"initializer for {name!r} is not constant: {exc}",
-                        name_tok.line, name_tok.col) from None
-                derived.append((name, value))
-            if domain is not None:
-                domains[name], in_tok = domain
-                try:
-                    check_param(name, v, domains[name])
-                except ValueError as exc:
-                    raise SemanticError(str(exc), in_tok.line,
-                                        in_tok.col) from None
-            if d[0] == "param":
-                params[name] = v
-            elif d[0] == "state":
-                states.append((name, v))
-            else:
-                env_vars.append((name, v))
-        elif d[0] == "rate":
-            _, rate, src_tok, dst_tok, effects = d
-            state_names = {n for n, _ in states}
-            for tok in (src_tok, dst_tok):
-                if tok.text not in state_names:
-                    raise SemanticError(f"unknown state {tok.text!r}",
-                                        tok.line, tok.col)
-            env_names = {n for n, _ in env_vars}
-            eff = []
-            for name, value, line, col in effects:
-                if name not in env_names:
-                    raise SemanticError(f"unknown env var {name!r}", line, col)
-                eff.append((name, value))
-            transitions.append(Transition(src_tok.text, dst_tok.text, rate, tuple(eff)))
-
-    diagram = StateDiagram(
-        states=tuple(states),
-        env_vars=tuple(env_vars),
-        params=dict(params),
-        transitions=tuple(transitions),
-        discrete=any(d[0] == "synchronous" for d in decls),
-        name=src.origin,
-        derived=tuple(derived),
-        domains=domains,
-    )
+    diagram = _Parser(tokenize(src.text)).parse_model(src.origin)
     defects = _identifier_defects(diagram)
     if defects:
-        msg, line, col = defects[0]
-        raise SemanticError(msg, line, col)
+        raise SemanticError(*defects[0])
     return diagram
 
 

@@ -285,6 +285,15 @@ def test_sweep_records_row_failures():
     assert table.errors[2] is None
 
 
+def test_sweep_rows_refuse_a_depletion_model():
+    # gamma, beta and rg are there, but the closed form is of another model
+    d = sk.build_builtin("stickpull-simple-depletion")
+    table = sk.sweep(d, "gamma", [0.1, 0.2], ("nstar", "R"))
+    assert table.rows == ((None, None), (None, None))
+    assert all(e.startswith("ModelError: no closed-form steady state")
+               for e in table.errors)
+
+
 def test_sweep_propagates_programming_errors(monkeypatch):
     def broken(diagram, want):
         raise TypeError("observable bug")

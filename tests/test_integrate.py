@@ -171,17 +171,6 @@ def test_histint_trapezoid_accuracy():
     assert slope == pytest.approx(-0.5, abs=0.01)
 
 
-def test_conservation_enforced():
-    # a leak (env effect siphoning state mass) cannot exist structurally,
-    # so drive drift via an inconsistent declared total instead
-    from dataclasses import replace
-
-    d = parse_model(DECAY)
-    bad = replace(d, n0=2.0)
-    report_defects = [x for x in __import__("swarmk").validate_diagram(bad).defects]
-    assert any("conservation mismatch" in x for x in report_defects)
-
-
 DIFFERENCE = """\
 param p = 0.25
 param lag = 2

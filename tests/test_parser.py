@@ -58,6 +58,10 @@ def test_number_forms():
     ("param t = 1\n", ParseError, 1, 7),
     ("state exp = 1\n", ParseError, 1, 7),
     ("param k = 1e999\n", ParseError, 1, 11),
+    # the first error in file order: a duplicate name, an unknown endpoint
+    # state, each before the syntax error on the line after it
+    ("param a = 1\nparam a = 2\nrate(", SemanticError, 2, 7),
+    ("state s = 1\nrate(s): s -> q\nparam = ", SemanticError, 2, 15),
 ])
 def test_malformed_sources_report_location(src, err, line, col):
     with pytest.raises(err) as ei:
