@@ -17,6 +17,8 @@ from .errors import IntegrationError, ModelError, NoRoot, NotReached, \
     StepGridError, SwarmkError
 from .integrate import integrate, integrate_delayed, iterate_difference
 
+# the sweep observables read off the analytic steady state, not a run
+STEADY_NAMES = ("nstar", "R", "residual")
 QUADRATIC_RESIDUAL = 1e-12
 TRANSCENDENTAL_RESIDUAL = 1e-10
 
@@ -332,7 +334,7 @@ def sweep(model, param, grid, observables=("nstar", "R"), *, t_end=100.0,
     provenance = {"model": model.name, "params": dict(model.params),
                   "observables": list(observables)}
 
-    steady_names = [o for o in observables if o in ("nstar", "R", "residual")]
+    steady_names = [o for o in observables if o in STEADY_NAMES]
     rows, errors = [], []
     for value in grid:
         try:

@@ -22,6 +22,9 @@ from .integrate import (_check_t_end, _step_count, integrate,  # noqa: F401
                         integrate_delayed, iterate_difference)
 from .parser import parse_file
 
+# the value --dt and --t-end take when they are not given
+_DEFAULTS = {"dt": 0.01, "t_end": 10.0}
+
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_MODEL = 2
@@ -121,10 +124,12 @@ def _build_parser():
                             "multi-robot systems.")
     sub = p.add_subparsers(dest="command")
 
+    # --dt and --t-end default to None, so that a model or observable that
+    # does not read one can refuse it; run_cli then applies _DEFAULTS
     options = {"format": dict(choices=("csv", "json"), default="csv"),
-               "dt": dict(type=float, default=0.01),
-               "t-end": dict(type=float, default=10.0),
-               "steps": dict(type=int, default=None,
+               "dt": dict(type=float, help="step (default 0.01)"),
+               "t-end": dict(type=float, help="end time (default 10)"),
+               "steps": dict(type=int,
                              help="step count of a synchronous model")}
 
     def common(sp, *reads):
@@ -177,11 +182,19 @@ def _build_parser():
     return p
 
 
-def _load_stepped(args):
-    """The model of ``run``/``sweep``; ``--steps`` needs a synchronous one."""
+def _load_stepped(args, analytic=False):
+    """The model of ``run``/``sweep``, then the time options it reads:
+    ``--steps`` needs a synchronous model, ``--dt`` any other, and a sweep
+    of ``analytic`` observables takes none of the three."""
     diagram = _load_model(args.model, _parse_overrides(args.set))
+    if analytic and args.given:
+        raise _UsageError(f"{args.given[0]} does not apply to the analytic "
+                          f"observables {', '.join(analysis.STEADY_NAMES)}")
     if args.steps is not None and not diagram.discrete:
         raise _UsageError("--steps applies only to a synchronous model")
+    if "--dt" in args.given and diagram.discrete:
+        raise _UsageError("--dt applies only to a non-synchronous model; "
+                          "a synchronous one takes whole steps")
     return diagram
 
 
@@ -212,9 +225,10 @@ def _cmd_sweep(args):
         raise _UsageError("sweep requires --param, --from and --to")
     if args.npts < 1:
         raise _UsageError("--sweep-steps must be >= 1")
-    model = _load_stepped(args)
-    grid = np.linspace(args.lo, args.hi, args.npts)
     observables = tuple(s.strip() for s in args.observables.split(",") if s.strip())
+    model = _load_stepped(args, analytic=set(observables)
+                          <= set(analysis.STEADY_NAMES))
+    grid = np.linspace(args.lo, args.hi, args.npts)
     table = analysis.sweep(model, args.param, grid, observables,
                            t_end=args.t_end, dt=args.dt, k_steps=args.steps,
                            counter=args.counter, mode=args.mode,
@@ -342,6 +356,13 @@ def run_cli(argv=None):
         if args.command is None:
             raise _UsageError("a subcommand is required "
                               f"({', '.join(_COMMANDS)})")
+        # the time options given: a model or observable that does not
+        # read one refuses it (_load_stepped)
+        args.given = [f"--{n}" for n in ("dt", "t-end", "steps")
+                      if getattr(args, n.replace("-", "_"), None) is not None]
+        for name, default in _DEFAULTS.items():
+            if getattr(args, name, default) is None:
+                setattr(args, name, default)
         return _COMMANDS[args.command](args)
     except (_UsageError, ValueError) as exc:
         # ValueError: an argument value the library refuses (dt <= 0, ...)

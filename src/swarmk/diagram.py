@@ -13,7 +13,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import EvalError, ModelError
+from .errors import (ConservationDrift, EvalError, ModelError,
+                     NegativePopulation, NonFinite)
 from .expr import (Neg, Source, delay_windows, eval_expr, format_number,
                    free_names, has_history_terms, unparse)
 
@@ -315,7 +316,7 @@ def _kept(diagram, attr, make):
 def rate_kernel(diagram):
     """``(rhs, transition table)`` of a structurally valid diagram,
     generated and compiled once per diagram instance."""
-    return _kept(diagram, "_rate_kernel", _generate_kernel)
+    return _kept(diagram, "_rate_kernel", _generate_kernel)[:2]
 
 
 def gate(diagram):
@@ -348,20 +349,22 @@ def _generate_kernel(diagram):
     order: minus the flow at the source, plus the flow at the target, plus
     effect times flow at an env counter.  Under the same names the source
     also defines one function per rate and effect, for the transition table.
+    The flow lines and component sums are kept with the source, for the
+    step ``_generate_step`` adds to it.
     """
     states = {n: i for i, n in enumerate(diagram.state_names)}
     env = {n: i for i, n in enumerate(diagram.env_names, len(states))}
     slots = {"t": len(states) + len(env), **states, **env}
     src = Source(diagram.base_bindings(), slots)
-    body = ["    r = y.tolist()", "    r.append(t)"]
+    flows = []
     # per component, its signed terms in transition order
     terms = [[] for _ in range(len(states) + len(env))]
     rows = []  # (source, target, rate name, ((env index, effect name), ...))
     for k, tr in enumerate(diagram.transitions):
         si, ti = states[tr.source], states[tr.target]
         names = [f"f{k}", *(f"e{k}_{j}" for j in range(len(tr.env_effects)))]
-        body += [f"    {n} = {src.function(n, e)}"
-                 for n, e in zip(names, tr.exprs)]
+        flows += [f"    {n} = {src.function(n, e)}"
+                  for n, e in zip(names, tr.exprs)]
         if si != ti:
             terms[si].append(f" - f{k}")
             terms[ti].append(f" + f{k}")
@@ -369,13 +372,59 @@ def _generate_kernel(diagram):
         for ei, e in effects:
             terms[ei].append(f" + {e} * f{k}")
         rows.append((si, ti, f"f{k}", effects))
-    d = ", ".join("0.0" + "".join(ts) for ts in terms)
+    sums = ["0.0" + "".join(ts) for ts in terms]
     src.env["_array"] = np.array
-    src.lines += ["def rhs(t, y, h=None):", *body, f"    return _array([{d}])"]
+    src.lines += ["def rhs(t, y, h=None):", "    r = y.tolist()",
+                  "    r.append(t)", *flows,
+                  f"    return _array([{', '.join(sums)}])"]
     ns = src.compile()
     table = tuple((si, ti, ns[rate], tuple((ei, ns[e]) for ei, e in effects))
                   for si, ti, rate, effects in rows)
-    return ns["rhs"], table
+    return ns["rhs"], table, (src, flows, sums)
+
+
+def _generate_step(diagram, synchronous, budget, floor):
+    """Add ``step(k, y, dt, h)`` to the diagram's rate kernel: the list
+    ``y`` at ``t = k * dt`` one step on, over Python floats, as the
+    synchronous ``y + f(float(t))`` or as RK4 unrolled per component in the
+    operations and order of ``integrate._rk4_step``.  Each stage runs the
+    kernel's flow lines and sums over its row ``r``, so every value is the
+    one ``rhs`` and numpy would give.  At ``t = (k + 1) * dt`` it raises
+    NonFinite, ConservationDrift (the state total, summed left to right,
+    off N0 by over ``budget * N0``) or NegativePopulation (below ``floor``),
+    checked in that order."""
+    src, flows, sums = _kept(diagram, "_rate_kernel", _generate_kernel)[2]
+    ys = [f"y{i}" for i in range(len(sums))]
+    lines = ["def step(k, y, dt, h):", f"    [{', '.join(ys)}] = y",
+             "    t = k * dt"]
+    # per stage, each component's offset from y, and the stage time
+    if synchronous:
+        stages, last = [("", "float(t)")], " + k1_{}"
+    else:
+        lines += ["    c = 0.5 * dt", "    c6 = dt / 6.0"]
+        stages = [("", "t"), (" + c * k1_{}", "t + c"),
+                  (" + c * k2_{}", "t + c"), (" + dt * k3_{}", "t + dt")]
+        last = " + c6 * (k1_{0} + 2.0 * k2_{0} + 2.0 * k3_{0} + k4_{0})"
+    for s, (offset, t) in enumerate(stages, 1):
+        row = "".join(f"{y}{offset.format(i)}, " for i, y in enumerate(ys))
+        lines += [f"    r = [{row}{t}]", *flows,
+                  *(f"    k{s}_{i} = {d}" for i, d in enumerate(sums))]
+    lines += [f"    {y} = {y}{last.format(i)}" for i, y in enumerate(ys)]
+    finite = " and ".join(f"_isfinite({y})" for y in ys) or "True"
+    lines += ["    t = (k + 1) * dt", f"    if not ({finite}):",
+              "        raise _NonFinite(t)"]
+    states, n0 = ys[:len(diagram.states)], diagram.n0
+    if n0 > 0:
+        cap = src._literal(budget * n0)
+        lines += [f"    d = abs({' + '.join(states)} - {src._literal(n0)})",
+                  f"    if d > {cap}:", f"        raise _Drift(t, d, {cap})"]
+    for y, name in zip(states, diagram.state_names):
+        lines += [f"    if {y} < {src._literal(floor)}:",
+                  f"        raise _Negative(t, {name!r}, {y})"]
+    src.lines += [*lines, f"    return [{', '.join(ys)}]"]
+    src.env.update(_isfinite=math.isfinite, _NonFinite=NonFinite,
+                   _Drift=ConservationDrift, _Negative=NegativePopulation)
+    return src.compile()["step"]
 
 
 def compile_rhs(diagram):

@@ -80,7 +80,7 @@ def _fail(message):
 
 
 class Source:
-    """Python source generated from expression trees and compiled once.
+    """Python source generated from expression trees and compiled.
 
     Each tree becomes one Python expression over an evaluation row ``r``
     (a list) and, for delayed terms, a history ``h``.  Names are resolved
@@ -201,11 +201,13 @@ class Source:
         return x
 
     def compile(self):
-        """Compile the source once and return its namespace."""
-        ns = dict(self.env)
+        """Compile the lines emitted since the last call into the source's
+        namespace, ``env``, and return it: later lines may use what
+        earlier ones defined."""
         exec(compile("\n".join(self.lines) + "\n", "<rate kernel>", "exec"),
-             ns)
-        return ns
+             self.env)
+        self.lines = []
+        return self.env
 
 
 def generate_function(e, consts, slots):

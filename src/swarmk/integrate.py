@@ -1,10 +1,12 @@
 """Deterministic time evolution of compiled rate systems.
 
-Three flavors share one fixed-step loop: classical RK4 for ordinary
-systems, method of steps (the same RK4 step, stored history, linear
-interpolation, grid-aligned delays) for delayed systems, and a
-synchronous step for finite-difference systems.  Every run starts from
-the diagram's initial values.
+Three flavors share one fixed-step loop over one generated step per
+diagram (``diagram._generate_step``, over Python floats, with the checks
+of every step inline): classical RK4 for ordinary systems, method of
+steps (the same RK4 step, stored history, linear interpolation,
+grid-aligned delays) for delayed systems, and a synchronous step for
+finite-difference systems.  Every run starts from the diagram's initial
+values.
 """
 from __future__ import annotations
 
@@ -14,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (ConservationDrift, DelayMisaligned, IntegrationError,
-                     NegativePopulation, NonFinite, StepGridError)
+from .diagram import _generate_step, _kept
+from .errors import DelayMisaligned, IntegrationError, StepGridError
 
 CONSERVATION_BUDGET = 1e-6   # hard failure threshold, relative to N0
 # negative band, relative to max(1, N0): a state below it fails the step,
@@ -141,21 +143,6 @@ class HistoryAccessor:
         return cum[i] + 0.5 * h * (vals[i] + f_mid)
 
 
-def _check_step(t, y, state_names, n0, floor):
-    """The checks after every step: finite values, the state total within
-    CONSERVATION_BUDGET of N0, and no state count below ``floor``."""
-    if not np.all(np.isfinite(y)):
-        raise NonFinite(t)
-    states = y[:len(state_names)]
-    if n0 > 0:
-        drift = abs(float(states.sum()) - n0)
-        if drift > CONSERVATION_BUDGET * n0:
-            raise ConservationDrift(t, drift, CONSERVATION_BUDGET * n0)
-    if len(states) and float(states.min()) < floor:
-        i = int(np.argmax(states < floor))
-        raise NegativePopulation(t, state_names[i], float(states[i]))
-
-
 def _off_grid(span, dt):
     ratio = span / dt
     return abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio)
@@ -196,27 +183,23 @@ def _rk4_step(f, t, y, dt, history=None):
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _difference_step(f, t, y, dt, history):
-    """One synchronous step: every state moves from step t to t+1 at once."""
-    return y + f(float(t), y, history)
-
-
-# flavor -> (entry point, step, history, negative tolerance): all that
-# differs between the runs.  The history is None or its ``discrete`` flag.
-# A difference run steps by the integer 1, so a failure names the step,
-# and its states may not go below zero at all.
+# flavor -> (entry point, history, negative tolerance): all that differs
+# between the runs.  The history is None or its ``discrete`` flag.  A
+# difference run takes the synchronous step by the integer 1, so a failure
+# names the step, and its states may not go below zero at all.
 _FLAVORS = {
-    "ode": ("integrate", _rk4_step, None, NEGATIVE_TOLERANCE),
-    "dde": ("integrate_delayed", _rk4_step, False, NEGATIVE_TOLERANCE),
-    "difference": ("iterate_difference", _difference_step, True, 0.0),
+    "ode": ("integrate", None, NEGATIVE_TOLERANCE),
+    "dde": ("integrate_delayed", False, NEGATIVE_TOLERANCE),
+    "difference": ("iterate_difference", True, 0.0),
 }
 
 
 def _march(system, flavor, t_end, dt):
     """Run ``system`` from the diagram's initial values to ``t_end`` in
-    fixed steps ``dt``, checking every step.  Values inside the tolerated
+    fixed steps ``dt`` of the diagram's generated step, made on its first
+    run and kept, which checks itself.  Values inside the tolerated
     negative band are reported as zero."""
-    caller, step, discrete, tolerance = _FLAVORS[flavor]
+    caller, discrete, tolerance = _FLAVORS[flavor]
     if system.flavor != flavor:
         article = "an" if flavor == "ode" else "a"
         raise IntegrationError(
@@ -227,19 +210,19 @@ def _march(system, flavor, t_end, dt):
     data[0] = y
     history = None if discrete is None \
         else HistoryAccessor(0.0, dt, data, discrete=discrete)
-    names, n0 = system.state_names, system.diagram.n0
-    floor = -tolerance * max(1.0, n0)
-    rhs = system.rhs
+    floor = -tolerance * max(1.0, system.diagram.n0)
+    step = _kept(system.diagram, "_step", lambda d: _generate_step(
+        d, flavor == "difference", CONSERVATION_BUDGET, floor))
+    y = y.tolist()
     for k in range(nsteps):
-        y = step(rhs, k * dt, y, dt, history)
-        _check_step((k + 1) * dt, y, names, n0, floor)
+        y = step(k, y, dt, history)
         if history is None:
             data[k + 1] = y
         else:
             history.append(y)  # stores data[k + 1]
     data[(data < 0) & (data >= floor)] = 0.0
     times = np.arange(nsteps + 1, dtype=float) * dt
-    return Trajectory(times, data, names, system.env_names,
+    return Trajectory(times, data, system.state_names, system.env_names,
                       {"model": system.diagram.name,
                        "params": dict(system.diagram.params),
                        "dt": float(dt), "flavor": flavor})

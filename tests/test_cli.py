@@ -370,6 +370,38 @@ def test_difference_steps_in_run_and_sweep(capsys):
     assert _run(capsys, *argv, "--t-end", "10") == (0, rows["10"], "")
 
 
+@pytest.mark.parametrize("command", [
+    ("run",),
+    ("sweep", "--param", "alpha", "--from", "0.01", "--to", "0.02",
+     "--sweep-steps", "2", "--observables", "final:s")], ids=["run", "sweep"])
+def test_dt_on_a_synchronous_model_is_a_usage_error(capsys, command):
+    # a synchronous model takes whole steps: --dt would be ignored
+    argv = (*command, "--model", "collab-difference", "--t-end", "3")
+    assert _run(capsys, *argv)[0] == 0
+    assert _run(capsys, *argv, "--dt", "7") == (
+        1, "", "usage error: --dt applies only to a non-synchronous model; "
+               "a synchronous one takes whole steps\n")
+
+
+@pytest.mark.parametrize("option, value", [("--dt", "7"), ("--t-end", "3"),
+                                           ("--steps", "3")])
+@pytest.mark.parametrize("observables", ["nstar,R", "residual"])
+def test_analytic_sweep_refuses_time_options(capsys, option, value,
+                                             observables):
+    # nstar, R and residual come from the closed form: no run reads them
+    argv = ("sweep", "--model", "stickpull-delayed", "--param", "tau",
+            "--from", "1", "--to", "2", "--sweep-steps", "2",
+            "--observables", observables)
+    assert _run(capsys, *argv)[0] == 0
+    assert _run(capsys, *argv, option, value) == (
+        1, "", f"usage error: {option} does not apply to the analytic "
+               "observables nstar, R, residual\n")
+    # an observable that integrates the model reads them
+    code, _, err = _run(capsys, *argv[:-1], f"{observables},final:s",
+                        "--t-end", "10", "--dt", "0.5")
+    assert (code, err) == (0, "")
+
+
 def test_exact_rows_end_at_t_end(capsys):
     # 175 steps of 0.04: the stride divides the step count
     code, out, _ = _run(capsys, "exact", "--model", "stickpull-counts",

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from swarmk.diagram import compile_rhs
-from swarmk.errors import DelayMisaligned, IntegrationError
+from swarmk.errors import (ConservationDrift, DelayMisaligned,
+                           IntegrationError, NegativePopulation, NonFinite)
 from swarmk.integrate import integrate, integrate_delayed, iterate_difference
+from swarmk.models import BUILTIN_NAMES, build_builtin
 from swarmk.parser import parse_model
 from swarmk.stochastic import master_exact
 
@@ -211,3 +213,101 @@ def test_metadata_recorded():
     traj = integrate(compile_rhs(parse_model(DECAY)), t_end=1.0, dt=0.1)
     assert traj.metadata["flavor"] == "ode"
     assert traj.metadata["dt"] == 0.1
+
+
+# The refusals after each step, in their order: finite, then conservation,
+# then the first state below the negative floor.  A difference run names
+# its step by the integer step count.
+BLOWUP = "state a = 1\nstate b = 0\nrate(step(t - 20) * 1e308 * 1e308): a -> b\n"
+SWAMP = "state a = 1\nstate b = 0\nrate(1e30): a -> b\n"
+OVERSHOOT = "state a = 1\nstate b = 0\nrate({}): a -> b\n"
+
+
+def _refusal(source, synchronous, **run):
+    d = parse_model(("synchronous\n" if synchronous else "") + source)
+    with pytest.raises(IntegrationError) as info:
+        if synchronous:
+            iterate_difference(compile_rhs(d), **run)
+        else:
+            integrate(compile_rhs(d), **run)
+    return type(info.value), info.value.t, str(info.value)
+
+
+@pytest.mark.parametrize("source, run, refusal", [
+    (BLOWUP, dict(t_end=25.0, dt=0.5),
+     (NonFinite, 20.0, "non-finite value at t=20.0")),
+    (SWAMP, dict(t_end=1.0, dt=0.5),
+     (ConservationDrift, 0.5,
+      "conservation drift 1.000e+00 exceeds 1.000e-06 at t=0.5")),
+    (OVERSHOOT.format(3), dict(t_end=2.0, dt=1.0),
+     (NegativePopulation, 1.0, "state a went negative (-2.0) at t=1.0")),
+], ids=["non-finite", "drift", "negative"])
+def test_ode_step_refusals(source, run, refusal):
+    assert _refusal(source, False, **run) == refusal
+
+
+@pytest.mark.parametrize("source, refusal", [
+    (BLOWUP, (NonFinite, 21, "non-finite value at t=21")),
+    (SWAMP, (ConservationDrift, 1,
+             "conservation drift 1.000e+00 exceeds 1.000e-06 at t=1")),
+    (OVERSHOOT.format(2), (NegativePopulation, 1,
+                           "state a went negative (-1.0) at t=1")),
+], ids=["non-finite", "drift", "negative"])
+def test_difference_step_refusals(source, refusal):
+    got = _refusal(source, True, k_steps=25)
+    assert got == refusal
+    assert type(got[1]) is int
+
+
+def test_non_finite_is_refused_before_the_negative_floor():
+    # the blow-up leaves a at -inf: below the floor, and not finite
+    d = parse_model(BLOWUP)
+    traj = integrate(compile_rhs(d), t_end=19.5, dt=0.5)
+    assert traj.final() == {"a": 1.0, "b": 0.0}
+    for synchronous, run in ((False, dict(t_end=25.0, dt=0.5)),
+                             (True, dict(k_steps=25))):
+        assert _refusal(BLOWUP, synchronous, **run)[0] is NonFinite
+
+
+def _reference_march(system, t_end, dt):
+    """The run ``_march`` takes, stepped with numpy arrays and the
+    system's ``rhs``: classical RK4, or the synchronous ``y + rhs``."""
+    from swarmk.integrate import NEGATIVE_TOLERANCE, HistoryAccessor
+
+    f, difference = system.rhs, system.flavor == "difference"
+    n = int(round(t_end / dt))
+    y = system.diagram.initial_vector()
+    data = np.empty((n + 1, len(y)))
+    data[0] = y
+    h = None if system.flavor == "ode" \
+        else HistoryAccessor(0.0, dt, data, discrete=difference)
+    for k in range(n):
+        t = k * dt
+        if difference:
+            y = y + f(float(t), y, h)
+        else:
+            k1 = f(t, y, h)
+            k2 = f(t + 0.5 * dt, y + 0.5 * dt * k1, h)
+            k3 = f(t + 0.5 * dt, y + 0.5 * dt * k2, h)
+            k4 = f(t + dt, y + dt * k3, h)
+            y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if h is None:
+            data[k + 1] = y
+        else:
+            h.append(y)  # stores data[k + 1]
+    tolerance = 0.0 if difference else NEGATIVE_TOLERANCE
+    floor = -tolerance * max(1.0, system.diagram.n0)
+    data[(data < 0) & (data >= floor)] = 0.0
+    return data
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_march_matches_a_numpy_reference_bit_for_bit(name):
+    system = compile_rhs(build_builtin(name))
+    if system.flavor == "difference":
+        t_end, dt, traj = 150, 1, iterate_difference(system, k_steps=150)
+    else:
+        t_end, dt = 30.0, 0.05
+        run = integrate if system.flavor == "ode" else integrate_delayed
+        traj = run(system, t_end=t_end, dt=dt)
+    assert np.array_equal(traj.data, _reference_march(system, t_end, dt))
