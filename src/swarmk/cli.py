@@ -22,9 +22,6 @@ from .integrate import (_check_t_end, _step_count, integrate,  # noqa: F401
                         integrate_delayed, iterate_difference)
 from .parser import parse_file
 
-# the value --dt and --t-end take when they are not given
-_DEFAULTS = {"dt": 0.01, "t_end": 10.0}
-
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_MODEL = 2
@@ -124,12 +121,10 @@ def _build_parser():
                             "multi-robot systems.")
     sub = p.add_subparsers(dest="command")
 
-    # --dt and --t-end default to None, so that a model or observable that
-    # does not read one can refuse it; run_cli then applies _DEFAULTS
     options = {"format": dict(choices=("csv", "json"), default="csv"),
-               "dt": dict(type=float, help="step (default 0.01)"),
-               "t-end": dict(type=float, help="end time (default 10)"),
-               "steps": dict(type=int,
+               "dt": dict(type=float, default=0.01),
+               "t-end": dict(type=float, default=10.0),
+               "steps": dict(type=int, default=None,
                              help="step count of a synchronous model")}
 
     def common(sp, *reads):
@@ -144,6 +139,7 @@ def _build_parser():
 
     sp = sub.add_parser("run", help="integrate a model, emit the trajectory")
     common(sp, "format", "dt", "t-end", "steps")
+    sp.set_defaults(dt=None, t_end=None)  # _load_stepped fills them in
 
     sp = sub.add_parser("steady", help="steady searching fraction of a "
                                        "stick-pulling model")
@@ -151,6 +147,7 @@ def _build_parser():
 
     sp = sub.add_parser("sweep", help="observables over a parameter grid")
     common(sp, "format", "dt", "t-end", "steps")
+    sp.set_defaults(dt=None, t_end=None)
     sp.add_argument("--param", required=False)
     sp.add_argument("--from", dest="lo", type=float)
     sp.add_argument("--to", dest="hi", type=float)
@@ -183,18 +180,22 @@ def _build_parser():
 
 
 def _load_stepped(args, analytic=False):
-    """The model of ``run``/``sweep``, then the time options it reads:
-    ``--steps`` needs a synchronous model, ``--dt`` any other, and a sweep
-    of ``analytic`` observables takes none of the three."""
+    """The model of ``run``/``sweep``; ``--steps`` needs a synchronous one,
+    ``--dt`` any other, a sweep of ``analytic`` observables none of the
+    time options, and an unset ``--dt`` is 0.01, ``--t-end`` 10."""
     diagram = _load_model(args.model, _parse_overrides(args.set))
-    if analytic and args.given:
-        raise _UsageError(f"{args.given[0]} does not apply to the analytic "
+    given = [name for name, v in (("--dt", args.dt), ("--t-end", args.t_end),
+                                  ("--steps", args.steps)) if v is not None]
+    if analytic and given:
+        raise _UsageError(f"{given[0]} does not apply to the analytic "
                           f"observables {', '.join(analysis.STEADY_NAMES)}")
     if args.steps is not None and not diagram.discrete:
         raise _UsageError("--steps applies only to a synchronous model")
-    if "--dt" in args.given and diagram.discrete:
+    if args.dt is not None and diagram.discrete:
         raise _UsageError("--dt applies only to a non-synchronous model; "
                           "a synchronous one takes whole steps")
+    args.dt = 0.01 if args.dt is None else args.dt
+    args.t_end = 10.0 if args.t_end is None else args.t_end
     return diagram
 
 
@@ -356,13 +357,6 @@ def run_cli(argv=None):
         if args.command is None:
             raise _UsageError("a subcommand is required "
                               f"({', '.join(_COMMANDS)})")
-        # the time options given: a model or observable that does not
-        # read one refuses it (_load_stepped)
-        args.given = [f"--{n}" for n in ("dt", "t-end", "steps")
-                      if getattr(args, n.replace("-", "_"), None) is not None]
-        for name, default in _DEFAULTS.items():
-            if getattr(args, name, default) is None:
-                setattr(args, name, default)
         return _COMMANDS[args.command](args)
     except (_UsageError, ValueError) as exc:
         # ValueError: an argument value the library refuses (dt <= 0, ...)

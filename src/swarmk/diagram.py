@@ -383,20 +383,21 @@ def _generate_kernel(diagram):
     return ns["rhs"], table, (src, flows, sums)
 
 
-def _generate_step(diagram, synchronous, budget, floor):
+def _generate_step(diagram, synchronous, budget, floor, through=False):
     """Add ``step(k, y, dt, h)`` to the diagram's rate kernel: the list
     ``y`` at ``t = k * dt`` one step on, over Python floats, as the
     synchronous ``y + f(float(t))`` or as RK4 unrolled per component in the
     operations and order of ``integrate._rk4_step``.  Each stage runs the
-    kernel's flow lines and sums over its row ``r``, so every value is the
-    one ``rhs`` and numpy would give.  At ``t = (k + 1) * dt`` it raises
-    NonFinite, ConservationDrift (the state total, summed left to right,
-    off N0 by over ``budget * N0``) or NegativePopulation (below ``floor``),
-    checked in that order."""
+    kernel's flow lines and sums over its row ``r`` (or, ``through``, calls
+    ``step``'s last argument ``_f(t, y, h)``: an ``rhs`` swapped into a
+    RateSystem), so every value is the one ``rhs`` and numpy would give.
+    At ``t = (k + 1) * dt`` it raises NonFinite, ConservationDrift (the
+    state total, summed left to right, off N0 by over ``budget * N0``) or
+    NegativePopulation (below ``floor``), checked in that order."""
     src, flows, sums = _kept(diagram, "_rate_kernel", _generate_kernel)[2]
     ys = [f"y{i}" for i in range(len(sums))]
-    lines = ["def step(k, y, dt, h):", f"    [{', '.join(ys)}] = y",
-             "    t = k * dt"]
+    lines = ["def step(k, y, dt, h, _f=None):",
+             f"    [{', '.join(ys)}] = y", "    t = k * dt"]
     # per stage, each component's offset from y, and the stage time
     if synchronous:
         stages, last = [("", "float(t)")], " + k1_{}"
@@ -407,8 +408,13 @@ def _generate_step(diagram, synchronous, budget, floor):
         last = " + c6 * (k1_{0} + 2.0 * k2_{0} + 2.0 * k3_{0} + k4_{0})"
     for s, (offset, t) in enumerate(stages, 1):
         row = "".join(f"{y}{offset.format(i)}, " for i, y in enumerate(ys))
-        lines += [f"    r = [{row}{t}]", *flows,
-                  *(f"    k{s}_{i} = {d}" for i, d in enumerate(sums))]
+        ks = [f"k{s}_{i}" for i in range(len(ys))]
+        if through:
+            lines.append(f"    [{', '.join(ks)}] = "
+                         f"_f({t}, _array([{row}]), h).tolist()")
+        else:
+            lines += [f"    r = [{row}{t}]", *flows,
+                      *(f"    {k} = {d}" for k, d in zip(ks, sums))]
     lines += [f"    {y} = {y}{last.format(i)}" for i, y in enumerate(ys)]
     finite = " and ".join(f"_isfinite({y})" for y in ys) or "True"
     lines += ["    t = (k + 1) * dt", f"    if not ({finite}):",

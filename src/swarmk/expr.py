@@ -201,9 +201,8 @@ class Source:
         return x
 
     def compile(self):
-        """Compile the lines emitted since the last call into the source's
-        namespace, ``env``, and return it: later lines may use what
-        earlier ones defined."""
+        """Compile the lines added since the last call into ``env``, where
+        later lines see what earlier ones defined, and return ``env``."""
         exec(compile("\n".join(self.lines) + "\n", "<rate kernel>", "exec"),
              self.env)
         self.lines = []

@@ -1,9 +1,8 @@
 """Deterministic time evolution of compiled rate systems.
 
-Three flavors share one fixed-step loop over one generated step per
-diagram (``diagram._generate_step``, over Python floats, with the checks
-of every step inline): classical RK4 for ordinary systems, method of
-steps (the same RK4 step, stored history, linear interpolation,
+Three flavors share one fixed-step loop over the diagram's generated step
+(Python floats, checks inline): classical RK4 for ordinary systems,
+method of steps (the same RK4 step, stored history, linear interpolation,
 grid-aligned delays) for delayed systems, and a synchronous step for
 finite-difference systems.  Every run starts from the diagram's initial
 values.
@@ -13,10 +12,11 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from .diagram import _generate_step, _kept
+from .diagram import _generate_step, _kept, rate_kernel
 from .errors import DelayMisaligned, IntegrationError, StepGridError
 
 CONSERVATION_BUDGET = 1e-6   # hard failure threshold, relative to N0
@@ -211,8 +211,12 @@ def _march(system, flavor, t_end, dt):
     history = None if discrete is None \
         else HistoryAccessor(0.0, dt, data, discrete=discrete)
     floor = -tolerance * max(1.0, system.diagram.n0)
-    step = _kept(system.diagram, "_step", lambda d: _generate_step(
-        d, flavor == "difference", CONSERVATION_BUDGET, floor))
+    # an rhs swapped into the system (a wrapper, say) is called, not fused
+    fused = system.rhs is rate_kernel(system.diagram)[0]
+    step = _kept(system.diagram, "_step" if fused else "_rhs_step", lambda d:
+                 _generate_step(d, flavor == "difference", CONSERVATION_BUDGET,
+                                floor, not fused))
+    step = step if fused else partial(step, _f=system.rhs)
     y = y.tolist()
     for k in range(nsteps):
         y = step(k, y, dt, history)

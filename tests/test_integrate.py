@@ -1,4 +1,5 @@
 """Integrators: RK4 order, delays, history integrals, difference stepping."""
+import dataclasses
 import math
 
 import numpy as np
@@ -301,13 +302,33 @@ def _reference_march(system, t_end, dt):
     return data
 
 
+def _march_builtin(system):
+    """``(trajectory, t_end, dt)`` of a short run of a built-in system."""
+    if system.flavor == "difference":
+        return iterate_difference(system, k_steps=150), 150, 1
+    run = integrate if system.flavor == "ode" else integrate_delayed
+    return run(system, t_end=30.0, dt=0.05), 30.0, 0.05
+
+
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_march_matches_a_numpy_reference_bit_for_bit(name):
     system = compile_rhs(build_builtin(name))
-    if system.flavor == "difference":
-        t_end, dt, traj = 150, 1, iterate_difference(system, k_steps=150)
-    else:
-        t_end, dt = 30.0, 0.05
-        run = integrate if system.flavor == "ode" else integrate_delayed
-        traj = run(system, t_end=t_end, dt=dt)
+    traj, t_end, dt = _march_builtin(system)
     assert np.array_equal(traj.data, _reference_march(system, t_end, dt))
+
+
+@pytest.mark.parametrize("name", ["foraging", "stickpull-delayed",
+                                  "collab-difference"])
+def test_an_rhs_swapped_into_the_system_is_called_at_every_stage(name):
+    system = compile_rhs(build_builtin(name))
+    calls = []
+
+    def counted(t, y, h=None):
+        calls.append(t)
+        return system.rhs(t, y, h)
+
+    swapped = dataclasses.replace(system, rhs=counted)
+    traj, t_end, dt = _march_builtin(swapped)
+    steps = int(round(t_end / dt))
+    assert len(calls) == steps * (1 if system.flavor == "difference" else 4)
+    assert np.array_equal(traj.data, _march_builtin(system)[0].data)
