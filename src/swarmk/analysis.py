@@ -314,14 +314,14 @@ def sweep(model, param, grid, observables=("nstar", "R"), *, t_end=100.0,
     """Evaluate observables over a parameter grid.
 
     Each row sets the swept parameter of the StateDiagram ``model`` with
-    ``with_params``.  Observables: ``nstar`` and ``R`` use the analytic
+    ``with_params``.  ``nstar``, ``R`` and ``residual`` read the analytic
     steady state of the stick-pulling models; ``T`` integrates the model
     and interpolates the crossing time of ``counter`` (``deplete``/
     ``reach`` at ``threshold``); ``steady:<col>`` averages a settled
-    trajectory column.  A difference model runs ``k_steps`` steps, else
-    ``t_end``.  Rows that fail are recorded with their error message
-    instead of aborting the sweep; a StepGridError (``t_end`` off the
-    ``dt`` grid, ...) fails it at once.
+    trajectory column and ``final:<col>`` reads its last value; any other
+    observable is a ValueError.  A difference model runs ``k_steps`` steps,
+    else ``t_end``.  A failed row keeps its error message; a StepGridError
+    (``t_end`` off the ``dt`` grid, ...) fails the sweep at once.
     """
     grid = tuple(float(v) for v in grid)
     if not grid:
@@ -330,6 +330,10 @@ def sweep(model, param, grid, observables=("nstar", "R"), *, t_end=100.0,
     if len(grid) > 1 and not (np.all(diffs > 0) or np.all(diffs < 0)):
         raise ValueError("grid must be strictly monotone")
     observables = tuple(observables)
+    for o in observables:
+        if not (o in STEADY_NAMES or o == "T"
+                or o.startswith(("steady:", "final:"))):
+            raise ValueError(f"unknown observable {o!r}")
 
     provenance = {"model": model.name, "params": dict(model.params),
                   "observables": list(observables)}
@@ -351,10 +355,8 @@ def sweep(model, param, grid, observables=("nstar", "R"), *, t_end=100.0,
                         row[o] = completion_time(traj, counter, mode, threshold)
                     elif o.startswith("steady:"):
                         row[o] = steady_state_of_trajectory(traj, o[7:])
-                    elif o.startswith("final:"):
-                        row[o] = traj.final()[o[6:]]
                     else:
-                        raise ValueError(f"unknown observable {o!r}")
+                        row[o] = traj.final()[o[6:]]
             rows.append(tuple(row[o] for o in observables))
             errors.append(None)
         except StepGridError:

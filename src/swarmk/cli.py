@@ -293,35 +293,31 @@ def _cmd_exact(args):
 def _cmd_compare(args):
     diagram = _load_model(args.model, _parse_overrides(args.set))
     grid = _grid(args)
-    # the chain refuses first what it cannot represent: any flavor but ode
-    _, exact = stochastic.master_exact(diagram, t_end=args.t_end, dt=args.dt,
-                                       dt_out=args.dt)
+    _step_count(args.t_end, args.dt)  # the mean field's --dt, checked first
+    # the chain refuses first what it cannot represent: any flavor but ode.
+    # It is solved at the grid's rows (one row at t_end = 0)
+    _, exact = stochastic.master_exact(
+        diagram, t_end=args.t_end, dt=args.t_end / args.grid_points or args.dt)
     mf = integrate(compile_rhs(diagram), t_end=args.t_end, dt=args.dt)
     stats = stochastic.ensemble(
         lambda seed: stochastic.ssa_run(diagram, t_end=args.t_end, seed=seed),
         args.runs, args.seed, grid)
     cols = diagram.state_names + diagram.env_names
-    header = ["t"]
-    for c in cols:
-        header += [f"{c}_mf", f"{c}_exact", f"{c}_mc", f"{c}_mc_stderr",
-                   f"{c}_gap_exact", f"{c}_gap_mc"]
-    csv_rows, rows = [], []
-    for i, t in enumerate(grid.tolist()):
-        csv_rows.append([t])
-        row = {}
-        for j, c in enumerate(cols):
-            v_mf = float(np.interp(t, mf.times, mf.column(c)))
-            v_ex = float(np.interp(t, exact.times, exact.column(c)))
-            v_mc = float(stats.mean[i, j])
-            v_se = float(stats.stderr[i, j])
-            vals = [v_mf, v_ex, v_mc, v_se, v_ex - v_mf, v_mc - v_ex]
-            csv_rows[-1] += vals
-            row[c] = vals
-        rows.append({"t": float(t), "columns": row})
+    v_mf = np.column_stack([np.interp(grid, mf.times, mf.column(c))
+                            for c in cols])
+    v_ex = np.broadcast_to(exact.data, v_mf.shape)
+    # one row per grid point, one block of the six kinds per column
+    table = np.stack((v_mf, v_ex, stats.mean, stats.stderr, v_ex - v_mf,
+                      stats.mean - v_ex), axis=2)
     if args.format == "json":
+        rows = [{"t": t, "columns": dict(zip(cols, vals))}
+                for t, vals in zip(grid.tolist(), table.tolist())]
         _emit(json.dumps({"rows": rows}, indent=2) + "\n", args.out)
     else:
-        _emit(_csv(header, csv_rows), args.out)
+        kinds = ("mf", "exact", "mc", "mc_stderr", "gap_exact", "gap_mc")
+        rows = np.column_stack((grid, table.reshape(len(grid), -1)))
+        _emit(_csv(["t"] + [f"{c}_{k}" for c in cols for k in kinds],
+                   map(np.ndarray.tolist, rows)), args.out)
     return EXIT_OK
 
 

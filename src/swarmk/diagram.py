@@ -386,11 +386,13 @@ def _generate_kernel(diagram):
 def _generate_step(diagram, synchronous, budget, floor, through=False):
     """Add ``step(k, y, dt, h)`` to the diagram's rate kernel: the list
     ``y`` at ``t = k * dt`` one step on, over Python floats, as the
-    synchronous ``y + f(float(t))`` or as RK4 unrolled per component in the
-    operations and order of ``integrate._rk4_step``.  Each stage runs the
-    kernel's flow lines and sums over its row ``r`` (or, ``through``, calls
-    ``step``'s last argument ``_f(t, y, h)``: an ``rhs`` swapped into a
-    RateSystem), so every value is the one ``rhs`` and numpy would give.
+    synchronous ``y + f(float(t))`` or as RK4 unrolled per component, in
+    the operations and order of a numpy RK4 over ``rhs`` (``0.5 * dt``,
+    ``y + c*k``, ``k1 + 2.0*k2 + 2.0*k3 + k4`` times ``dt / 6.0``).  Each
+    stage runs the kernel's flow lines and sums over its row ``r`` (or,
+    ``through``, calls ``step``'s last argument ``_f(t, y, h)``: an ``rhs``
+    swapped into a RateSystem), so every value is the one ``rhs`` and numpy
+    would give.
     At ``t = (k + 1) * dt`` it raises NonFinite, ConservationDrift (the
     state total, summed left to right, off N0 by over ``budget * N0``) or
     NegativePopulation (below ``floor``), checked in that order."""

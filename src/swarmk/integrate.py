@@ -174,15 +174,6 @@ def _step_count(t_end, dt, delays=()):
     return int(round(t_end / dt))
 
 
-def _rk4_step(f, t, y, dt, history=None):
-    """One classical RK4 step of dy/dt = f(t, y, history) from ``t``."""
-    k1 = f(t, y, history)
-    k2 = f(t + 0.5 * dt, y + 0.5 * dt * k1, history)
-    k3 = f(t + 0.5 * dt, y + 0.5 * dt * k2, history)
-    k4 = f(t + dt, y + dt * k3, history)
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 # flavor -> (entry point, history, negative tolerance): all that differs
 # between the runs.  The history is None or its ``discrete`` flag.  A
 # difference run takes the synchronous step by the integer 1, so a failure

@@ -287,12 +287,21 @@ def test_mc_rejects_delayed_model(capsys):
     assert err.startswith("model error:")
 
 
-def test_exact_numeric_failure_exit_3(capsys):
-    # dt far outside RK4's stability region for this generator
-    code, _, err = _run(capsys, "exact", "--model", "stickpull-counts",
-                        "--t-end", "10", "--dt", "1")
-    assert code == 3
-    assert err.startswith("numeric failure:")
+@pytest.mark.parametrize("t_end, dt", [("10", "1"), ("6", "3")])
+def test_exact_at_a_coarse_dt_matches_a_fine_one(capsys, t_end, dt):
+    # --dt only spaces the rows of the uniformized solve: a dt far outside
+    # RK4's stability region gives the rows a fine dt gives at those times
+    rows = []
+    for step in (dt, "0.005"):
+        code, out, err = _run(capsys, "exact", "--model", "stickpull-counts",
+                              "--t-end", t_end, "--dt", step)
+        assert (code, err) == (0, "")
+        rows.append(np.loadtxt(out.splitlines()[1:], delimiter=",",
+                               ndmin=2))
+    coarse, fine = rows
+    shared = fine[np.isin(fine[:, 0].round(9), coarse[:, 0].round(9))]
+    assert shared.shape == coarse.shape
+    assert np.abs(shared - coarse).max() <= 1e-9
 
 
 def test_compare_has_gap_columns(capsys):
@@ -325,9 +334,6 @@ def test_numeric_failure_exit_3(capsys, tmp_path):
     # the lag is checked before t_end (10 is not a whole number of 0.3)
     (("run", "--model", "stickpull-delayed", "--dt", "0.3"),
      "step dt=0.3 does not divide delay 5.0"),
-    (("exact", "--model", "stickpull-counts", "--t-end", "6", "--dt", "3"),
-     "master-equation probability went negative (-2135.9236435546873); "
-     "reduce dt"),
 ])
 def test_numeric_failure_messages(capsys, argv, message):
     assert _run(capsys, *argv) == (3, "", f"numeric failure: {message}\n")
@@ -454,7 +460,10 @@ def test_compare_refuses_a_difference_model(capsys):
 
 # SHA-256 of the standard output of each command, recorded before rates
 # were evaluated through generated source: every digit of every output must
-# stay the same (repr of each float, so one ulp anywhere changes a digest)
+# stay the same (repr of each float, so one ulp anywhere changes a digest).
+# The exact digest was recorded again when the master equation moved from
+# RK4 steps to uniformization, whose rows are within 5.6e-9 relative of the
+# RK4 ones.
 _OUTPUT_DIGESTS = {
     ("run", "--model", "stickpull-delayed", "--t-end", "10"):
         "bb688fd21715c7317808726c87b5197a10c329a87b8bd26ec764f276e7350801",
@@ -468,7 +477,7 @@ _OUTPUT_DIGESTS = {
      "--t-end", "1600", "--dt", "0.5"):
         "8f44d8cebd8e0b5a8deec9b676049e909f7bc94223572626b4ea3d19eceb6549",
     ("exact", "--model", "stickpull-counts"):
-        "6af5e8549726d93967531e645dd0ad99a5bb8b27f2475c7138d06fafc3e52921",
+        "7ab3fc8bfcb1f0e817f87155ace69db4cbd4bf39aba7583a4a238cf73a09f6a4",
     ("mc", "--model", "stickpull-counts", "--runs", "50", "--seed", "3"):
         "7109f4dff775591ee0f68bd5e83bb0626bddb06d1f387683e6d398340849eabe",
 }
@@ -513,6 +522,21 @@ def test_out_of_range_number_is_a_model_error(capsys, tmp_path, command,
     f.write_text(f"state s = 1\nstate g = 0\nrate({rate}): s -> g\n")
     assert _run(capsys, command, "--model", str(f)) == (
         2, "", f"model error: 3:{col}: number 1e999 is out of range\n")
+
+
+def test_sweep_refuses_an_unknown_observable_before_any_row(capsys,
+                                                            monkeypatch):
+    from swarmk import analysis
+
+    def no_run(*args):
+        raise AssertionError("a row was run")
+
+    monkeypatch.setattr(analysis, "_run_to_trajectory", no_run)
+    monkeypatch.setattr(analysis, "_steady_observables", no_run)
+    assert _run(capsys, "sweep", "--model", "stickpull-delayed", "--param",
+                "tau", "--from", "1", "--to", "2", "--sweep-steps", "2",
+                "--observables", "nstar,bogus", "--t-end", "1") == (
+        1, "", "usage error: unknown observable 'bogus'\n")
 
 
 def test_sweep_reports_failed_rows_on_stderr(capsys):

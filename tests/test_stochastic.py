@@ -1,4 +1,5 @@
 """Stochastic engines: exact master equation, Gillespie, agent simulator."""
+import math
 import tracemalloc
 
 import numpy as np
@@ -96,7 +97,8 @@ def test_chain_engines_refuse_unknown_names(transition, message):
 
 @st.composite
 def _first_order_diagrams(draw):
-    """Small random diagrams whose every rate is k * (source count)."""
+    """Small random diagrams whose every rate is k * (source count), with
+    the matrix A of their mean-field equations dx/dt = A x."""
     n = draw(st.integers(2, 4))
     counts = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)
                   .filter(lambda c: 0 < sum(c) <= 4))
@@ -109,18 +111,38 @@ def _first_order_diagrams(draw):
     lines += [f"state x{j} = {c}" for j, c in enumerate(counts)]
     lines += [f"rate(k{i} * x{a}): x{a} -> x{b}"
               for i, (a, b, _) in enumerate(moves)]
-    return sk.parse_model("\n".join(lines) + "\n")
+    a = np.zeros((n, n))
+    for i, j, k in moves:
+        a[j, i] += k
+        a[i, i] -= k
+    return sk.parse_model("\n".join(lines) + "\n"), a
+
+
+def _expm(a):
+    """exp(a) by scaling and squaring: a Taylor series of 20 terms for
+    a / 2**s, whose norm is below 1/2, then s squarings."""
+    s = max(0, math.frexp(np.abs(a).sum(axis=0).max())[1] + 1)
+    b = a / 2.0 ** s
+    term = result = np.eye(len(a))
+    for k in range(1, 21):
+        term = term @ b / k
+        result = result + term
+    for _ in range(s):
+        result = result @ result
+    return result
 
 
 @settings(max_examples=30, deadline=None)
 @given(_first_order_diagrams())
-def test_first_order_mean_field_equals_master_mean(d):
-    # first-order rates make the expectations obey the mean-field equations
-    # exactly (Jahnke & Huisinga 2007); RK4 is a polynomial in the
-    # generator, so the two RK4 solutions agree to round-off
-    mf = sk.integrate(sk.compile_rhs(d), t_end=1.0, dt=0.01)
+def test_first_order_mean_field_equals_master_mean(case):
+    # first-order rates make the expectations obey the linear mean-field
+    # equations dx/dt = A x exactly (Jahnke & Huisinga 2007), whose
+    # solution is expm(A t) x0
+    d, a = case
     tbl, mean = sk.master_exact(d, t_end=1.0, dt=0.01)
-    assert np.allclose(mean.data, mf.data, rtol=0, atol=1e-10)
+    x0 = np.array(d.initial_vector())
+    linear = np.array([_expm(a * t) @ x0 for t in mean.times])
+    assert np.allclose(mean.data, linear, rtol=0, atol=1e-10)
     assert np.abs(tbl.probs.sum(axis=1) - 1.0).max() <= 1e-9
     assert tbl.probs.min() >= -1e-12
 
@@ -173,27 +195,20 @@ def test_ssa_ensemble_mean_matches_master_mean(d):
     assert (np.abs(stats.mean - exact.data) / se).max() <= 5.0
 
 
-def _dense_master_probs(diagram, t_end, dt, dt_out):
-    """The master equation's RK4 solution with the generator as a dense
-    n x n matrix: the reference for the sparse jump-list product."""
+def _dense_master_probs(diagram, t_end, dt_out):
+    """The master equation's solution at rows ``dt_out`` apart with the
+    generator W as a dense n x n matrix, each row expm(dt_out W) times the
+    one before: the reference for the uniformized jump-list solve."""
     space = ConfigurationSpace.build(diagram)
     n = space.size
     w = np.zeros((n, n))
     for i, j, rate in space.jumps:
         w[j, i] += rate
         w[i, i] -= rate
-    stride = max(1, int(round(dt_out / dt)))
-    p = np.zeros(n)
-    p[0] = 1.0
-    rows = [p.copy()]
-    for k in range(int(round(t_end / dt))):
-        k1 = w @ p
-        k2 = w @ (p + 0.5 * dt * k1)
-        k3 = w @ (p + 0.5 * dt * k2)
-        k4 = w @ (p + dt * k3)
-        p = p + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if (k + 1) % stride == 0:
-            rows.append(p.copy())
+    step = _expm(dt_out * w)
+    rows = [np.eye(n)[0]]
+    for _ in range(int(round(t_end / dt_out))):
+        rows.append(step @ rows[-1])
     return np.vstack(rows)
 
 
@@ -206,11 +221,44 @@ def _dense_master_probs(diagram, t_end, dt, dt_out):
 ], ids=["stickpull-counts", "foraging", "no-jumps"])
 def test_sparse_generator_matches_dense_reference(diagram):
     tbl, _ = sk.master_exact(diagram, t_end=5.0, dt=0.01, dt_out=0.1)
-    ref = _dense_master_probs(diagram, 5.0, 0.01, 0.1)
+    ref = _dense_master_probs(diagram, 5.0, 0.1)
     assert tbl.probs.shape == ref.shape
     assert np.abs(tbl.probs - ref).max() <= 1e-13
     if not tbl.space.jumps:
         assert np.array_equal(tbl.probs, np.ones((len(tbl.times), 1)))
+
+
+def test_independent_agents_are_binomial():
+    # n0 agents that flip a -> b at rate ka and back at rate kb, each on its
+    # own: the count in b is Binomial(n0, p(t)), p(t) = ka/(ka + kb) *
+    # (1 - exp(-(ka + kb) t))
+    ka, kb, n0 = 0.7, 1.3, 5
+    d = sk.parse_model(f"param ka = {ka}\nparam kb = {kb}\nstate a = {n0}\n"
+                       "state b = 0\nrate(ka * a): a -> b\n"
+                       "rate(kb * b): b -> a\n")
+    tbl, _ = sk.master_exact(d, t_end=4.0, dt=0.01, dt_out=0.25)
+    p = ka / (ka + kb) * (1.0 - np.exp(-(ka + kb) * tbl.times))
+    cols = [tbl.space.index[(n0 - j, j)] for j in range(n0 + 1)]
+    pmf = np.array([math.comb(n0, j) * p ** j * (1.0 - p) ** (n0 - j)
+                    for j in range(n0 + 1)]).T
+    assert np.abs(tbl.probs[:, cols] - pmf).max() <= 1e-13
+
+
+def test_master_rows_far_apart_in_uniformized_steps():
+    # Λ dt_out = 3000: e^-3000 underflows, so the Poisson weights are built
+    # from the mode; the chain settles to P(gripping) = 1000 / 4000
+    tbl, traj = sk.master_exact(_two_state(alpha=1000.0, gamma_d=3000.0),
+                                t_end=3.0, dt=0.01, dt_out=1.0)
+    assert np.abs(tbl.probs.sum(axis=1) - 1.0).max() <= 1e-12
+    assert tbl.probs.min() >= 0.0
+    assert np.abs(traj.column("g")[1:] - 0.25).max() <= 1e-12
+
+
+def test_master_rows_agree_across_output_strides():
+    d = sk.build_builtin("stickpull-counts", n0=4, m0=4)
+    coarse, _ = sk.master_exact(d, t_end=5.0, dt=0.1, dt_out=0.5)
+    fine, _ = sk.master_exact(d, t_end=5.0, dt=0.1, dt_out=0.1)
+    assert np.abs(fine.probs[::5] - coarse.probs).max() <= 1e-13
 
 
 def test_master_memory_bounded_by_jumps():
