@@ -9,6 +9,7 @@ Environment counters evolve only through declared per-flow effects.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -349,22 +350,20 @@ def _generate_kernel(diagram):
     order: minus the flow at the source, plus the flow at the target, plus
     effect times flow at an env counter.  Under the same names the source
     also defines one function per rate and effect, for the transition table.
-    The flow lines and component sums are kept with the source, for the
-    step ``_generate_step`` adds to it.
+    The names, trees and sums are kept with the source, for ``_generate_step``.
     """
     states = {n: i for i, n in enumerate(diagram.state_names)}
     env = {n: i for i, n in enumerate(diagram.env_names, len(states))}
     slots = {"t": len(states) + len(env), **states, **env}
     src = Source(diagram.base_bindings(), slots)
-    flows = []
+    exprs = []  # (flow or effect name, tree), in transition order
     # per component, its signed terms in transition order
     terms = [[] for _ in range(len(states) + len(env))]
     rows = []  # (source, target, rate name, ((env index, effect name), ...))
     for k, tr in enumerate(diagram.transitions):
         si, ti = states[tr.source], states[tr.target]
         names = [f"f{k}", *(f"e{k}_{j}" for j in range(len(tr.env_effects)))]
-        flows += [f"    {n} = {src.function(n, e)}"
-                  for n, e in zip(names, tr.exprs)]
+        exprs += zip(names, tr.exprs)
         if si != ti:
             terms[si].append(f" - f{k}")
             terms[ti].append(f" + f{k}")
@@ -373,6 +372,7 @@ def _generate_kernel(diagram):
             terms[ei].append(f" + {e} * f{k}")
         rows.append((si, ti, f"f{k}", effects))
     sums = ["0.0" + "".join(ts) for ts in terms]
+    flows = [f"    {n} = {src.function(n, e)}" for n, e in exprs]
     src.env["_array"] = np.array
     src.lines += ["def rhs(t, y, h=None):", "    r = y.tolist()",
                   "    r.append(t)", *flows,
@@ -380,42 +380,116 @@ def _generate_kernel(diagram):
     ns = src.compile()
     table = tuple((si, ti, ns[rate], tuple((ei, ns[e]) for ei, e in effects))
                   for si, ti, rate, effects in rows)
-    return ns["rhs"], table, (src, flows, sums)
+    return ns["rhs"], table, (src, exprs, sums)
 
 
-def _generate_step(diagram, synchronous, budget, floor, through=False):
-    """Add ``step(k, y, dt, h)`` to the diagram's rate kernel: the list
-    ``y`` at ``t = k * dt`` one step on, over Python floats, as the
-    synchronous ``y + f(float(t))`` or as RK4 unrolled per component, in
-    the operations and order of a numpy RK4 over ``rhs`` (``0.5 * dt``,
-    ``y + c*k``, ``k1 + 2.0*k2 + 2.0*k3 + k4`` times ``dt / 6.0``).  Each
-    stage runs the kernel's flow lines and sums over its row ``r`` (or,
-    ``through``, calls ``step``'s last argument ``_f(t, y, h)``: an ``rhs``
-    swapped into a RateSystem), so every value is the one ``rhs`` and numpy
-    would give.
+class _Indexed(Source):
+    """Source of a run's fused step, with HistoryAccessor's numbers: reads
+    index rows in ``m``, a flat view of the output array, and integrands
+    keep values and running integrals in arrays.  A lag is L whole steps,
+    so a read is at row ``k - L + c``; ``at`` is ``(row, odd, over)``: the
+    row's source, half a step on or not, and an RK4 stage past row ``k``
+    or not.  ``run`` gets the lines run once a run: lags in steps, and each
+    integrand's arrays and ``{name}x(k)``, which extends them to row k."""
+
+    def __init__(self, consts, slots, discrete):
+        super().__init__(consts, slots)
+        self.width, self.discrete = slots["t"], discrete
+        self.at, self.run, self._names = ("k", False, False), [], {}
+
+    def _name(self, key, lines):
+        """The per-run name of ``key``; its ``lines(name)`` are added once."""
+        if key not in self._names:
+            self._names[key] = name = self._fresh("_n")
+            self.run += lines(name)
+        return self._names[key]
+
+    def _value_at(self, at, e):
+        saved, self.at = self.at, at
+        x, self.at = self.value(e), saved
+        return x
+
+    def _row(self, a, odd, e, t):
+        """Row ``a``, or half a step on, at time ``t``: slots ``e`` reads."""
+        n, o = self.width, self._fresh("_o")
+        cells, at = ["0.0"] * n, f"({o} := ({a}) * {n})"
+        for j in sorted({self.slots[s] for s in free_names(e)
+                         if s in self.slots} - {n}):
+            cells[j] = (f"0.5 * m[{at} + {j}] + 0.5 * m[{o} + {j + n}]"
+                        if odd else f"m[{at} + {j}]")
+            at = o
+        return f"[{', '.join(cells)}, {t}]"
+
+    def _past(self, e, x, v, w, t):
+        # at or before 0, a read is row 0, a running integral t * vals[0]
+        (a, odd, over), arg = self.at, e.args[0]
+        lag = self._name(("lag", w), lambda n: [f"{n} = round({w} / dt)"])
+        b, q = f"{a} - {lag}", self._fresh()
+        if e.func == "delay":
+            # a delayed expression is fn(its row, at row a, in step k)
+            fn = self._function_of(self._value_at(("a", odd, False), arg),
+                                   "r, a, k")
+            return (f"{fn}(_r0 + [{q}] if ({q} := {t} - {v}) <= 0.0 "
+                    f"else {self._row(b, odd, arg, q)}, {b}, k)")
+        n = self._name(("histint", unparse(arg)),
+                       lambda n: self._integrand(n, arg))
+        hi = f"{n}c[k] + {'_qw' if odd else '_hw'} * ({n}v[k] + {x})" \
+            if over else self._running(n, a, odd)
+        return (f"(({t} * {n}v[0] if {t} <= 0.0 else {hi}) - ({q} * {n}v[0] "
+                f"if ({q} := {t} - {v}) <= 0.0 else {self._running(n, b, odd)})"
+                f" if len({n}v) > k or {n}x(k) else 0.0)")
+
+    def _running(self, n, a, odd):
+        """Running integral of integrand ``n`` at row ``a`` or half on."""
+        return (f"{n}c[(_i := {a})] + _qw * ({n}v[_i] + (0.5 * {n}v[_i] "
+                f"+ 0.5 * {n}v[_i + 1]))" if odd else f"{n}c[{a}]")
+
+    def _integrand(self, n, arg):
+        add = f"{n}v[k - 1]" if self.discrete \
+            else f"_hw * ({n}v[k - 1] + {n}v[k])"
+        return [f"{n}v, {n}c = _arr('d'), _arr('d')",
+                f"def {n}x(k): r = {self._row('k', False, arg, 'float(k * dt)')}"
+                f"; {n}v.append({self._value_at(('k', False, False), arg)})"
+                f"; {n}c.append({n}c[k - 1] + {add} if k else 0.0); return True"]
+
+
+def _generate_step(diagram, history, budget, floor, through=False):
+    """Generate ``make(m, dt, h=None, _f=None)``, which gives a run its
+    ``step(k, y)``: the list ``y`` at ``t = k * dt`` one step on, over
+    Python floats, as the synchronous ``y + f(float(t))`` (``history``
+    True) or as RK4 unrolled per component, in the operations and order of
+    a numpy RK4 over ``rhs`` (``0.5 * dt``, ``y + c*k``, ``k1 + 2.0*k2 +
+    2.0*k3 + k4`` times ``dt / 6.0``).  Each stage runs the flow lines and
+    sums over its row ``r`` with ``_Indexed`` reads (or, ``through``, calls
+    ``_f(t, y, h)``, an ``rhs`` swapped into a RateSystem, with the accessor
+    ``h``), so every value is the one numpy and ``rhs`` give.
     At ``t = (k + 1) * dt`` it raises NonFinite, ConservationDrift (the
     state total, summed left to right, off N0 by over ``budget * N0``) or
-    NegativePopulation (below ``floor``), checked in that order."""
-    src, flows, sums = _kept(diagram, "_rate_kernel", _generate_kernel)[2]
+    NegativePopulation (below ``floor``), checked in that order, then
+    stores the row in ``m`` (or ``h``)."""
+    ksrc, exprs, sums = _kept(diagram, "_rate_kernel", _generate_kernel)[2]
+    src = _Indexed(ksrc.consts, ksrc.slots, history is True)
     ys = [f"y{i}" for i in range(len(sums))]
-    lines = ["def step(k, y, dt, h, _f=None):",
-             f"    [{', '.join(ys)}] = y", "    t = k * dt"]
-    # per stage, each component's offset from y, and the stage time
-    if synchronous:
-        stages, last = [("", "float(t)")], " + k1_{}"
+    lines = ["def step(k, y):", f"    [{', '.join(ys)}] = y", "    t = k * dt"]
+    # per stage: each component's offset from y, the time, its history's at
+    if history is True:
+        stages, last = [("", "float(t)", ("k", False, False))], " + k1_{}"
     else:
-        lines += ["    c = 0.5 * dt", "    c6 = dt / 6.0"]
-        stages = [("", "t"), (" + c * k1_{}", "t + c"),
-                  (" + c * k2_{}", "t + c"), (" + dt * k3_{}", "t + dt")]
+        stages = [("", "t", ("k", False, False)),
+                  (" + c * k1_{}", "t + c", ("k", True, True)),
+                  (" + c * k2_{}", "t + c", ("k", True, True)),
+                  (" + dt * k3_{}", "t + dt", ("k + 1", False, True))]
         last = " + c6 * (k1_{0} + 2.0 * k2_{0} + 2.0 * k3_{0} + k4_{0})"
-    for s, (offset, t) in enumerate(stages, 1):
+    for s, (offset, t, at) in enumerate(stages, 1):
         row = "".join(f"{y}{offset.format(i)}, " for i, y in enumerate(ys))
         ks = [f"k{s}_{i}" for i in range(len(ys))]
         if through:
             lines.append(f"    [{', '.join(ks)}] = "
                          f"_f({t}, _array([{row}]), h).tolist()")
         else:
-            lines += [f"    r = [{row}{t}]", *flows,
+            src.at = at
+            lines += [f"    r = [{row}{t}]",
+                      *(f"    {n} = {src.value(e)}" for n, e in exprs),
                       *(f"    {k} = {d}" for k, d in zip(ks, sums))]
     lines += [f"    {y} = {y}{last.format(i)}" for i, y in enumerate(ys)]
     finite = " and ".join(f"_isfinite({y})" for y in ys) or "True"
@@ -429,10 +503,20 @@ def _generate_step(diagram, synchronous, budget, floor, through=False):
     for y, name in zip(states, diagram.state_names):
         lines += [f"    if {y} < {src._literal(floor)}:",
                   f"        raise _Negative(t, {name!r}, {y})"]
-    src.lines += [*lines, f"    return [{', '.join(ys)}]"]
+    if through and history is not None:
+        lines.append(f"    h.append([{', '.join(ys)}])")
+    else:
+        lines += [f"    o = (k + 1) * {len(ys)}",
+                  *(f"    m[o + {i}] = {y}" for i, y in enumerate(ys))]
+    per_run = ["c = 0.5 * dt", "c6 = dt / 6.0", f"_r0 = m[:{len(ys)}].tolist()",
+               "_hw = 0.5 * dt", "_qw = 0.25 * dt", *src.run, *src.lines]
+    src.lines = ["def make(m, dt, h=None, _f=None):",
+                 *(f"    {line}" for line in per_run + lines),
+                 f"        return [{', '.join(ys)}]", "    return step"]
     src.env.update(_isfinite=math.isfinite, _NonFinite=NonFinite,
-                   _Drift=ConservationDrift, _Negative=NegativePopulation)
-    return src.compile()["step"]
+                   _Drift=ConservationDrift, _Negative=NegativePopulation,
+                   _arr=array, _array=np.array)
+    return src.compile()["make"]
 
 
 def compile_rhs(diagram):

@@ -97,7 +97,8 @@ class Source:
     at ``t``) and ``window_integral(key, fn, t_lo, t_hi, now)`` (the
     integral of the generated integrand ``fn(r, h)`` over [t_lo, t_hi];
     ``now`` is the caller's row).  Both are looked up on ``h`` at each
-    call, so a replacement of either on the history's class takes effect.
+    call, so a replacement of either on the history's class takes effect
+    in validation and ``rhs``, not in a run's step (``diagram._Indexed``).
     """
 
     def __init__(self, consts, slots):
@@ -172,25 +173,26 @@ class Source:
         # the history is consulted, so a zero lag or window needs no time
         v = self._fresh()
         w = self.value(e.args[1])
-        now = self.value(arg) if e.func == "delay" else "0.0"
-        msg = f"history required to evaluate {unparse(e)}"
-        t = self.value(Name("t"), 1)
-        if e.func == "delay":
-            past = f"{self._function_of(now)}(h.bindings_at({t} - {v}), h)"
-        else:
-            fn = self._function_of(self.value(arg))
-            past = (f"h.window_integral({unparse(arg)!r}, {fn}, {t} - {v}, "
-                    f"{t}, r)")
-        return (f"({now} if ({v} := {w}) == 0.0 else {past} "
-                f"if h is not None else _fail({msg!r}))")
+        x = self.value(arg)
+        past = self._past(e, x, v, w, self.value(Name("t"), 1))
+        now = x if e.func == "delay" else "0.0"
+        return f"({now} if ({v} := {w}) == 0.0 else {past})"
 
-    def _function_of(self, x):
-        """The name of a generated function ``fn(r, h=None)`` that returns
+    def _past(self, e, x, v, w, t):
+        """Term ``e`` from history ``h``: ``x`` its argument, ``v`` its lag."""
+        fn, arg = self._function_of(x), e.args[0]
+        past = (f"{fn}(h.bindings_at({t} - {v}), h)" if e.func == "delay" else
+                f"h.window_integral({unparse(arg)!r}, {fn}, {t} - {v}, {t}, r)")
+        msg = f"history required to evaluate {unparse(e)}"
+        return f"{past} if h is not None else _fail({msg!r})"
+
+    def _function_of(self, x, params="r, h=None"):
+        """The name of a generated function ``fn(params)`` that returns
         the expression ``x``: one per distinct source, so trees that print
         alike but differ in a signed zero keep their own."""
         if x not in self._functions:
             self._functions[x] = name = self._fresh("_f")
-            self.lines.append(f"def {name}(r, h=None): return {x}")
+            self.lines.append(f"def {name}({params}): return {x}")
         return self._functions[x]
 
     def function(self, name, e):

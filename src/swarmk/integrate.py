@@ -2,17 +2,16 @@
 
 Three flavors share one fixed-step loop over the diagram's generated step
 (Python floats, checks inline): classical RK4 for ordinary systems,
-method of steps (the same RK4 step, stored history, linear interpolation,
-grid-aligned delays) for delayed systems, and a synchronous step for
-finite-difference systems.  Every run starts from the diagram's initial
-values.
+method of steps (the same RK4 step, grid-aligned delays, history read by
+row index on the half-step grid) for delayed systems, and a synchronous
+step for finite-difference systems.  Every run starts from the diagram's
+initial values.
 """
 from __future__ import annotations
 
 import math
 from array import array
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -50,25 +49,18 @@ class Trajectory:
 
 # perfbench/spans.py traces the four public methods below by name
 class HistoryAccessor:
-    """Past rows of one trajectory on its step grid: row i is the state at
-    ``t0 + i*dt``.
-
-    ``rows`` is the integrator's preallocated output array, row 0 filled;
-    ``append`` stores the next row in it, so each step is kept once.  A
-    read returns the evaluation row of ``diagram.transition_table`` (the
-    occupation row, then ``t``).  Before ``t0`` it is the first row
-    (constant pre-history), between rows it interpolates linearly, and
-    beyond the newest row it is an error.  Each ``histint`` integrand keeps
-    a running integral over the rows (the trapezoid rule, or in
-    ``discrete`` mode a left sum over whole steps), and a window integral
-    is the difference of two reads of it.
-    """
+    """Past rows of one trajectory, row i at ``t0 + i*dt``, read with the
+    numbers of a run's fused step (``diagram._Indexed``).  ``rows`` is the
+    output array, row 0 filled; ``append`` stores the next row.  A read
+    snaps its time to the half-step grid and returns the evaluation row
+    (the occupation row, then ``t``): the first row at or before ``t0``,
+    ``0.5*a + 0.5*b`` half a step between rows, an error beyond the newest.
+    Each ``histint`` integrand keeps a running integral over the rows (the
+    trapezoid rule, or a left sum if ``discrete``); a window integral is
+    the difference of two reads of it."""
 
     def __init__(self, t0, dt, rows, discrete=False):
-        self.t0 = t0
-        self.dt = dt
-        self.discrete = discrete
-        self.rows = rows
+        self.t0, self.dt, self.rows, self.discrete = t0, dt, rows, discrete
         self.count = 1  # rows stored so far
         # key -> (fn, integrand value per row, running integral per row)
         self._caches = {}
@@ -81,24 +73,19 @@ class HistoryAccessor:
         self._caches.setdefault(key, (fn, array("d"), array("d", [0.0])))
 
     def _locate(self, t):
-        """Row index at or below ``t`` and the fraction of a step past it."""
-        x = (t - self.t0) / self.dt
-        i = int(math.floor(x + 1e-9))
-        return i, x - i
+        """Row index at or below ``t``, and 1 if half a step past it."""
+        return divmod(round(2 * (t - self.t0) / self.dt), 2)
 
     def bindings_at(self, t):
         """The evaluation row at ``t``."""
-        if t <= self.t0:
-            row = self.rows[0].tolist()
-        else:
-            i, frac = self._locate(t)
-            if i >= self.count:
-                raise IntegrationError(
-                    f"history query at t={t!r} is beyond the stored window")
-            row = self.rows[i].tolist()
-            if frac > 1e-9 and i + 1 < self.count:
-                row = [(1.0 - frac) * a + frac * b
-                       for a, b in zip(row, self.rows[i + 1].tolist())]
+        i, half = (0, 0) if t <= self.t0 else self._locate(t)
+        if i + half >= self.count:
+            raise IntegrationError(
+                f"history query at t={t!r} is beyond the stored window")
+        row = self.rows[i].tolist()
+        if half:
+            row = [0.5 * a + 0.5 * b
+                   for a, b in zip(row, self.rows[i + 1].tolist())]
         row.append(t)
         return row
 
@@ -108,18 +95,13 @@ class HistoryAccessor:
         overhangs the newest row."""
         if key not in self._caches:
             self.register_integrand(key, fn)
-        cache = self._caches[key]
-        fn, vals, cum = cache
+        fn, vals, cum = cache = self._caches[key]
         for i in range(len(vals), self.count):
-            t = self.t0 + i * self.dt
-            vals.append(fn(self.rows[i].tolist() + [t], self))
-            if i == 0:
-                continue
-            if self.discrete:
-                cum.append(cum[-1] + vals[i - 1])
-            else:
-                h = t - (self.t0 + (i - 1) * self.dt)
-                cum.append(cum[-1] + 0.5 * h * (vals[i - 1] + vals[i]))
+            vals.append(fn(self.rows[i].tolist() + [self.t0 + i * self.dt],
+                           self))
+            if i:
+                cum.append(cum[-1] + (vals[i - 1] if self.discrete else
+                                      0.5 * self.dt * (vals[i - 1] + vals[i])))
         return self._cumulative(cache, t_hi, now) \
             - self._cumulative(cache, t_lo, now)
 
@@ -128,19 +110,15 @@ class HistoryAccessor:
         fn, vals, cum = cache
         if t <= self.t0:
             return (t - self.t0) * vals[0]
-        i, frac = self._locate(t)
+        i, half = self._locate(t)
         last = len(vals) - 1
-        if frac <= 1e-9 and i <= last:
-            return cum[i]
-        if i >= last:
+        if i + half > last:
             # RK4 stage overhang past the newest row: close the interval
             # with the integrand at the caller's current state
-            f_now = fn(now, self)
-            h = t - (self.t0 + last * self.dt)
-            return cum[last] + 0.5 * h * (vals[last] + f_now)
-        f_mid = (1.0 - frac) * vals[i] + frac * vals[i + 1]
-        h = t - (self.t0 + i * self.dt)
-        return cum[i] + 0.5 * h * (vals[i] + f_mid)
+            w = 0.25 * self.dt * (2 * (i - last) + half)
+            return cum[last] + w * (vals[last] + fn(now, self))
+        return cum[i] if not half else cum[i] + 0.25 * self.dt * (
+            vals[i] + (0.5 * vals[i] + 0.5 * vals[i + 1]))
 
 
 def _off_grid(span, dt):
@@ -166,7 +144,7 @@ def _step_count(t_end, dt, delays=()):
     if dt <= 0:
         raise StepGridError("dt must be positive")
     for delay in delays:
-        if delay > 0 and _off_grid(delay, dt):
+        if delay > 0 and (_off_grid(delay, dt) or round(delay / dt) == 0):
             raise DelayMisaligned(delay, float(dt))
     if _off_grid(t_end, dt):
         raise StepGridError(
@@ -187,10 +165,10 @@ _FLAVORS = {
 
 def _march(system, flavor, t_end, dt):
     """Run ``system`` from the diagram's initial values to ``t_end`` in
-    fixed steps ``dt`` of the diagram's generated step, made on its first
-    run and kept, which checks itself.  Values inside the tolerated
+    fixed steps ``dt`` of the diagram's generated step (made once, kept),
+    which checks and stores each row.  Values inside the tolerated
     negative band are reported as zero."""
-    caller, discrete, tolerance = _FLAVORS[flavor]
+    caller, history, tolerance = _FLAVORS[flavor]
     if system.flavor != flavor:
         article = "an" if flavor == "ode" else "a"
         raise IntegrationError(
@@ -199,22 +177,18 @@ def _march(system, flavor, t_end, dt):
     y = system.diagram.initial_vector()
     data = np.empty((nsteps + 1, len(y)))
     data[0] = y
-    history = None if discrete is None \
-        else HistoryAccessor(0.0, dt, data, discrete=discrete)
     floor = -tolerance * max(1.0, system.diagram.n0)
     # an rhs swapped into the system (a wrapper, say) is called, not fused
     fused = system.rhs is rate_kernel(system.diagram)[0]
-    step = _kept(system.diagram, "_step" if fused else "_rhs_step", lambda d:
-                 _generate_step(d, flavor == "difference", CONSERVATION_BUDGET,
-                                floor, not fused))
-    step = step if fused else partial(step, _f=system.rhs)
+    make = _kept(system.diagram, "_step" if fused else "_rhs_step", lambda d:
+                 _generate_step(d, history, CONSERVATION_BUDGET, floor,
+                                not fused))
+    h = None if fused or history is None \
+        else HistoryAccessor(0.0, dt, data, discrete=history)
+    step = make(memoryview(data.reshape(-1)), dt, h, system.rhs)
     y = y.tolist()
     for k in range(nsteps):
-        y = step(k, y, dt, history)
-        if history is None:
-            data[k + 1] = y
-        else:
-            history.append(y)  # stores data[k + 1]
+        y = step(k, y)
     data[(data < 0) & (data >= floor)] = 0.0
     times = np.arange(nsteps + 1, dtype=float) * dt
     return Trajectory(times, data, system.state_names, system.env_names,
@@ -230,10 +204,10 @@ def integrate(system, *, t_end=10.0, dt=0.01):
 
 
 def integrate_delayed(system, *, t_end=10.0, dt=0.01):
-    """Method of steps for a delayed system: RK4 core, linear-interpolated
-    history reads, trapezoid history integrals, constant pre-history.
-    ``t_end`` and every lag and window must be whole numbers of steps
-    ``dt``."""
+    """Method of steps for a delayed system: RK4 core, history rows read by
+    index (half a step on: the mean of two rows), trapezoid history
+    integrals, constant pre-history.  ``t_end`` and every lag and window
+    must be whole numbers of steps ``dt``."""
     return _march(system, "dde", t_end, dt)
 
 

@@ -463,10 +463,13 @@ def test_compare_refuses_a_difference_model(capsys):
 # stay the same (repr of each float, so one ulp anywhere changes a digest).
 # The exact digest was recorded again when the master equation moved from
 # RK4 steps to uniformization, whose rows are within 5.6e-9 relative of the
-# RK4 ones.
+# RK4 ones.  The stickpull-delayed digest was recorded again when history
+# reads moved to the half-step grid (exact 0.5 weights and widths, not a
+# fraction computed in floating point): every value of run --t-end 100
+# --dt 0.01 stayed within 8.7e-15 relative.
 _OUTPUT_DIGESTS = {
     ("run", "--model", "stickpull-delayed", "--t-end", "10"):
-        "bb688fd21715c7317808726c87b5197a10c329a87b8bd26ec764f276e7350801",
+        "bb356d9b64339794ef9d495bf01ce6085f2f94546baacd7b7cf9faf1561b8393",
     ("run", "--model", "collab-difference", "--steps", "200"):
         "6613f09406a991472f5e26bde52a453130e44ad402a8a39c33474398b88ef4a2",
     ("run", "--model", "sugawara", "--t-end", "10"):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from swarmk.diagram import compile_rhs
-from swarmk.errors import (ConservationDrift, DelayMisaligned,
+from swarmk.errors import (ConservationDrift, DelayMisaligned, EvalError,
                            IntegrationError, NegativePopulation, NonFinite)
 from swarmk.integrate import integrate, integrate_delayed, iterate_difference
 from swarmk.models import BUILTIN_NAMES, build_builtin
@@ -91,6 +91,34 @@ def test_delay_misaligned_dt_rejected():
     system = compile_rhs(parse_model(DELAYED_SHIFT))
     with pytest.raises(DelayMisaligned):
         integrate_delayed(system, t_end=2.0, dt=0.3)
+    # a positive lag within 1e-9 of zero steps is on the grid but would
+    # read the rows a step is still making
+    short = compile_rhs(parse_model(DELAYED_SHIFT).with_params(tau=1e-12))
+    with pytest.raises(DelayMisaligned):
+        integrate_delayed(short, t_end=2.0, dt=0.01)
+
+
+NEARLY_WHOLE = """\
+param lag = 1
+state a = 0
+state b = 1
+rate(0.3 * b): b -> a
+rate(delay(a, lag) * 0.5): a -> b
+rate(0.1 * histint(a, lag)): a -> b
+"""
+
+
+def test_a_nearly_whole_lag_reads_the_step_it_rounds_to():
+    # 1 + 1e-10 is 100 steps of 0.01 to within the grid tolerance, so it
+    # reads the same rows as 1.  The model reads neither t nor
+    # step(t - lag), and a starts empty so that the window's pre-history
+    # integral (t - lag) * a(0), exact in the lag, is zero for both.
+    d = parse_model(NEARLY_WHOLE)
+    runs = [integrate_delayed(compile_rhs(d.with_params(lag=lag)),
+                              t_end=5.0, dt=0.01).data
+            for lag in (1.0, 1.0 + 1e-10)]
+    assert runs[0][-1, 0] > 0.1
+    assert np.array_equal(runs[0], runs[1])
 
 
 def test_delayed_constant_prehistory():
@@ -310,17 +338,92 @@ def _march_builtin(system):
     return run(system, t_end=30.0, dt=0.05), 30.0, 0.05
 
 
-@pytest.mark.parametrize("name", BUILTIN_NAMES)
+# Every history form, in a continuous and a synchronous flavour: a delay
+# nested in a histint, a delay of a delay, a delayed expression that reads
+# t, a histint nested in a delay, a zero lag and window, windows that reach
+# before t0, and a delay in an env effect.  Lags and windows are whole
+# numbers of steps at dt = 0.05 and at dt = 1.
+HISTORY_FORMS = """\
+param d = 2
+param w = 4
+param z = 0
+state a = 6
+state b = 2
+env m = 1
+rate(0.05 * a + 0.01 * histint(delay(a, d), w)): a -> b ; m += 0.1 * delay(b, d)
+rate(0.02 * delay(delay(a, d) * b, 1) + 0.01 * delay(a * step(t - 3) + 0.001 * t, d)): b -> a
+rate(0.01 * delay(b, z) + histint(a, z) + 0.01 * delay(histint(b, w), 1)): b -> a
+"""
+FORMS = {"history-forms": HISTORY_FORMS,
+         "history-forms-synchronous": "synchronous\n" + HISTORY_FORMS}
+
+
+def _system(name):
+    """The compiled built-in ``name``, or the parsed model of FORMS."""
+    if name in FORMS:
+        return compile_rhs(parse_model(FORMS[name]))
+    return compile_rhs(build_builtin(name))
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES + tuple(FORMS))
 def test_march_matches_a_numpy_reference_bit_for_bit(name):
-    system = compile_rhs(build_builtin(name))
+    system = _system(name)
     traj, t_end, dt = _march_builtin(system)
     assert np.array_equal(traj.data, _reference_march(system, t_end, dt))
 
 
+# Models that fail on the way: the first failure in evaluation order is
+# raised, at the same step, by the generated step and by the reference.  In
+# a synchronous run of "integrand" the first rate fails in the same step as
+# the window integrand after it; in "delayed" the first rate's delayed
+# expression fails in the same step as the second rate.
+FAILING = {
+    "integrand": "state a = 6\nstate b = 0\n"
+                 "rate(0.01 * a * ln(20 - t)): a -> b\n"
+                 "rate(0.01 * b * histint(ln(19.5 - t), 2)): b -> a\n",
+    "delayed": "state a = 6\nstate b = 0\n"
+               "rate(0.01 * a * delay(ln(19 - t), 2)): a -> b\n"
+               "rate(0.01 * b * ln(20.5 - t)): b -> a\n",
+}
+
+
+def _first_failure(run, steps):
+    """``(n, message)`` of the shortest run ``run(n)``, of at most
+    ``steps`` steps, that raises EvalError."""
+    def message(n):
+        try:
+            run(n)
+        except EvalError as exc:
+            return str(exc)
+        return None
+
+    lo, hi = 0, steps  # run(lo) succeeds, run(hi) fails
+    assert message(hi) is not None
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if message(mid) else (mid, hi)
+    return hi, message(hi)
+
+
+@pytest.mark.parametrize("synchronous", [False, True])
+@pytest.mark.parametrize("name", FAILING)
+def test_a_failure_is_the_reference_failure_at_the_same_step(name,
+                                                             synchronous):
+    d = parse_model(("synchronous\n" if synchronous else "") + FAILING[name])
+    system = compile_rhs(d)
+    dt = 1 if synchronous else 0.05
+    fused = (lambda n: iterate_difference(system, k_steps=n)) if synchronous \
+        else (lambda n: integrate_delayed(system, t_end=n * dt, dt=dt))
+    got = _first_failure(fused, int(30 / dt))
+    assert got == _first_failure(
+        lambda n: _reference_march(system, n * dt, dt), int(30 / dt))
+    assert got[1].startswith("ln of non-positive value")
+
+
 @pytest.mark.parametrize("name", ["foraging", "stickpull-delayed",
-                                  "collab-difference"])
+                                  "collab-difference", *FORMS])
 def test_an_rhs_swapped_into_the_system_is_called_at_every_stage(name):
-    system = compile_rhs(build_builtin(name))
+    system = _system(name)
     calls = []
 
     def counted(t, y, h=None):
