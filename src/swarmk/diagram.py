@@ -320,6 +320,12 @@ def rate_kernel(diagram):
     return _kept(diagram, "_rate_kernel", _generate_kernel)[:2]
 
 
+def _kernel_source(diagram):
+    """``(Source, (name, tree) pairs, component sums)`` kept with the
+    diagram's rate kernel, for the code generated from it."""
+    return _kept(diagram, "_rate_kernel", _generate_kernel)[2]
+
+
 def gate(diagram):
     """``(flavor, delay values, reads t)`` of a valid diagram, decided once
     per instance; an invalid diagram raises ModelError.  Every engine passes
@@ -467,7 +473,7 @@ def _generate_step(diagram, history, budget, floor, through=False):
     state total, summed left to right, off N0 by over ``budget * N0``) or
     NegativePopulation (below ``floor``), checked in that order, then
     stores the row in ``m`` (or ``h``)."""
-    ksrc, exprs, sums = _kept(diagram, "_rate_kernel", _generate_kernel)[2]
+    ksrc, exprs, sums = _kernel_source(diagram)
     src = _Indexed(ksrc.consts, ksrc.slots, history is True)
     ys = [f"y{i}" for i in range(len(sums))]
     lines = ["def step(k, y):", f"    [{', '.join(ys)}] = y", "    t = k * dt"]

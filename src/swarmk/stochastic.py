@@ -2,9 +2,12 @@
 
 Three engines: the configuration-level master equation solved exactly at
 its output times by uniformization (small state spaces), Gillespie
-sampling of the same chain, and a per-agent simulator for the stick-pulling
+sampling of the same chain through one event loop generated per diagram
+from its rate kernel, and a per-agent simulator for the stick-pulling
 system with deterministic gripping timers (which breaks the memoryless
-property and therefore cannot be reduced to a configuration chain).
+property and therefore cannot be reduced to a configuration chain).  The
+chain engines refuse a NaN or infinite rate or env effect at a reachable
+configuration with ModelError.
 """
 from __future__ import annotations
 
@@ -14,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diagram import gate, transition_table
+from .diagram import _kept, _kernel_source, gate, transition_table
 from .errors import IntegrationError, ModelError, StateSpaceTooLarge
 from .integrate import Trajectory, _check_t_end, _off_grid, _step_count
 
@@ -25,7 +28,7 @@ def _chain(diagram):
     """``(transition table, integer start)`` of the configuration chain,
     which keeps no history, holds rates constant between jumps and moves
     whole agents: it takes a valid ode diagram, without ``t``, of integer
-    initial values.  The gate and the table are kept on the instance."""
+    initial values.  Its callers keep it on the instance (``_kept``)."""
     flavor, _, reads_t = gate(diagram)
     if flavor != "ode":
         raise ModelError("the configuration chain needs a memoryless (ode) "
@@ -40,22 +43,18 @@ def _chain(diagram):
     return transition_table(diagram), tuple(int(round(v)) for v in init)
 
 
-def _fire(config, move, row):
-    """The integer configuration after one firing of ``move`` (a
-    transition-table row) from ``config``; ``row`` is the evaluation row
-    of ``config`` that the env effects read."""
-    si, ti, _, effects = move
-    nxt = list(config)
-    if si != ti:
-        nxt[si] -= 1
-        nxt[ti] += 1
-    for ei, eff_fn in effects:
-        dv = eff_fn(row)
-        if abs(dv - round(dv)) > 1e-9:
-            raise ModelError("environment effects must be integer-valued in "
-                             f"the configuration chain (got {dv!r})")
-        nxt[ei] += int(round(dv))
-    return tuple(nxt)
+def _refuse_rate(v):
+    raise ModelError(f"rates must be finite in the configuration chain "
+                     f"(got {v!r})")
+
+
+def _whole(dv):
+    """An env effect's value ``dv`` as the int it adds to its counter;
+    ModelError unless it is finite and within 1e-9 of a whole number."""
+    if not (math.isfinite(dv) and abs(dv - round(dv)) <= 1e-9):
+        raise ModelError("environment effects must be finite and integer-"
+                         f"valued in the configuration chain (got {dv!r})")
+    return int(round(dv))
 
 
 @dataclass
@@ -73,7 +72,7 @@ class ConfigurationSpace:
     @classmethod
     def build(cls, diagram, cap=CONFIG_CAP):
         """Breadth-first enumeration from the initial configuration."""
-        table, start = _chain(diagram)
+        table, start = _kept(diagram, "_chain", _chain)
 
         configs = [start]
         index = {start: 0}
@@ -83,14 +82,21 @@ class ConfigurationSpace:
             i = queue.popleft()
             cfg = configs[i]
             row = [*map(float, cfg), 0.0]
-            for move in table:
-                si, ti, rate_fn, _ = move
+            for si, ti, rate_fn, effects in table:
                 if si != ti and cfg[si] < 1:
                     continue
                 rate = rate_fn(row)
+                if not math.isfinite(rate):
+                    _refuse_rate(rate)
                 if rate <= 0.0:
                     continue
-                nxt = _fire(cfg, move, row)
+                nxt = list(cfg)
+                if si != ti:
+                    nxt[si] -= 1
+                    nxt[ti] += 1
+                for ei, eff_fn in effects:
+                    nxt[ei] += _whole(eff_fn(row))
+                nxt = tuple(nxt)
                 j = index.get(nxt)
                 if j is None:
                     j = len(configs)
@@ -204,44 +210,65 @@ def ssa_run(diagram, t_end=10.0, seed=0):
 
     Exponential waiting times with the total rate, jump category chosen
     proportionally to individual rates; fully determined by the seed.
-    Returns a piecewise-constant Trajectory sampled at the jump times.
-    ``t_end`` must be finite and non-negative.
+    The events run in the diagram's generated loop (``_generate_ssa``),
+    made on its first run.  Returns a piecewise-constant Trajectory sampled
+    at the jump times.  ``t_end`` must be finite and non-negative; a NaN or
+    infinite rate or effect on the path raises ModelError.
     """
     _check_t_end(t_end)
-    table, y = _chain(diagram)
-    rng = np.random.default_rng(seed)
-    times = [0.0]
-    rows = [y]
-    t = 0.0
-    while True:
-        row = [*map(float, y), t]
-        rates = []
-        total = 0.0
-        for si, ti, rate_fn, _ in table:
-            r = 0.0 if si != ti and y[si] < 1 else max(0.0, rate_fn(row))
-            rates.append(r)
-            total += r
-        if total <= 0.0:
-            break
-        t += rng.exponential(1.0 / total)
-        if t >= t_end:
-            break
-        pick = rng.random() * total
-        acc = 0.0
-        chosen = len(table) - 1
-        for i, r in enumerate(rates):
-            acc += r
-            if pick < acc:
-                chosen = i
-                break
-        y = _fire(y, table[chosen], row)
-        times.append(t)
-        rows.append(y)
-    times.append(t_end)
-    rows.append(y)
-    return Trajectory(np.array(times), np.array(rows, dtype=float),
+    start = _kept(diagram, "_chain", _chain)[1]
+    times, rows = _kept(diagram, "_ssa", _generate_ssa)(
+        start, t_end, np.random.default_rng(seed))
+    return Trajectory(np.array(times),
+                      np.array(rows, dtype=float).reshape(len(times), -1),
                       diagram.state_names, diagram.env_names,
                       {"model": diagram.name, "engine": "ssa", "seed": seed})
+
+
+def _generate_ssa(diagram):
+    """Generate ``run(y, t_end, rng)``, the direct method from the integer
+    start ``y``, into the rate kernel's Source; it returns the event times
+    and the rows, flat.  Per event, in the order of a loop over the
+    transition table: the row ``r`` (floats, then ``t``); each rate as the
+    kernel's expression, 0.0 if its source count is below 1, else
+    ``max(0.0, rate)`` with NaN and -inf refused; their total from 0.0
+    (+inf refused); ``exponential(1.0 / total)``, then ``random() *
+    total``; the first transition whose running sum exceeds that pick
+    fires (the last if none does), each effect added by ``_whole``."""
+    src = _kernel_source(diagram)[0]
+    slots, last = src.slots, len(diagram.transitions) - 1
+    ys = [f"y{i}" for i in range(slots["t"])]
+    config = f"({''.join(f'{y}, ' for y in ys)})"
+    rates, branches = [], []
+    for k, tr in enumerate(diagram.transitions):
+        si, ti = slots[tr.source], slots[tr.target]
+        rate = (f"v if (v := {src.value(tr.rate)}) > 0.0 "
+                "else 0.0 if v > -_inf else _refuse_rate(v)")
+        rates.append(f"f{k} = {rate}" if si == ti
+                     else f"f{k} = 0.0 if y{si} < 1 else {rate}")
+        moves = [] if si == ti else [f"y{si} -= 1", f"y{ti} += 1"]
+        moves += [f"y{slots[n]} += _whole({src.value(e)})"
+                  for n, e in tr.env_effects]
+        acc = f"{'a' if k else '0.0'} + f{k}"
+        branches += [f"{'el' if k else ''}if pick < (a := {acc}):" if k < last
+                     else "else:" if k else "if True:",
+                     *(f"    {m}" for m in moves or ["pass"])]
+    loop = [f"r = [{''.join(f'float({y}), ' for y in ys)}t]", *rates,
+            "total = 0.0" + "".join(f" + f{k}" for k in range(len(rates))),
+            "if total <= 0.0:", "    break",
+            "if total == _inf:", "    _refuse_rate(total)",
+            "t += exponential(1.0 / total)",
+            "if t >= t_end:", "    break",
+            "pick = random() * total", *branches,
+            "times.append(t)", f"rows += {config}"]
+    src.lines += ["def run(y, t_end, rng):", f"    [{', '.join(ys)}] = y",
+                  "    exponential, random = rng.exponential, rng.random",
+                  "    t = 0.0", "    times, rows = [t], list(y)",
+                  "    while True:", *(f"        {line}" for line in loop),
+                  "    times.append(t_end)", f"    rows += {config}",
+                  "    return times, rows"]
+    src.env.update(_inf=math.inf, _refuse_rate=_refuse_rate, _whole=_whole)
+    return src.compile()["run"]
 
 
 def semimarkov_run(n0, m0, alpha, r_g, tau, t_end=10.0, seed=0,
@@ -344,9 +371,8 @@ class EnsembleStats:
 def sample_path(traj, grid):
     """Piecewise-constant resampling of an event-time trajectory."""
     grid = np.asarray(grid, dtype=float)
-    idx = np.searchsorted(traj.times, grid, side="right") - 1
-    idx = np.clip(idx, 0, len(traj.times) - 1)
-    return traj.data[idx]
+    # the last row at or before each grid point, row 0 before the first
+    return traj.data[np.searchsorted(traj.times[1:], grid, side="right")]
 
 
 def ensemble(run, n_runs, master_seed, t_grid):

@@ -451,6 +451,33 @@ def test_chain_commands_refuse_what_run_refuses(capsys, tmp_path, command,
     assert _run(capsys, *argv) == (2, "", f"model error: {message}\n")
 
 
+# each file passes validation: its rate or effect is non-finite only at
+# the integer configuration b = 2 (1e308 * 10 overflows to inf)
+_NON_FINITE = {
+    "effect": ("state a = 2\nstate b = 0\nenv m = 0\nrate(a): a -> b\n"
+               "rate(b): b -> a ; m += step(b - 2) * 1e308 * 10\n",
+               "environment effects must be finite and integer-valued in "
+               "the configuration chain (got inf)"),
+    "rate": ("state a = 2\nstate b = 0\nrate(a): a -> b\n"
+             "rate(b + step(b - 2) * 1e308 * 10): b -> a\n",
+             "rates must be finite in the configuration chain (got inf)"),
+}
+
+
+@pytest.mark.parametrize("command", ["exact", "mc", "compare"])
+@pytest.mark.parametrize("case", list(_NON_FINITE))
+def test_chain_commands_refuse_a_non_finite_rate_or_effect(capsys, tmp_path,
+                                                           case, command):
+    source, message = _NON_FINITE[case]
+    f = tmp_path / "model.mas"
+    f.write_text(source)
+    assert _run(capsys, "validate", "--model", str(f))[0] == 0
+    argv = (command, "--model", str(f), "--t-end", "10")
+    if command != "exact":
+        argv += ("--runs", "2")
+    assert _run(capsys, *argv) == (2, "", f"model error: {message}\n")
+
+
 def test_compare_refuses_a_difference_model(capsys):
     assert _run(capsys, "compare", "--model", "collab-difference",
                 "--runs", "2") == (
@@ -483,6 +510,11 @@ _OUTPUT_DIGESTS = {
         "7ab3fc8bfcb1f0e817f87155ace69db4cbd4bf39aba7583a4a238cf73a09f6a4",
     ("mc", "--model", "stickpull-counts", "--runs", "50", "--seed", "3"):
         "7109f4dff775591ee0f68bd5e83bb0626bddb06d1f387683e6d398340849eabe",
+    # Gillespie paths with an env effect (m -= 1) beside the exact columns,
+    # recorded from the Gillespie loop that called the rate functions
+    ("compare", "--model", "foraging", "--set", "n0=3", "--set", "m0=6",
+     "--t-end", "5", "--runs", "50", "--seed", "3"):
+        "eb650227a44201c049cc3cc4e7b3332ea23b54ff97bf3d2f185747ff0c8562d8",
 }
 
 

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import swarmk as sk
-from swarmk.errors import ModelError, StateSpaceTooLarge
+from swarmk.diagram import transition_table
+from swarmk.errors import EvalError, ModelError, StateSpaceTooLarge
 from swarmk.expr import Name, Num
 from swarmk.stochastic import ConfigurationSpace, sample_path
 
@@ -93,6 +94,34 @@ def test_chain_engines_refuse_unknown_names(transition, message):
         sk.master_exact(d, t_end=1.0)
     with pytest.raises(ModelError, match=message):
         ConfigurationSpace.build(d)
+
+
+# finite at every point validation samples, non-finite only where b = 2:
+# 1e308 * 10 overflows to inf, and inf - inf is nan
+_AT_B2 = "step(b - 2) * 1e308 * 10"
+
+
+@pytest.mark.parametrize("transition, message", [
+    (f"rate(b): b -> a ; m += {_AT_B2}",
+     r"^environment effects must be finite and integer-valued in the "
+     r"configuration chain \(got inf\)$"),
+    (f"rate(b + {_AT_B2}): b -> a",
+     r"^rates must be finite in the configuration chain \(got inf\)$"),
+    (f"rate(b - {_AT_B2}): b -> a", r"\(got -inf\)$"),
+    # max(0.0, nan) is 0.0: the NaN is caught before the clamp
+    (f"rate(b + {_AT_B2} - {_AT_B2}): b -> a", r"\(got nan\)$"),
+], ids=["effect-inf", "rate-inf", "rate-minus-inf", "rate-nan"])
+def test_chain_engines_refuse_a_non_finite_rate_or_effect(transition,
+                                                           message):
+    d = sk.parse_model("state a = 2\nstate b = 0\nenv m = 0\n"
+                       f"rate(a): a -> b\n{transition}\n")
+    assert sk.validate_diagram(d).ok
+    with pytest.raises(ModelError, match=message):
+        ConfigurationSpace.build(d)
+    with pytest.raises(ModelError, match=message):
+        sk.master_exact(d, t_end=1.0)
+    with pytest.raises(ModelError, match=message):
+        sk.ssa_run(d, t_end=100.0, seed=0)
 
 
 @st.composite
@@ -369,6 +398,94 @@ def test_ssa_compiles_once_per_diagram(monkeypatch):
     assert calls == {"kernel": 51, "gate": 51}
 
 
+def _direct_method(diagram, t_end, seed):
+    """Gillespie's direct method over ``transition_table``, one call per
+    rate and effect: the reference for ssa_run's generated event loop."""
+    table = transition_table(diagram)
+    y = tuple(int(v) for _, v in (*diagram.states, *diagram.env_vars))
+    rng = np.random.default_rng(seed)
+    t, times, rows = 0.0, [0.0], [y]
+    while True:
+        row = [*map(float, y), t]
+        rates = [0.0 if si != ti and y[si] < 1 else max(0.0, fn(row))
+                 for si, ti, fn, _ in table]
+        total = 0.0
+        for r in rates:
+            total += r
+        if total <= 0.0:
+            break
+        t += rng.exponential(1.0 / total)
+        if t >= t_end:
+            break
+        pick, acc, chosen = rng.random() * total, 0.0, len(table) - 1
+        for i, r in enumerate(rates):
+            acc += r
+            if pick < acc:
+                chosen = i
+                break
+        si, ti, _, effects = table[chosen]
+        nxt = list(y)
+        if si != ti:
+            nxt[si] -= 1
+            nxt[ti] += 1
+        for ei, fn in effects:
+            dv = fn(row)
+            assert dv == round(dv)
+            nxt[ei] += int(round(dv))
+        y = tuple(nxt)
+        times.append(t)
+        rows.append(y)
+    return np.array(times + [t_end]), np.array(rows + [y], dtype=float)
+
+
+@pytest.mark.parametrize("name", ["foraging", "sugawara", "stickpull-simple",
+                                  "stickpull-counts",
+                                  "stickpull-simple-depletion"])
+def test_generated_ssa_loop_matches_the_direct_method(name):
+    # every shipped model the chain takes, path for path, bit for bit
+    d = sk.build_builtin(name)
+    events = 0
+    for seed in range(50):
+        times, data = _direct_method(d, 20.0, seed)
+        path = sk.ssa_run(d, t_end=20.0, seed=seed)
+        assert np.array_equal(path.times, times)
+        assert np.array_equal(path.data, data)
+        events += len(times) - 2
+    assert events >= 100
+
+
+def test_generated_ssa_loop_raises_what_the_direct_method_raises():
+    # 1 / a fails mid-run, once every agent has left a
+    d = sk.parse_model("state a = 3\nstate b = 0\n"
+                       "rate(a): a -> b\nrate(1 / a): b -> a\n")
+    with pytest.raises(EvalError) as ref:
+        _direct_method(d, 100.0, 0)
+    with pytest.raises(EvalError) as gen:
+        sk.ssa_run(d, t_end=100.0, seed=0)
+    assert str(gen.value) == str(ref.value) == "division by zero"
+
+
+def test_ssa_loop_is_generated_on_the_first_run(monkeypatch):
+    # compiling the rate system does not make the event loop; the first
+    # run of a diagram instance does, and its other runs reuse it
+    from swarmk import stochastic
+
+    calls = []
+
+    def counted(diagram):
+        calls.append(diagram)
+        return generate(diagram)
+
+    generate = stochastic._generate_ssa
+    monkeypatch.setattr(stochastic, "_generate_ssa", counted)
+    d = sk.build_builtin("stickpull-counts")
+    sk.compile_rhs(d)
+    assert calls == []
+    for seed in range(3):
+        sk.ssa_run(d, t_end=5.0, seed=seed)
+    assert calls == [d]
+
+
 def test_ssa_zero_rates_constant_path():
     d = sk.parse_model("state a = 3\nstate b = 0\nrate(0 * a): a -> b\n")
     traj = sk.ssa_run(d, t_end=5.0, seed=1)
@@ -403,6 +520,14 @@ def test_sample_path_piecewise_constant():
     for t, row in zip(grid, sampled):
         i = np.searchsorted(traj.times, t, side="right") - 1
         assert np.array_equal(row, traj.data[i])
+
+
+def test_sample_path_before_the_first_time_reads_the_first_row():
+    traj = sk.Trajectory(np.array([1.0, 2.0, 2.0, 3.0]),
+                         np.array([[0.0], [1.0], [2.0], [3.0]]), ["a"], [])
+    grid = [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0]
+    assert sample_path(traj, grid)[:, 0].tolist() == [
+        0.0, 0.0, 0.0, 0.0, 2.0, 2.0, 3.0, 3.0]
 
 
 def test_ensemble_seed_derivation_and_stderr():
