@@ -6,8 +6,7 @@ optima, and cross-check the mean-field predictions against exact
 master-equation solutions and stochastic simulation.
 """
 from .diagram import (RateSystem, StateDiagram, Transition, ValidationReport,
-                      compile_rhs, conserved_total, encounter_rate,
-                      validate_diagram)
+                      compile_rhs, validate_diagram)
 from .errors import (ConservationDrift, DelayMisaligned, EvalError,
                      IntegrationError, LexError, ModelError,
                      NegativePopulation, NonFinite, NoRoot, NotReached,
@@ -37,8 +36,7 @@ __all__ = [
     "SwarmkError", "SweepTable", "Trajectory", "Transition",
     "ValidationReport", "beta_critical", "build_builtin",
     "collaboration_rate", "compile_rhs", "completion_time",
-    "conserved_total", "efficiency_per_robot", "encounter_rate",
-    "ensemble", "gamma_opt", "integrate", "integrate_delayed",
+    "efficiency_per_robot", "ensemble", "gamma_opt", "integrate", "integrate_delayed",
     "iterate_difference", "master_exact", "parse_file", "parse_model",
     "pretty_print", "scaling_exponent", "semimarkov_run", "shipped_source",
     "ssa_run", "steady_state_delayed", "steady_state_of_trajectory",

@@ -318,8 +318,10 @@ def sweep(model, param, grid, observables=("nstar", "R"), *, t_end=100.0,
     steady state of the stick-pulling models; ``T`` integrates the model
     and interpolates the crossing time of ``counter`` (``deplete``/
     ``reach`` at ``threshold``); ``steady:<col>`` averages a settled
-    trajectory column and ``final:<col>`` reads its last value; any other
-    observable is a ValueError.  A difference model runs ``k_steps`` steps,
+    trajectory column and ``final:<col>`` reads its last value.  Before
+    any row, a ValueError refuses any other observable, a column or counter
+    that is not a state or env counter, and ``T`` without a counter and a
+    threshold or with another mode.  A difference model runs ``k_steps`` steps,
     else ``t_end``.  A failed row keeps its error message; a StepGridError
     (``t_end`` off the ``dt`` grid, ...) fails the sweep at once.
     """
@@ -330,10 +332,23 @@ def sweep(model, param, grid, observables=("nstar", "R"), *, t_end=100.0,
     if len(grid) > 1 and not (np.all(diffs > 0) or np.all(diffs < 0)):
         raise ValueError("grid must be strictly monotone")
     observables = tuple(observables)
+    # every row reads the same columns: refuse a bad one before any row
+    columns = (*model.state_names, *model.env_names)
     for o in observables:
-        if not (o in STEADY_NAMES or o == "T"
-                or o.startswith(("steady:", "final:"))):
+        if o == "T":
+            if counter is None or threshold is None:
+                raise ValueError("observable T needs a counter and a threshold")
+            if mode not in ("deplete", "reach"):
+                raise ValueError(f"unknown mode {mode!r}")
+            name = counter
+        elif o.startswith(("steady:", "final:")):
+            name = o.partition(":")[2]
+        elif o in STEADY_NAMES:
+            continue
+        else:
             raise ValueError(f"unknown observable {o!r}")
+        if name not in columns:
+            raise ValueError(f"{o} reads {name!r}, not a state or counter")
 
     provenance = {"model": model.name, "params": dict(model.params),
                   "observables": list(observables)}

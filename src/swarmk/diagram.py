@@ -153,20 +153,6 @@ class RateSystem:
         return self.diagram.env_names
 
 
-def conserved_total(diagram):
-    """Declared conserved total and the states it covers."""
-    return diagram.n0, diagram.state_names
-
-
-def encounter_rate(speed, detection_width, arena_radius):
-    """Detection rate for a randomly exploring robot: V*W / (pi R^2)."""
-    for name, v in (("speed", speed), ("detection_width", detection_width),
-                    ("arena_radius", arena_radius)):
-        if not v > 0:
-            raise ValueError(f"{name} must be positive, got {v!r}")
-    return speed * detection_width / (math.pi * arena_radius ** 2)
-
-
 _RNG_SEED = 0x5157
 N_SAMPLES = 64  # sampled points per transition, after the initial one
 
@@ -295,9 +281,9 @@ def transition_table(diagram):
 
     Each function is ``fn(row, history=None)`` over the evaluation row:
     the occupation row (states, then env counters) followed by the time
-    ``t``.  Every engine reads this table or the ``rhs`` generated with
-    it: the mean-field right-hand side, the validation sampler, the
-    configuration enumeration and the Gillespie sampler.
+    ``t``.  The validation sampler reads this table; the mean-field
+    ``rhs``, the integrators' step and the configuration chain inline the
+    same expressions from the kernel's Source.
     """
     return rate_kernel(diagram)[1]
 

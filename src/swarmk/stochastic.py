@@ -2,12 +2,13 @@
 
 Three engines: the configuration-level master equation solved exactly at
 its output times by uniformization (small state spaces), Gillespie
-sampling of the same chain through one event loop generated per diagram
-from its rate kernel, and a per-agent simulator for the stick-pulling
+sampling of the same chain, and a per-agent simulator for the stick-pulling
 system with deterministic gripping timers (which breaks the memoryless
 property and therefore cannot be reduced to a configuration chain).  The
-chain engines refuse a NaN or infinite rate or env effect at a reachable
-configuration with ModelError.
+enumeration behind the master equation and the Gillespie loop run one jump
+rule, generated per diagram from its rate kernel, so they refuse a NaN or
+infinite rate or env effect at a reachable configuration with the same
+ModelError.
 """
 from __future__ import annotations
 
@@ -17,30 +18,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diagram import _kept, _kernel_source, gate, transition_table
+from .diagram import _kept, _kernel_source, gate
 from .errors import IntegrationError, ModelError, StateSpaceTooLarge
 from .integrate import Trajectory, _check_t_end, _off_grid, _step_count
 
 CONFIG_CAP = 100_000
-
-
-def _chain(diagram):
-    """``(transition table, integer start)`` of the configuration chain,
-    which keeps no history, holds rates constant between jumps and moves
-    whole agents: it takes a valid ode diagram, without ``t``, of integer
-    initial values.  Its callers keep it on the instance (``_kept``)."""
-    flavor, _, reads_t = gate(diagram)
-    if flavor != "ode":
-        raise ModelError("the configuration chain needs a memoryless (ode) "
-                         f"model, not a {flavor} one")
-    if reads_t:
-        raise ModelError("time-dependent rates and effects are not allowed "
-                         "in the configuration chain")
-    init = [v for _, v in (*diagram.states, *diagram.env_vars)]
-    if not all(math.isfinite(v) and abs(v - round(v)) <= 1e-9 for v in init):
-        raise ModelError("initial counts must be integers for the "
-                         "configuration chain")
-    return transition_table(diagram), tuple(int(round(v)) for v in init)
 
 
 def _refuse_rate(v):
@@ -71,40 +53,19 @@ class ConfigurationSpace:
 
     @classmethod
     def build(cls, diagram, cap=CONFIG_CAP):
-        """Breadth-first enumeration from the initial configuration."""
-        table, start = _kept(diagram, "_chain", _chain)
-
+        """Breadth-first enumeration from the initial configuration, over
+        the jumps ``out(y)`` of the diagram's generated chain."""
+        start, _, out = _kept(diagram, "_chain", _generate_chain)
         configs = [start]
         index = {start: 0}
         jumps = []
-        queue = deque([0])
-        while queue:
-            i = queue.popleft()
-            cfg = configs[i]
-            row = [*map(float, cfg), 0.0]
-            for si, ti, rate_fn, effects in table:
-                if si != ti and cfg[si] < 1:
-                    continue
-                rate = rate_fn(row)
-                if not math.isfinite(rate):
-                    _refuse_rate(rate)
-                if rate <= 0.0:
-                    continue
-                nxt = list(cfg)
-                if si != ti:
-                    nxt[si] -= 1
-                    nxt[ti] += 1
-                for ei, eff_fn in effects:
-                    nxt[ei] += _whole(eff_fn(row))
-                nxt = tuple(nxt)
-                j = index.get(nxt)
-                if j is None:
-                    j = len(configs)
+        for i, cfg in enumerate(configs):  # configs grows as the walk goes
+            for rate, nxt in out(cfg):
+                j = index.setdefault(nxt, len(configs))
+                if j == len(configs):
                     if j >= cap:
                         raise StateSpaceTooLarge(j + 1, cap)
-                    index[nxt] = j
                     configs.append(nxt)
-                    queue.append(j)
                 jumps.append((i, j, rate))
         return cls(diagram, configs, index, jumps)
 
@@ -210,42 +171,62 @@ def ssa_run(diagram, t_end=10.0, seed=0):
 
     Exponential waiting times with the total rate, jump category chosen
     proportionally to individual rates; fully determined by the seed.
-    The events run in the diagram's generated loop (``_generate_ssa``),
-    made on its first run.  Returns a piecewise-constant Trajectory sampled
-    at the jump times.  ``t_end`` must be finite and non-negative; a NaN or
-    infinite rate or effect on the path raises ModelError.
+    The events run in ``run``, the direct method of the diagram's generated
+    chain (``_generate_chain``), which enumeration reads too.  Returns a
+    piecewise-constant Trajectory sampled at the jump times.  ``t_end``
+    must be finite and non-negative; a NaN or infinite rate or effect on
+    the path raises ModelError.
     """
     _check_t_end(t_end)
-    start = _kept(diagram, "_chain", _chain)[1]
-    times, rows = _kept(diagram, "_ssa", _generate_ssa)(
-        start, t_end, np.random.default_rng(seed))
+    start, run, _ = _kept(diagram, "_chain", _generate_chain)
+    times, rows = run(start, t_end, np.random.default_rng(seed))
     return Trajectory(np.array(times),
                       np.array(rows, dtype=float).reshape(len(times), -1),
                       diagram.state_names, diagram.env_names,
                       {"model": diagram.name, "engine": "ssa", "seed": seed})
 
 
-def _generate_ssa(diagram):
-    """Generate ``run(y, t_end, rng)``, the direct method from the integer
-    start ``y``, into the rate kernel's Source; it returns the event times
-    and the rows, flat.  Per event, in the order of a loop over the
-    transition table: the row ``r`` (floats, then ``t``); each rate as the
-    kernel's expression, 0.0 if its source count is below 1, else
-    ``max(0.0, rate)`` with NaN and -inf refused; their total from 0.0
-    (+inf refused); ``exponential(1.0 / total)``, then ``random() *
-    total``; the first transition whose running sum exceeds that pick
-    fires (the last if none does), each effect added by ``_whole``."""
+def _generate_chain(diagram):
+    """``(start, run, out)`` of the configuration chain, which keeps no
+    history, holds rates constant between jumps and moves whole agents: it
+    takes a valid ode diagram, without ``t``, of integer initial values
+    (``start``), and refuses any other before generating anything.
+
+    ``run`` and ``out`` are generated into the rate kernel's Source and
+    share one jump rule.  At a configuration ``y``: the row ``r`` (floats,
+    then ``t``); each rate as the kernel's expression, in transition order,
+    0.0 if its source count is below 1, else ``max(0.0, rate)`` with NaN
+    and -inf refused; their total from 0.0, +inf refused; a jump moves one
+    agent and adds each effect by ``_whole``.  ``out(y)`` lists ``(rate,
+    next configuration)`` for each positive rate, in transition order.
+    ``run(y, t_end, rng)`` is the direct method from ``y``: per event
+    ``exponential(1.0 / total)``, then ``random() * total``, and the first
+    transition whose running sum exceeds that pick jumps (the last if none
+    does); it returns the event times and the rows, flat."""
+    flavor, _, reads_t = gate(diagram)
+    if flavor != "ode":
+        raise ModelError("the configuration chain needs a memoryless (ode) "
+                         f"model, not a {flavor} one")
+    if reads_t:
+        raise ModelError("time-dependent rates and effects are not allowed "
+                         "in the configuration chain")
+    init = [v for _, v in (*diagram.states, *diagram.env_vars)]
+    if not all(math.isfinite(v) and abs(v - round(v)) <= 1e-9 for v in init):
+        raise ModelError("initial counts must be integers for the "
+                         "configuration chain")
     src = _kernel_source(diagram)[0]
     slots, last = src.slots, len(diagram.transitions) - 1
     ys = [f"y{i}" for i in range(slots["t"])]
+    unpack = f"[{', '.join(ys)}] = y"
     config = f"({''.join(f'{y}, ' for y in ys)})"
-    rates, branches = [], []
+    head = [f"r = [{''.join(f'float({y}), ' for y in ys)}t]"]
+    branches, jumps = [], []
     for k, tr in enumerate(diagram.transitions):
         si, ti = slots[tr.source], slots[tr.target]
         rate = (f"v if (v := {src.value(tr.rate)}) > 0.0 "
                 "else 0.0 if v > -_inf else _refuse_rate(v)")
-        rates.append(f"f{k} = {rate}" if si == ti
-                     else f"f{k} = 0.0 if y{si} < 1 else {rate}")
+        head.append(f"f{k} = {rate}" if si == ti
+                    else f"f{k} = 0.0 if y{si} < 1 else {rate}")
         moves = [] if si == ti else [f"y{si} -= 1", f"y{ti} += 1"]
         moves += [f"y{slots[n]} += _whole({src.value(e)})"
                   for n, e in tr.env_effects]
@@ -253,22 +234,26 @@ def _generate_ssa(diagram):
         branches += [f"{'el' if k else ''}if pick < (a := {acc}):" if k < last
                      else "else:" if k else "if True:",
                      *(f"    {m}" for m in moves or ["pass"])]
-    loop = [f"r = [{''.join(f'float({y}), ' for y in ys)}t]", *rates,
-            "total = 0.0" + "".join(f" + f{k}" for k in range(len(rates))),
-            "if total <= 0.0:", "    break",
-            "if total == _inf:", "    _refuse_rate(total)",
-            "t += exponential(1.0 / total)",
-            "if t >= t_end:", "    break",
+        jumps += [f"if f{k} > 0.0:", *(f"    {m}" for m in moves),
+                  f"    jumps.append((f{k}, {config}))", f"    {unpack}"]
+    head += ["total = 0.0" + "".join(f" + f{k}" for k in range(last + 1)),
+             "if total == _inf:", "    _refuse_rate(total)"]
+    loop = [*head, "if total <= 0.0:", "    break",
+            "t += exponential(1.0 / total)", "if t >= t_end:", "    break",
             "pick = random() * total", *branches,
             "times.append(t)", f"rows += {config}"]
-    src.lines += ["def run(y, t_end, rng):", f"    [{', '.join(ys)}] = y",
+    src.lines += ["def run(y, t_end, rng):", f"    {unpack}",
                   "    exponential, random = rng.exponential, rng.random",
                   "    t = 0.0", "    times, rows = [t], list(y)",
                   "    while True:", *(f"        {line}" for line in loop),
                   "    times.append(t_end)", f"    rows += {config}",
-                  "    return times, rows"]
+                  "    return times, rows",
+                  "def out(y):", f"    {unpack}", "    t = 0.0",
+                  *(f"    {line}" for line in [*head, "jumps = []", *jumps]),
+                  "    return jumps"]
     src.env.update(_inf=math.inf, _refuse_rate=_refuse_rate, _whole=_whole)
-    return src.compile()["run"]
+    ns = src.compile()
+    return tuple(int(round(v)) for v in init), ns["run"], ns["out"]
 
 
 def semimarkov_run(n0, m0, alpha, r_g, tau, t_end=10.0, seed=0,

@@ -312,6 +312,16 @@ def test_sweep_rejects_bad_grid():
         sk.sweep(d, "gamma", [0.1, 0.3, 0.2], ("nstar",))
 
 
+def test_sweep_refuses_an_unknown_mode_before_any_row(monkeypatch):
+    def no_run(*args):
+        raise AssertionError("a row was run")
+
+    monkeypatch.setattr(analysis, "_run_to_trajectory", no_run)
+    with pytest.raises(ValueError, match="^unknown mode 'drain'$"):
+        sk.sweep(sk.build_builtin("foraging"), "n0", [1, 2], ("T",),
+                 t_end=10, dt=0.5, counter="m", mode="drain", threshold=1.0)
+
+
 def test_sweep_completion_time_observable():
     table = sk.sweep(sk.build_builtin("foraging"), "n0", [1, 3, 10], ("T",),
                      t_end=1600, dt=0.25, counter="m", mode="deplete",

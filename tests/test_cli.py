@@ -461,6 +461,12 @@ _NON_FINITE = {
     "rate": ("state a = 2\nstate b = 0\nrate(a): a -> b\n"
              "rate(b + step(b - 2) * 1e308 * 10): b -> a\n",
              "rates must be finite in the configuration chain (got inf)"),
+    # the effect 0.5 sits a transition before the infinite rate: each
+    # engine checks every rate and their total before any jump's effects
+    "both": ("state a = 2\nstate b = 0\nenv m = 0\nrate(a): a -> b\n"
+             "rate(b): b -> a ; m += step(b - 2) * 0.5\n"
+             "rate(b + step(b - 2) * 1e308 * 10): b -> a\n",
+             "rates must be finite in the configuration chain (got inf)"),
 }
 
 
@@ -572,6 +578,20 @@ def test_sweep_refuses_an_unknown_observable_before_any_row(capsys,
                 "tau", "--from", "1", "--to", "2", "--sweep-steps", "2",
                 "--observables", "nstar,bogus", "--t-end", "1") == (
         1, "", "usage error: unknown observable 'bogus'\n")
+    # a column, a T counter or a T threshold every row would miss alike
+    sweep = ("sweep", "--model", "foraging", "--param", "n0", "--from", "1",
+             "--to", "2", "--sweep-steps", "2", "--t-end", "1")
+    for observables, extra, message in [
+            ("final:zz", (), "final:zz reads 'zz', not a state or counter"),
+            ("steady:zz", (), "steady:zz reads 'zz', not a state or counter"),
+            ("T", ("--counter", "zz", "--threshold", "1"),
+             "T reads 'zz', not a state or counter"),
+            ("T", ("--threshold", "1"),
+             "observable T needs a counter and a threshold"),
+            ("T", ("--counter", "m"),
+             "observable T needs a counter and a threshold")]:
+        assert _run(capsys, *sweep, "--observables", observables, *extra) \
+            == (1, "", f"usage error: {message}\n")
 
 
 def test_sweep_reports_failed_rows_on_stderr(capsys):

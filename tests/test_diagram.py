@@ -1,12 +1,10 @@
-"""Diagram validation, compilation, and the encounter-rate helper."""
-import math
+"""Diagram validation and compilation."""
 import re
 
 import numpy as np
 import pytest
 
-from swarmk.diagram import (compile_rhs, conserved_total, encounter_rate,
-                            validate_diagram)
+from swarmk.diagram import compile_rhs, validate_diagram
 from swarmk.errors import ModelError
 from swarmk.parser import parse_model
 
@@ -25,13 +23,6 @@ def test_validate_clean_model():
     report = validate_diagram(d)
     assert report.ok
     assert report.defects == []
-
-
-def test_conserved_total():
-    d = parse_model(TWO_STATE)
-    n0, names = conserved_total(d)
-    assert n0 == 10.0
-    assert names == ["a", "b"]
 
 
 def test_n0_binding_available_in_rates():
@@ -178,16 +169,6 @@ def test_gate_decides_once_per_instance_and_after_a_param_edit():
                "evaluate: division by zero")
     with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
         gate(d)
-
-
-def test_encounter_rate_formula():
-    v = encounter_rate(8.0, 14.0, 40.0)
-    assert v == pytest.approx(8.0 * 14.0 / (math.pi * 1600.0))
-    assert v == pytest.approx(0.022282, abs=1e-6)
-    with pytest.raises(ValueError):
-        encounter_rate(0.0, 14.0, 40.0)
-    with pytest.raises(ValueError):
-        encounter_rate(8.0, 14.0, -1.0)
 
 
 def test_env_effect_scales_with_flow():

@@ -110,7 +110,12 @@ _AT_B2 = "step(b - 2) * 1e308 * 10"
     (f"rate(b - {_AT_B2}): b -> a", r"\(got -inf\)$"),
     # max(0.0, nan) is 0.0: the NaN is caught before the clamp
     (f"rate(b + {_AT_B2} - {_AT_B2}): b -> a", r"\(got nan\)$"),
-], ids=["effect-inf", "rate-inf", "rate-minus-inf", "rate-nan"])
+    # at b = 2 the effect 0.5 comes a transition before the infinite rate:
+    # every rate and their total are checked before any jump's effects
+    ("rate(b): b -> a ; m += step(b - 2) * 0.5\n"
+     f"rate(b + {_AT_B2}): b -> a",
+     r"^rates must be finite in the configuration chain \(got inf\)$"),
+], ids=["effect-inf", "rate-inf", "rate-minus-inf", "rate-nan", "both"])
 def test_chain_engines_refuse_a_non_finite_rate_or_effect(transition,
                                                            message):
     d = sk.parse_model("state a = 2\nstate b = 0\nenv m = 0\n"
@@ -454,6 +459,40 @@ def test_generated_ssa_loop_matches_the_direct_method(name):
     assert events >= 100
 
 
+def _enumeration(diagram):
+    """Breadth-first enumeration over ``transition_table``, one call per
+    rate and effect: the reference for the generated chain's jump list."""
+    start = tuple(int(v) for _, v in (*diagram.states, *diagram.env_vars))
+    configs, index, jumps = [start], {start: 0}, []
+    for i, y in enumerate(configs):
+        row = [*map(float, y), 0.0]
+        for si, ti, fn, effects in transition_table(diagram):
+            rate = 0.0 if si != ti and y[si] < 1 else fn(row)
+            if rate > 0.0:
+                nxt = list(y)
+                if si != ti:
+                    nxt[si] -= 1
+                    nxt[ti] += 1
+                for ei, effect in effects:
+                    nxt[ei] += int(effect(row))
+                j = index.setdefault(tuple(nxt), len(configs))
+                if j == len(configs):
+                    configs.append(tuple(nxt))
+                jumps.append((i, j, rate))
+    return configs, index, jumps
+
+
+@pytest.mark.parametrize("name, params", [
+    ("foraging", {"n0": 5, "m0": 15}), ("stickpull-simple", {}),
+    ("stickpull-counts", {}), ("stickpull-simple-depletion", {})])
+def test_enumeration_lists_the_jumps_of_the_reference(name, params):
+    # same configurations, order and jumps, every rate bit for bit
+    d = sk.build_builtin(name, **params)
+    space = ConfigurationSpace.build(d)
+    assert (space.configs, space.index, space.jumps) == _enumeration(d)
+    assert space.size > 1
+
+
 def test_generated_ssa_loop_raises_what_the_direct_method_raises():
     # 1 / a fails mid-run, once every agent has left a
     d = sk.parse_model("state a = 3\nstate b = 0\n"
@@ -466,8 +505,8 @@ def test_generated_ssa_loop_raises_what_the_direct_method_raises():
 
 
 def test_ssa_loop_is_generated_on_the_first_run(monkeypatch):
-    # compiling the rate system does not make the event loop; the first
-    # run of a diagram instance does, and its other runs reuse it
+    # compiling the rate system does not make the chain; the first chain
+    # engine to run on a diagram instance does, and the others reuse it
     from swarmk import stochastic
 
     calls = []
@@ -476,14 +515,19 @@ def test_ssa_loop_is_generated_on_the_first_run(monkeypatch):
         calls.append(diagram)
         return generate(diagram)
 
-    generate = stochastic._generate_ssa
-    monkeypatch.setattr(stochastic, "_generate_ssa", counted)
+    generate = stochastic._generate_chain
+    monkeypatch.setattr(stochastic, "_generate_chain", counted)
     d = sk.build_builtin("stickpull-counts")
     sk.compile_rhs(d)
     assert calls == []
     for seed in range(3):
         sk.ssa_run(d, t_end=5.0, seed=seed)
     assert calls == [d]
+    d = sk.build_builtin("stickpull-counts", n0=3)
+    sk.master_exact(d, t_end=1.0)
+    for seed in range(3):
+        sk.ssa_run(d, t_end=5.0, seed=seed)
+    assert calls[1:] == [d]
 
 
 def test_ssa_zero_rates_constant_path():
