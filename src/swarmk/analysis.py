@@ -19,8 +19,6 @@ from .integrate import integrate, integrate_delayed, iterate_difference
 
 # the sweep observables read off the analytic steady state, not a run
 STEADY_NAMES = ("nstar", "R", "residual")
-QUADRATIC_RESIDUAL = 1e-12
-TRANSCENDENTAL_RESIDUAL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -250,11 +248,14 @@ def steady_state_of_trajectory(traj, name, window=0.1, tol=1e-5):
     return last
 
 
-def _steady_result(diagram):
-    """Analytic steady state of a stick-pulling diagram: the release-rate
-    model if it has ``gamma``, the gripping-timer model if it has ``tau``.
-    Its states, env counters and transitions must be those of that model's
-    shipped file; parameters may differ (a derived one is added, ...)."""
+def _steady(diagram):
+    """The analytic steady state of a stick-pulling diagram, the table that
+    ``steady`` prints and ``sweep`` reads: ``nstar``, ``R`` (the
+    collaboration rate at ``nstar``), ``residual`` and ``branch``.  The
+    release-rate model is solved if the diagram has ``gamma``, the
+    gripping-timer model if it has ``tau``.  Its states, env counters and
+    transitions must be those of that model's shipped file; parameters may
+    differ (a derived one is added, ...)."""
     p = diagram.params
     if "beta" not in p or "rg" not in p:
         raise ModelError("steady state needs a stick-pulling model with "
@@ -273,30 +274,14 @@ def _steady_result(diagram):
         raise ModelError(f"no closed-form steady state for {diagram.name}: "
                          f"its states, counters or transitions differ from "
                          f"{name}")
-    return solve(p["beta"], p[key], p["rg"])
+    res = solve(p["beta"], p[key], p["rg"])
+    return {"nstar": res.n, "R": collaboration_rate(res.n, p["beta"], p["rg"]),
+            "residual": res.residual, "branch": res.branch}
 
 
-def _steady_observables(diagram, want):
-    """Analytic steady-state observables for the stick-pulling diagrams."""
-    res = _steady_result(diagram)
-    out = []
-    for name in want:
-        if name == "nstar":
-            out.append(res.n)
-        elif name == "R":
-            out.append(collaboration_rate(res.n, diagram.params["beta"],
-                                          diagram.params["rg"]))
-        elif name == "residual":
-            out.append(res.residual)
-        elif name == "branch":
-            out.append(res.branch)
-        else:
-            raise ValueError(f"unknown steady observable {name!r}")
-    return tuple(out)
-
-
-def _run_to_trajectory(diagram, t_end, dt, k_steps=None):
-    """Run the diagram; a difference run takes k_steps, else t_end, steps."""
+def _run_to_trajectory(diagram, t_end, dt):
+    """Run the diagram to ``t_end`` in steps ``dt``; a difference diagram
+    takes ``t_end`` whole steps (and refuses a ``t_end`` between two)."""
     from .diagram import compile_rhs
 
     system = compile_rhs(diagram)
@@ -304,26 +289,26 @@ def _run_to_trajectory(diagram, t_end, dt, k_steps=None):
         return integrate(system, t_end=t_end, dt=dt)
     if system.flavor == "dde":
         return integrate_delayed(system, t_end=t_end, dt=dt)
-    if k_steps is None:
-        k_steps = t_end  # the run refuses a t_end between whole steps
-    return iterate_difference(system, k_steps=k_steps)
+    return iterate_difference(system, k_steps=t_end)
 
 
 def sweep(model, param, grid, observables=("nstar", "R"), *, t_end=100.0,
-          dt=0.01, k_steps=None, counter=None, mode="deplete", threshold=None):
+          dt=0.01, counter=None, mode="deplete", threshold=None):
     """Evaluate observables over a parameter grid.
 
     Each row sets the swept parameter of the StateDiagram ``model`` with
     ``with_params``.  ``nstar``, ``R`` and ``residual`` read the analytic
-    steady state of the stick-pulling models; ``T`` integrates the model
-    and interpolates the crossing time of ``counter`` (``deplete``/
-    ``reach`` at ``threshold``); ``steady:<col>`` averages a settled
-    trajectory column and ``final:<col>`` reads its last value.  Before
-    any row, a ValueError refuses any other observable, a column or counter
-    that is not a state or env counter, and ``T`` without a counter and a
-    threshold or with another mode.  A difference model runs ``k_steps`` steps,
-    else ``t_end``.  A failed row keeps its error message; a StepGridError
-    (``t_end`` off the ``dt`` grid, ...) fails the sweep at once.
+    steady state of the stick-pulling models (``_steady``); the others read
+    one run of the model to ``t_end`` (``_run_to_trajectory``): ``T``
+    interpolates the crossing time of ``counter`` (``deplete``/``reach`` at
+    ``threshold``), ``steady:<col>`` averages a settled column and
+    ``final:<col>`` reads its last value.  Before any row, each observable
+    is decided once, into its reader: a ValueError refuses any other
+    observable, a column or counter that is not a state or env counter, and
+    ``T`` without a counter and a threshold or with another mode; then a
+    ModelError refuses a ``param`` that is not a parameter of ``model``.  A
+    failed row keeps its error message; a StepGridError (``t_end`` off the
+    ``dt`` grid, ...) fails the sweep at once.
     """
     grid = tuple(float(v) for v in grid)
     if not grid:
@@ -334,45 +319,45 @@ def sweep(model, param, grid, observables=("nstar", "R"), *, t_end=100.0,
     observables = tuple(observables)
     # every row reads the same columns: refuse a bad one before any row
     columns = (*model.state_names, *model.env_names)
+    analytic, readers = False, {}  # trajectory observable -> its reader
     for o in observables:
+        kind, colon, name = o.partition(":")
         if o == "T":
             if counter is None or threshold is None:
                 raise ValueError("observable T needs a counter and a threshold")
             if mode not in ("deplete", "reach"):
                 raise ValueError(f"unknown mode {mode!r}")
             name = counter
-        elif o.startswith(("steady:", "final:")):
-            name = o.partition(":")[2]
+            # completion_time is looked up per row, where perfbench traces it
+            readers[o] = lambda traj: completion_time(traj, counter, mode,
+                                                      threshold)
+        elif colon and kind == "steady":
+            readers[o] = lambda traj, c=name: \
+                steady_state_of_trajectory(traj, c)
+        elif colon and kind == "final":
+            readers[o] = lambda traj, c=name: traj.final()[c]
         elif o in STEADY_NAMES:
+            analytic = True
             continue
         else:
             raise ValueError(f"unknown observable {o!r}")
         if name not in columns:
             raise ValueError(f"{o} reads {name!r}, not a state or counter")
+    if param not in model.params:
+        raise ModelError(f"unknown parameter(s): {param}")
 
     provenance = {"model": model.name, "params": dict(model.params),
                   "observables": list(observables)}
 
-    steady_names = [o for o in observables if o in STEADY_NAMES]
     rows, errors = [], []
     for value in grid:
         try:
             d = model.with_params(**{param: value})
-            row = {}
-            if steady_names:
-                vals = _steady_observables(d, steady_names)
-                row.update(zip(steady_names, vals))
-            needs_traj = [o for o in observables if o not in row]
-            if needs_traj:
-                traj = _run_to_trajectory(d, t_end, dt, k_steps)
-                for o in needs_traj:
-                    if o == "T":
-                        row[o] = completion_time(traj, counter, mode, threshold)
-                    elif o.startswith("steady:"):
-                        row[o] = steady_state_of_trajectory(traj, o[7:])
-                    else:
-                        row[o] = traj.final()[o[6:]]
-            rows.append(tuple(row[o] for o in observables))
+            got = _steady(d) if analytic else {}
+            if readers:
+                traj = _run_to_trajectory(d, t_end, dt)
+                got.update((o, read(traj)) for o, read in readers.items())
+            rows.append(tuple(got[o] for o in observables))
             errors.append(None)
         except StepGridError:
             raise  # every integrated row would fail alike

@@ -44,8 +44,12 @@ def _load_model(name, overrides):
         raise _UsageError("--model is required")
     if name in models.BUILTIN_NAMES:
         return models.build_builtin(name, **overrides)
-    if os.path.exists(name):
-        return parse_file(name).with_params(**overrides)
+    if os.path.isfile(name):
+        try:
+            diagram = parse_file(name)
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ModelError(f"cannot read {name!r}: {exc}") from None
+        return diagram.with_params(**overrides)
     raise ModelError(f"unknown model {name!r}: not a built-in "
                      f"({', '.join(models.BUILTIN_NAMES)}) and not a file")
 
@@ -182,7 +186,8 @@ def _build_parser():
 def _load_stepped(args, analytic=False):
     """The model of ``run``/``sweep``; ``--steps`` needs a synchronous one,
     ``--dt`` any other, a sweep of ``analytic`` observables none of the
-    time options, and an unset ``--dt`` is 0.01, ``--t-end`` 10."""
+    time options.  ``--steps N`` sets ``t_end`` to N (a synchronous run's
+    length is its step count); an unset ``--dt`` is 0.01, ``--t-end`` 10."""
     diagram = _load_model(args.model, _parse_overrides(args.set))
     given = [name for name, v in (("--dt", args.dt), ("--t-end", args.t_end),
                                   ("--steps", args.steps)) if v is not None]
@@ -194,6 +199,8 @@ def _load_stepped(args, analytic=False):
     if args.dt is not None and diagram.discrete:
         raise _UsageError("--dt applies only to a non-synchronous model; "
                           "a synchronous one takes whole steps")
+    if args.steps is not None:
+        args.t_end = args.steps
     args.dt = 0.01 if args.dt is None else args.dt
     args.t_end = 10.0 if args.t_end is None else args.t_end
     return diagram
@@ -201,23 +208,20 @@ def _load_stepped(args, analytic=False):
 
 def _cmd_run(args):
     diagram = _load_stepped(args)
-    _emit_traj(analysis._run_to_trajectory(diagram, args.t_end, args.dt,
-                                           args.steps), args)
+    _emit_traj(analysis._run_to_trajectory(diagram, args.t_end, args.dt),
+               args)
     return EXIT_OK
 
 
 def _cmd_steady(args):
-    diagram = _load_model(args.model, _parse_overrides(args.set))
-    n, branch, residual, r = analysis._steady_observables(
-        diagram, ("nstar", "branch", "residual", "R"))
+    s = analysis._steady(_load_model(args.model, _parse_overrides(args.set)))
+    shown = {"n": s["nstar"], "branch": s["branch"],
+             "residual": s["residual"], "R": s["R"]}
     if args.format == "json":
-        _emit(json.dumps({"n": n, "branch": branch,
-                          "residual": residual, "R": r}, indent=2) + "\n",
-              args.out)
+        _emit(json.dumps(shown, indent=2) + "\n", args.out)
     else:
-        _emit(f"n={_fmt_float(n)}\nbranch={branch}\n"
-              f"residual={_fmt_float(residual)}\nR={_fmt_float(r)}\n",
-              args.out)
+        _emit("".join(f"{k}={v if k == 'branch' else _fmt_float(v)}\n"
+                      for k, v in shown.items()), args.out)
     return EXIT_OK
 
 
@@ -231,7 +235,7 @@ def _cmd_sweep(args):
                           <= set(analysis.STEADY_NAMES))
     grid = np.linspace(args.lo, args.hi, args.npts)
     table = analysis.sweep(model, args.param, grid, observables,
-                           t_end=args.t_end, dt=args.dt, k_steps=args.steps,
+                           t_end=args.t_end, dt=args.dt,
                            counter=args.counter, mode=args.mode,
                            threshold=args.threshold)
     for v, err in zip(table.grid, table.errors):

@@ -41,9 +41,9 @@ class StepGridError(ValueError):
 
 
 class NonFinite(IntegrationError):
-    def __init__(self, t, detail=""):
+    def __init__(self, t):
         self.t = t
-        super().__init__(f"non-finite value at t={t!r} {detail}".rstrip())
+        super().__init__(f"non-finite value at t={t!r}")
 
 
 class ConservationDrift(IntegrationError):

@@ -295,10 +295,10 @@ def test_sweep_rows_refuse_a_depletion_model():
 
 
 def test_sweep_propagates_programming_errors(monkeypatch):
-    def broken(diagram, want):
+    def broken(diagram):
         raise TypeError("observable bug")
 
-    monkeypatch.setattr(analysis, "_steady_observables", broken)
+    monkeypatch.setattr(analysis, "_steady", broken)
     with pytest.raises(TypeError):
         sk.sweep(sk.build_builtin("stickpull-simple"), "gamma", [0.1, 0.2],
                  ("nstar",))
@@ -320,6 +320,62 @@ def test_sweep_refuses_an_unknown_mode_before_any_row(monkeypatch):
     with pytest.raises(ValueError, match="^unknown mode 'drain'$"):
         sk.sweep(sk.build_builtin("foraging"), "n0", [1, 2], ("T",),
                  t_end=10, dt=0.5, counter="m", mode="drain", threshold=1.0)
+
+
+def test_sweep_refuses_a_name_that_is_not_a_parameter(monkeypatch):
+    def no_run(*args):
+        raise AssertionError("a row was run")
+
+    monkeypatch.setattr(analysis, "_run_to_trajectory", no_run)
+    monkeypatch.setattr(analysis, "_steady", no_run)
+    d = sk.build_builtin("stickpull-simple")
+    for name in ("gama", "s", "m"):  # a misspelling, a state, a counter
+        with pytest.raises(sk.ModelError,
+                           match=rf"^unknown parameter\(s\): {name}$"):
+            sk.sweep(d, name, [0.1, 0.2], ("nstar",))
+
+
+def test_sweep_sweeps_a_derived_parameter():
+    # foraging's tau is derived from n0; a sweep pins it row by row
+    table = sk.sweep(sk.build_builtin("foraging"), "tau", [3.0, 4.0],
+                     ("final:m",), t_end=10, dt=0.5)
+    assert table.errors == (None, None)
+    assert table.rows[0] != table.rows[1]
+
+
+def test_sweep_trajectory_readers_match_direct_reads():
+    d = sk.build_builtin("foraging")
+    table = sk.sweep(d, "n0", [3], ("T", "steady:s", "final:m"),
+                     t_end=1600, dt=0.5, counter="m", threshold=1.0)
+    traj = sk.integrate(sk.compile_rhs(d.with_params(n0=3)), t_end=1600,
+                        dt=0.5)
+    assert table.errors == (None,)
+    assert table.rows[0] == (
+        sk.completion_time(traj, "m", "deplete", 1.0),
+        analysis.steady_state_of_trajectory(traj, "s"), traj.final()["m"])
+
+
+@pytest.mark.parametrize("name, param, value, solve", [
+    ("stickpull-simple", "gamma", 0.3, sk.steady_state_simple),
+    ("stickpull-delayed", "tau", 7.0, sk.steady_state_delayed)])
+def test_sweep_steady_observables_match_the_closed_forms(name, param, value,
+                                                         solve):
+    d = sk.build_builtin(name)
+    table = sk.sweep(d, param, [value], ("nstar", "R", "residual"))
+    beta, rg = d.params["beta"], d.params["rg"]
+    res = solve(beta, value, rg)
+    assert table.rows[0] == (res.n, sk.collaboration_rate(res.n, beta, rg),
+                             res.residual)
+
+
+def test_sweep_of_a_difference_model_runs_t_end_steps():
+    d = sk.build_builtin("collab-difference")
+    table = sk.sweep(d, "n0", [6], [f"final:{c}" for c in
+                                    (*d.state_names, *d.env_names)],
+                     t_end=300)
+    last = sk.iterate_difference(sk.compile_rhs(d.with_params(n0=6)),
+                                 k_steps=300).data[-1]
+    assert table.rows[0] == tuple(last)
 
 
 def test_sweep_completion_time_observable():

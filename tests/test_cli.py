@@ -223,6 +223,20 @@ def test_unknown_model_exit_2(capsys):
     assert "unknown model" in err
 
 
+def test_unreadable_model_path_exit_2(capsys, tmp_path):
+    # a directory is not a model file
+    assert _run(capsys, "run", "--model", str(tmp_path), "--t-end", "1") == (
+        2, "", f"model error: unknown model {str(tmp_path)!r}: not a "
+               f"built-in ({', '.join(models.BUILTIN_NAMES)}) and not a file\n")
+    # a file that is not UTF-8 text: named, not a usage error
+    f = tmp_path / "bytes.mas"
+    f.write_bytes(b"\xff\xfe")
+    code, out, err = _run(capsys, "run", "--model", str(f), "--t-end", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"model error: cannot read {str(f)!r}: 'utf-8' "
+                          "codec can't decode byte 0xff")
+
+
 def test_unknown_override_exit_2(capsys):
     code, _, err = _run(capsys, "run", "--model", "stickpull-simple",
                         "--set", "zz=1")
@@ -573,11 +587,18 @@ def test_sweep_refuses_an_unknown_observable_before_any_row(capsys,
         raise AssertionError("a row was run")
 
     monkeypatch.setattr(analysis, "_run_to_trajectory", no_run)
-    monkeypatch.setattr(analysis, "_steady_observables", no_run)
+    monkeypatch.setattr(analysis, "_steady", no_run)
     assert _run(capsys, "sweep", "--model", "stickpull-delayed", "--param",
                 "tau", "--from", "1", "--to", "2", "--sweep-steps", "2",
                 "--observables", "nstar,bogus", "--t-end", "1") == (
         1, "", "usage error: unknown observable 'bogus'\n")
+    # a swept name that is not a parameter (a misspelling, a state): the
+    # model error --set gives, not a failure of every row
+    for name in ("gama", "s"):
+        assert _run(capsys, "sweep", "--model", "stickpull-simple",
+                    "--param", name, "--from", "0.1", "--to", "0.2",
+                    "--sweep-steps", "2") == (
+            2, "", f"model error: unknown parameter(s): {name}\n")
     # a column, a T counter or a T threshold every row would miss alike
     sweep = ("sweep", "--model", "foraging", "--param", "n0", "--from", "1",
              "--to", "2", "--sweep-steps", "2", "--t-end", "1")
