@@ -535,6 +535,26 @@ _OUTPUT_DIGESTS = {
     ("compare", "--model", "foraging", "--set", "n0=3", "--set", "m0=6",
      "--t-end", "5", "--runs", "50", "--seed", "3"):
         "eb650227a44201c049cc3cc4e7b3332ea23b54ff97bf3d2f185747ff0c8562d8",
+    # parameters and N0 as run-time names, not folded literals: an ODE at
+    # a set n0, a DDE at set tau and beta, a synchronous sweep over n0, the
+    # exact chain at set counts and an analytic sweep over gamma
+    ("run", "--model", "foraging", "--set", "n0=7", "--t-end", "100",
+     "--dt", "0.5"):
+        "95f9d0858ff6d92d329698335de90d862da2501b66c31028337376850ca6f803",
+    ("run", "--model", "stickpull-delayed", "--set", "tau=2", "--set",
+     "beta=0.8", "--t-end", "20"):
+        "97921cd4f3e01edb32b6f806db1472851b1b1672e0ef0a807c9b7fbfd1f6cc71",
+    ("sweep", "--model", "collab-difference", "--param", "n0", "--from", "4",
+     "--to", "8", "--sweep-steps", "3", "--observables", "final:s",
+     "--steps", "50"):
+        "9ca7e120f2d9c6b3a0dc2259045a1c0745b94c8f6ec53c9755fcc82705e3c44f",
+    ("exact", "--model", "foraging", "--set", "n0=3", "--set", "m0=6",
+     "--t-end", "5"):
+        "4757811446fb03ff5f6aa56db359d15eae4bae08a6a1c2b1ff6a2fdf2d7658c8",
+    ("sweep", "--model", "stickpull-simple", "--param", "gamma", "--from",
+     "0.1", "--to", "2", "--sweep-steps", "20", "--observables",
+     "nstar,R,residual"):
+        "733b10aacce68c124ea1c6bd5cf5040afb2f2047bd69257df68ba580cdf98539",
 }
 
 
