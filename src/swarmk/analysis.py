@@ -81,6 +81,8 @@ def steady_state_simple(beta, gamma, r_g):
         # for large gamma (n -> 1) and for small gamma with a > 1
         b = 1.0 + gamma - a
         disc = math.sqrt(b * b + 4.0 * a * gamma)
+        if not math.isfinite(disc):  # b * b overflows: the scaled form
+            disc = math.hypot(b, 2.0 * math.sqrt(a * gamma))
         if b > 0.0:
             n = 2.0 * gamma / (b + disc)
         else:

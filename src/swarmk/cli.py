@@ -6,6 +6,8 @@ Exit codes: 0 success, 1 usage error, 2 model error (parse/validation),
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
 import os
 import sys
@@ -26,6 +28,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_MODEL = 2
 EXIT_NUMERIC = 3
+CSV_BLOCK = 4096  # rows per block of CSV text written out
 
 
 class _UsageError(Exception):
@@ -74,21 +77,23 @@ def _fmt_float(v):
     return repr(float(v))
 
 
-def _emit(text, out):
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _emit(chunks, out):
+    """Write the text ``chunks`` (or one string) to ``out`` or stdout."""
+    with open(out, "w", encoding="utf-8") if out else \
+            contextlib.nullcontext(sys.stdout) as fh:
+        fh.writelines([chunks] if isinstance(chunks, str) else chunks)
 
 
 def _csv(header, rows, cell=repr):
-    """CSV text: the header line, then one line per row, each value written
-    by ``cell``.  A float array goes in as ``map(np.ndarray.tolist, a)``:
-    row by row, a whole-array ``tolist`` would hold every value at once."""
-    lines = [",".join(header)]
-    lines += [",".join(map(cell, row)) for row in rows]
-    return "\n".join(lines) + "\n"
+    """CSV text in blocks of CSV_BLOCK rows: the header line, then one line
+    per row, each value written by ``cell``.  A float array goes in as
+    ``map(np.ndarray.tolist, a)``: row by row, a whole-array ``tolist``
+    would hold every value at once, as joining every line would."""
+    yield ",".join(header) + "\n"
+    rows = iter(rows)
+    while block := [",".join(map(cell, row))
+                    for row in itertools.islice(rows, CSV_BLOCK)]:
+        yield "\n".join(block) + "\n"
 
 
 def _emit_traj(traj, args):

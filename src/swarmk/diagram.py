@@ -8,6 +8,7 @@ Environment counters evolve only through declared per-flow effects.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from array import array
 from dataclasses import dataclass, field, replace
@@ -16,7 +17,7 @@ import numpy as np
 
 from .errors import (ConservationDrift, EvalError, ModelError,
                      NegativePopulation, NonFinite)
-from .expr import (Neg, Source, delay_windows, eval_expr, format_number,
+from .expr import (Name, Neg, Source, delay_windows, format_number,
                    free_names, has_history_terms, unparse)
 
 
@@ -47,6 +48,9 @@ class StateDiagram:
     # param name -> (lo, hi, brackets): the values it may take, e.g.
     # (0.0, 1.0, "(]") for ``in (0, 1]``; with_params refuses the others
     domains: dict = field(default_factory=dict)
+    # structure key -> the code generated for that structure (``_shared``),
+    # one dict for the diagram and every copy ``replace`` makes of it
+    _programs: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def n0(self):
@@ -87,7 +91,7 @@ class StateDiagram:
         inits = dict(self.states + self.env_vars)
         for name, e in derived:
             try:
-                v = eval_expr(e, params)
+                v = _param_function(self, e)(tuple(params.values()))
             except EvalError as exc:
                 raise ValueError(f"{name} cannot be evaluated: {exc}") from None
             v = check_param(name, v, self.domains.get(name))
@@ -159,50 +163,8 @@ N_SAMPLES = 64  # sampled points per transition, after the initial one
 
 def validate_diagram(diagram):
     """Check a diagram for defects.  Defects are data, not exceptions."""
-    defects = []
-    state_names = diagram.state_names
-    env_names = diagram.env_names
-
-    # name uniqueness and disjointness
-    all_names = state_names + env_names + list(diagram.params)
-    dupes = {n for n in all_names if all_names.count(n) > 1}
-    for n in sorted(dupes):
-        defects.append(f"duplicate name {n}")
-    for n in all_names:
-        if n in ("t", "N0"):
-            defects.append(f"reserved name {n} used as a declaration")
-
-    for n, v in diagram.states:
-        if v < 0:
-            defects.append(f"negative initial count for state {n}")
-
-    known = set(all_names) | {"t", "N0"}
-    for tr in diagram.transitions:
-        for endpoint in (tr.source, tr.target):
-            if endpoint not in state_names:
-                defects.append(f"unknown state {endpoint}")
-        for n, _ in tr.env_effects:
-            if n not in env_names:
-                defects.append(f"unknown env var {n}")
-        for e in tr.exprs:
-            for ident in sorted(free_names(e) - known):
-                defects.append(f"unknown identifier {ident}")
-        # delay bounds must be computable from params alone
-        for w in (w for e in tr.exprs for w in delay_windows(e)):
-            bad = free_names(w) - set(diagram.params)
-            if bad:
-                defects.append(
-                    "delay bound depends on non-parameter name(s): "
-                    + ", ".join(sorted(bad)))
-            else:
-                try:
-                    wv = eval_expr(w, diagram.base_bindings())
-                except EvalError as exc:
-                    defects.append(f"delay bound not evaluable: {exc}")
-                    continue
-                if not (math.isfinite(wv) and wv >= 0):
-                    defects.append(f"delay bound {unparse(w)} = {wv!r} is invalid")
-
+    defects = [d for c in _shared(diagram, "_structure", _structure)[0]
+               for d in ([c] if isinstance(c, str) else c(diagram))]
     if defects:
         return ValidationReport(defects)
 
@@ -217,8 +179,9 @@ def validate_diagram(diagram):
     # each until its rate or an effect fails or it has N_SAMPLES.
     from .integrate import HistoryAccessor
 
-    times, sampled = _samples(diagram, len(diagram.transitions) * N_SAMPLES)
-    taken = 0
+    times, simplex = _shared(diagram, "_samples", _samples)
+    stream = zip(times, (simplex * diagram.n0).tolist())
+    first = (0.0, [float(v) for _, v in diagram.states])
     env0 = [float(v) for _, v in diagram.env_vars]
     for tr, (_, _, fn, effects) in zip(diagram.transitions,
                                        transition_table(diagram)):
@@ -227,12 +190,8 @@ def validate_diagram(diagram):
             (f"env effect {effect_source(n, e)} of {rate}", efn)
             for (n, e), (_, efn) in zip(tr.env_effects, effects)]
         delayed = any(map(has_history_terms, tr.exprs))
-        for sample in range(N_SAMPLES + 1):
-            if sample == 0:
-                t, counts = 0.0, [float(v) for _, v in diagram.states]
-            else:
-                t, counts = times[taken], sampled[taken]
-                taken += 1
+        for sample, (t, counts) in enumerate(itertools.chain(
+                [first], itertools.islice(stream, N_SAMPLES))):
             row = counts + env0
             history = HistoryAccessor(t, 1.0, np.array([row])) \
                 if delayed else None
@@ -262,29 +221,66 @@ def effect_source(name, e):
     return f"{name} += {unparse(e)}"
 
 
-def _samples(diagram, n):
-    """``n`` sample times in [0, 10) and state rows on the simplex of the
-    conserved total, as lists.  Each sample is one uniform draw for the
-    time, then one per state, scaled to sum to N0 (the same values as
-    drawing them one call at a time)."""
-    u = np.random.default_rng(_RNG_SEED).random((n, len(diagram.states) + 1))
+def _structure(diagram):
+    """``(checks, delay bounds, reads t)``, once per structure: ``checks``
+    are the structural defects in report order and, in their places, the
+    checks of a diagram's values, ``check(diagram) -> defects``."""
+    state_names, env_names = diagram.state_names, diagram.env_names
+    # name uniqueness and disjointness
+    all_names = state_names + env_names + list(diagram.params)
+    checks = [f"duplicate name {n}" for n in
+              sorted({n for n in all_names if all_names.count(n) > 1})]
+    checks += [f"reserved name {n} used as a declaration"
+               for n in all_names if n in ("t", "N0")]
+    checks.append(lambda d: [f"negative initial count for state {n}"
+                             for n, v in d.states if v < 0])
+    known = set(all_names) | {"t", "N0"}
+    for tr in diagram.transitions:
+        checks += [f"unknown state {n}" for n in (tr.source, tr.target)
+                   if n not in state_names]
+        checks += [f"unknown env var {n}" for n, _ in tr.env_effects
+                   if n not in env_names]
+        checks += [f"unknown identifier {ident}" for e in tr.exprs
+                   for ident in sorted(free_names(e) - known)]
+        # delay bounds must be computable from params alone
+        for w in (w for e in tr.exprs for w in delay_windows(e)):
+            bad = free_names(w) - set(diagram.params)
+            checks.append("delay bound depends on non-parameter name(s): "
+                          + ", ".join(sorted(bad)) if bad
+                          else lambda d, w=w: _bound_defects(d, w))
+    exprs = [e for tr in diagram.transitions for e in tr.exprs]
+    return (checks, tuple(w for e in exprs for w in delay_windows(e)),
+            any("t" in free_names(e) for e in exprs))
+
+
+def _bound_defects(diagram, w):
+    """The defect of the delay bound ``w`` at the diagram's parameters."""
+    try:
+        wv = _param_function(diagram, w)(tuple(diagram.params.values()))
+    except EvalError as exc:
+        return [f"delay bound not evaluable: {exc}"]
+    return [] if math.isfinite(wv) and wv >= 0 else [
+        f"delay bound {unparse(w)} = {wv!r} is invalid"]
+
+
+def _samples(diagram):
+    """``N_SAMPLES`` times per transition in [0, 10) and state rows on the
+    unit simplex, drawn once per structure: per sample one uniform draw for
+    the time, then one per state, divided by their sum."""
+    u = np.random.default_rng(_RNG_SEED).random(
+        (len(diagram.transitions) * N_SAMPLES, len(diagram.states) + 1))
     counts = u[:, 1:].copy()
     total = counts.sum(axis=1)
     pos = total > 0
-    counts[pos] = counts[pos] / total[pos, None] * diagram.n0
-    return (0.0 + 10.0 * u[:, 0]).tolist(), counts.tolist()
+    counts[pos] = counts[pos] / total[pos, None]
+    return (0.0 + 10.0 * u[:, 0]).tolist(), counts
 
 
 def transition_table(diagram):
-    """The diagram's transitions compiled once, one row per transition:
-    ``(source index, target index, rate fn, ((env index, effect fn), ...))``.
-
-    Each function is ``fn(row, history=None)`` over the evaluation row:
-    the occupation row (states, then env counters) followed by the time
-    ``t``.  The validation sampler reads this table; the mean-field
-    ``rhs``, the integrators' step and the configuration chain inline the
-    same expressions from the kernel's Source.
-    """
+    """One row per transition, ``(source index, target index, rate fn,
+    ((env index, effect fn), ...))``, each ``fn(row, history=None)`` over
+    the evaluation row (states, env counters, then ``t``).  Validation
+    samples it; ``rhs``, the step and the chain inline its expressions."""
     return rate_kernel(diagram)[1]
 
 
@@ -300,16 +296,46 @@ def _kept(diagram, attr, make):
     return value
 
 
+def _shared(diagram, attr, make):
+    """``make(diagram)``, computed once per structure for the diagram and
+    the copies ``replace`` makes of it (``with_params``, ...).  The
+    structure is the state, env and parameter names, ``discrete`` and the
+    transitions by identity: trees equal but for a signed zero differ."""
+    key = (id(diagram.transitions), *diagram.state_names, None,
+           *diagram.env_names, None, *diagram.params, diagram.discrete)
+    # holding the transitions keeps their id from being reused
+    slot = diagram._programs.setdefault(key, {"": diagram.transitions})
+    if attr not in slot:
+        slot[attr] = make(diagram)
+    return slot[attr]
+
+
+def _values(diagram):
+    """The tuple the generated code binds: the parameters, then N0."""
+    return (*diagram.params.values(), diagram.n0)
+
+
+def _param_function(diagram, e):
+    """``fn(p)``: ``e`` at the parameter values ``p``, in ``params`` order,
+    generated once per structure and tree (by identity, held with it)."""
+    def make(d):
+        src = Source(d.params, {})
+        return e, src.compile(src.value(e))
+    return _shared(diagram, id(e), make)[1]
+
+
 def rate_kernel(diagram):
-    """``(rhs, transition table)`` of a structurally valid diagram,
-    generated and compiled once per diagram instance."""
-    return _kept(diagram, "_rate_kernel", _generate_kernel)[:2]
+    """``(rhs, transition table)`` of a structurally valid diagram: its
+    structure's kernel bound to its parameters and N0 once per instance,
+    so ``rhs`` is one object per instance."""
+    return _kept(diagram, "_rate_kernel", lambda d: _shared(
+        d, "_kernel", _generate_kernel)[0](_values(d)))
 
 
 def _kernel_source(diagram):
-    """``(Source, (name, tree) pairs, component sums)`` kept with the
-    diagram's rate kernel, for the code generated from it."""
-    return _kept(diagram, "_rate_kernel", _generate_kernel)[2]
+    """``(parameter names, slots, (name, tree) pairs, component sums)`` of
+    the diagram's structure's kernel, for the code generated from it."""
+    return _shared(diagram, "_kernel", _generate_kernel)[1]
 
 
 def gate(diagram):
@@ -324,55 +350,56 @@ def _open_gate(diagram):
     report = validate_diagram(diagram)
     if not report.ok:
         raise ModelError("invalid diagram: " + "; ".join(report.defects))
-    exprs = [e for tr in diagram.transitions for e in tr.exprs]
-    base = diagram.base_bindings()
-    delays = tuple(eval_expr(w, base) for e in exprs for w in delay_windows(e))
+    _, windows, reads_t = _shared(diagram, "_structure", _structure)
+    p = tuple(diagram.params.values())
+    delays = tuple(_param_function(diagram, w)(p) for w in windows)
     flavor = "difference" if diagram.discrete else "dde" if delays else "ode"
-    return flavor, delays, any("t" in free_names(e) for e in exprs)
+    return flavor, delays, reads_t
 
 
 def _generate_kernel(diagram):
-    """Generate the Python source of the diagram's rates and compile it.
+    """Generate the Python source of the diagram's rates and compile it,
+    once per structure, into ``bind``: ``bind(_values(diagram))`` gives
+    ``(rhs, transition table)``.
 
-    Names are bound here: states and env counters are slots of the
-    evaluation row (``t`` last), parameters and N0 are folded in as
-    constants.  ``rhs(t, y, history=None)`` computes, transition by
-    transition, the flow ``f{k}`` and then the env effects ``e{k}_{j}``,
-    one line each, then each component as a sum from 0.0 in transition
-    order: minus the flow at the source, plus the flow at the target, plus
-    effect times flow at an env counter.  Under the same names the source
-    also defines one function per rate and effect, for the transition table.
-    The names, trees and sums are kept with the source, for ``_generate_step``.
-    """
+    States and env counters are slots of the evaluation row (``t`` last);
+    parameters and N0 are names.  ``rhs(t, y, history=None)`` computes,
+    transition by transition, the flow ``f{k}`` and then the env effects
+    ``e{k}_{j}``, one line each, then each component as a sum from 0.0 in
+    transition order: minus the flow at the source, plus the flow at the
+    target, plus effect times flow at an env counter.  Under the same names
+    the source also defines one function per rate and effect, for the
+    transition table.  The names, slots, trees and sums are kept, for
+    ``_generate_step`` and the chain."""
     states = {n: i for i, n in enumerate(diagram.state_names)}
     env = {n: i for i, n in enumerate(diagram.env_names, len(states))}
     slots = {"t": len(states) + len(env), **states, **env}
-    src = Source(diagram.base_bindings(), slots)
+    names = [*diagram.params, "N0"]
+    src = Source(names, slots)
     exprs = []  # (flow or effect name, tree), in transition order
     # per component, its signed terms in transition order
     terms = [[] for _ in range(len(states) + len(env))]
-    rows = []  # (source, target, rate name, ((env index, effect name), ...))
+    table = []  # (source, target, rate, ((env index, effect), ...)) source
     for k, tr in enumerate(diagram.transitions):
         si, ti = states[tr.source], states[tr.target]
-        names = [f"f{k}", *(f"e{k}_{j}" for j in range(len(tr.env_effects)))]
-        exprs += zip(names, tr.exprs)
+        flow = [f"f{k}", *(f"e{k}_{j}" for j in range(len(tr.env_effects)))]
+        exprs += zip(flow, tr.exprs)
         if si != ti:
             terms[si].append(f" - f{k}")
             terms[ti].append(f" + f{k}")
-        effects = [(env[n], e) for (n, _), e in zip(tr.env_effects, names[1:])]
+        effects = [(env[n], e) for (n, _), e in zip(tr.env_effects, flow[1:])]
         for ei, e in effects:
             terms[ei].append(f" + {e} * f{k}")
-        rows.append((si, ti, f"f{k}", effects))
+        fx = "".join(f"({ei}, {e}), " for ei, e in effects)
+        table.append(f"({si}, {ti}, f{k}, ({fx})), ")
     sums = ["0.0" + "".join(ts) for ts in terms]
     flows = [f"    {n} = {src.function(n, e)}" for n, e in exprs]
     src.env["_array"] = np.array
     src.lines += ["def rhs(t, y, h=None):", "    r = y.tolist()",
                   "    r.append(t)", *flows,
                   f"    return _array([{', '.join(sums)}])"]
-    ns = src.compile()
-    table = tuple((si, ti, ns[rate], tuple((ei, ns[e]) for ei, e in effects))
-                  for si, ti, rate, effects in rows)
-    return ns["rhs"], table, (src, exprs, sums)
+    return (src.compile(f"rhs, ({''.join(table)})"),
+            (names, slots, exprs, sums))
 
 
 class _Indexed(Source):
@@ -384,8 +411,8 @@ class _Indexed(Source):
     or not.  ``run`` gets the lines run once a run: lags in steps, and each
     integrand's arrays and ``{name}x(k)``, which extends them to row k."""
 
-    def __init__(self, consts, slots, discrete):
-        super().__init__(consts, slots)
+    def __init__(self, names, slots, discrete):
+        super().__init__(names, slots)
         self.width, self.discrete = slots["t"], discrete
         self.at, self.run, self._names = ("k", False, False), [], {}
 
@@ -445,22 +472,22 @@ class _Indexed(Source):
                 f"; {n}c.append({n}c[k - 1] + {add} if k else 0.0); return True"]
 
 
-def _generate_step(diagram, history, budget, floor, through=False):
-    """Generate ``make(m, dt, h=None, _f=None)``, which gives a run its
-    ``step(k, y)``: the list ``y`` at ``t = k * dt`` one step on, over
-    Python floats, as the synchronous ``y + f(float(t))`` (``history``
-    True) or as RK4 unrolled per component, in the operations and order of
-    a numpy RK4 over ``rhs`` (``0.5 * dt``, ``y + c*k``, ``k1 + 2.0*k2 +
-    2.0*k3 + k4`` times ``dt / 6.0``).  Each stage runs the flow lines and
-    sums over its row ``r`` with ``_Indexed`` reads (or, ``through``, calls
-    ``_f(t, y, h)``, an ``rhs`` swapped into a RateSystem, with the accessor
-    ``h``), so every value is the one numpy and ``rhs`` give.
-    At ``t = (k + 1) * dt`` it raises NonFinite, ConservationDrift (the
-    state total, summed left to right, off N0 by over ``budget * N0``) or
-    NegativePopulation (below ``floor``), checked in that order, then
-    stores the row in ``m`` (or ``h``)."""
-    ksrc, exprs, sums = _kernel_source(diagram)
-    src = _Indexed(ksrc.consts, ksrc.slots, history is True)
+def _generate_step(diagram, history, budget, through=False):
+    """Generate ``make(p, m, dt, h, _f, floor)`` once per structure, which
+    gives a run at the values ``p`` (``_values``) its ``step(k, y)``: the
+    list ``y`` at ``t = k * dt`` one step on, over Python floats, as the
+    synchronous ``y + f(float(t))`` (``history`` True) or as RK4 unrolled
+    per component, in the operations and order of a numpy RK4 over ``rhs``
+    (``0.5 * dt``, ``y + c*k``, ``k1 + 2.0*k2 + 2.0*k3 + k4`` times ``dt /
+    6.0``).  Each stage runs the flow lines and sums over its row ``r``
+    with ``_Indexed`` reads (or, ``through``, calls ``_f(t, y, h)``, an
+    ``rhs`` swapped into a RateSystem, with the accessor ``h``), so every
+    value is the one numpy and ``rhs`` give.  At ``t = (k + 1) * dt`` it raises NonFinite, ConservationDrift (the
+    state total, summed left to right, off a positive N0 by over ``budget *
+    N0``) or NegativePopulation (below ``floor``), checked in that order,
+    then stores the row in ``m`` (or ``h``)."""
+    names, slots, exprs, sums = _kernel_source(diagram)
+    src = _Indexed(names, slots, history is True)
     ys = [f"y{i}" for i in range(len(sums))]
     lines = ["def step(k, y):", f"    [{', '.join(ys)}] = y", "    t = k * dt"]
     # per stage: each component's offset from y, the time, its history's at
@@ -487,28 +514,26 @@ def _generate_step(diagram, history, budget, floor, through=False):
     finite = " and ".join(f"_isfinite({y})" for y in ys) or "True"
     lines += ["    t = (k + 1) * dt", f"    if not ({finite}):",
               "        raise _NonFinite(t)"]
-    states, n0 = ys[:len(diagram.states)], diagram.n0
-    if n0 > 0:
-        cap = src._literal(budget * n0)
-        lines += [f"    d = abs({' + '.join(states)} - {src._literal(n0)})",
-                  f"    if d > {cap}:", f"        raise _Drift(t, d, {cap})"]
+    states, n0 = ys[:len(diagram.states)], src.value(Name("N0"))
+    lines += [f"    d = abs({' + '.join(states)} - {n0})",
+              "    if d > _cap:", "        raise _Drift(t, d, _cap)"]
     for y, name in zip(states, diagram.state_names):
-        lines += [f"    if {y} < {src._literal(floor)}:",
+        lines += [f"    if {y} < _floor:",
                   f"        raise _Negative(t, {name!r}, {y})"]
     if through and history is not None:
         lines.append(f"    h.append([{', '.join(ys)}])")
     else:
         lines += [f"    o = (k + 1) * {len(ys)}",
                   *(f"    m[o + {i}] = {y}" for i, y in enumerate(ys))]
-    per_run = ["c = 0.5 * dt", "c6 = dt / 6.0", f"_r0 = m[:{len(ys)}].tolist()",
-               "_hw = 0.5 * dt", "_qw = 0.25 * dt", *src.run, *src.lines]
-    src.lines = ["def make(m, dt, h=None, _f=None):",
-                 *(f"    {line}" for line in per_run + lines),
-                 f"        return [{', '.join(ys)}]", "    return step"]
+    cap = f"{src._literal(budget)} * {n0} if {n0} > 0 else _inf"
+    src.lines += ["c = 0.5 * dt", "c6 = dt / 6.0",
+                  f"_r0 = m[:{len(ys)}].tolist()", "_hw = 0.5 * dt",
+                  "_qw = 0.25 * dt", f"_cap = {cap}", *src.run, *lines,
+                  f"    return [{', '.join(ys)}]"]
     src.env.update(_isfinite=math.isfinite, _NonFinite=NonFinite,
                    _Drift=ConservationDrift, _Negative=NegativePopulation,
-                   _arr=array, _array=np.array)
-    return src.compile()["make"]
+                   _arr=array, _array=np.array, _inf=math.inf)
+    return src.compile("step", "_p, m, dt, h, _f, _floor")
 
 
 def compile_rhs(diagram):

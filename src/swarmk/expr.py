@@ -12,9 +12,9 @@ total, the sum of the initial state counts), and the special forms
 ``delay``/``histint`` second arguments must be constant expressions of
 parameters only, so the maximum delay is known before integration starts.
 
-Trees are evaluated through generated Python source (``Source``): one
-function per tree, or one kernel per diagram (``diagram.rate_kernel``),
-compiled once.
+Trees are evaluated through generated Python source (``Source``), compiled
+once per tree or per diagram structure (``diagram.rate_kernel``) and bound
+to parameter values.
 """
 from __future__ import annotations
 
@@ -84,14 +84,15 @@ class Source:
 
     Each tree becomes one Python expression over an evaluation row ``r``
     (a list) and, for delayed terms, a history ``h``.  Names are resolved
-    here: a name in ``slots`` (name -> index) reads ``r[index]``, else a
-    name in ``consts`` (name -> value) is folded into the source, else
-    evaluating it raises the unbound ``EvalError``.  Every operation is the
-    one the tree names, on the same operands, so results match a direct
-    evaluation of the tree bit for bit.  Python evaluates operands left to
-    right and a conditional's test first, so the checks (a divisor or lag
-    tested before use, ``_exp``, ``_ln``, ``_fail``) run in the order a
-    recursive evaluation reaches them: the first failure is the same too.
+    here: a name in ``slots`` (name -> index) reads ``r[index]``, else one
+    of ``names`` (the parameters, in order) reads ``_p{i}``, its value in
+    the tuple ``_p`` that ``compile``'s ``bind`` takes, else evaluating it
+    raises the unbound ``EvalError``.  Every operation is the one the tree
+    names, on the same operands, so results match a direct evaluation of
+    the tree bit for bit.  Python evaluates operands left to right and a
+    conditional's test first, so the checks (a divisor or lag tested before
+    use, ``_exp``, ``_ln``, ``_fail``) run in the order a recursive
+    evaluation reaches them: the first failure is the same too.
 
     The history ``h`` must provide ``bindings_at(t)`` (the evaluation row
     at ``t``) and ``window_integral(key, fn, t_lo, t_hi, now)`` (the
@@ -101,10 +102,13 @@ class Source:
     in validation and ``rhs``, not in a run's step (``diagram._Indexed``).
     """
 
-    def __init__(self, consts, slots):
-        self.consts = consts
+    def __init__(self, names, slots):
+        names = list(names)
+        self.names = {n: i for i, n in enumerate(names)}
+        self._unpack = "".join(f"_p{i}, " for i in range(len(names)))
         self.slots = slots
         self.lines = []
+        self.fixed = {}  # source -> name of a value bind computes first
         self.env = {"_exp": _exp, "_ln": _ln, "_fail": _fail}
         self._functions = {}  # expression source -> generated function name
         self._count = 0
@@ -125,14 +129,25 @@ class Source:
 
     def value(self, e, prec=0):
         """Source of one expression for ``e`` over the row ``r``; ``prec``
-        is the binding strength of the surrounding operator."""
+        is the binding strength of the surrounding operator.  A sum,
+        difference, product or negation of numbers and parameters is the
+        same at every row and cannot fail: ``bind`` computes it once, as the
+        compiler folds literals, and it is read by name."""
+        if isinstance(e, (Neg, BinOp)) and self.fixed is not None and all(
+                isinstance(n, (Num, Neg)) or isinstance(n, BinOp)
+                and n.op in ("+", "-", "*") or isinstance(n, Name)
+                and n.ident in self.names and n.ident not in self.slots
+                for n in nodes(e)):
+            fixed, self.fixed = self.fixed, None  # the value, not its parts
+            x, self.fixed = self.value(e), fixed
+            return fixed.setdefault(x, f"_k{len(fixed)}")
         if isinstance(e, Num):
             return self._literal(float(e.value))
         if isinstance(e, Name):
             if e.ident in self.slots:
                 return f"r[{self.slots[e.ident]}]"
-            if e.ident in self.consts:
-                return self._literal(self.consts[e.ident])
+            if e.ident in self.names:
+                return f"_p{self.names[e.ident]}"
             return f"_fail({'unbound identifier ' + e.ident!r})"
         if isinstance(e, Neg):
             s = "-" + self.value(e.operand, 3)
@@ -202,25 +217,30 @@ class Source:
         self.lines.append(f"def {name}(r, h=None): return {x}")
         return x
 
-    def compile(self):
-        """Compile the lines added since the last call into ``env``, where
-        later lines see what earlier ones defined, and return ``env``."""
-        exec(compile("\n".join(self.lines) + "\n", "<rate kernel>", "exec"),
-             self.env)
-        self.lines = []
-        return self.env
+    def compile(self, returns, args="_p"):
+        """Compile the lines added since the last call, over ``env``, into
+        ``bind(args)``: it binds each name to its value in the tuple ``_p``,
+        runs the lines and returns ``returns`` (source)."""
+        body = [f"[{self._unpack}] = _p",
+                *(f"{name} = {x}" for x, name in self.fixed.items()),
+                *self.lines, f"return {returns}"]
+        exec(compile(f"def bind({args}):\n" + "".join(
+            f"    {line}\n" for line in body), "<rate kernel>", "exec"),
+            self.env)
+        self.lines, self.fixed = [], {}
+        return self.env["bind"]
 
 
 def generate_function(e, consts, slots):
-    """``e`` as one generated function ``fn(row, history=None)``; names
-    are resolved as in ``Source``."""
+    """``e`` as one generated function ``fn(row, history=None)``, each name
+    of ``consts`` bound to its value; names are resolved as in ``Source``."""
     src = Source(consts, slots)
     src.function("value", e)
-    return src.compile()["value"]
+    return src.compile("value")(tuple(consts.values()))
 
 
 def eval_expr(e, bindings):
-    """Evaluate ``e`` with every binding (name -> value) as a constant;
+    """Evaluate ``e`` with every binding (name -> value) bound to its name;
     a delay/histint term with nonzero lag fails, as there is no history."""
     return generate_function(e, bindings, {})(())
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diagram import _generate_step, _kept, rate_kernel
+from .diagram import _generate_step, _shared, _values, rate_kernel
 from .errors import DelayMisaligned, IntegrationError, StepGridError
 
 CONSERVATION_BUDGET = 1e-6   # hard failure threshold, relative to N0
@@ -165,9 +165,9 @@ _FLAVORS = {
 
 def _march(system, flavor, t_end, dt):
     """Run ``system`` from the diagram's initial values to ``t_end`` in
-    fixed steps ``dt`` of the diagram's generated step (made once, kept),
-    which checks and stores each row.  Values inside the tolerated
-    negative band are reported as zero."""
+    fixed steps ``dt`` of the generated step (made once per structure and
+    given the diagram's values each run), which checks and stores each
+    row.  Values inside the tolerated negative band are reported as zero."""
     caller, history, tolerance = _FLAVORS[flavor]
     if system.flavor != flavor:
         article = "an" if flavor == "ode" else "a"
@@ -180,12 +180,12 @@ def _march(system, flavor, t_end, dt):
     floor = -tolerance * max(1.0, system.diagram.n0)
     # an rhs swapped into the system (a wrapper, say) is called, not fused
     fused = system.rhs is rate_kernel(system.diagram)[0]
-    make = _kept(system.diagram, "_step" if fused else "_rhs_step", lambda d:
-                 _generate_step(d, history, CONSERVATION_BUDGET, floor,
-                                not fused))
+    make = _shared(system.diagram, "_step" if fused else "_rhs_step", lambda d:
+                   _generate_step(d, history, CONSERVATION_BUDGET, not fused))
     h = None if fused or history is None \
         else HistoryAccessor(0.0, dt, data, discrete=history)
-    step = make(memoryview(data.reshape(-1)), dt, h, system.rhs)
+    step = make(_values(system.diagram), memoryview(data.reshape(-1)), dt, h,
+                system.rhs, floor)
     y = y.tolist()
     for k in range(nsteps):
         y = step(k, y)

@@ -18,8 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diagram import _kept, _kernel_source, gate
+from .diagram import _kept, _kernel_source, _shared, _values, gate
 from .errors import IntegrationError, ModelError, StateSpaceTooLarge
+from .expr import Source
 from .integrate import Trajectory, _check_t_end, _off_grid, _step_count
 
 CONFIG_CAP = 100_000
@@ -55,7 +56,7 @@ class ConfigurationSpace:
     def build(cls, diagram, cap=CONFIG_CAP):
         """Breadth-first enumeration from the initial configuration, over
         the jumps ``out(y)`` of the diagram's generated chain."""
-        start, _, out = _kept(diagram, "_chain", _generate_chain)
+        start, _, out = _kept(diagram, "_chain", _chain)
         configs = [start]
         index = {start: 0}
         jumps = []
@@ -172,13 +173,13 @@ def ssa_run(diagram, t_end=10.0, seed=0):
     Exponential waiting times with the total rate, jump category chosen
     proportionally to individual rates; fully determined by the seed.
     The events run in ``run``, the direct method of the diagram's generated
-    chain (``_generate_chain``), which enumeration reads too.  Returns a
+    chain (``_chain``), which enumeration reads too.  Returns a
     piecewise-constant Trajectory sampled at the jump times.  ``t_end``
     must be finite and non-negative; a NaN or infinite rate or effect on
     the path raises ModelError.
     """
     _check_t_end(t_end)
-    start, run, _ = _kept(diagram, "_chain", _generate_chain)
+    start, run, _ = _kept(diagram, "_chain", _chain)
     times, rows = run(start, t_end, np.random.default_rng(seed))
     return Trajectory(np.array(times),
                       np.array(rows, dtype=float).reshape(len(times), -1),
@@ -186,23 +187,12 @@ def ssa_run(diagram, t_end=10.0, seed=0):
                       {"model": diagram.name, "engine": "ssa", "seed": seed})
 
 
-def _generate_chain(diagram):
+def _chain(diagram):
     """``(start, run, out)`` of the configuration chain, which keeps no
     history, holds rates constant between jumps and moves whole agents: it
     takes a valid ode diagram, without ``t``, of integer initial values
-    (``start``), and refuses any other before generating anything.
-
-    ``run`` and ``out`` are generated into the rate kernel's Source and
-    share one jump rule.  At a configuration ``y``: the row ``r`` (floats,
-    then ``t``); each rate as the kernel's expression, in transition order,
-    0.0 if its source count is below 1, else ``max(0.0, rate)`` with NaN
-    and -inf refused; their total from 0.0, +inf refused; a jump moves one
-    agent and adds each effect by ``_whole``.  ``out(y)`` lists ``(rate,
-    next configuration)`` for each positive rate, in transition order.
-    ``run(y, t_end, rng)`` is the direct method from ``y``: per event
-    ``exponential(1.0 / total)``, then ``random() * total``, and the first
-    transition whose running sum exceeds that pick jumps (the last if none
-    does); it returns the event times and the rows, flat."""
+    (``start``), and refuses any other before it binds the code generated
+    once per structure (``_generate_chain``) to the diagram's values."""
     flavor, _, reads_t = gate(diagram)
     if flavor != "ode":
         raise ModelError("the configuration chain needs a memoryless (ode) "
@@ -214,8 +204,25 @@ def _generate_chain(diagram):
     if not all(math.isfinite(v) and abs(v - round(v)) <= 1e-9 for v in init):
         raise ModelError("initial counts must be integers for the "
                          "configuration chain")
-    src = _kernel_source(diagram)[0]
-    slots, last = src.slots, len(diagram.transitions) - 1
+    run, out = _shared(diagram, "_chain", _generate_chain)(_values(diagram))
+    return tuple(int(round(v)) for v in init), run, out
+
+
+def _generate_chain(diagram):
+    """``bind``: ``bind(_values(diagram))`` gives ``run`` and ``out``, which
+    share one jump rule over the rate kernel's expressions.  At a
+    configuration ``y``: the row ``r`` (floats, then ``t``); each rate as
+    the kernel's expression, in transition order, 0.0 if its source count
+    is below 1, else ``max(0.0, rate)`` with NaN and -inf refused; their
+    total from 0.0, +inf refused; a jump moves one agent and adds each
+    effect by ``_whole``.  ``out(y)`` lists ``(rate,
+    next configuration)`` for each positive rate, in transition order.
+    ``run(y, t_end, rng)`` is the direct method from ``y``: per event
+    ``exponential(1.0 / total)``, then ``random() * total``, and the first
+    transition whose running sum exceeds that pick jumps (the last if none
+    does); it returns the event times and the rows, flat."""
+    names, slots = _kernel_source(diagram)[:2]
+    src, last = Source(names, slots), len(diagram.transitions) - 1
     ys = [f"y{i}" for i in range(slots["t"])]
     unpack = f"[{', '.join(ys)}] = y"
     config = f"({''.join(f'{y}, ' for y in ys)})"
@@ -252,8 +259,7 @@ def _generate_chain(diagram):
                   *(f"    {line}" for line in [*head, "jumps = []", *jumps]),
                   "    return jumps"]
     src.env.update(_inf=math.inf, _refuse_rate=_refuse_rate, _whole=_whole)
-    ns = src.compile()
-    return tuple(int(round(v)) for v in init), ns["run"], ns["out"]
+    return src.compile("run, out")
 
 
 def semimarkov_run(n0, m0, alpha, r_g, tau, t_end=10.0, seed=0,

@@ -43,6 +43,14 @@ def test_steady_simple_huge_gamma_goes_to_one():
     assert res.residual <= 1e-12
 
 
+@pytest.mark.parametrize("gamma", [1e160, 1e200, 1e300])
+def test_steady_simple_gamma_past_the_square_overflow(gamma):
+    # b * b overflows past ~1.3e154; the scaled form keeps the root at ~1
+    res = sk.steady_state_simple(0.5, gamma, 0.35)
+    assert res.n == pytest.approx(1.0, abs=1e-12)
+    assert res.residual <= 1e-12
+
+
 def test_steady_simple_gamma_zero_branches():
     # subcritical occupancy: everyone ends up gripping
     res = sk.steady_state_simple(0.5, 0.0, 0.35)

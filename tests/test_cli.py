@@ -44,6 +44,13 @@ def test_steady(capsys):
     assert float(lines["residual"]) < 1e-12
 
 
+def test_steady_past_the_square_overflow(capsys):
+    # gamma = 1e200 squares past the float range; the root is still ~1
+    assert _run(capsys, "steady", "--model", "stickpull-simple", "--set",
+                "gamma=1e200") == (
+        0, "n=1.0\nbranch=unique\nresidual=0.0\nR=0.0\n", "")
+
+
 @pytest.mark.parametrize("name", ["stickpull-simple-depletion",
                                   "stickpull-delayed-depletion"])
 def test_steady_refuses_the_depletion_models(capsys, name):
@@ -568,6 +575,27 @@ def test_outputs_byte_identical(capsys):
         if hashlib.sha256(out.encode()).hexdigest() != digest:
             changed.append(" ".join(argv[:3]))
     assert not changed
+
+
+def test_csv_is_written_in_blocks_with_the_same_bytes(capsys, tmp_path):
+    # 10,001 rows: three blocks of CSV_BLOCK rows, to stdout and to a file,
+    # in the bytes of one joined string
+    import swarmk as sk
+    from swarmk import cli
+
+    argv = ("run", "--model", "stickpull-simple", "--t-end", "100")
+    traj = sk.integrate(sk.compile_rhs(sk.build_builtin("stickpull-simple")),
+                        t_end=100.0, dt=0.01)
+    rows = np.column_stack((traj.times, traj.data)).tolist()
+    expected = "\n".join([",".join(["t", *traj.columns]),
+                          *(",".join(map(repr, row)) for row in rows)]) + "\n"
+    assert len(rows) > 2 * cli.CSV_BLOCK
+    assert _run(capsys, *argv) == (0, expected, "")
+    out = tmp_path / "run.csv"
+    assert _run(capsys, *argv, "--out", str(out)) == (0, "", "")
+    assert out.read_text(encoding="utf-8") == expected
+    blocks = list(cli._csv(["t"], ([float(i)] for i in range(len(rows)))))
+    assert len(blocks) == 1 + 3
 
 
 _EFFECT_FAILURE = ("env effect m += 1 / b of rate a failed to evaluate: "

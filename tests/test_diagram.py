@@ -1,4 +1,5 @@
 """Diagram validation and compilation."""
+import math
 import re
 
 import numpy as np
@@ -191,3 +192,69 @@ def test_in_place_param_edit_reaches_the_kernel():
     after = compile_rhs(d).rhs(0.0, y)
     assert not np.array_equal(after, before)
     assert np.array_equal(after, compile_rhs(replace(d)).rhs(0.0, y))
+
+
+def test_a_sweep_generates_its_kernel_and_step_once(monkeypatch):
+    # ten rows of a parameter sweep share one structure: the kernel, the
+    # step and each derived declaration are compiled on the first row only
+    from swarmk import analysis, models
+    from swarmk.expr import Source
+
+    calls = []
+    compile_ = Source.compile
+
+    def counted(self, returns, *args):
+        calls.append(returns)
+        return compile_(self, returns, *args)
+
+    d = parse_model(models.shipped_source("foraging"))
+    monkeypatch.setattr(Source, "compile", counted)
+    table = analysis.sweep(d, "n0", range(1, 11), ("T",), t_end=1600.0,
+                           dt=0.5, counter="m", threshold=1.0)
+    assert table.errors == (None,) * 10
+    assert sum(r.startswith("rhs, (") for r in calls) == 1
+    assert calls.count("step") == 1
+    assert len(calls) == 2 + len(d.derived)
+
+
+def test_equal_names_with_other_transitions_do_not_share_code():
+    # transitions that compare equal but for a signed zero, and others
+    # that differ outright, each get their own kernel; a with_params copy
+    # shares its diagram's
+    from dataclasses import replace
+
+    from swarmk.diagram import Transition, _kernel_source, transition_table
+    from swarmk.expr import BinOp, Name, Num
+
+    def zero_rate(zero):
+        return (Transition("a", "b", BinOp("*", Num(zero), Name("a"))),)
+
+    d = parse_model("param k = 1\nstate a = 1\nstate b = 0\n"
+                    "rate(0 * a): a -> b\n")
+    pos, neg = (replace(d, transitions=zero_rate(z)) for z in (0.0, -0.0))
+    assert pos.transitions == neg.transitions
+    other = replace(d, transitions=(Transition("a", "b", Name("k")),))
+    row = [1.0, 0.0, 0.0]
+    flows = [transition_table(x)[0][2](row) for x in (d, pos, neg, other)]
+    assert [math.copysign(1.0, f) for f in flows] == [1.0, 1.0, -1.0, 1.0]
+    assert flows[3] == 1.0
+    sources = [_kernel_source(x) for x in (d, pos, neg, other)]
+    assert len({id(s) for s in sources}) == 4
+    assert _kernel_source(d.with_params(k=2.0)) is sources[0]
+
+
+def test_a_row_failing_sampled_validation_keeps_its_message():
+    # the structure's code is shared, and each row's values are still
+    # checked: a rate that fails or is negative at a row's values
+    from swarmk import analysis
+
+    d = parse_model("param k = 2\nstate a = 1\nstate b = 0\n"
+                    "rate(a * ln(k)): a -> b\n")
+    table = analysis.sweep(d, "k", [-1.0, 0.5, 2.0], ("final:b",),
+                           t_end=1.0, dt=0.5)
+    assert table.errors == (
+        "ModelError: invalid diagram: rate a * ln(k) failed to evaluate: "
+        "ln of non-positive value -1.0",
+        "ModelError: invalid diagram: rate a * ln(k) is negative "
+        "(-0.6931471805599453) at the initial configuration",
+        None)

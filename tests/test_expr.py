@@ -40,6 +40,16 @@ def test_division_by_zero_raises():
         eval_expr(BinOp("/", Num(1), Num(0)), {})
 
 
+def test_parameter_arithmetic_is_bound_once_and_still_guarded():
+    # k * 2 is computed when the function is bound, as a folded literal
+    # was; a division by it still fails when it is evaluated, not before
+    e = BinOp("/", Name("x"), BinOp("*", Name("k"), Num(2)))
+    assert generate_function(e, {"k": 0.25}, {"x": 0})([3.0]) == 3.0 / 0.5
+    fn = generate_function(e, {"k": 0.0}, {"x": 0})
+    with pytest.raises(EvalError, match="division by zero"):
+        fn([3.0])
+
+
 def test_exp_ln_step():
     assert eval_expr(Call("exp", (Num(0),)), {}) == 1.0
     assert eval_expr(Call("ln", (Num(math.e),)), {}) == pytest.approx(1.0)
