@@ -69,11 +69,6 @@ class StateDiagram:
         return np.array([v for _, v in self.states] + [v for _, v in self.env_vars],
                         dtype=float)
 
-    def base_bindings(self):
-        b = dict(self.params)
-        b["N0"] = self.n0
-        return b
-
     def with_params(self, **overrides):
         """The diagram with parameters set.  A parameter that is set is no
         longer derived (the value is pinned); the remaining derived

@@ -27,8 +27,10 @@ def test_validate_clean_model():
 
 
 def test_n0_binding_available_in_rates():
+    from swarmk.diagram import transition_table
+
     d = parse_model("state s = 4\nrate(s / N0): s -> s\n")
-    assert d.base_bindings()["N0"] == 4.0
+    assert transition_table(d)[0][2]([4.0, 0.0]) == 1.0  # N0 = 4
 
 
 def test_with_params_override_and_reject_unknown():

@@ -440,7 +440,7 @@ def test_collab_difference_stationary_survival_factor():
                 if isinstance(n, Call) and n.func == "histint")
     names = d.state_names + d.env_names + ["t"]
     key = unparse(node.args[0])
-    fn = generate_function(node.args[0], d.base_bindings(),
+    fn = generate_function(node.args[0], {**d.params, "N0": d.n0},
                            {n: i for i, n in enumerate(names)})
     y0 = d.initial_vector()
     expected = tga * math.log(1.0 - at * 8.0)
