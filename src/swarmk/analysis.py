@@ -83,8 +83,8 @@ def steady_state_simple(beta, gamma, r_g):
         disc = math.sqrt(b * b + 4.0 * a * gamma)
         if not math.isfinite(disc):  # b * b overflows: the scaled form
             disc = math.hypot(b, 2.0 * math.sqrt(a * gamma))
-        if b > 0.0:
-            n = 2.0 * gamma / (b + disc)
+        if b > 0.0:  # halved terms: b + disc overflows past gamma ~ 9e307
+            n = gamma / (0.5 * b + 0.5 * disc)
         else:
             n = (disc - b) / (2.0 * a)
         branch = "unique"

@@ -24,6 +24,9 @@ from .expr import Source
 from .integrate import Trajectory, _check_t_end, _off_grid, _step_count
 
 CONFIG_CAP = 100_000
+# uniforms per Generator call in the Gillespie loop: even, so both of an
+# event's uniforms come from one block
+_BLOCK = 64
 
 
 def _refuse_rate(v):
@@ -173,10 +176,15 @@ def ssa_run(diagram, t_end=10.0, seed=0):
     Exponential waiting times with the total rate, jump category chosen
     proportionally to individual rates; fully determined by the seed.
     The events run in ``run``, the direct method of the diagram's generated
-    chain (``_chain``), which enumeration reads too.  Returns a
-    piecewise-constant Trajectory sampled at the jump times.  ``t_end``
-    must be finite and non-negative; a NaN or infinite rate or effect on
-    the path raises ModelError.
+    chain (``_chain``), which enumeration reads too.  Each event takes the
+    next two uniforms ``u1, u2`` of the seed's stream: the wait is
+    ``-log1p(-u1) / total`` (inversion, so one wait is at most about
+    36.7 / total) and the pick is ``u2 * total``.  The uniforms are drawn
+    ``_BLOCK`` at a time, so the path does not depend on the block size,
+    but a Generator passed as ``seed`` is advanced by whole blocks.
+    Returns a piecewise-constant Trajectory sampled at the jump times.
+    ``t_end`` must be finite and non-negative; a NaN or infinite rate or
+    effect on the path raises ModelError.
     """
     _check_t_end(t_end)
     start, run, _ = _kept(diagram, "_chain", _chain)
@@ -218,9 +226,11 @@ def _generate_chain(diagram):
     effect by ``_whole``.  ``out(y)`` lists ``(rate,
     next configuration)`` for each positive rate, in transition order.
     ``run(y, t_end, rng)`` is the direct method from ``y``: per event
-    ``exponential(1.0 / total)``, then ``random() * total``, and the first
-    transition whose running sum exceeds that pick jumps (the last if none
-    does); it returns the event times and the rows, flat."""
+    the next two uniforms ``u1, u2`` of a block of ``_BLOCK`` from
+    ``rng.random``, drawn when the last is used up; ``t -= log1p(-u1) /
+    total``, then the pick ``u2 * total``, and the first transition whose
+    running sum exceeds that pick jumps (the last if none does); it returns
+    the event times and the rows, flat."""
     names, slots = _kernel_source(diagram)[:2]
     src, last = Source(names, slots), len(diagram.transitions) - 1
     ys = [f"y{i}" for i in range(slots["t"])]
@@ -246,11 +256,12 @@ def _generate_chain(diagram):
     head += ["total = 0.0" + "".join(f" + f{k}" for k in range(last + 1)),
              "if total == _inf:", "    _refuse_rate(total)"]
     loop = [*head, "if total <= 0.0:", "    break",
-            "t += exponential(1.0 / total)", "if t >= t_end:", "    break",
-            "pick = random() * total", *branches,
+            "if k == _BLOCK:", "    u, k = draw(_BLOCK).tolist(), 0",
+            "t -= _log1p(-u[k]) / total", "if t >= t_end:", "    break",
+            "pick = u[k + 1] * total", "k += 2", *branches,
             "times.append(t)", f"rows += {config}"]
     src.lines += ["def run(y, t_end, rng):", f"    {unpack}",
-                  "    exponential, random = rng.exponential, rng.random",
+                  "    draw, u, k = rng.random, None, _BLOCK",
                   "    t = 0.0", "    times, rows = [t], list(y)",
                   "    while True:", *(f"        {line}" for line in loop),
                   "    times.append(t_end)", f"    rows += {config}",
@@ -258,7 +269,8 @@ def _generate_chain(diagram):
                   "def out(y):", f"    {unpack}", "    t = 0.0",
                   *(f"    {line}" for line in [*head, "jumps = []", *jumps]),
                   "    return jumps"]
-    src.env.update(_inf=math.inf, _refuse_rate=_refuse_rate, _whole=_whole)
+    src.env.update(_inf=math.inf, _refuse_rate=_refuse_rate, _whole=_whole,
+                   _log1p=math.log1p, _BLOCK=_BLOCK)
     return src.compile("run, out")
 
 

@@ -43,9 +43,10 @@ def test_steady_simple_huge_gamma_goes_to_one():
     assert res.residual <= 1e-12
 
 
-@pytest.mark.parametrize("gamma", [1e160, 1e200, 1e300])
+@pytest.mark.parametrize("gamma", [1e160, 1e200, 1e300, 9e307, 1.7e308])
 def test_steady_simple_gamma_past_the_square_overflow(gamma):
-    # b * b overflows past ~1.3e154; the scaled form keeps the root at ~1
+    # b * b overflows past ~1.3e154; the scaled form keeps the root at ~1,
+    # and the halved terms keep b + disc finite up to the largest float
     res = sk.steady_state_simple(0.5, gamma, 0.35)
     assert res.n == pytest.approx(1.0, abs=1e-12)
     assert res.residual <= 1e-12

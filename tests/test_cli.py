@@ -51,6 +51,14 @@ def test_steady_past_the_square_overflow(capsys):
         0, "n=1.0\nbranch=unique\nresidual=0.0\nR=0.0\n", "")
 
 
+@pytest.mark.parametrize("gamma", ["9e307", "1.7e308"])
+def test_steady_past_the_sum_overflow(capsys, gamma):
+    # 2 * gamma and b + disc overflow here; the root is still 1
+    assert _run(capsys, "steady", "--model", "stickpull-simple", "--set",
+                f"gamma={gamma}") == (
+        0, "n=1.0\nbranch=unique\nresidual=0.0\nR=0.0\n", "")
+
+
 @pytest.mark.parametrize("name", ["stickpull-simple-depletion",
                                   "stickpull-delayed-depletion"])
 def test_steady_refuses_the_depletion_models(capsys, name):
@@ -535,13 +543,14 @@ _OUTPUT_DIGESTS = {
         "8f44d8cebd8e0b5a8deec9b676049e909f7bc94223572626b4ea3d19eceb6549",
     ("exact", "--model", "stickpull-counts"):
         "7ab3fc8bfcb1f0e817f87155ace69db4cbd4bf39aba7583a4a238cf73a09f6a4",
+    # Gillespie paths from block-drawn uniforms (waits by inversion): the
+    # means were checked within 5 stderr of the exact columns when recorded
     ("mc", "--model", "stickpull-counts", "--runs", "50", "--seed", "3"):
-        "7109f4dff775591ee0f68bd5e83bb0626bddb06d1f387683e6d398340849eabe",
-    # Gillespie paths with an env effect (m -= 1) beside the exact columns,
-    # recorded from the Gillespie loop that called the rate functions
+        "85b0131eb675c7e59ea316dbdd4d5c5cd1cd3340c330bde5544b021b2d89bdd8",
+    # with an env effect (m -= 1) beside the exact columns
     ("compare", "--model", "foraging", "--set", "n0=3", "--set", "m0=6",
      "--t-end", "5", "--runs", "50", "--seed", "3"):
-        "eb650227a44201c049cc3cc4e7b3332ea23b54ff97bf3d2f185747ff0c8562d8",
+        "2730fa8e1dbdb963bb139a80a4e7690b7d95f30714ab7ec2c2947bbd5781e79c",
     # parameters and N0 as run-time names, not folded literals: an ODE at
     # a set n0, a DDE at set tau and beta, a synchronous sweep over n0, the
     # exact chain at set counts and an analytic sweep over gamma

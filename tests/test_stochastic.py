@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import swarmk as sk
-from swarmk import models
+from swarmk import models, stochastic
 from swarmk.diagram import transition_table
 from swarmk.errors import EvalError, ModelError, StateSpaceTooLarge
 from swarmk.expr import Name, Num
@@ -408,7 +408,8 @@ def test_ssa_compiles_once_per_diagram(monkeypatch):
 
 def _direct_method(diagram, t_end, seed):
     """Gillespie's direct method over ``transition_table``, one call per
-    rate and effect: the reference for ssa_run's generated event loop."""
+    rate and effect and one ``rng.random()`` per uniform: the reference for
+    ssa_run's generated event loop, which draws its uniforms in blocks."""
     table = transition_table(diagram)
     y = tuple(int(v) for _, v in (*diagram.states, *diagram.env_vars))
     rng = np.random.default_rng(seed)
@@ -422,7 +423,7 @@ def _direct_method(diagram, t_end, seed):
             total += r
         if total <= 0.0:
             break
-        t += rng.exponential(1.0 / total)
+        t -= math.log1p(-rng.random()) / total
         if t >= t_end:
             break
         pick, acc, chosen = rng.random() * total, 0.0, len(table) - 1
@@ -450,16 +451,19 @@ def _direct_method(diagram, t_end, seed):
                                   "stickpull-counts",
                                   "stickpull-simple-depletion"])
 def test_generated_ssa_loop_matches_the_direct_method(name):
-    # every shipped model the chain takes, path for path, bit for bit
+    # every shipped model the chain takes, path for path, bit for bit; the
+    # longest path outruns one block of uniforms, so the refill is run too
+    # (the stick-pulling pair's 20-unit paths have at most 12 events)
+    t_end = 100.0 if name.startswith("stickpull-simple") else 20.0
     d = sk.build_builtin(name)
-    events = 0
+    events = []
     for seed in range(50):
-        times, data = _direct_method(d, 20.0, seed)
-        path = sk.ssa_run(d, t_end=20.0, seed=seed)
+        times, data = _direct_method(d, t_end, seed)
+        path = sk.ssa_run(d, t_end=t_end, seed=seed)
         assert np.array_equal(path.times, times)
         assert np.array_equal(path.data, data)
-        events += len(times) - 2
-    assert events >= 100
+        events.append(len(times) - 2)
+    assert max(events) > stochastic._BLOCK // 2
 
 
 def _enumeration(diagram):
@@ -511,8 +515,6 @@ def test_ssa_loop_is_generated_on_the_first_run(monkeypatch):
     # compiling the rate system does not make the chain; the first chain
     # engine to run on a diagram structure does, and the others reuse it,
     # on copies with other parameters too
-    from swarmk import stochastic
-
     calls = []
 
     def counted(diagram):
@@ -559,6 +561,31 @@ def test_ssa_two_state_occupancy_fraction():
     frac = float(np.sum(dt * traj.column("g")[:-1]) / traj.times[-1])
     # stderr of the time average is about sqrt(tau_corr / t_end) / 2
     assert frac == pytest.approx(0.5, abs=3 * 0.005)
+
+
+def test_ssa_decay_matches_its_known_answer():
+    # n agents leave a at rate k each: the count in a at time t is
+    # Binomial(n, exp(-k t)), and the first event comes after an
+    # Exponential(n k) wait
+    n, k, runs = 10, 0.5, 2000
+    d = sk.parse_model(f"param k = {k}\nstate a = {n}\nstate b = 0\n"
+                       "rate(k * a): a -> b\n")
+    grid = np.array([0.25, 0.5, 1.0, 2.0, 4.0])
+    counts, first = [], []
+    for seed in np.random.SeedSequence(2024).spawn(runs):
+        path = sk.ssa_run(d, t_end=40.0, seed=seed)
+        counts.append(sample_path(path, grid)[:, 0])
+        first.append(path.times[1])
+    counts = np.array(counts)
+    p = np.exp(-k * grid)
+    stderr = np.sqrt(n * p * (1.0 - p) / runs)
+    assert (np.abs(counts.mean(axis=0) - n * p) / stderr).max() <= 5.0
+    # one-sample Kolmogorov-Smirnov distance, within its 1% bound
+    x = np.sort(first)
+    cdf = 1.0 - np.exp(-n * k * x)
+    ecdf = np.arange(1, runs + 1) / runs
+    ks = max((ecdf - cdf).max(), (cdf - (ecdf - 1.0 / runs)).max())
+    assert ks <= 1.63 / math.sqrt(runs)
 
 
 def test_sample_path_piecewise_constant():
