@@ -15,7 +15,7 @@ from .errors import (ConservationDrift, DelayMisaligned, EvalError,
 from .integrate import (HistoryAccessor, Trajectory, integrate,
                         integrate_delayed, iterate_difference)
 from .models import BUILTIN_NAMES, build_builtin, shipped_source
-from .parser import ModelSource, parse_file, parse_model, pretty_print
+from .parser import parse_file, parse_model, pretty_print
 from .analysis import (SteadyStateResult, SweepTable, beta_critical,
                        collaboration_rate, completion_time,
                        efficiency_per_robot, gamma_opt, scaling_exponent,
@@ -29,10 +29,9 @@ __version__ = "1.0.0"
 __all__ = [
     "BUILTIN_NAMES", "ConfigurationSpace", "ConservationDrift",
     "DelayMisaligned", "EnsembleStats", "EvalError", "HistoryAccessor",
-    "IntegrationError", "LexError", "ModelError", "ModelSource",
-    "NegativePopulation", "NoRoot", "NonFinite", "NotReached",
-    "ParseError", "RateSystem", "SemanticError", "StateDiagram",
-    "StateSpaceTooLarge", "StepGridError", "SteadyStateResult",
+    "IntegrationError", "LexError", "ModelError", "NegativePopulation",
+    "NoRoot", "NonFinite", "NotReached", "ParseError", "RateSystem",
+    "SemanticError", "StateDiagram", "StateSpaceTooLarge", "StepGridError", "SteadyStateResult",
     "SwarmkError", "SweepTable", "Trajectory", "Transition",
     "ValidationReport", "beta_critical", "build_builtin",
     "collaboration_rate", "compile_rhs", "completion_time",

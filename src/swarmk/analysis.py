@@ -28,9 +28,6 @@ class SteadyStateResult:
     branch: str  # 'unique' | 'boundary'
     residual: float
 
-    def __float__(self):
-        return self.n
-
 
 @dataclass
 class SweepTable:
@@ -174,15 +171,13 @@ def tau_opt(beta, r_g):
     return (2.0 / bt) * (math.log1p(-beta / 2.0) - math.log1p(-(beta + bt) / 2.0))
 
 
-def completion_time(traj, counter, mode="deplete", threshold=None):
+def completion_time(traj, counter, mode, threshold):
     """Time at which an environment counter crosses a threshold.
 
     ``deplete`` mode: first time the counter falls to ``threshold`` or
     below.  ``reach`` mode: first time it rises to ``threshold`` or above.
     Linear interpolation between the bracketing samples.
     """
-    if threshold is None:
-        raise ValueError("threshold is required")
     col = np.asarray(traj.column(counter), dtype=float)
     times = np.asarray(traj.times, dtype=float)
     if mode == "deplete":
@@ -232,18 +227,22 @@ def efficiency_per_robot(t_complete, n0, m0):
     return m0 / (n0 * t_complete)
 
 
-def steady_state_of_trajectory(traj, name, window=0.1, tol=1e-5):
-    """Mean of a column over the last ``window`` fraction of the run.
+def steady_state_of_trajectory(traj, name):
+    """Mean of a column over its last k = max(2, round(rows / 10)) rows.
 
-    The mean must move less than ``tol`` relative to the preceding window
-    of the same width, otherwise the trajectory has not settled.
+    The mean must move less than 1e-5 from that of the k rows before,
+    otherwise the trajectory has not settled; fewer than 2k rows cannot
+    show that.
     """
     col = np.asarray(traj.column(name), dtype=float)
     nt = len(col)
-    k = max(2, int(round(nt * window)))
+    k = max(2, round(nt * 0.1))
+    if nt < 2 * k:
+        raise IntegrationError(f"{nt} rows cannot show column {name!r} "
+                               f"settled: need {2 * k}; integrate longer")
     last = float(col[nt - k:].mean())
-    prev = float(col[max(0, nt - 2 * k):nt - k].mean())
-    if abs(last - prev) >= tol:
+    prev = float(col[nt - 2 * k:nt - k].mean())
+    if abs(last - prev) >= 1e-5:
         raise IntegrationError(
             f"column {name!r} still moving ({abs(last - prev):.3e} between "
             "windows); integrate longer")

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import (ConservationDrift, EvalError, ModelError,
                      NegativePopulation, NonFinite)
 from .expr import (Name, Neg, Source, delay_windows, format_number,
-                   free_names, has_history_terms, unparse)
+                   free_names, unparse)
 
 
 @dataclass(frozen=True)
@@ -143,14 +143,6 @@ class RateSystem:
     rhs: object  # callable (t, y, history) -> np.ndarray
     delay_values: tuple = ()  # every delay/histint window, evaluated
 
-    @property
-    def state_names(self):
-        return self.diagram.state_names
-
-    @property
-    def env_names(self):
-        return self.diagram.env_names
-
 
 _RNG_SEED = 0x5157
 N_SAMPLES = 64  # sampled points per transition, after the initial one
@@ -184,7 +176,7 @@ def validate_diagram(diagram):
         checks = [(rate, fn)] + [
             (f"env effect {effect_source(n, e)} of {rate}", efn)
             for (n, e), (_, efn) in zip(tr.env_effects, effects)]
-        delayed = any(map(has_history_terms, tr.exprs))
+        delayed = any(map(delay_windows, tr.exprs))
         for sample, (t, counts) in enumerate(itertools.chain(
                 [first], itertools.islice(stream, N_SAMPLES))):
             row = counts + env0

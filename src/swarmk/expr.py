@@ -270,10 +270,6 @@ def delay_windows(e):
             if isinstance(n, Call) and n.func in BINARY_CALLS]
 
 
-def has_history_terms(e):
-    return bool(delay_windows(e))
-
-
 def format_number(v):
     """Shortest source form of a number: integral values without a
     decimal point, others (non-finite ones too) as the float's repr."""

@@ -191,9 +191,9 @@ def _march(system, flavor, t_end, dt):
         y = step(k, y)
     data[(data < 0) & (data >= floor)] = 0.0
     times = np.arange(nsteps + 1, dtype=float) * dt
-    return Trajectory(times, data, system.state_names, system.env_names,
-                      {"model": system.diagram.name,
-                       "params": dict(system.diagram.params),
+    d = system.diagram
+    return Trajectory(times, data, d.state_names, d.env_names,
+                      {"model": d.name, "params": dict(d.params),
                        "dt": float(dt), "flavor": flavor})
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from functools import lru_cache
 from importlib import resources
 
-from .parser import ModelSource, parse_model
+from .parser import parse_model
 
 BUILTIN_NAMES = ("foraging", "sugawara", "stickpull-simple",
                  "stickpull-delayed", "stickpull-counts", "collab-difference",
@@ -28,7 +28,7 @@ def shipped_source(name):
 
 @lru_cache(maxsize=None)
 def _shipped_diagram(name):
-    return parse_model(ModelSource(shipped_source(name), origin=name))
+    return parse_model(shipped_source(name), origin=name)
 
 
 def forget_parsed_files():

@@ -95,13 +95,6 @@ def tokenize(src):
     return tokens
 
 
-@dataclass
-class ModelSource:
-    """Raw model text plus an origin label for error messages."""
-    text: str
-    origin: str = "<inline>"
-
-
 class _Parser:
     """Reads the tokens once, straight into the diagram's parts."""
 
@@ -307,11 +300,9 @@ class _Parser:
         self.fail("number, identifier or '('")
 
 
-def parse_model(src):
-    """Parse a ModelSource (or raw text) into a StateDiagram."""
-    if isinstance(src, str):
-        src = ModelSource(src)
-    diagram = _Parser(tokenize(src.text)).parse_model(src.origin)
+def parse_model(text, origin="<inline>"):
+    """Parse ``.mas`` text into a StateDiagram named ``origin``."""
+    diagram = _Parser(tokenize(text)).parse_model(origin)
     defects = _identifier_defects(diagram)
     if defects:
         raise SemanticError(*defects[0])
@@ -337,7 +328,7 @@ def _identifier_defects(diagram):
 
 def parse_file(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_model(ModelSource(fh.read(), origin=str(path)))
+        return parse_model(fh.read(), origin=str(path))
 
 
 def pretty_print(diagram):

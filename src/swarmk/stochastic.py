@@ -104,7 +104,7 @@ def _poisson_weights(q):
     return first, np.array(weights) / math.fsum(weights)
 
 
-def master_exact(diagram, t_end=10.0, dt=0.005, dt_out=None, cap=CONFIG_CAP):
+def master_exact(diagram, t_end=10.0, dt=0.005, dt_out=None):
     """Exact transient probabilities and expected occupation numbers.
 
     Solves dP/dt = W P on the enumerated configuration space by
@@ -123,7 +123,7 @@ def master_exact(diagram, t_end=10.0, dt=0.005, dt_out=None, cap=CONFIG_CAP):
     if stride < 1 or nsteps % stride or _off_grid(dt_out, dt):
         raise ValueError(f"dt_out={dt_out!r} is not a whole number of steps "
                          f"dt={dt!r} that divides t_end={t_end!r}")
-    space = ConfigurationSpace.build(diagram, cap=cap)
+    space = ConfigurationSpace.build(diagram)
     n = space.size
 
     src = np.array([i for i, _, _ in space.jumps], dtype=np.intp)
@@ -274,15 +274,14 @@ def _generate_chain(diagram):
     return src.compile("run, out")
 
 
-def semimarkov_run(n0, m0, alpha, r_g, tau, t_end=10.0, seed=0,
-                   replacement=True):
+def semimarkov_run(n0, m0, alpha, r_g, tau, t_end=10.0, seed=0):
     """Per-agent stick pulling with deterministic gripping countdowns.
 
     Searching agents grip free sticks at rate alpha per (agent, stick)
     pair and find gripping agents at rate r_g*alpha per pair.  A helped
     gripper and its helper both return to searching (the stick is pulled
-    out and, in replacement mode, re-inserted); an unhelped gripper
-    releases exactly tau after gripping.
+    out and re-inserted); an unhelped gripper releases exactly tau after
+    gripping.
     """
     if n0 < 1 or m0 < 1:
         raise ValueError("n0 and m0 must be >= 1")
@@ -341,8 +340,7 @@ def semimarkov_run(n0, m0, alpha, r_g, tau, t_end=10.0, seed=0,
             n_search += 1  # the gripper (the helper never left searching
             #                as a count: one searcher leaves, two return)
             successes += 1
-            if replacement:
-                sticks += 1
+            sticks += 1  # the pulled stick is put back
         assert 0 <= n_search <= n0 and 0 <= len(deadlines) <= n0
         assert n_search + len(deadlines) == n0
         record()

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 import swarmk as sk
 from swarmk import analysis
-from swarmk.errors import NoRoot, NotReached
+from swarmk.errors import IntegrationError, NoRoot, NotReached
 
 
 # -- quadratic steady state -------------------------------------------------
@@ -127,6 +127,19 @@ def test_steady_delayed_matches_integration():
     traj = sk.integrate_delayed(sk.compile_rhs(d), t_end=200.0, dt=0.01)
     settled = sk.steady_state_of_trajectory(traj, "s")
     assert abs(settled - sk.steady_state_delayed(0.5, 5.0, 0.35).n) < 1e-3
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3])
+def test_steady_of_trajectory_refuses_a_run_too_short_to_settle(rows):
+    # the last two rows are compared with the two before them
+    from swarmk.integrate import Trajectory
+
+    traj = Trajectory(np.arange(rows, dtype=float), np.ones((rows, 1)),
+                      ["s"], [], {})
+    with pytest.raises(IntegrationError, match=f"{rows} rows cannot show"):
+        sk.steady_state_of_trajectory(traj, "s")
+    longer = Trajectory(np.arange(4.0), np.ones((4, 1)), ["s"], [], {})
+    assert sk.steady_state_of_trajectory(longer, "s") == 1.0
 
 
 # -- collaboration rate and optima ------------------------------------------

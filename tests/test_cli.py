@@ -342,6 +342,68 @@ def test_compare_has_gap_columns(capsys):
     assert "s_gap_mc" in header
 
 
+def _csv_table(out):
+    """{column: [floats]} of a CSV the CLI wrote."""
+    header, *lines = out.splitlines()
+    cols = zip(*(map(float, line.split(",")) for line in lines))
+    return dict(zip(header.split(","), map(list, cols)))
+
+
+def test_steady_json_equals_csv(capsys):
+    argv = ("steady", "--model", "stickpull-delayed", "--set", "beta=0.7")
+    code, out, _ = _run(capsys, *argv)
+    assert code == 0
+    csv = dict(line.split("=", 1) for line in out.splitlines())
+    code, out, _ = _run(capsys, *argv, "--format", "json")
+    assert code == 0
+    shown = json.loads(out)
+    assert list(shown) == list(csv) == ["n", "branch", "residual", "R"]
+    assert shown["branch"] == csv["branch"] == "unique"
+    assert all(shown[k] == float(csv[k]) for k in ("n", "residual", "R"))
+
+
+def test_mc_json_equals_csv(capsys):
+    argv = ("mc", "--model", "stickpull-counts", "--t-end", "2", "--runs",
+            "5", "--grid-points", "4", "--seed", "9")
+    code, out, _ = _run(capsys, *argv)
+    assert code == 0
+    csv = _csv_table(out)
+    code, out, _ = _run(capsys, *argv, "--format", "json")
+    assert code == 0
+    shown = json.loads(out)
+    assert (shown["runs"], shown["seed"], shown["columns"]) == (5, 9, ["s", "g"])
+    assert shown["times"] == csv["t"]
+    for j, c in enumerate(shown["columns"]):
+        for kind in ("mean", "stderr"):
+            assert [row[j] for row in shown[kind]] == csv[f"{c}_{kind}"]
+
+
+def test_compare_json_equals_csv(capsys):
+    argv = ("compare", "--model", "stickpull-counts", "--t-end", "2",
+            "--runs", "5", "--grid-points", "4", "--dt", "0.1")
+    code, out, _ = _run(capsys, *argv)
+    assert code == 0
+    csv = _csv_table(out)
+    code, out, _ = _run(capsys, *argv, "--format", "json")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [r["t"] for r in rows] == csv["t"]
+    kinds = ("mf", "exact", "mc", "mc_stderr", "gap_exact", "gap_mc")
+    for c in ("s", "g"):
+        for k, kind in enumerate(kinds):
+            assert [r["columns"][c][k] for r in rows] == csv[f"{c}_{kind}"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("run", "--model", "stickpull-simple", "--set", "k=abc"),
+     "--set value for 'k' is not a number: 'abc'"),
+    (("sweep", "--model", "stickpull-simple", "--param", "gamma", "--from",
+      "0.1", "--to", "0.2", "--sweep-steps", "0"),
+     "--sweep-steps must be >= 1")])
+def test_usage_error_messages(capsys, argv, message):
+    assert _run(capsys, *argv) == (1, "", f"usage error: {message}\n")
+
+
 def test_numeric_failure_exit_3(capsys, tmp_path):
     # a rate that blows up in finite time
     f = tmp_path / "explode.mas"
@@ -682,6 +744,18 @@ def test_sweep_reports_failed_rows_on_stderr(capsys):
     assert err == "".join(
         f"row beta={v}: DelayMisaligned: step dt=0.3 does not divide "
         "delay 5.0\n" for v in ("0.5", "0.6"))
+
+
+def test_sweep_steady_of_a_run_too_short_to_settle(capsys):
+    # two rows: no earlier window to compare the last one with
+    code, out, err = _run(capsys, "sweep", "--model", "stickpull-simple",
+                          "--param", "beta", "--from", "0.4", "--to", "0.5",
+                          "--sweep-steps", "2", "--observables", "steady:s",
+                          "--t-end", "0.01", "--dt", "0.01")
+    assert (code, out) == (0, "param,steady:s\n0.4,\n0.5,\n")
+    assert err == "".join(
+        f"row beta={v}: IntegrationError: 2 rows cannot show column 's' "
+        "settled: need 4; integrate longer\n" for v in ("0.4", "0.5"))
 
 
 def _shipped_path(name):

@@ -6,8 +6,7 @@ from hypothesis import example, given, strategies as st
 
 from swarmk.errors import EvalError
 from swarmk.expr import (BinOp, Call, Name, Neg, Num, delay_windows,
-                         eval_expr, free_names, generate_function,
-                         has_history_terms, unparse)
+                         eval_expr, free_names, generate_function, unparse)
 
 
 def test_literals_and_names():
@@ -115,8 +114,7 @@ def test_delay_windows_and_history_flag():
     e = BinOp("*", Call("delay", (Name("x"), Num(2))),
               Call("histint", (Name("x"), Name("w"))))
     assert [unparse(w) for w in delay_windows(e)] == ["2", "w"]
-    assert has_history_terms(e)
-    assert not has_history_terms(BinOp("+", Name("x"), Num(1)))
+    assert delay_windows(BinOp("+", Name("x"), Num(1))) == []
 
 
 def test_unparse_writes_non_finite_numbers():

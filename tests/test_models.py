@@ -183,9 +183,9 @@ def test_each_shipped_file_is_parsed_once(monkeypatch):
     parsed = Counter()
     parse = models.parse_model
 
-    def counting_parse(src):
-        parsed[src.origin] += 1
-        return parse(src)
+    def counting_parse(text, origin):
+        parsed[origin] += 1
+        return parse(text, origin=origin)
 
     monkeypatch.setattr(models, "parse_model", counting_parse)
     models._shipped_diagram.cache_clear()

@@ -5,7 +5,7 @@ import pytest
 
 from swarmk import expr, models
 from swarmk.errors import LexError, ParseError, SemanticError
-from swarmk.parser import ModelSource, parse_model, pretty_print, tokenize
+from swarmk.parser import parse_model, pretty_print, tokenize
 
 GOOD = """\
 # a tiny two-state system
@@ -240,8 +240,9 @@ def test_one_compile_per_derived_declaration(monkeypatch, name):
 
 
 def test_origin_recorded():
-    d = parse_model(ModelSource("state s = 1\n", origin="demo.mas"))
+    d = parse_model("state s = 1\n", origin="demo.mas")
     assert d.name == "demo.mas"
+    assert parse_model("state s = 1\n").name == "<inline>"
 
 
 def test_tokenizer_tracks_lines_and_columns():

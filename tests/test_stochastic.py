@@ -365,6 +365,23 @@ def test_master_gap_shrinks_with_system_size():
     assert gap(40) < gap(4)
 
 
+def test_master_mean_tends_to_the_mean_field_at_rate_one_over_n():
+    # n0 = m0 = N and alpha = 1/N keep the mean field's fractions fixed:
+    # the gap per agent falls strictly with N, and N times it settles
+    # (Kurtz 1970: the mean's O(1/N) correction)
+    def gap(n):
+        d = sk.build_builtin("stickpull-counts", n0=n, m0=n, alpha=1.0 / n)
+        _, exact = sk.master_exact(d, t_end=10.0, dt=0.5)
+        mf = sk.integrate(sk.compile_rhs(d), t_end=10.0, dt=0.05)
+        assert np.array_equal(mf.times[::10], exact.times)
+        return np.abs(exact.data - mf.data[::10]).max() / n
+
+    sizes = (4, 8, 16, 32, 64, 128)
+    gaps = [gap(n) for n in sizes]
+    assert all(a > b for a, b in zip(gaps, gaps[1:])), gaps
+    assert abs(128 * gaps[-1] / (64 * gaps[-2]) - 1.0) < 0.01, gaps
+
+
 def test_ssa_deterministic_given_seed():
     d = sk.build_builtin("stickpull-counts")
     a = sk.ssa_run(d, t_end=10.0, seed=7)
