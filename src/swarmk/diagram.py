@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from array import array
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -91,15 +92,22 @@ class StateDiagram:
                 raise ValueError(f"{name} cannot be evaluated: {exc}") from None
             v = check_param(name, v, self.domains.get(name))
             (params if name in params else inits)[name] = v
-        return replace(self, params=params, derived=derived,
-                       states=tuple((n, inits[n]) for n, _ in self.states),
-                       env_vars=tuple((n, inits[n]) for n, _ in self.env_vars))
+        return self._copy(params=params, derived=derived,
+                          states=tuple((n, inits[n]) for n, _ in self.states),
+                          env_vars=tuple((n, inits[n])
+                                         for n, _ in self.env_vars))
 
     def with_state_init(self, **inits):
         """The diagram with initial state counts set (and pinned)."""
         states = tuple((n, inits.get(n, v)) for n, v in self.states)
         derived = tuple(d for d in self.derived if d[0] not in inits)
-        return replace(self, states=states, derived=derived)
+        return self._copy(states=states, derived=derived)
+
+    def _copy(self, **changes):
+        """``replace(self, **changes)``, without ``__init__`` or ``_kept``."""
+        new = object.__new__(type(self))
+        new.__dict__.update(self.__dict__, _kept={}, **changes)
+        return new
 
 
 def domain_source(domain):
@@ -273,13 +281,14 @@ def transition_table(diagram):
 
 def _kept(diagram, attr, make):
     """``make(diagram)``, computed once per diagram instance and kept on it
-    as ``attr``.  A StateDiagram is frozen but for its ``params`` dict,
-    whose values the kernel and the gate read: an edit of that dict in
-    place computes it again."""
-    params, value = diagram.__dict__.get(attr, (None, None))
+    under ``attr`` in its dict ``_kept``.  A StateDiagram is frozen but for
+    its ``params`` dict, whose values the kernel and the gate read: an edit
+    of that dict in place computes it again."""
+    params, value = diagram.__dict__.setdefault("_kept", {}).get(
+        attr, (None, None))
     if value is None or params != diagram.params:
         params, value = dict(diagram.params), make(diagram)
-        object.__setattr__(diagram, attr, (params, value))
+        diagram._kept[attr] = params, value
     return value
 
 
@@ -390,73 +399,81 @@ def _generate_kernel(diagram):
 
 
 class _Indexed(Source):
-    """Source of a run's fused step, with HistoryAccessor's numbers: reads
-    index rows in ``m``, a flat view of the output array, and integrands
-    keep values and running integrals in arrays.  A lag is L whole steps,
-    so a read is at row ``k - L + c``; ``at`` is ``(row, odd, over)``: the
-    row's source, half a step on or not, and an RK4 stage past row ``k``
-    or not.  ``run`` gets the lines run once a run: lags in steps, and each
-    integrand's arrays and ``{name}x(k)``, which extends them to row k."""
+    """Source of a run's fused step, with HistoryAccessor's numbers: a
+    stage's ``row`` is locals, a delayed expression is inlined at its row
+    over cells of ``m``, a flat view of the output array, and integrands
+    keep values and running integrals in arrays, extended to row k in stage
+    1.  A lag is L whole steps, so a read is at row ``k - L + c``; ``at`` is
+    ``(row, odd, over)``: the row's source, half a step on or not, and an
+    RK4 stage past row ``k`` or not.  ``stage`` is the RK4 stage written,
+    1 in a synchronous step."""
 
     def __init__(self, names, slots, discrete):
         super().__init__(names, slots)
-        self.width, self.discrete = slots["t"], discrete
-        self.at, self.run, self._names = ("k", False, False), [], {}
+        self.width, self.discrete, self.stage = slots["t"], discrete, 0
+        self.at, self._names, self.offsets, self.shared = \
+            ("k", False, False), {}, {}, []
 
-    def _name(self, key, lines):
-        """The per-run name of ``key``; its ``lines(name)`` are added once."""
-        if key not in self._names:
-            self._names[key] = name = self._fresh("_n")
-            self.run += lines(name)
-        return self._names[key]
+    def _share(self, x):
+        # stages 2 and 3 have one time and read the same rows: x is bound in
+        # 2 and read in 3, unless it reads a state of the row (r0, r1, ...)
+        if self.stage not in (2, 3) or re.search(r"\br\d", x):
+            return x
+        if self.stage == 3:
+            return self.shared.pop(0)
+        self.shared.append(s := self._fresh("_s"))
+        return f"({s} := {x})"
 
-    def _value_at(self, at, e):
-        saved, self.at = self.at, at
-        x, self.at = self.value(e), saved
+    def _value_at(self, at, row, e):
+        saved, (self.at, self.row) = (self.at, self.row), (at, row)
+        x, (self.at, self.row) = self.value(e), saved
         return x
 
-    def _row(self, a, odd, e, t):
-        """Row ``a``, or half a step on, at time ``t``: slots ``e`` reads."""
-        n, o = self.width, self._fresh("_o")
-        cells, at = ["0.0"] * n, f"({o} := ({a}) * {n})"
-        for j in sorted({self.slots[s] for s in free_names(e)
-                         if s in self.slots} - {n}):
-            cells[j] = (f"0.5 * m[{at} + {j}] + 0.5 * m[{o} + {j + n}]"
-                        if odd else f"m[{at} + {j}]")
-            at = o
-        return f"[{', '.join(cells)}, {t}]"
+    def _cells(self, a, odd, t):
+        """Row ``a``, or half a step on, at time ``t``: a source per slot,
+        off the row's first cell (a step's ``offsets``, once per step)."""
+        o = self.offsets.setdefault(a, f"_o{len(self.offsets)}")
+        n, m = self.width, [f"m[{o} + {j}]" if j else f"m[{o}]"
+                            for j in range(2 * self.width)]
+        return [f"(0.5 * {m[j]} + 0.5 * {m[j + n]})" if odd else m[j]
+                for j in range(n)] + [t]
 
     def _past(self, e, x, v, w, t):
         # at or before 0, a read is row 0, a running integral t * vals[0]
         (a, odd, over), arg = self.at, e.args[0]
-        lag = self._name(("lag", w), lambda n: [f"{n} = round({w} / dt)"])
-        b, q = f"{a} - {lag}", self._fresh()
+        b, q = f"{a} - {self._bound(f'round({w} / dt)')}", self._fresh()
         if e.func == "delay":
-            # a delayed expression is fn(its row, at row a, in step k)
-            fn = self._function_of(self._value_at(("a", odd, False), arg),
-                                   "r, a, k")
-            return (f"{fn}(_r0 + [{q}] if ({q} := {t} - {v}) <= 0.0 "
-                    f"else {self._row(b, odd, arg, q)}, {b}, k)")
-        n = self._name(("histint", unparse(arg)),
-                       lambda n: self._integrand(n, arg))
+            pre, post = (self._value_at((b, odd, False), row, arg) for row in (
+                [f"_r0[{j}]" for j in range(self.width)] + [q],
+                self._cells(b, odd, q)))
+            return self._share(
+                f"({pre} if ({q} := {t} - {v}) <= 0.0 else {post})")
+        if (key := unparse(arg)) not in self._names:  # its arrays, once
+            self._names[key] = n = self._fresh("_n")
+            self.lines.append(f"{n}v, {n}c = _arr('d'), _arr('d')")
+        n = self._names[key]
         hi = f"{n}c[k] + {'_qw' if odd else '_hw'} * ({n}v[k] + {x})" \
             if over else self._running(n, a, odd)
-        return (f"(({t} * {n}v[0] if {t} <= 0.0 else {hi}) - ({q} * {n}v[0] "
-                f"if ({q} := {t} - {v}) <= 0.0 else {self._running(n, b, odd)})"
-                f" if len({n}v) > k or {n}x(k) else 0.0)")
+        lo = self._share(f"({q} * {n}v[0] if ({q} := {t} - {v}) <= 0.0 "
+                         f"else {self._running(n, b, odd)})")
+        past = f"({t} * {n}v[0] if {t} <= 0.0 else {hi}) - {lo}"
+        return f"({past})" if self.stage > 1 else \
+            f"({past} if len({n}v) > k or {self._extend(n, arg)} else 0.0)"
 
     def _running(self, n, a, odd):
         """Running integral of integrand ``n`` at row ``a`` or half on."""
         return (f"{n}c[(_i := {a})] + _qw * ({n}v[_i] + (0.5 * {n}v[_i] "
                 f"+ 0.5 * {n}v[_i + 1]))" if odd else f"{n}c[{a}]")
 
-    def _integrand(self, n, arg):
+    def _extend(self, n, arg):
+        """Source that appends integrand ``n`` at row k and its running
+        integral to their arrays, then is true."""
+        x = self._value_at(("k", False, False),
+                           self._cells("k", False, "float(k * dt)"), arg)
         add = f"{n}v[k - 1]" if self.discrete \
             else f"_hw * ({n}v[k - 1] + {n}v[k])"
-        return [f"{n}v, {n}c = _arr('d'), _arr('d')",
-                f"def {n}x(k): r = {self._row('k', False, arg, 'float(k * dt)')}"
-                f"; {n}v.append({self._value_at(('k', False, False), arg)})"
-                f"; {n}c.append({n}c[k - 1] + {add} if k else 0.0); return True"]
+        return (f"({n}v.append({x}) or {n}c.append({n}c[k - 1] + {add} "
+                "if k else 0.0) or True)")
 
 
 def _generate_step(diagram, history, budget, through=False):
@@ -466,37 +483,41 @@ def _generate_step(diagram, history, budget, through=False):
     synchronous ``y + f(float(t))`` (``history`` True) or as RK4 unrolled
     per component, in the operations and order of a numpy RK4 over ``rhs``
     (``0.5 * dt``, ``y + c*k``, ``k1 + 2.0*k2 + 2.0*k3 + k4`` times ``dt /
-    6.0``).  Each stage runs the flow lines and sums over its row ``r``
-    with ``_Indexed`` reads (or, ``through``, calls ``_f(t, y, h)``, an
+    6.0``).  Each stage sets its row's locals and runs the flow lines and
+    sums with ``_Indexed`` reads (or, ``through``, calls ``_f(t, y, h)``, an
     ``rhs`` swapped into a RateSystem, with the accessor ``h``), so every
-    value is the one numpy and ``rhs`` give.  At ``t = (k + 1) * dt`` it raises NonFinite, ConservationDrift (the
-    state total, summed left to right, off a positive N0 by over ``budget *
-    N0``) or NegativePopulation (below ``floor``), checked in that order,
-    then stores the row in ``m`` (or ``h``)."""
+    value is the one numpy and ``rhs`` give.  At ``t = (k + 1) * dt`` it
+    raises NonFinite, ConservationDrift (the state total, summed left to
+    right, off a positive N0 by over ``budget * N0``) or NegativePopulation
+    (below ``floor``), in that order, then stores the row in ``m`` or ``h``.
+    """
     names, slots, exprs, sums = _kernel_source(diagram)
     src = _Indexed(names, slots, history is True)
     ys = [f"y{i}" for i in range(len(sums))]
-    lines = ["def step(k, y):", f"    [{', '.join(ys)}] = y", "    t = k * dt"]
+    lines = ["def step(k, y):", f"    [{', '.join(ys)}] = y",
+             "    t = float(k * dt)"]
     # per stage: each component's offset from y, the time, its history's at
-    if history is True:
-        stages, last = [("", "float(t)", ("k", False, False))], " + k1_{}"
-    else:
-        stages = [("", "t", ("k", False, False)),
-                  (" + c * k1_{}", "t + c", ("k", True, True)),
-                  (" + c * k2_{}", "t + c", ("k", True, True)),
-                  (" + dt * k3_{}", "t + dt", ("k + 1", False, True))]
+    stages, last = [("", "t", ("k", False, False))], " + k1_{}"
+    if history is not True:
+        lines[2] = "    t = k * dt; th = t + c; td = t + dt"
+        stages += [(" + c * k1_{}", "th", ("k", True, True)),
+                   (" + c * k2_{}", "th", ("k", True, True)),
+                   (" + dt * k3_{}", "td", ("k + 1", False, True))]
         last = " + c6 * (k1_{0} + 2.0 * k2_{0} + 2.0 * k3_{0} + k4_{0})"
     for s, (offset, t, at) in enumerate(stages, 1):
-        row = "".join(f"{y}{offset.format(i)}, " for i, y in enumerate(ys))
+        row = [f"r{i}" if offset else y for i, y in enumerate(ys)] + [t]
         ks = [f"k{s}_{i}" for i in range(len(ys))]
+        lines += [f"    r{i} = {y}{offset.format(i)}"
+                  for i, y in enumerate(ys) if offset]
         if through:
-            lines.append(f"    [{', '.join(ks)}] = "
-                         f"_f({t}, _array([{row}]), h).tolist()")
+            lines.append(f"    [{', '.join(ks)}] = _f({t}, "
+                         f"_array([{', '.join(row[:-1])}]), h).tolist()")
         else:
-            src.at = at
-            lines += [f"    r = [{row}{t}]",
-                      *(f"    {n} = {src.value(e)}" for n, e in exprs),
+            src.at, src.row, src.stage = at, row, s
+            lines += [*(f"    {n} = {src.value(e)}" for n, e in exprs),
                       *(f"    {k} = {d}" for k, d in zip(ks, sums))]
+    lines[3:3] = (f"    {o} = ({a}) * {len(ys)}"  # each row's first cell
+                  for a, o in src.offsets.items())
     lines += [f"    {y} = {y}{last.format(i)}" for i, y in enumerate(ys)]
     finite = " and ".join(f"_isfinite({y})" for y in ys) or "True"
     lines += ["    t = (k + 1) * dt", f"    if not ({finite}):",
@@ -515,7 +536,7 @@ def _generate_step(diagram, history, budget, through=False):
     cap = f"{src._literal(budget)} * {n0} if {n0} > 0 else _inf"
     src.lines += ["c = 0.5 * dt", "c6 = dt / 6.0",
                   f"_r0 = m[:{len(ys)}].tolist()", "_hw = 0.5 * dt",
-                  "_qw = 0.25 * dt", f"_cap = {cap}", *src.run, *lines,
+                  "_qw = 0.25 * dt", f"_cap = {cap}", *lines,
                   f"    return [{', '.join(ys)}]"]
     src.env.update(_isfinite=math.isfinite, _NonFinite=NonFinite,
                    _Drift=ConservationDrift, _Negative=NegativePopulation,

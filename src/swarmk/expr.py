@@ -107,6 +107,7 @@ class Source:
         self.names = {n: i for i, n in enumerate(names)}
         self._unpack = "".join(f"_p{i}, " for i in range(len(names)))
         self.slots = slots
+        self.row = [f"r[{i}]" for i in range(len(slots))]  # slot sources
         self.lines = []
         self.fixed = {}  # source -> name of a value bind computes first
         self.env = {"_exp": _exp, "_ln": _ln, "_fail": _fail}
@@ -127,25 +128,32 @@ class Source:
         self.env[name] = v
         return name
 
+    def _fixed(self, e):
+        """Whether ``e``, a value ``bind`` can compute once, cannot fail:
+        a sum, difference, product or negation of numbers and parameters."""
+        return self.fixed is not None and all(
+            isinstance(n, (Num, Neg)) or isinstance(n, BinOp)
+            and n.op in ("+", "-", "*") or isinstance(n, Name)
+            and n.ident in self.names and n.ident not in self.slots
+            for n in nodes(e))
+
+    def _bound(self, x):  # the name of x, which bind computes once
+        return self.fixed.setdefault(x, f"_k{len(self.fixed)}")
+
     def value(self, e, prec=0):
         """Source of one expression for ``e`` over the row ``r``; ``prec``
-        is the binding strength of the surrounding operator.  A sum,
-        difference, product or negation of numbers and parameters is the
-        same at every row and cannot fail: ``bind`` computes it once, as the
-        compiler folds literals, and it is read by name."""
-        if isinstance(e, (Neg, BinOp)) and self.fixed is not None and all(
-                isinstance(n, (Num, Neg)) or isinstance(n, BinOp)
-                and n.op in ("+", "-", "*") or isinstance(n, Name)
-                and n.ident in self.names and n.ident not in self.slots
-                for n in nodes(e)):
+        is the binding strength of the surrounding operator.  A ``_fixed``
+        value is computed once, as the compiler folds literals, and read by
+        name."""
+        if isinstance(e, (Neg, BinOp)) and self._fixed(e):
             fixed, self.fixed = self.fixed, None  # the value, not its parts
             x, self.fixed = self.value(e), fixed
-            return fixed.setdefault(x, f"_k{len(fixed)}")
+            return self._bound(x)
         if isinstance(e, Num):
             return self._literal(float(e.value))
         if isinstance(e, Name):
             if e.ident in self.slots:
-                return f"r[{self.slots[e.ident]}]"
+                return self.row[self.slots[e.ident]]
             if e.ident in self.names:
                 return f"_p{self.names[e.ident]}"
             return f"_fail({'unbound identifier ' + e.ident!r})"
@@ -157,15 +165,19 @@ class Source:
                 raise EvalError(f"unknown operator {e.op}")
             p = _PREC[e.op]
             if e.op == "/":
-                # the divisor first: it is tested before the dividend is
-                # evaluated; a leaf is read in place, anything else held
-                right = test = self.value(e.right)
-                if not isinstance(e.right, (Num, Name)):
-                    right = self._fresh()
-                    test = f"({right} := {test})"
-                left = self.value(e.left, p)
-                return (f"({left} / {right} if {test} != 0.0 "
-                        "else _fail('division by zero'))")
+                # the divisor is tested first (by bind if fixed, which also
+                # divides fixed values); a leaf is read in place, else held
+                right, fixed = self.value(e.right), self._fixed(e.right)
+                test = f"{right} != 0.0"
+                if fixed:
+                    test = self._bound(test)
+                elif not isinstance(e.right, (Num, Name)):
+                    held, right = right, self._fresh()
+                    test = f"({right} := {held}) != 0.0"
+                x = f"{self.value(e.left, p)} / {right}"
+                if fixed and self._fixed(e.left):
+                    x = self._bound(f"{x} if {test} else 0.0")
+                return f"({x} if {test} else _fail('division by zero'))"
             left = self.value(e.left, p)
             # operations associate to the left, so a right operand of
             # equal precedence keeps its parentheses
@@ -181,17 +193,21 @@ class Source:
             raise EvalError(f"unknown function {e.func}")
         arg = e.args[0]
         if e.func == "step":
-            return f"(0.0 if {self.value(arg)} < 0.0 else 1.0)"
+            return self._share(f"(0.0 if {self.value(arg)} < 0.0 else 1.0)")
         if e.func in UNARY_CALLS:
             return f"_{e.func}({self.value(arg)})"
-        # delay and histint: the lag or window first; t is read only when
-        # the history is consulted, so a zero lag or window needs no time
-        v = self._fresh()
+        # delay and histint: the lag or window first (by bind if fixed); t is
+        # read only from the history, so a zero lag or window needs no time
         w = self.value(e.args[1])
+        v = w if self._fixed(e.args[1]) else self._fresh()
+        zero = self._bound(f"{w} == 0.0") if v == w else f"({v} := {w}) == 0.0"
         x = self.value(arg)
         past = self._past(e, x, v, w, self.value(Name("t"), 1))
         now = x if e.func == "delay" else "0.0"
-        return f"({now} if ({v} := {w}) == 0.0 else {past})"
+        return f"({now} if {zero} else {past})"
+
+    def _share(self, x):  # a value the fused step may share between stages
+        return x
 
     def _past(self, e, x, v, w, t):
         """Term ``e`` from history ``h``: ``x`` its argument, ``v`` its lag."""
@@ -201,13 +217,13 @@ class Source:
         msg = f"history required to evaluate {unparse(e)}"
         return f"{past} if h is not None else _fail({msg!r})"
 
-    def _function_of(self, x, params="r, h=None"):
-        """The name of a generated function ``fn(params)`` that returns
+    def _function_of(self, x):
+        """The name of a generated function ``fn(r, h=None)`` that returns
         the expression ``x``: one per distinct source, so trees that print
         alike but differ in a signed zero keep their own."""
         if x not in self._functions:
             self._functions[x] = name = self._fresh("_f")
-            self.lines.append(f"def {name}({params}): return {x}")
+            self.lines.append(f"def {name}(r, h=None): return {x}")
         return self._functions[x]
 
     def function(self, name, e):

@@ -196,6 +196,32 @@ def test_in_place_param_edit_reaches_the_kernel():
     assert np.array_equal(after, compile_rhs(replace(d)).rhs(0.0, y))
 
 
+def test_a_copy_of_a_compiled_diagram_gets_its_own_n0_kernel_and_gate():
+    # with_params and with_state_init share the structure's programs but
+    # none of the values kept on the compiled diagram: each copy binds its
+    # own parameters and N0, and passes its own gate
+    from swarmk.diagram import gate, rate_kernel
+
+    d = parse_model("param k = 1\nparam w = 1\nstate a = 2\nstate b = 0\n"
+                    "rate(k * a / N0): a -> b\n"
+                    "rate(0 * histint(a, w)): b -> a\n")
+    compile_rhs(d)
+    row = [2.0, 0.0, 0.0]
+    for copy, n0, flow, delays in ((d, 2.0, 1.0, (1.0,)),
+                                   (d.with_params(k=3.0, w=2.0), 2.0, 3.0,
+                                    (2.0,)),
+                                   (d.with_state_init(a=4.0), 4.0, 0.5,
+                                    (1.0,))):
+        assert copy._programs is d._programs
+        assert copy.n0 == n0
+        assert rate_kernel(copy)[1][0][2](row) == flow
+        assert gate(copy) == ("dde", delays, False)
+        if copy is not d:
+            assert rate_kernel(copy) is not rate_kernel(d)
+            assert gate(copy) is not gate(d)
+    assert compile_rhs(d.with_state_init(a=4.0)).diagram.n0 == 4.0
+
+
 def test_a_sweep_generates_its_kernel_and_step_once(monkeypatch):
     # ten rows of a parameter sweep share one structure: the kernel, the
     # step and each derived declaration are compiled on the first row only

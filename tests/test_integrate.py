@@ -341,8 +341,9 @@ def _march_builtin(system):
 # Every history form, in a continuous and a synchronous flavour: a delay
 # nested in a histint, a delay of a delay, a delayed expression that reads
 # t, a histint nested in a delay, a zero lag and window, windows that reach
-# before t0, and a delay in an env effect.  Lags and windows are whole
-# numbers of steps at dt = 0.05 and at dt = 1.
+# before t0, a delay in an env effect, and two rates that read the same
+# delayed expression at the same lag (RK4 stages 2 and 3 share such reads).
+# Lags and windows are whole numbers of steps at dt = 0.05 and at dt = 1.
 HISTORY_FORMS = """\
 param d = 2
 param w = 4
@@ -353,6 +354,7 @@ env m = 1
 rate(0.05 * a + 0.01 * histint(delay(a, d), w)): a -> b ; m += 0.1 * delay(b, d)
 rate(0.02 * delay(delay(a, d) * b, 1) + 0.01 * delay(a * step(t - 3) + 0.001 * t, d)): b -> a
 rate(0.01 * delay(b, z) + histint(a, z) + 0.01 * delay(histint(b, w), 1)): b -> a
+rate(0.01 * delay(a * step(t - 3) + 0.001 * t, d) * step(t - 3)): a -> b
 """
 FORMS = {"history-forms": HISTORY_FORMS,
          "history-forms-synchronous": "synchronous\n" + HISTORY_FORMS}
@@ -372,18 +374,29 @@ def test_march_matches_a_numpy_reference_bit_for_bit(name):
     assert np.array_equal(traj.data, _reference_march(system, t_end, dt))
 
 
-# Models that fail on the way: the first failure in evaluation order is
-# raised, at the same step, by the generated step and by the reference.  In
-# a synchronous run of "integrand" the first rate fails in the same step as
-# the window integrand after it; in "delayed" the first rate's delayed
-# expression fails in the same step as the second rate.
+# Models that fail on the way, and the start of their message: the first
+# failure in evaluation order is raised, at the same step, by the generated
+# step and by the reference.  In a synchronous run of "integrand" the first
+# rate fails in the same step as the window integrand after it; in
+# "delayed" the first rate's delayed expression fails in the same step as
+# the second rate.  In "overflow" a window of rows past t0 overflows exp;
+# in "half-step" a delayed expression divides by zero, in the continuous
+# flavour first at an RK4 stage that reads half a step on.
 FAILING = {
-    "integrand": "state a = 6\nstate b = 0\n"
-                 "rate(0.01 * a * ln(20 - t)): a -> b\n"
-                 "rate(0.01 * b * histint(ln(19.5 - t), 2)): b -> a\n",
-    "delayed": "state a = 6\nstate b = 0\n"
-               "rate(0.01 * a * delay(ln(19 - t), 2)): a -> b\n"
-               "rate(0.01 * b * ln(20.5 - t)): b -> a\n",
+    "integrand": ("state a = 6\nstate b = 0\n"
+                  "rate(0.01 * a * ln(20 - t)): a -> b\n"
+                  "rate(0.01 * b * histint(ln(19.5 - t), 2)): b -> a\n",
+                  "ln of non-positive value"),
+    "delayed": ("state a = 6\nstate b = 0\n"
+                "rate(0.01 * a * delay(ln(19 - t), 2)): a -> b\n"
+                "rate(0.01 * b * ln(20.5 - t)): b -> a\n",
+                "ln of non-positive value"),
+    "overflow": ("state a = 6\nstate b = 0\n"
+                 "rate(0.01 * a + 0 * exp(30 * histint(t, 2))): a -> b\n"
+                 "rate(0.01 * b): b -> a\n", "exp overflows at"),
+    "half-step": ("state a = 6\nstate b = 0\n"
+                  "rate(0.01 * a * delay(b / step(12.31 - t), 2)): a -> b\n"
+                  "rate(0.01 * b): b -> a\n", "division by zero"),
 }
 
 
@@ -409,7 +422,8 @@ def _first_failure(run, steps):
 @pytest.mark.parametrize("name", FAILING)
 def test_a_failure_is_the_reference_failure_at_the_same_step(name,
                                                              synchronous):
-    d = parse_model(("synchronous\n" if synchronous else "") + FAILING[name])
+    source, start = FAILING[name]
+    d = parse_model(("synchronous\n" if synchronous else "") + source)
     system = compile_rhs(d)
     dt = 1 if synchronous else 0.05
     fused = (lambda n: iterate_difference(system, k_steps=n)) if synchronous \
@@ -417,7 +431,7 @@ def test_a_failure_is_the_reference_failure_at_the_same_step(name,
     got = _first_failure(fused, int(30 / dt))
     assert got == _first_failure(
         lambda n: _reference_march(system, n * dt, dt), int(30 / dt))
-    assert got[1].startswith("ln of non-positive value")
+    assert got[1].startswith(start)
 
 
 @pytest.mark.parametrize("name", ["foraging", "stickpull-delayed",
