@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import models
+from .diagram import check_param
 from .errors import IntegrationError, ModelError, NoRoot, NotReached, \
     StepGridError, SwarmkError
 from .integrate import integrate, integrate_delayed, iterate_difference
@@ -45,17 +46,30 @@ class SweepTable:
                          for r in self.rows])
 
 
+# the intervals the shipped stick-pulling files declare for their
+# parameters (``StateDiagram.domains``), and the searching fraction n
+DOMAINS = {"beta": (0.0, math.inf, "()"), "gamma": (0.0, math.inf, "[)"),
+           "tau": (0.0, math.inf, "[)"), "rg": (0.0, 1.0, "(]"),
+           "alpha": (0.0, math.inf, "()"), "n0": (1.0, math.inf, "[)"),
+           "m0": (1.0, math.inf, "[)"), "n": (0.0, 1.0, "[]")}
+
+
+def check_args(**args):
+    """ValueError unless each argument is finite and inside its DOMAINS
+    interval."""
+    for name, v in args.items():
+        check_param(name, v, DOMAINS[name])
+
+
 def beta_critical(r_g):
     """Critical robots-to-sticks ratio 2/(1+R_G)."""
-    if not r_g > 0:
-        raise ValueError("r_g must be positive")
+    check_args(rg=r_g)
     return 2.0 / (1.0 + r_g)
 
 
 def collaboration_rate(n, beta, r_g):
     """Steady-state rate of successful two-robot extractions."""
-    if not 0.0 <= n <= 1.0:
-        raise ValueError("n must be a fraction in [0, 1]")
+    check_args(n=n, beta=beta, rg=r_g)
     return beta * (r_g * beta) * n * (1.0 - n)
 
 
@@ -65,10 +79,7 @@ def steady_state_simple(beta, gamma, r_g):
     Root in (0, 1] of (beta+bt) n^2 + (1+gamma-beta-bt) n - gamma = 0
     with bt = r_g*beta; for gamma=0 the non-negative physical branch.
     """
-    if not beta > 0:
-        raise ValueError("beta must be positive")
-    if gamma < 0:
-        raise ValueError("gamma must be non-negative")
+    check_args(beta=beta, gamma=gamma, rg=r_g)
     a = beta + r_g * beta
     if gamma == 0.0:
         n = max(0.0, (a - 1.0) / a)
@@ -92,67 +103,52 @@ def steady_state_simple(beta, gamma, r_g):
     return SteadyStateResult(min(max(n, 0.0), 1.0), branch, residual)
 
 
-def _delayed_f(beta, tau, r_g):
-    bt = r_g * beta
-
-    def f(n):
-        return (-1.0 + (beta + bt) * (1.0 - n)
-                + (1.0 - beta * (1.0 - n)) * math.exp(-bt * tau * n))
-
-    return f
-
-
 def steady_state_delayed(beta, tau, r_g):
-    """Steady searching fraction of the gripping-timer model.
+    """Steady searching fraction of the gripping-timer model: the root in
+    [0, 1] of f(n) = -1 + (beta+b)(1-n) + (1 - beta(1-n)) e, with
+    b = r_g*beta and e = exp(-b*tau*n).
 
-    Bracketed bisection on [0, 1] followed by a Newton polish of
-    f(n) = -1 + (beta+bt)(1-n) + (1 - beta(1-n)) exp(-bt*tau*n).
+    f(0) = b > 0 >= f(1) = exp(-b*tau) - 1 brackets it.  Newton steps on
+    the exact derivative f'(n) = beta*e - (beta+b) - b*tau*(1-beta(1-n))*e
+    start at n = 0.  Each f(n) narrows the sign bracket; a step that moves
+    n (or whose f' overflowed) but does not land strictly inside it is a
+    bisection instead, and the loop stops at the first next point that is
+    not strictly inside it (a step that no longer moves n, or a bracket of
+    adjacent floats).
     """
-    if not beta > 0:
-        raise ValueError("beta must be positive")
-    if tau < 0:
-        raise ValueError("tau must be non-negative")
+    check_args(beta=beta, tau=tau, rg=r_g)
     if tau == 0.0:
         return SteadyStateResult(1.0, "boundary", 0.0)
-    f = _delayed_f(beta, tau, r_g)
-    lo, hi = 0.0, 1.0
-    f_lo, f_hi = f(lo), f(hi)
+    b = r_g * beta
+    f_lo, f_hi = -1.0 + (beta + b) + (1.0 - beta), math.exp(-b * tau) - 1.0
     if f_lo == 0.0:
         return SteadyStateResult(0.0, "boundary", 0.0)
     if f_hi == 0.0:
         return SteadyStateResult(1.0, "boundary", 0.0)
-    if f_lo * f_hi > 0:
+    if f_lo < 0.0:  # rounding, as r_g -> 0
         raise NoRoot(f_lo, f_hi)
-    while hi - lo > 1e-6:
-        mid = 0.5 * (lo + hi)
-        f_mid = f(mid)
-        if f_mid == 0.0:
-            lo = hi = mid
+    lo, hi, n = 0.0, 1.0, 0.0
+    while True:
+        e = math.exp(-b * (tau * n))  # b * tau may overflow: not inf * 0
+        u = 1.0 - beta * (1.0 - n)
+        fn = -1.0 + (beta + b) * (1.0 - n) + u * e
+        if fn == 0.0:
             break
-        if f_lo * f_mid < 0:
-            hi, f_hi = mid, f_mid
-        else:
-            lo, f_lo = mid, f_mid
-    n = 0.5 * (lo + hi)
-    for _ in range(20):
-        fn = f(n)
-        if abs(fn) <= 1e-14:
+        lo, hi = (n, hi) if fn > 0.0 else (lo, n)
+        df = beta * e - (beta + b) - b * tau * u * e
+        x = n - fn / df
+        # a step that stays at n has converged, unless df overflowed
+        if (x != n or math.isinf(df)) and not lo < x < hi:
+            x = 0.5 * (lo + hi)
+        if not lo < x < hi:
             break
-        h = 1e-7
-        dfn = (f(n + h) - f(n - h)) / (2.0 * h)
-        if dfn == 0.0:
-            break
-        step = fn / dfn
-        if not 0.0 <= n - step <= 1.0:
-            break
-        n -= step
-    return SteadyStateResult(n, "unique", abs(f(n)))
+        n = x
+    return SteadyStateResult(n, "unique", abs(fn))
 
 
 def gamma_opt(beta, r_g):
     """Optimal release rate 1 - (beta+bt)/2, or None past the critical ratio."""
-    if not beta > 0:
-        raise ValueError("beta must be positive")
+    check_args(beta=beta, rg=r_g)
     val = 1.0 - beta * (1.0 + r_g) / 2.0
     if val < -1e-12:
         return None
@@ -162,8 +158,7 @@ def gamma_opt(beta, r_g):
 def tau_opt(beta, r_g):
     """Optimal gripping time (2/bt) ln[(1-beta/2)/(1-(beta+bt)/2)], or None
     past the critical ratio (where the log argument stops being positive)."""
-    if not beta > 0:
-        raise ValueError("beta must be positive")
+    check_args(beta=beta, rg=r_g)
     bt = r_g * beta
     if 1.0 - (beta + bt) / 2.0 <= 0.0:
         return None
@@ -193,8 +188,6 @@ def completion_time(traj, counter, mode, threshold):
     if i == 0:
         return float(times[0])
     y0, y1 = col[i - 1], col[i]
-    if y1 == y0:
-        return float(times[i])
     frac = (threshold - y0) / (y1 - y0)
     return float(times[i - 1] + frac * (times[i] - times[i - 1]))
 
@@ -253,29 +246,22 @@ def _steady(diagram):
     """The analytic steady state of a stick-pulling diagram, the table that
     ``steady`` prints and ``sweep`` reads: ``nstar``, ``R`` (the
     collaboration rate at ``nstar``), ``residual`` and ``branch``.  The
-    release-rate model is solved if the diagram has ``gamma``, the
+    release-rate model is solved if the diagram has ``gamma``, else the
     gripping-timer model if it has ``tau``.  Its states, env counters and
     transitions must be those of that model's shipped file; parameters may
     differ (a derived one is added, ...)."""
     p = diagram.params
-    if "beta" not in p or "rg" not in p:
-        raise ModelError("steady state needs a stick-pulling model with "
-                         "beta and rg parameters")
-    if "gamma" in p:
-        name, solve, key = "stickpull-simple", steady_state_simple, "gamma"
-    elif "tau" in p:
-        name, solve, key = "stickpull-delayed", steady_state_delayed, "tau"
-    else:
-        raise ModelError("model has neither a release rate (gamma) nor a "
-                         "gripping time (tau)")
+    key, form = ("gamma", "simple") if "gamma" in p else ("tau", "delayed")
     # a built-in shares the shipped file's transitions: one identity test
-    shipped = models._shipped_diagram(name)
-    if (diagram.transitions, diagram.states, diagram.env_vars) != \
-            (shipped.transitions, shipped.states, shipped.env_vars):
+    shipped = models._shipped_diagram(f"stickpull-{form}")
+    same = (diagram.transitions, diagram.states, diagram.env_vars) == \
+        (shipped.transitions, shipped.states, shipped.env_vars)
+    if key not in p or not same:
         raise ModelError(f"no closed-form steady state for {diagram.name}: "
                          f"its states, counters or transitions differ from "
-                         f"{name}")
-    res = solve(p["beta"], p[key], p["rg"])
+                         f"stickpull-{form}")
+    # looked up per call, where perfbench traces the solvers
+    res = globals()[f"steady_state_{form}"](p["beta"], p[key], p["rg"])
     return {"nstar": res.n, "R": collaboration_rate(res.n, p["beta"], p["rg"]),
             "residual": res.residual, "branch": res.branch}
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .analysis import check_args
 from .diagram import _kept, _kernel_source, _shared, _values, gate
 from .errors import IntegrationError, ModelError, StateSpaceTooLarge
 from .expr import Source
@@ -281,71 +282,43 @@ def semimarkov_run(n0, m0, alpha, r_g, tau, t_end=10.0, seed=0):
     pair and find gripping agents at rate r_g*alpha per pair.  A helped
     gripper and its helper both return to searching (the stick is pulled
     out and re-inserted); an unhelped gripper releases exactly tau after
-    gripping.
+    gripping.  The state is the list of gripping deadlines: with g of them,
+    n0 - g agents search and m0 - g sticks are free.  The arguments must be
+    inside ``analysis.DOMAINS`` and n0 and m0 whole, else ValueError.
     """
-    if n0 < 1 or m0 < 1:
-        raise ValueError("n0 and m0 must be >= 1")
-    if tau < 0 or alpha <= 0 or not 0 < r_g <= 1:
-        raise ValueError("invalid rate parameters")
+    check_args(n0=n0, m0=m0, alpha=alpha, rg=r_g, tau=tau)
+    if n0 % 1 or m0 % 1:
+        raise ValueError("n0 and m0 must be whole numbers")
     rng = np.random.default_rng(seed)
-    n_search = n0
     deadlines = []          # one entry per gripping agent
-    sticks = m0             # free sticks
     successes = 0
     t = 0.0
     times = [0.0]
-    rows = [(float(n_search), 0.0)]
-
-    def record():
-        times.append(t)
-        rows.append((float(n_search), float(len(deadlines))))
-
-    while t < t_end:
-        grip_rate = alpha * n_search * sticks
-        help_rate = r_g * alpha * n_search * len(deadlines)
-        total = grip_rate + help_rate
-        next_deadline = min(deadlines) if deadlines else math.inf
-        if total > 0.0:
-            t_stoch = t + rng.exponential(1.0 / total)
-        else:
-            t_stoch = math.inf
-        if next_deadline == math.inf and t_stoch == math.inf:
+    rows = [(float(n0), 0.0)]
+    while True:
+        g = len(deadlines)
+        grip_rate = alpha * (n0 - g) * (m0 - g)
+        total = grip_rate + r_g * alpha * (n0 - g) * g
+        # total is 0 only while every agent grips, each with a deadline
+        drawn = t + rng.exponential(1.0 / total) if total > 0.0 else math.inf
+        first = min(deadlines, default=math.inf)
+        t = min(first, drawn)
+        if not t < t_end:
             break
-        if next_deadline <= t_stoch:
-            # unaided release at timer expiry
-            if next_deadline >= t_end:
-                break
-            t = next_deadline
-            deadlines.remove(next_deadline)
-            n_search += 1
-            sticks += 1
-            record()
-            continue
-        if t_stoch >= t_end:
-            break
-        t = t_stoch
-        if rng.random() * total < grip_rate:
-            n_search -= 1
-            sticks -= 1
-            if tau == 0.0:
-                # releases immediately: never observed gripping
-                n_search += 1
-                sticks += 1
-            else:
-                deadlines.append(t + tau)
-        else:
-            # success: pick a gripper uniformly; both return to searching
-            k = int(rng.integers(len(deadlines)))
-            deadlines.pop(k)
-            n_search += 1  # the gripper (the helper never left searching
-            #                as a count: one searcher leaves, two return)
+        if t == first:
+            # unaided release at timer expiry (before a draw at the same t)
+            deadlines.remove(first)
+        elif rng.random() * total >= grip_rate:
+            # success: pick a gripper uniformly; it and its helper both
+            # search (one searcher leaves, two return), the stick is put back
+            deadlines.pop(int(rng.integers(g)))
             successes += 1
-            sticks += 1  # the pulled stick is put back
-        assert 0 <= n_search <= n0 and 0 <= len(deadlines) <= n0
-        assert n_search + len(deadlines) == n0
-        record()
-    t = t_end
-    record()
+        elif tau > 0.0:  # a grip; at tau = 0 it releases at once, unseen
+            deadlines.append(t + tau)
+        times.append(t)
+        rows.append((float(n0 - len(deadlines)), float(len(deadlines))))
+    times.append(t_end)
+    rows.append((float(n0 - len(deadlines)), float(len(deadlines))))
     return Trajectory(np.array(times),
                       np.array(rows, dtype=float),
                       ["s", "g"], [],

@@ -129,6 +129,53 @@ def test_steady_delayed_matches_integration():
     assert abs(settled - sk.steady_state_delayed(0.5, 5.0, 0.35).n) < 1e-3
 
 
+def _delayed_residual(n, beta, tau, r_g):
+    """|f(n)| of the gripping-timer steady-state condition, written out."""
+    b = r_g * beta
+    return abs(-1.0 + (beta + b) * (1.0 - n)
+               + (1.0 - beta * (1.0 - n)) * math.exp(-b * tau * n))
+
+
+@pytest.mark.parametrize("tau, root", [(1e6, 2.4616015e-6),
+                                       (1e8, 2.4616165e-8),
+                                       (1e12, 2.4616167e-12)])
+def test_steady_delayed_long_gripping_times(tau, root):
+    # the root falls like 1/tau; a bisection to 1e-6 cannot resolve it
+    res = sk.steady_state_delayed(0.5, tau, 0.35)
+    assert res.branch == "unique"
+    assert res.n == pytest.approx(root, rel=1e-6)
+    assert _delayed_residual(res.n, 0.5, tau, 0.35) <= 1e-12
+    assert res.residual <= 1e-12
+
+
+@given(st.floats(0.05, 2.5), st.floats(0.01, 40.0), st.floats(0.05, 1.0))
+def test_steady_delayed_newton_reaches_round_off(beta, tau, r_g):
+    res = sk.steady_state_delayed(beta, tau, r_g)
+    assert 0.0 < res.n < 1.0
+    assert res.residual <= 1e-14
+    assert _delayed_residual(res.n, beta, tau, r_g) <= 1e-14
+
+
+def test_steady_delayed_exact_zero_boundaries():
+    # exp(-b * 1e-300) rounds to 1, so f(1) is 0; at r_g = 1e-300,
+    # f(0) = -1 + (beta + b) + (1 - beta) rounds to 0
+    assert sk.steady_state_delayed(0.5, 1e-300, 0.35) == \
+        analysis.SteadyStateResult(1.0, "boundary", 0.0)
+    assert sk.steady_state_delayed(0.5, 5.0, 1e-300) == \
+        analysis.SteadyStateResult(0.0, "boundary", 0.0)
+
+
+@pytest.mark.parametrize("beta, tau, root", [
+    # b * tau overflows: f(n) = -1 + (beta + b)(1 - n) past n = 0
+    (10.0, 1e300, 1.0 - 1.0 / 13.5), (10.0, 1.7e308, 1.0 - 1.0 / 13.5),
+    # b * tau * (1 - beta) overflows in f'(0); the root is 1 - ~1e-160
+    (1e160, 5.0, 1.0)])
+def test_steady_delayed_past_the_overflow_of_its_terms(beta, tau, root):
+    res = sk.steady_state_delayed(beta, tau, 0.35)
+    assert res.branch == "unique"
+    assert res.n == pytest.approx(root, rel=1e-15)
+
+
 @pytest.mark.parametrize("rows", [1, 2, 3])
 def test_steady_of_trajectory_refuses_a_run_too_short_to_settle(rows):
     # the last two rows are compared with the two before them
@@ -216,6 +263,47 @@ def test_optima_share_critical_point():
     assert sk.tau_opt(bc + eps, 0.35) is None
 
 
+
+# -- argument domains ---------------------------------------------------------
+
+# (closed form, arguments inside the table, the table name of each)
+_CLOSED_FORMS = [
+    (sk.beta_critical, (0.35,), ("rg",)),
+    (sk.collaboration_rate, (0.5, 0.5, 0.35), ("n", "beta", "rg")),
+    (sk.steady_state_simple, (0.5, 0.2, 0.35), ("beta", "gamma", "rg")),
+    (sk.steady_state_delayed, (0.5, 5.0, 0.35), ("beta", "tau", "rg")),
+    (sk.gamma_opt, (0.5, 0.35), ("beta", "rg")),
+    (sk.tau_opt, (0.5, 0.35), ("beta", "rg"))]
+_OUTSIDE = {"n": (-0.1, 1.2), "beta": (0.0, -1.0), "gamma": (-1e-9,),
+            "tau": (-1e-9,), "rg": (0.0, -0.1, 1.5)}
+
+
+@pytest.mark.parametrize("solve, args, names", _CLOSED_FORMS,
+                         ids=[f.__name__ for f, _, _ in _CLOSED_FORMS])
+def test_closed_forms_refuse_arguments_outside_the_table(solve, args, names):
+    solve(*args)
+    for i, name in enumerate(names):
+        for bad in (math.nan, math.inf, -math.inf, *_OUTSIDE[name]):
+            with pytest.raises(ValueError, match=f"^{name} "):
+                solve(*args[:i], bad, *args[i + 1:])
+
+
+def test_tau_opt_refuses_rg_zero():
+    # 2 / bt would divide by zero
+    with pytest.raises(ValueError, match="rg = 0.0 is outside"):
+        sk.tau_opt(0.5, 0.0)
+
+
+def test_domains_table_is_the_shipped_files_domains():
+    names = [n for n in sk.BUILTIN_NAMES if n.startswith("stickpull")]
+    checked = set()
+    for name in names:
+        domains = sk.build_builtin(name).domains
+        for k in set(domains) & set(analysis.DOMAINS):
+            assert analysis.DOMAINS[k] == domains[k], (name, k)
+            checked.add(k)
+    assert checked == {"beta", "gamma", "tau", "rg", "alpha", "n0", "m0"}
+
 # -- completion time / scaling / efficiency ---------------------------------
 
 
@@ -244,6 +332,16 @@ def test_completion_time_reach_mode():
     t = np.linspace(0, 10, 101)
     traj = Trajectory(t, np.column_stack([2.0 * t]), [], ["d"], {})
     assert sk.completion_time(traj, "d", "reach", 10.0) == pytest.approx(5.0)
+
+
+def test_completion_time_refuses_an_unknown_mode():
+    with pytest.raises(ValueError, match="unknown mode 'drain'"):
+        sk.completion_time(_decay_traj(), "m", "drain", 0.5)
+
+
+def test_completion_time_crossed_at_the_first_row():
+    # the counter starts at 1, already at or below the threshold
+    assert sk.completion_time(_decay_traj(), "m", "deplete", 1.0) == 0.0
 
 
 def test_scaling_exponent_exact_laws():

@@ -812,3 +812,28 @@ def test_sweep_provenance_names_the_model(capsys):
     provenance = json.loads(out)["provenance"]
     assert provenance["model"] == "stickpull-delayed"
     assert provenance["params"] == {"beta": 0.8, "tau": 5.0, "rg": 0.35}
+
+
+def test_validate_reports_a_delay_bound_it_cannot_evaluate(capsys, tmp_path):
+    f = tmp_path / "lag.mas"
+    f.write_text("param w = 1\nstate a = 1\nstate b = 0\n"
+                 "rate(delay(a, 1 / (w - 1))): a -> b\n")
+    assert _run(capsys, "validate", "--model", str(f)) == (
+        2, "", "defect: delay bound not evaluable: division by zero\n")
+
+
+def test_exact_refuses_fractional_initial_counts(capsys):
+    assert _run(capsys, "exact", "--model", "stickpull-counts",
+                "--set", "n0=2.5") == (
+        2, "", "model error: initial counts must be integers for the "
+        "configuration chain\n")
+
+
+def test_an_arithmetic_failure_mid_run_is_exit_2(capsys, tmp_path):
+    # 1 / step(12.31 - t) divides by zero once t passes 12.31; no typed
+    # error names it, so the CLI's SwarmkError fallback reports it
+    f = tmp_path / "cutoff.mas"
+    f.write_text("state a = 1\nstate b = 0\n"
+                 "rate(a / step(12.31 - t)): a -> b\n")
+    assert _run(capsys, "run", "--model", str(f), "--t-end", "20") == (
+        2, "", "error: division by zero\n")

@@ -449,3 +449,19 @@ def test_an_rhs_swapped_into_the_system_is_called_at_every_stage(name):
     steps = int(round(t_end / dt))
     assert len(calls) == steps * (1 if system.flavor == "difference" else 4)
     assert np.array_equal(traj.data, _march_builtin(system)[0].data)
+
+
+def test_history_read_past_the_newest_row_is_refused():
+    from swarmk.integrate import HistoryAccessor
+
+    history = HistoryAccessor(0.0, 0.1, np.zeros((3, 2)))  # row 0 stored
+    with pytest.raises(IntegrationError, match="beyond the stored window"):
+        history.bindings_at(0.2)
+
+
+def test_difference_run_refuses_a_negative_step_count():
+    from swarmk.errors import StepGridError
+
+    system = compile_rhs(build_builtin("collab-difference"))
+    with pytest.raises(StepGridError, match="k_steps must be non-negative"):
+        iterate_difference(system, k_steps=-1)

@@ -726,3 +726,47 @@ def test_semimarkov_validates_arguments():
         sk.semimarkov_run(5, 5, 0.1, 0.35, -1.0)
     with pytest.raises(ValueError):
         sk.semimarkov_run(5, 5, 0.1, 1.5, 1.0)
+
+
+@pytest.mark.parametrize("args, name", [
+    ((5, 5, math.inf, 0.35, 1.0), "alpha"),
+    ((5, 5, 0.1, 0.35, math.nan), "tau"),
+    ((5, 5, 0.0, 0.35, 1.0), "alpha"),
+    ((5, 5, 0.1, 0.0, 1.0), "rg"),
+    ((5, math.inf, 0.1, 0.35, 1.0), "m0")])
+def test_semimarkov_refuses_arguments_outside_the_table(args, name):
+    with pytest.raises(ValueError, match=f"^{name} "):
+        sk.semimarkov_run(*args)
+
+
+@pytest.mark.parametrize("n0, m0", [(10.5, 20), (10, 2.5)])
+def test_semimarkov_refuses_fractional_counts(n0, m0):
+    with pytest.raises(ValueError, match="whole numbers"):
+        sk.semimarkov_run(n0, m0, 0.05, 0.35, 5.0)
+
+
+# SHA-256 of the (times | s, g) float64 rows and the success count of
+# semimarkov_run paths, as recorded when the simulator kept two counters
+# beside its list of deadlines: one list must draw and move alike
+_SEMIMARKOV_DIGESTS = [
+    ((10, 20, 0.05, 0.35, 5.0, 30.0, 5),
+     "c0769a64cfbd8664f066e1e1d6172d909ca08bf842c1a6f3df2916212beaa8f2"),
+    ((6, 10, 0.1, 0.35, 0.0, 50.0, 1),  # tau = 0: never seen gripping
+     "87c4aa01ddec1fb5284c1fcb87482fe6e948854a3a86a4fe8c623fa14e6c80fc"),
+    ((10, 3, 0.2, 0.35, 2.0, 40.0, 7),  # m0 < n0: sticks run out
+     "3b9786a747e839c27bad5645b70ca325d6e36112d772d6c9a0649758c127c41b"),
+    ((1, 5, 0.5, 0.35, 2.0, 100.0, 4),  # one robot: unaided releases only
+     "eb384021b41aa637b19cded2dc69e9dd430e71e5f6048a5fd9cfde062ae09b13"),
+    ((8, 8, 0.1, 1.0, 3.0, 60.0, 11),
+     "6bbadbf10a5068caaf7446072472e9e1bde5508954ff952b5933c9587b480527")]
+
+
+@pytest.mark.parametrize("args, digest", _SEMIMARKOV_DIGESTS)
+def test_semimarkov_paths_are_pinned(args, digest):
+    import hashlib
+
+    *rates, t_end, seed = args
+    traj = sk.semimarkov_run(*rates, t_end=t_end, seed=seed)
+    h = hashlib.sha256(np.column_stack((traj.times, traj.data)).tobytes())
+    h.update(repr(traj.metadata["successes"]).encode())
+    assert h.hexdigest() == digest
