@@ -162,8 +162,9 @@ def tau_opt(beta, r_g):
     bt = r_g * beta
     if 1.0 - (beta + bt) / 2.0 <= 0.0:
         return None
-    # log1p keeps precision for very small beta (both arguments near 1)
-    return (2.0 / bt) * (math.log1p(-beta / 2.0) - math.log1p(-(beta + bt) / 2.0))
+    # -ln(1 - x) / x -> 1 as x -> 0: nothing divides by bt, which underflows
+    x = bt / (2.0 - beta)
+    return (-math.log1p(-x) / x if x else 1.0) * 2.0 / (2.0 - beta)
 
 
 def completion_time(traj, counter, mode, threshold):

@@ -5,14 +5,16 @@ its output times by uniformization (small state spaces), Gillespie
 sampling of the same chain, and a per-agent simulator for the stick-pulling
 system with deterministic gripping timers (which breaks the memoryless
 property and therefore cannot be reduced to a configuration chain).  The
-enumeration behind the master equation and the Gillespie loop run one jump
-rule, generated per diagram from its rate kernel, so they refuse a NaN or
+enumeration behind the master equation and the Gillespie sampler, which
+walks a bounded table of the configurations it visits, run one rule
+generated per diagram from its rate kernel, so they refuse a NaN or
 infinite rate or env effect at a reachable configuration with the same
 ModelError.
 """
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -28,6 +30,7 @@ CONFIG_CAP = 100_000
 # uniforms per Generator call in the Gillespie loop: even, so both of an
 # event's uniforms come from one block
 _BLOCK = 64
+_TABLE = 1024  # most configurations a chain's table keeps, ~500 bytes each
 
 
 def _refuse_rate(v):
@@ -48,7 +51,7 @@ def _whole(dv):
 class ConfigurationSpace:
     """Reachable integer occupation vectors and the jumps between them."""
     diagram: object
-    configs: list                 # list of tuples (states + env counters)
+    configs: list                 # tuples (states + env counters) of floats
     index: dict                   # config tuple -> row index
     jumps: list                   # (from_idx, to_idx, rate) with rate > 0
 
@@ -60,10 +63,8 @@ class ConfigurationSpace:
     def build(cls, diagram, cap=CONFIG_CAP):
         """Breadth-first enumeration from the initial configuration, over
         the jumps ``out(y)`` of the diagram's generated chain."""
-        start, _, out = _kept(diagram, "_chain", _chain)
-        configs = [start]
-        index = {start: 0}
-        jumps = []
+        start, _, out = _kept(diagram, "_chain", _chain)[:3]
+        configs, index, jumps = [start], {start: 0}, []
         for i, cfg in enumerate(configs):  # configs grows as the walk goes
             for rate, nxt in out(cfg):
                 j = index.setdefault(nxt, len(configs))
@@ -176,19 +177,16 @@ def ssa_run(diagram, t_end=10.0, seed=0):
 
     Exponential waiting times with the total rate, jump category chosen
     proportionally to individual rates; fully determined by the seed.
-    The events run in ``run``, the direct method of the diagram's generated
-    chain (``_chain``), which enumeration reads too.  Each event takes the
-    next two uniforms ``u1, u2`` of the seed's stream: the wait is
-    ``-log1p(-u1) / total`` (inversion, so one wait is at most about
-    36.7 / total) and the pick is ``u2 * total``.  The uniforms are drawn
-    ``_BLOCK`` at a time, so the path does not depend on the block size,
-    but a Generator passed as ``seed`` is advanced by whole blocks.
-    Returns a piecewise-constant Trajectory sampled at the jump times.
-    ``t_end`` must be finite and non-negative; a NaN or infinite rate or
-    effect on the path raises ModelError.
+    The events walk the chain's table (``_chain``), each on the next two
+    uniforms ``u1, u2`` of the seed's stream: the wait is ``-log1p(-u1) /
+    total`` (inversion: at most about 36.7 / total), the pick ``u2 *
+    total``, drawn ``_BLOCK`` at a time (a Generator passed as ``seed``
+    advances by whole blocks).  Returns a piecewise-constant Trajectory at
+    the jump times.  ``t_end`` must be finite and non-negative; a NaN or
+    infinite rate or effect on the path raises ModelError.
     """
     _check_t_end(t_end)
-    start, run, _ = _kept(diagram, "_chain", _chain)
+    start, run = _kept(diagram, "_chain", _chain)[:2]
     times, rows = run(start, t_end, np.random.default_rng(seed))
     return Trajectory(np.array(times),
                       np.array(rows, dtype=float).reshape(len(times), -1),
@@ -197,11 +195,16 @@ def ssa_run(diagram, t_end=10.0, seed=0):
 
 
 def _chain(diagram):
-    """``(start, run, out)`` of the configuration chain, which keeps no
-    history, holds rates constant between jumps and moves whole agents: it
-    takes a valid ode diagram, without ``t``, of integer initial values
-    (``start``), and refuses any other before it binds the code generated
-    once per structure (``_generate_chain``) to the diagram's values."""
+    """``(start, run, out, table)`` of the configuration chain, which keeps
+    no history, holds rates constant between jumps and moves whole agents:
+    it takes a valid ode diagram, without ``t``, of integer initial values
+    (``start``, as floats), and refuses any other before it binds the code
+    generated once per structure (``_generate_chain``) to its values.
+    ``table`` keeps the first ``_TABLE`` configurations filled and, while
+    it has room, links a jump to its entry when first taken; once full, an
+    unlinked jump fills afresh.  A refusal stores nothing.  ``run(y, t_end,
+    rng)`` jumps by the first running sum above the pick, else the last:
+    times and rows, flat.  ``out(y)``: (rate, next y) per positive rate."""
     flavor, _, reads_t = gate(diagram)
     if flavor != "ode":
         raise ModelError("the configuration chain needs a memoryless (ode) "
@@ -213,66 +216,82 @@ def _chain(diagram):
     if not all(math.isfinite(v) and abs(v - round(v)) <= 1e-9 for v in init):
         raise ModelError("initial counts must be integers for the "
                          "configuration chain")
-    run, out = _shared(diagram, "_chain", _generate_chain)(_values(diagram))
-    return tuple(int(round(v)) for v in init), run, out
+    start = tuple(float(round(v)) for v in init)
+    rule, moves, follows, table = _shared(
+        diagram, "_chain", _generate_chain)(_values(diagram), _TABLE - 1)
+    if _TABLE > 0:  # every run starts here
+        table[start] = rule(start)
+    n = max(len(moves), 1)  # y's index in an entry: [total, sums, y, links]
+
+    def run(y, t_end, rng):
+        e = table.get(y) or rule(y)
+        draw, u, k, t, log1p = rng.random, None, _BLOCK, 0.0, math.log1p
+        times, rows = [t], list(y)
+        while (total := e[0]) > 0.0:
+            if k == _BLOCK:
+                u, k = draw(_BLOCK).tolist(), 0
+            t -= log1p(-u[k]) / total
+            if t >= t_end:
+                break
+            i = n + bisect_right(e, u[k + 1] * total, 1, n)
+            k += 2
+            e = e[i] or follows[i](e)
+            times.append(t)
+            rows += e[n]
+        times.append(t_end)
+        rows += e[n]
+        return times, rows
+
+    def out(y):
+        return [(f, m(y)) for f, m in zip(rule(y, True), moves) if f > 0.0]
+    return start, run, out, table
 
 
 def _generate_chain(diagram):
-    """``bind``: ``bind(_values(diagram))`` gives ``run`` and ``out``, which
-    share one jump rule over the rate kernel's expressions.  At a
-    configuration ``y``: the row ``r`` (floats, then ``t``); each rate as
-    the kernel's expression, in transition order, 0.0 if its source count
-    is below 1, else ``max(0.0, rate)`` with NaN and -inf refused; their
-    total from 0.0, +inf refused; a jump moves one agent and adds each
-    effect by ``_whole``.  ``out(y)`` lists ``(rate,
-    next configuration)`` for each positive rate, in transition order.
-    ``run(y, t_end, rng)`` is the direct method from ``y``: per event
-    the next two uniforms ``u1, u2`` of a block of ``_BLOCK`` from
-    ``rng.random``, drawn when the last is used up; ``t -= log1p(-u1) /
-    total``, then the pick ``u2 * total``, and the first transition whose
-    running sum exceeds that pick jumps (the last if none does); it returns
-    the event times and the rows, flat."""
+    """``bind(_values(diagram), room)`` gives ``(rule, moves, follows,
+    table)`` over whole-number float counts ``y``, the row (``t`` is 0.0).
+    ``rule(y)``: the entry ``[total, s0, ..., s(n-2), y, None * n]`` of the
+    rates in transition order (0.0 below a source count of 1, else
+    ``max(0.0, rate)``; NaN, -inf and a +inf total refused), or with
+    ``rates`` the rates.  ``moves[k](y)``: one agent moved, effects at
+    ``y`` by ``_whole``; ``follows[n + 1 + k](e)`` also keeps its entry."""
     names, slots = _kernel_source(diagram)[:2]
-    src, last = Source(names, slots), len(diagram.transitions) - 1
+    src, n = Source(names, slots), len(diagram.transitions)
     ys = [f"y{i}" for i in range(slots["t"])]
-    unpack = f"[{', '.join(ys)}] = y"
+    src.row, flows = [*ys, "0.0"], []
+    unpack = f"    [{', '.join(ys)}] = "
     config = f"({''.join(f'{y}, ' for y in ys)})"
-    head = [f"r = [{''.join(f'float({y}), ' for y in ys)}t]"]
-    branches, jumps = [], []
     for k, tr in enumerate(diagram.transitions):
         si, ti = slots[tr.source], slots[tr.target]
         rate = (f"v if (v := {src.value(tr.rate)}) > 0.0 "
                 "else 0.0 if v > -_inf else _refuse_rate(v)")
-        head.append(f"f{k} = {rate}" if si == ti
-                    else f"f{k} = 0.0 if y{si} < 1 else {rate}")
-        moves = [] if si == ti else [f"y{si} -= 1", f"y{ti} += 1"]
-        moves += [f"y{slots[n]} += _whole({src.value(e)})"
-                  for n, e in tr.env_effects]
-        acc = f"{'a' if k else '0.0'} + f{k}"
-        branches += [f"{'el' if k else ''}if pick < (a := {acc}):" if k < last
-                     else "else:" if k else "if True:",
-                     *(f"    {m}" for m in moves or ["pass"])]
-        jumps += [f"if f{k} > 0.0:", *(f"    {m}" for m in moves),
-                  f"    jumps.append((f{k}, {config}))", f"    {unpack}"]
-    head += ["total = 0.0" + "".join(f" + f{k}" for k in range(last + 1)),
-             "if total == _inf:", "    _refuse_rate(total)"]
-    loop = [*head, "if total <= 0.0:", "    break",
-            "if k == _BLOCK:", "    u, k = draw(_BLOCK).tolist(), 0",
-            "t -= _log1p(-u[k]) / total", "if t >= t_end:", "    break",
-            "pick = u[k + 1] * total", "k += 2", *branches,
-            "times.append(t)", f"rows += {config}"]
-    src.lines += ["def run(y, t_end, rng):", f"    {unpack}",
-                  "    draw, u, k = rng.random, None, _BLOCK",
-                  "    t = 0.0", "    times, rows = [t], list(y)",
-                  "    while True:", *(f"        {line}" for line in loop),
-                  "    times.append(t_end)", f"    rows += {config}",
-                  "    return times, rows",
-                  "def out(y):", f"    {unpack}", "    t = 0.0",
-                  *(f"    {line}" for line in [*head, "jumps = []", *jumps]),
-                  "    return jumps"]
-    src.env.update(_inf=math.inf, _refuse_rate=_refuse_rate, _whole=_whole,
-                   _log1p=math.log1p, _BLOCK=_BLOCK)
-    return src.compile("run, out")
+        flows += [f"f{k} = {rate}" if si == ti else
+                  f"f{k} = 0.0 if y{si} < 1.0 else {rate}",
+                  f"s{k} = s{k - 1} + f{k}" if k else "s0 = f0"]
+        dv = [(slots[name], src.value(e)) for name, e in tr.env_effects]
+        moves = [f"d{j} = _whole({x})" for j, (_, x) in enumerate(dv)]
+        moves += [] if si == ti else [f"y{si} -= 1.0", f"y{ti} += 1.0"]
+        moves = [f"    {m}" for m in moves] + [
+            f"    y{i} += d{j}" for j, (i, _) in enumerate(dv)]
+        src.lines += [
+            f"def move{k}(y):", unpack + "y", *moves, f"    return {config}",
+            f"def follow{k}(e):", "    nonlocal room", f"{unpack}e[{n}]",
+            *moves, f"    y = {config}", "    if room <= 0:",
+            "        return rule(y)", "    if (f := table.get(y)) is None:",
+            "        f = table[y] = rule(y)", "        room -= 1",
+            f"    e[{n + 1 + k}] = f", "    return f"]
+    total = f"s{n - 1}" if n else "0.0"
+    src.lines += ["table = {}", "def rule(y, rates=False):", unpack + "y", *(
+        f"    {x}" for x in [
+            *flows, f"if {total} == _inf:", f"    _refuse_rate({total})",
+            f"return ({''.join(f'f{k}, ' for k in range(n))}) if rates else "
+            f"[{total}, {''.join(f's{k}, ' for k in range(n - 1))}y"
+            f"{', None' * n}]"])]
+    src.env.update(_inf=math.inf, _refuse_rate=_refuse_rate, _whole=_whole)
+    moves, follows = ("".join(f"{f}{k}, " for k in range(n))
+                      for f in ("move", "follow"))
+    return src.compile(f"rule, ({moves}), ({'None, ' * (n + 1)}{follows}), "
+                       "table", "_p, room")
 
 
 def semimarkov_run(n0, m0, alpha, r_g, tau, t_end=10.0, seed=0):

@@ -254,6 +254,15 @@ def test_tau_opt_small_beta_limit():
     assert v == pytest.approx(1.0, abs=1e-5)
 
 
+@pytest.mark.parametrize("beta, rg", [(1e-200, 1e-200), (1e-160, 1e-160),
+                                      (0.5, 1e-310)])
+def test_tau_opt_where_bt_underflows(beta, rg):
+    # bt = rg * beta is 0 or subnormal: tau_opt is its limit 1/(1 - beta/2)
+    # (the division by bt raised ZeroDivisionError or gave NaN)
+    assert sk.tau_opt(beta, rg) == pytest.approx(1.0 / (1.0 - beta / 2.0),
+                                                 rel=1e-15)
+
+
 def test_optima_share_critical_point():
     bc = sk.beta_critical(0.35)
     eps = 1e-6

@@ -426,7 +426,7 @@ def test_ssa_compiles_once_per_diagram(monkeypatch):
 def _direct_method(diagram, t_end, seed):
     """Gillespie's direct method over ``transition_table``, one call per
     rate and effect and one ``rng.random()`` per uniform: the reference for
-    ssa_run's generated event loop, which draws its uniforms in blocks."""
+    ssa_run's walk over its table, which draws its uniforms in blocks."""
     table = transition_table(diagram)
     y = tuple(int(v) for _, v in (*diagram.states, *diagram.env_vars))
     rng = np.random.default_rng(seed)
@@ -481,6 +481,140 @@ def test_generated_ssa_loop_matches_the_direct_method(name):
         assert np.array_equal(path.data, data)
         events.append(len(times) - 2)
     assert max(events) > stochastic._BLOCK // 2
+
+
+_CHAIN_MODELS = ["foraging", "sugawara", "stickpull-simple",
+                 "stickpull-counts", "stickpull-simple-depletion"]
+
+
+def _table(diagram):
+    """The diagram's chain table: configuration -> entry."""
+    return stochastic._kept(diagram, "_chain", stochastic._chain)[3]
+
+
+@pytest.mark.parametrize("cap", [0, 3])
+@pytest.mark.parametrize("name", _CHAIN_MODELS)
+def test_a_full_table_keeps_the_paths_of_the_direct_method(name, cap,
+                                                           monkeypatch):
+    # at most `cap` entries: past them a jump not linked fills its
+    # configuration again, and the paths are still the reference's, bit
+    # for bit
+    monkeypatch.setattr(stochastic, "_TABLE", cap)
+    d = sk.build_builtin(name)
+    for seed in range(20):
+        times, data = _direct_method(d, 20.0, seed)
+        path = sk.ssa_run(d, t_end=20.0, seed=seed)
+        assert np.array_equal(path.times, times)
+        assert np.array_equal(path.data, data)
+        assert len(_table(d)) <= cap
+    table = _table(d)
+    assert len(table) == min(cap, len({tuple(r) for r in data}))
+    # every link leads to an entry the table keeps: none to a refilled one
+    n = len(d.transitions)
+    for e in table.values():
+        assert all(f is None or table[f[n]] is f for f in e[n + 1:])
+
+
+def _counted_follows(monkeypatch):
+    """The link index of every call of a generated ``follow`` function (a
+    jump taken while its link is unset) made from here on."""
+    calls = []
+
+    def count(k, follow):
+        def counted(e):
+            calls.append(k)
+            return follow(e)
+        return counted
+
+    def generate(diagram):
+        bind = generate_chain(diagram)
+
+        def counted_bind(*args):
+            rule, moves, follows, table = bind(*args)
+            return (rule, moves,
+                    tuple(f and count(k, f) for k, f in enumerate(follows)),
+                    table)
+        return counted_bind
+
+    generate_chain = stochastic._generate_chain
+    monkeypatch.setattr(stochastic, "_generate_chain", generate)
+    models.forget_parsed_files()  # a structure no earlier test generated
+    return calls
+
+
+def test_a_second_ensemble_fills_no_entry(monkeypatch):
+    calls = _counted_follows(monkeypatch)
+    d = sk.build_builtin("foraging", n0=5, m0=15)
+    grid = np.linspace(0.0, 20.0, 11)
+    first = sk.ensemble(lambda s: sk.ssa_run(d, t_end=20.0, seed=s), 200, 7,
+                        grid)
+    table = dict(_table(d))
+    assert calls and len(table) < 756
+    # the same paths again: every jump is linked, so no move, no look-up
+    # and no fill
+    calls.clear()
+    again = sk.ensemble(lambda s: sk.ssa_run(d, t_end=20.0, seed=s), 200, 7,
+                        grid)
+    assert calls == []
+    assert _table(d).keys() == table.keys()
+    assert all(_table(d)[y] is e for y, e in table.items())
+    assert np.array_equal(first.mean, again.mean)
+
+
+def test_a_params_edit_or_a_copy_gets_a_fresh_table():
+    from dataclasses import replace
+
+    d = sk.build_builtin("foraging", n0=3, m0=6)
+    sk.ssa_run(d, t_end=20.0, seed=0)
+    table = _table(d)
+    assert table
+    copy = replace(d)
+    sk.ssa_run(copy, t_end=20.0, seed=0)
+    assert _table(copy) is not table
+    d.params["ap"] *= 4.0  # in place: the chain binds the new value
+    assert _table(d) is not table and len(_table(d)) == 1  # the start
+    for seed in range(5):
+        times, data = _direct_method(d, 20.0, seed)
+        path = sk.ssa_run(d, t_end=20.0, seed=seed)
+        assert np.array_equal(path.times, times)
+        assert np.array_equal(path.data, data)
+    assert _table(copy) is not _table(d)
+
+
+@pytest.mark.parametrize("transition, message", [
+    (f"rate(b): b -> a ; m += {_AT_B2}", "^environment effects"),
+    (f"rate(b + {_AT_B2}): b -> a", "^rates must be finite")],
+    ids=["effect", "rate"])
+def test_every_replica_reaching_a_refusal_raises(transition, message):
+    # a refusal at b = 2 stores nothing: not the entry of b = 2 whose rate
+    # is infinite, nor the link of the jump whose effect is; so the second
+    # seed to get there is refused as the first was
+    d = sk.parse_model("state a = 2\nstate b = 0\nenv m = 0\n"
+                       f"rate(a): a -> b\n{transition}\n")
+    for seed in (0, 1):
+        with pytest.raises(ModelError, match=message):
+            sk.ssa_run(d, t_end=100.0, seed=seed)
+        at_b2 = _table(d).get((0.0, 2.0, 0.0))
+        assert at_b2 is None if message.startswith("^rates") \
+            else at_b2[-1] is None
+
+
+def test_an_effect_is_refused_only_on_the_jump_taken():
+    # the effect is infinite where b = 2, on a jump of rate 2e-12 there:
+    # enumeration takes every jump and is refused; the sampler, like the
+    # direct method, never takes this one and is not
+    d = sk.parse_model("state a = 2\nstate b = 0\nstate c = 0\nenv m = 0\n"
+                       "rate(a): a -> b\n"
+                       f"rate(1e-12 * b): b -> c ; m += {_AT_B2}\n")
+    assert sk.validate_diagram(d).ok
+    with pytest.raises(ModelError, match="^environment effects"):
+        ConfigurationSpace.build(d)
+    for seed in range(10):
+        times, data = _direct_method(d, 20.0, seed)
+        path = sk.ssa_run(d, t_end=20.0, seed=seed)
+        assert np.array_equal(path.times, times)
+        assert np.array_equal(path.data, data)
+    assert (0.0, 2.0, 0.0, 0.0) in _table(d)
 
 
 def _enumeration(diagram):
