@@ -14,7 +14,7 @@ import numpy as np
 
 from . import models
 from .diagram import check_param
-from .errors import IntegrationError, ModelError, NoRoot, NotReached, \
+from .errors import IntegrationError, ModelError, NotReached, \
     StepGridError, SwarmkError
 from .integrate import integrate, integrate_delayed, iterate_difference
 
@@ -105,11 +105,12 @@ def steady_state_simple(beta, gamma, r_g):
 
 def steady_state_delayed(beta, tau, r_g):
     """Steady searching fraction of the gripping-timer model: the root in
-    [0, 1] of f(n) = -1 + (beta+b)(1-n) + (1 - beta(1-n)) e, with
-    b = r_g*beta and e = exp(-b*tau*n).
+    [0, 1] of f(n) = b(1-n) + (1 - beta(1-n)) expm1(-b*tau*n), with
+    b = r_g*beta.  This is -1 + (beta+b)(1-n) + (1 - beta(1-n)) e, with
+    e = exp(-b*tau*n), written so that nothing cancels as b -> 0.
 
-    f(0) = b > 0 >= f(1) = exp(-b*tau) - 1 brackets it.  Newton steps on
-    the exact derivative f'(n) = beta*e - (beta+b) - b*tau*(1-beta(1-n))*e
+    f(0) = b > 0 >= f(1) = expm1(-b*tau) brackets it.  Newton steps on
+    the exact derivative f'(n) = beta*(e-1) - b - b*tau*(1-beta(1-n))*e
     start at n = 0.  Each f(n) narrows the sign bracket; a step that moves
     n (or whose f' overflowed) but does not land strictly inside it is a
     bisection instead, and the loop stops at the first next point that is
@@ -117,25 +118,20 @@ def steady_state_delayed(beta, tau, r_g):
     adjacent floats).
     """
     check_args(beta=beta, tau=tau, rg=r_g)
-    if tau == 0.0:
+    if tau <= 2.0 ** -54:  # 1 - n <= tau at the root: it rounds to 1
         return SteadyStateResult(1.0, "boundary", 0.0)
     b = r_g * beta
-    f_lo, f_hi = -1.0 + (beta + b) + (1.0 - beta), math.exp(-b * tau) - 1.0
-    if f_lo == 0.0:
+    if b == 0.0:  # underflow: f is 0 throughout
         return SteadyStateResult(0.0, "boundary", 0.0)
-    if f_hi == 0.0:
-        return SteadyStateResult(1.0, "boundary", 0.0)
-    if f_lo < 0.0:  # rounding, as r_g -> 0
-        raise NoRoot(f_lo, f_hi)
     lo, hi, n = 0.0, 1.0, 0.0
     while True:
-        e = math.exp(-b * (tau * n))  # b * tau may overflow: not inf * 0
-        u = 1.0 - beta * (1.0 - n)
-        fn = -1.0 + (beta + b) * (1.0 - n) + u * e
+        z = -b * (tau * n)  # b * tau may overflow: not inf * 0
+        m, u = math.expm1(z), 1.0 - beta * (1.0 - n)
+        fn = b * (1.0 - n) + u * m
         if fn == 0.0:
             break
         lo, hi = (n, hi) if fn > 0.0 else (lo, n)
-        df = beta * e - (beta + b) - b * tau * u * e
+        df = beta * m - b - b * tau * u * math.exp(z)
         x = n - fn / df
         # a step that stays at n has converged, unless df overflowed
         if (x != n or math.isinf(df)) and not lo < x < hi:

@@ -244,7 +244,7 @@ class Source:
             f"    {line}\n" for line in body), "<rate kernel>", "exec"),
             self.env)
         self.lines, self.fixed = [], {}
-        return self.env["bind"]
+        return self.env.pop("bind")  # not kept in env: no cycle with it
 
 
 def generate_function(e, consts, slots):

@@ -14,6 +14,7 @@ ModelError.
 from __future__ import annotations
 
 import math
+import weakref
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
@@ -180,10 +181,12 @@ def ssa_run(diagram, t_end=10.0, seed=0):
     The events walk the chain's table (``_chain``), each on the next two
     uniforms ``u1, u2`` of the seed's stream: the wait is ``-log1p(-u1) /
     total`` (inversion: at most about 36.7 / total), the pick ``u2 *
-    total``, drawn ``_BLOCK`` at a time (a Generator passed as ``seed``
-    advances by whole blocks).  Returns a piecewise-constant Trajectory at
-    the jump times.  ``t_end`` must be finite and non-negative; a NaN or
-    infinite rate or effect on the path raises ModelError.
+    total``, drawn ``_BLOCK`` at a time.  A Generator passed as ``seed``
+    is used as it is and advanced by whole blocks: ``ensemble`` passes one
+    Generator to every replica in turn.  Returns a piecewise-constant
+    Trajectory at the jump times.  ``t_end`` must be finite and
+    non-negative; a NaN or infinite rate or effect on the path raises
+    ModelError.
     """
     _check_t_end(t_end)
     start, run = _kept(diagram, "_chain", _chain)[:2]
@@ -202,9 +205,10 @@ def _chain(diagram):
     generated once per structure (``_generate_chain``) to its values.
     ``table`` keeps the first ``_TABLE`` configurations filled and, while
     it has room, links a jump to its entry when first taken; once full, an
-    unlinked jump fills afresh.  A refusal stores nothing.  ``run(y, t_end,
-    rng)`` jumps by the first running sum above the pick, else the last:
-    times and rows, flat.  ``out(y)``: (rate, next y) per positive rate."""
+    unlinked jump fills afresh.  A refusal stores nothing, and when ``run``
+    goes, its links go (``_unlink``).  ``run(y, t_end, rng)`` jumps by the
+    first running sum above the pick, else the last: times and rows, flat.
+    ``out(y)``: (rate, next y) per positive rate."""
     flavor, _, reads_t = gate(diagram)
     if flavor != "ode":
         raise ModelError("the configuration chain needs a memoryless (ode) "
@@ -244,7 +248,16 @@ def _chain(diagram):
 
     def out(y):
         return [(f, m(y)) for f, m in zip(rule(y, True), moves) if f > 0.0]
+    weakref.finalize(run, _unlink, table, n + 1)
     return start, run, out, table
+
+
+def _unlink(table, first):
+    """Set the link slots, from index ``first``, of a dropped chain's table
+    entries to None: linked entries form cycles, which would wait for the
+    cyclic collector."""
+    for e in table.values():
+        e[first:] = [None] * (len(e) - first)
 
 
 def _generate_chain(diagram):
@@ -369,17 +382,20 @@ def sample_path(traj, grid):
 
 
 def ensemble(run, n_runs, master_seed, t_grid):
-    """Aggregate ``run(seed) -> Trajectory`` over derived per-run seeds.
+    """Aggregate ``run(rng) -> Trajectory`` over ``n_runs`` runs.
 
-    Seeds are spawned deterministically from the master seed, so the
-    result is fixed by the master seed alone.
+    Every run gets the same Generator, ``np.random.default_rng(master_seed)``,
+    in turn, and goes on from where the run before left its stream: the
+    result is fixed by the master seed alone, and the first n runs of a
+    longer ensemble are the runs of an n-run one.
     """
     if n_runs < 2:
         raise ValueError("n_runs must be >= 2")
     t_grid = np.asarray(t_grid, dtype=float)
+    rng = np.random.default_rng(master_seed)
     samples = []
-    for seed in np.random.SeedSequence(master_seed).spawn(n_runs):
-        traj = run(seed)
+    for _ in range(n_runs):
+        traj = run(rng)
         samples.append(sample_path(traj, t_grid))
     samples = np.stack(samples)  # (runs, nt, dim)
     mean = samples.mean(axis=0)

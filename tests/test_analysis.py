@@ -157,12 +157,16 @@ def test_steady_delayed_newton_reaches_round_off(beta, tau, r_g):
 
 
 def test_steady_delayed_exact_zero_boundaries():
-    # exp(-b * 1e-300) rounds to 1, so f(1) is 0; at r_g = 1e-300,
-    # f(0) = -1 + (beta + b) + (1 - beta) rounds to 0
+    # at tau = 1e-300 the root, about 1 - tau, rounds to 1
     assert sk.steady_state_delayed(0.5, 1e-300, 0.35) == \
         analysis.SteadyStateResult(1.0, "boundary", 0.0)
-    assert sk.steady_state_delayed(0.5, 5.0, 1e-300) == \
-        analysis.SteadyStateResult(0.0, "boundary", 0.0)
+    # f(0) = b = 5e-301 is not rounded away: the root tends to that of
+    # 1 - n = tau n (1 - beta (1 - n)) as r_g -> 0, not to the boundary 0
+    limit = (-3.5 + math.sqrt(3.5 ** 2 + 10.0)) / 5.0
+    for r_g in (1e-15, 1e-300):
+        res = sk.steady_state_delayed(0.5, 5.0, r_g)
+        assert res.branch == "unique"
+        assert res.n == pytest.approx(limit, rel=1e-14)
 
 
 @pytest.mark.parametrize("beta, tau, root", [

@@ -605,14 +605,15 @@ _OUTPUT_DIGESTS = {
         "8f44d8cebd8e0b5a8deec9b676049e909f7bc94223572626b4ea3d19eceb6549",
     ("exact", "--model", "stickpull-counts"):
         "7ab3fc8bfcb1f0e817f87155ace69db4cbd4bf39aba7583a4a238cf73a09f6a4",
-    # Gillespie paths from block-drawn uniforms (waits by inversion): the
-    # means were checked within 5 stderr of the exact columns when recorded
+    # Gillespie paths from block-drawn uniforms (waits by inversion), all
+    # replicas on one stream: the means were checked within 5 stderr of the
+    # exact columns when recorded
     ("mc", "--model", "stickpull-counts", "--runs", "50", "--seed", "3"):
-        "85b0131eb675c7e59ea316dbdd4d5c5cd1cd3340c330bde5544b021b2d89bdd8",
+        "5a4ee892d1e7668d696a0d7b0ab2d1ab406c484d94e87cd509d8e7ba0cd1f05c",
     # with an env effect (m -= 1) beside the exact columns
     ("compare", "--model", "foraging", "--set", "n0=3", "--set", "m0=6",
      "--t-end", "5", "--runs", "50", "--seed", "3"):
-        "2730fa8e1dbdb963bb139a80a4e7690b7d95f30714ab7ec2c2947bbd5781e79c",
+        "994262d3f5d190e67680a41de370923c7f6e12a61d45228f67e0daa71a1f776e",
     # parameters and N0 as run-time names, not folded literals: an ODE at
     # a set n0, a DDE at set tau and beta, a synchronous sweep over n0, the
     # exact chain at set counts and an analytic sweep over gamma

@@ -1,4 +1,5 @@
 """Stochastic engines: exact master equation, Gillespie, agent simulator."""
+import gc
 import math
 import tracemalloc
 
@@ -581,6 +582,31 @@ def test_a_params_edit_or_a_copy_gets_a_fresh_table():
     assert _table(copy) is not _table(d)
 
 
+def test_a_dropped_table_is_freed_without_the_cyclic_collector():
+    # linked entries refer to each other; a dropped chain unlinks them, so
+    # reference counting frees every entry: on dropping the diagram, and on
+    # the new chain an edit of its params in place makes
+    d = sk.build_builtin("foraging", n0=5, m0=15)
+    links = len(d.transitions) + 1
+    gc.collect()
+    gc.disable()
+    try:
+        for drop in ("edit", "diagram"):
+            sk.ssa_run(d, t_end=20.0, seed=1)
+            kept = tuple(_table(d))  # the configurations, each in its entry
+            assert any(x is not None for e in _table(d).values()
+                       for x in e[links:])
+            if drop == "edit":
+                d.params["ap"] *= 2.0
+                _table(d)
+            else:
+                del d
+            assert not [r for r in gc.get_referrers(*kept)
+                        if isinstance(r, list)]
+    finally:
+        gc.enable()
+
+
 @pytest.mark.parametrize("transition, message", [
     (f"rate(b): b -> a ; m += {_AT_B2}", "^environment effects"),
     (f"rate(b + {_AT_B2}): b -> a", "^rates must be finite")],
@@ -755,6 +781,42 @@ def test_sample_path_before_the_first_time_reads_the_first_row():
     grid = [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0]
     assert sample_path(traj, grid)[:, 0].tolist() == [
         0.0, 0.0, 0.0, 0.0, 2.0, 2.0, 3.0, 3.0]
+
+
+def test_ensemble_runs_every_replica_on_one_generator():
+    d = sk.build_builtin("stickpull-counts")
+    grid = np.linspace(0, 10, 6)
+    run = lambda rng: sk.ssa_run(d, t_end=10.0, seed=rng)
+    stats = sk.ensemble(run, 50, 9, grid)
+    rng = np.random.default_rng(9)
+    samples = np.stack([sample_path(run(rng), grid) for _ in range(50)])
+    assert np.array_equal(stats.mean, samples.mean(axis=0))
+    assert np.array_equal(stats.stderr,
+                          samples.std(axis=0, ddof=1) / math.sqrt(50))
+
+
+def test_a_shorter_ensemble_runs_the_first_replicas_of_a_longer_one():
+    d = sk.build_builtin("foraging", n0=3, m0=6)
+    grid = np.linspace(0, 10, 6)
+    rngs, paths = [], []
+
+    def run(rng):
+        rngs.append(rng)
+        paths.append(sk.ssa_run(d, t_end=10.0, seed=rng))
+        return paths[-1]
+
+    sk.ensemble(run, 100, 4, grid)
+    longer = paths[:]
+    paths.clear()
+    sk.ensemble(run, 50, 4, grid)
+    assert len(paths) == 50
+    for a, b in zip(paths, longer):
+        assert np.array_equal(a.times, b.times)
+        assert np.array_equal(a.data, b.data)
+    # one Generator per ensemble, handed to every replica
+    assert all(r is rngs[0] for r in rngs[:100])
+    assert all(r is rngs[100] for r in rngs[100:])
+    assert rngs[0] is not rngs[100]
 
 
 def test_ensemble_seed_derivation_and_stderr():
