@@ -9,7 +9,7 @@ from .diagram import (RateSystem, StateDiagram, Transition, ValidationReport,
                       compile_rhs, validate_diagram)
 from .errors import (ConservationDrift, DelayMisaligned, EvalError,
                      IntegrationError, LexError, ModelError,
-                     NegativePopulation, NonFinite, NoRoot, NotReached,
+                     NegativePopulation, NonFinite, NotReached,
                      ParseError, SemanticError, StateSpaceTooLarge,
                      StepGridError, SwarmkError)
 from .integrate import (HistoryAccessor, Trajectory, integrate,
@@ -30,7 +30,7 @@ __all__ = [
     "BUILTIN_NAMES", "ConfigurationSpace", "ConservationDrift",
     "DelayMisaligned", "EnsembleStats", "EvalError", "HistoryAccessor",
     "IntegrationError", "LexError", "ModelError", "NegativePopulation",
-    "NoRoot", "NonFinite", "NotReached", "ParseError", "RateSystem",
+    "NonFinite", "NotReached", "ParseError", "RateSystem",
     "SemanticError", "StateDiagram", "StateSpaceTooLarge", "StepGridError", "SteadyStateResult",
     "SwarmkError", "SweepTable", "Trajectory", "Transition",
     "ValidationReport", "beta_critical", "build_builtin",

@@ -8,6 +8,7 @@ scaling exponents, steady-state detection).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -109,37 +110,45 @@ def steady_state_delayed(beta, tau, r_g):
     b = r_g*beta.  This is -1 + (beta+b)(1-n) + (1 - beta(1-n)) e, with
     e = exp(-b*tau*n), written so that nothing cancels as b -> 0.
 
-    f(0) = b > 0 >= f(1) = expm1(-b*tau) brackets it.  Newton steps on
-    the exact derivative f'(n) = beta*(e-1) - b - b*tau*(1-beta(1-n))*e
-    start at n = 0.  Each f(n) narrows the sign bracket; a step that moves
-    n (or whose f' overflowed) but does not land strictly inside it is a
+    Newton runs on g = f/b = (1-n) + (1 - beta(1-n)) expm1(-b*tau*n)/b,
+    so g(0) = 1 > 0 >= g(1) brackets the root even where b is subnormal
+    and keeps only a few bits: there expm1(w)/b is -tau*n expm1(w)/w, with
+    w = -b*tau*n formed from r_g.  Steps on the exact derivative
+    g'(n) = beta*expm1(w)/b - 1 - tau*(1-beta(1-n))*e start at n = 0.
+    Each g(n) narrows the sign bracket; a step that moves n (or whose g'
+    overflowed or is 0) but does not land strictly inside it is a
     bisection instead, and the loop stops at the first next point that is
     not strictly inside it (a step that no longer moves n, or a bracket of
-    adjacent floats).
+    adjacent floats).  The residual is |f| = b|g|.
     """
     check_args(beta=beta, tau=tau, rg=r_g)
     if tau <= 2.0 ** -54:  # 1 - n <= tau at the root: it rounds to 1
         return SteadyStateResult(1.0, "boundary", 0.0)
     b = r_g * beta
-    if b == 0.0:  # underflow: f is 0 throughout
-        return SteadyStateResult(0.0, "boundary", 0.0)
+    subnormal = b < sys.float_info.min
     lo, hi, n = 0.0, 1.0, 0.0
     while True:
-        z = -b * (tau * n)  # b * tau may overflow: not inf * 0
-        m, u = math.expm1(z), 1.0 - beta * (1.0 - n)
-        fn = b * (1.0 - n) + u * m
-        if fn == 0.0:
+        if subnormal:  # |w| = b*tau*n < 4: r_g <= 1 first, nothing overflows
+            w = -(r_g * (tau * n)) * beta
+            mb = -tau * n * (math.expm1(w) / w if w else 1.0)
+        else:
+            w = -b * (tau * n)  # b * tau may overflow: not inf * 0
+            mb = math.expm1(w) / b
+        u = 1.0 - beta * (1.0 - n)
+        g = (1.0 - n) + u * mb
+        if g == 0.0:
             break
-        lo, hi = (n, hi) if fn > 0.0 else (lo, n)
-        df = beta * m - b - b * tau * u * math.exp(z)
-        x = n - fn / df
-        # a step that stays at n has converged, unless df overflowed
-        if (x != n or math.isinf(df)) and not lo < x < hi:
+        lo, hi = (n, hi) if g > 0.0 else (lo, n)
+        dg = beta * mb - 1.0 - tau * (u * math.exp(w))
+        # a step that stays at n has converged, unless dg overflowed; a
+        # flat g (dg = 0) gives no step
+        x = n - g / dg if dg else math.nan
+        if (x != n or math.isinf(dg)) and not lo < x < hi:
             x = 0.5 * (lo + hi)
         if not lo < x < hi:
             break
         n = x
-    return SteadyStateResult(n, "unique", abs(fn))
+    return SteadyStateResult(n, "unique", abs(b * g))
 
 
 def gamma_opt(beta, r_g):

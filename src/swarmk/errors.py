@@ -66,13 +66,6 @@ class NegativePopulation(IntegrationError):
         super().__init__(f"state {name} went negative ({value!r}) at t={t!r}")
 
 
-class NoRoot(SwarmkError):
-    def __init__(self, f0, f1):
-        self.f0 = f0
-        self.f1 = f1
-        super().__init__(f"no sign change on [0, 1]: f(0)={f0!r}, f(1)={f1!r}")
-
-
 class NotReached(SwarmkError):
     def __init__(self, final_value):
         self.final_value = final_value

@@ -194,7 +194,7 @@ def ssa_run(diagram, t_end=10.0, seed=0):
     return Trajectory(np.array(times),
                       np.array(rows, dtype=float).reshape(len(times), -1),
                       diagram.state_names, diagram.env_names,
-                      {"model": diagram.name, "engine": "ssa", "seed": seed})
+                      {"model": diagram.name, "engine": "ssa"})
 
 
 def _chain(diagram):
@@ -354,8 +354,8 @@ def semimarkov_run(n0, m0, alpha, r_g, tau, t_end=10.0, seed=0):
     return Trajectory(np.array(times),
                       np.array(rows, dtype=float),
                       ["s", "g"], [],
-                      {"engine": "semimarkov", "seed": seed,
-                       "successes": successes, "n0": n0, "m0": m0})
+                      {"engine": "semimarkov", "successes": successes,
+                       "n0": n0, "m0": m0})
 
 
 @dataclass

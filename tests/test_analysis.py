@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 import swarmk as sk
 from swarmk import analysis
-from swarmk.errors import IntegrationError, NoRoot, NotReached
+from swarmk.errors import IntegrationError, NotReached
 
 
 # -- quadratic steady state -------------------------------------------------
@@ -169,6 +169,24 @@ def test_steady_delayed_exact_zero_boundaries():
         assert res.n == pytest.approx(limit, rel=1e-14)
 
 
+@pytest.mark.parametrize("r_g", [1e-310, 1e-318, 1e-320, 1e-323, 5e-324])
+def test_steady_delayed_where_b_is_subnormal(r_g):
+    # b = r_g * beta keeps a few bits or none; Newton runs on f / b, which
+    # is 1 at n = 0 however small b is, so the root is the r_g -> 0 limit
+    res = sk.steady_state_delayed(0.5, 5.0, r_g)
+    assert res.branch == "unique"
+    assert res.n == pytest.approx(0.2433981132056603, rel=1e-14)
+
+
+def test_steady_delayed_where_the_first_newton_step_is_flat():
+    # beta = 1.5, tau = 2, r_g = 1: f'(0) = -b (1 + tau (1 - beta)) = 0, so
+    # the first step bisects instead of dividing by zero
+    res = sk.steady_state_delayed(1.5, 2.0, 1.0)
+    assert res.branch == "unique"
+    assert 0.0 < res.n < 1.0
+    assert _delayed_residual(res.n, 1.5, 2.0, 1.0) <= 1e-14
+
+
 @pytest.mark.parametrize("beta, tau, root", [
     # b * tau overflows: f(n) = -1 + (beta + b)(1 - n) past n = 0
     (10.0, 1e300, 1.0 - 1.0 / 13.5), (10.0, 1.7e308, 1.0 - 1.0 / 13.5),
@@ -191,6 +209,15 @@ def test_steady_of_trajectory_refuses_a_run_too_short_to_settle(rows):
         sk.steady_state_of_trajectory(traj, "s")
     longer = Trajectory(np.arange(4.0), np.ones((4, 1)), ["s"], [], {})
     assert sk.steady_state_of_trajectory(longer, "s") == 1.0
+
+
+def test_steady_of_trajectory_refuses_a_column_still_moving():
+    d = sk.build_builtin("stickpull-simple")
+    traj = sk.integrate(sk.compile_rhs(d), t_end=1.0, dt=0.01)
+    with pytest.raises(IntegrationError) as ei:
+        sk.steady_state_of_trajectory(traj, "s")
+    assert str(ei.value) == ("column 's' still moving (2.615e-02 between "
+                             "windows); integrate longer")
 
 
 # -- collaboration rate and optima ------------------------------------------

@@ -1,4 +1,5 @@
 """Command-line interface: subcommands, exit codes, serialization."""
+import gc
 import json
 import os
 import subprocess
@@ -23,6 +24,31 @@ def test_list(capsys):
     assert code == 0
     assert "stickpull-simple" in out.splitlines()
     assert "foraging" in out.splitlines()
+
+
+@pytest.mark.parametrize("command", [
+    (), ("run",), ("steady",), ("sweep",), ("mc",), ("exact",), ("compare",),
+    ("validate",), ("list",)], ids=lambda c: c[0] if c else "swarmk")
+def test_help_exits_0(capsys, command):
+    # argparse formats every help string only here
+    with pytest.raises(SystemExit) as exc:
+        run_cli([*command, "--help"])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, err) == (0, "")
+    assert out.startswith(" ".join(("usage: swarmk", *command)))
+
+
+def test_a_command_leaves_nothing_for_the_cyclic_collector(capsys):
+    # the parser is built once per process, and a command makes no cycles
+    argv = ("run", "--model", "stickpull-simple", "--t-end", "1")
+    first = _run(capsys, *argv)
+    gc.collect()
+    gc.disable()
+    try:
+        assert _run(capsys, *argv) == first
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_module_entry_point_lists_the_builtins():
@@ -57,6 +83,13 @@ def test_steady_past_the_sum_overflow(capsys, gamma):
     assert _run(capsys, "steady", "--model", "stickpull-simple", "--set",
                 f"gamma={gamma}") == (
         0, "n=1.0\nbranch=unique\nresidual=0.0\nR=0.0\n", "")
+
+
+def test_steady_delayed_at_a_subnormal_rate_ratio(capsys):
+    # b = rg * beta rounds to 0 here; the root is the rg -> 0 limit
+    assert _run(capsys, "steady", "--model", "stickpull-delayed", "--set",
+                "rg=5e-324") == (
+        0, "n=0.24339811320566035\nbranch=unique\nresidual=0.0\nR=0.0\n", "")
 
 
 @pytest.mark.parametrize("name", ["stickpull-simple-depletion",
@@ -428,6 +461,22 @@ def test_numeric_failure_exit_3(capsys, tmp_path):
 ])
 def test_numeric_failure_messages(capsys, argv, message):
     assert _run(capsys, *argv) == (3, "", f"numeric failure: {message}\n")
+
+
+def test_master_normalization_drift_exit_3(capsys, monkeypatch):
+    from swarmk import stochastic
+
+    poisson = stochastic._poisson_weights
+
+    def half_the_mass(q):
+        first, w = poisson(q)
+        return first, w * 0.5
+
+    monkeypatch.setattr(stochastic, "_poisson_weights", half_the_mass)
+    assert _run(capsys, "exact", "--model", "stickpull-counts", "--t-end",
+                "1", "--dt", "0.5") == (
+        3, "", "numeric failure: master-equation normalization drifted to "
+               "0.5\n")
 
 
 @pytest.mark.parametrize("override", ["tga=55.5", "ta=2.5"])

@@ -204,6 +204,15 @@ def test_malformed_domains(src, err, col):
     assert (ei.value.line, ei.value.col) == (1, col)
 
 
+@pytest.mark.parametrize("rate, message", [
+    ("param", "reserved word 'param' cannot appear in an expression"),
+    ("*a", "expected number, identifier or '(', got '*'")])
+def test_refused_rate_expressions(rate, message):
+    with pytest.raises(ParseError) as ei:
+        parse_model(f"state a = 1\nstate b = 0\nrate({rate}): a -> b\n")
+    assert str(ei.value) == f"3:6: {message}"
+
+
 def test_synchronous_and_derived_declarations():
     d = parse_model("param k = 2\nparam j = -1\nsynchronous\n"
                     "state s = k * 3\nenv m = k\nrate(k * s): s -> s\n")

@@ -331,6 +331,24 @@ def test_master_output_stride(dt_out, times):
     assert np.abs(tbl.probs.sum(axis=1) - 1.0).max() <= 1e-9
 
 
+@pytest.mark.parametrize("weights, message", [
+    # half the Poisson mass dropped
+    (lambda first, w: (first, w * 0.5),
+     "master-equation normalization drifted to 0.5"),
+    # a negative weight, the sum kept at 1
+    (lambda first, w: (0, np.array([-1.0, 2.0])),
+     "master-equation probability went negative (-1.0)")])
+def test_master_refuses_a_row_that_is_not_a_distribution(monkeypatch, weights,
+                                                         message):
+    poisson = stochastic._poisson_weights
+    monkeypatch.setattr(stochastic, "_poisson_weights",
+                        lambda q: weights(*poisson(q)))
+    with pytest.raises(sk.IntegrationError) as ei:
+        stochastic.master_exact(sk.build_builtin("stickpull-counts"),
+                                t_end=1.0, dt=0.5)
+    assert str(ei.value) == message
+
+
 def test_master_two_state_stationary_split():
     # symmetric grip/release: stationary occupancy one half each
     tbl, traj = sk.master_exact(_two_state(), t_end=20.0, dt=0.01, dt_out=1.0)
