@@ -1,7 +1,8 @@
 """Command-line front end: run, analyze and serialize models.
 
-Exit codes: 0 success, 1 usage error, 2 model error (parse/validation),
-3 numeric failure (integration, target not reached, state-space limits).
+Exit codes: 0 success, 1 usage error, 2 model error (parse, validation,
+evaluation), 3 numeric failure (integration, target not reached,
+state-space limits).
 
 ``_TABLE`` lists each command's handler, help and options; the parser is
 built from it once per process, on the first ``run_cli``, which loads the
@@ -22,7 +23,7 @@ import numpy as np
 from . import analysis, models, stochastic
 from .diagram import compile_rhs, validate_diagram
 from .errors import IntegrationError, ModelError, NotReached, \
-    StateSpaceTooLarge, SwarmkError
+    StateSpaceTooLarge
 # all three integrators stay bound here: perfbench/spans.py traces them
 # at these names (``run`` reaches them through analysis)
 from .integrate import (_check_t_end, _step_count, integrate,  # noqa: F401
@@ -213,9 +214,10 @@ def _cmd_mc(diagram, args):
 
 
 def _cmd_exact(diagram, args):
-    # ~100 rows ending at t_end: the least divisor of steps >= steps // 100
+    # rows ending at t_end, 101 or more (every step's below 100 steps): the
+    # stride is the largest divisor of steps <= steps // 100
     n = _step_count(args.t_end, args.dt)
-    stride = next(k for k in range(max(1, n // 100), n + 2) if n % k == 0)
+    stride = next(k for k in range(max(1, n // 100), 0, -1) if n % k == 0)
     _, traj = stochastic.master_exact(diagram, t_end=args.t_end, dt=args.dt,
                                       dt_out=stride * args.dt)
     return _traj_text(traj, args.format)
@@ -342,9 +344,6 @@ def run_cli(argv=None):
     except (IntegrationError, NotReached, StateSpaceTooLarge) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except SwarmkError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MODEL
 
 
 def main():

@@ -28,7 +28,7 @@ class SemanticError(ModelError):
     pass
 
 
-class EvalError(SwarmkError):
+class EvalError(ModelError):
     """Expression evaluation failure (unbound name, division by zero, ...)."""
 
 

@@ -6,15 +6,14 @@ sampling of the same chain, and a per-agent simulator for the stick-pulling
 system with deterministic gripping timers (which breaks the memoryless
 property and therefore cannot be reduced to a configuration chain).  The
 enumeration behind the master equation and the Gillespie sampler, which
-walks a bounded table of the configurations it visits, run one rule
-generated per diagram from its rate kernel, so they refuse a NaN or
-infinite rate or env effect at a reachable configuration with the same
-ModelError.
+walks a bounded table of the configurations it visits, run the same rate
+lines, generated once per model structure from its rate kernel, so they
+refuse a NaN or infinite rate or env effect at a reachable configuration
+with the same ModelError.
 """
 from __future__ import annotations
 
 import math
-import weakref
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
@@ -198,17 +197,18 @@ def ssa_run(diagram, t_end=10.0, seed=0):
 
 
 def _chain(diagram):
-    """``(start, run, out, table)`` of the configuration chain, which keeps
-    no history, holds rates constant between jumps and moves whole agents:
-    it takes a valid ode diagram, without ``t``, of integer initial values
-    (``start``, as floats), and refuses any other before it binds the code
-    generated once per structure (``_generate_chain``) to its values.
-    ``table`` keeps the first ``_TABLE`` configurations filled and, while
-    it has room, links a jump to its entry when first taken; once full, an
-    unlinked jump fills afresh.  A refusal stores nothing, and when ``run``
-    goes, its links go (``_unlink``).  ``run(y, t_end, rng)`` jumps by the
-    first running sum above the pick, else the last: times and rows, flat.
-    ``out(y)``: (rate, next y) per positive rate."""
+    """``(start, run, out, table, entries)`` of the configuration chain,
+    which keeps no history, holds rates constant between jumps and moves
+    whole agents: it takes a valid ode diagram, without ``t``, of integer
+    initial values (``start``, as floats), and refuses any other before it
+    binds the code generated once per structure (``_generate_chain``) to
+    its values.  ``table`` maps the first ``_TABLE`` configurations filled
+    to their places in ``entries`` (place 0 unused), and while it has room
+    a jump first taken links to its target's place; once full, an unlinked
+    jump fills afresh.  No entry refers to another, and a refusal stores
+    nothing.  ``run(y, t_end, rng)`` jumps by the first running sum above
+    the pick, else the last: times and rows, flat.  ``out(y)``: (rate, next
+    y) per positive rate."""
     flavor, _, reads_t = gate(diagram)
     if flavor != "ode":
         raise ModelError("the configuration chain needs a memoryless (ode) "
@@ -221,14 +221,15 @@ def _chain(diagram):
         raise ModelError("initial counts must be integers for the "
                          "configuration chain")
     start = tuple(float(round(v)) for v in init)
-    rule, moves, follows, table = _shared(
-        diagram, "_chain", _generate_chain)(_values(diagram), _TABLE - 1)
+    rule, out, follows, table, entries = _shared(
+        diagram, "_chain", _generate_chain)(_values(diagram), _TABLE)
     if _TABLE > 0:  # every run starts here
-        table[start] = rule(start)
-    n = max(len(moves), 1)  # y's index in an entry: [total, sums, y, links]
+        entries.append(rule(start))
+        table[start] = 1
+    n = max(len(diagram.transitions), 1)  # index of y in an entry
 
     def run(y, t_end, rng):
-        e = table.get(y) or rule(y)
+        e = entries[j] if (j := table.get(y)) else rule(y)
         draw, u, k, t, log1p = rng.random, None, _BLOCK, 0.0, math.log1p
         times, rows = [t], list(y)
         while (total := e[0]) > 0.0:
@@ -239,41 +240,29 @@ def _chain(diagram):
                 break
             i = n + bisect_right(e, u[k + 1] * total, 1, n)
             k += 2
-            e = e[i] or follows[i](e)
+            e = entries[j] if (j := e[i]) else follows[i](e)
             times.append(t)
             rows += e[n]
         times.append(t_end)
         rows += e[n]
         return times, rows
-
-    def out(y):
-        return [(f, m(y)) for f, m in zip(rule(y, True), moves) if f > 0.0]
-    weakref.finalize(run, _unlink, table, n + 1)
-    return start, run, out, table
-
-
-def _unlink(table, first):
-    """Set the link slots, from index ``first``, of a dropped chain's table
-    entries to None: linked entries form cycles, which would wait for the
-    cyclic collector."""
-    for e in table.values():
-        e[first:] = [None] * (len(e) - first)
+    return start, run, out, table, entries
 
 
 def _generate_chain(diagram):
-    """``bind(_values(diagram), room)`` gives ``(rule, moves, follows,
-    table)`` over whole-number float counts ``y``, the row (``t`` is 0.0).
-    ``rule(y)``: the entry ``[total, s0, ..., s(n-2), y, None * n]`` of the
-    rates in transition order (0.0 below a source count of 1, else
-    ``max(0.0, rate)``; NaN, -inf and a +inf total refused), or with
-    ``rates`` the rates.  ``moves[k](y)``: one agent moved, effects at
-    ``y`` by ``_whole``; ``follows[n + 1 + k](e)`` also keeps its entry."""
+    """``bind(_values(diagram), cap)`` gives ``(rule, out, follows, table,
+    entries)`` over whole-number float counts ``y``, the row (``t`` is
+    0.0).  ``rule(y)``: the entry ``[total, s0, ..., s(n-2), y, None * n]``
+    of the rates in transition order (0.0 below a source count of 1, else
+    ``max(0.0, rate)``; NaN, -inf and a +inf total refused).  ``out(y)``:
+    (rate, next y) per positive rate, one agent moved, effects at ``y`` by
+    ``_whole``; ``follows[n + 1 + k](e)`` moves from entry ``e`` by jump k,
+    keeping the next entry while ``entries`` holds at most ``cap``."""
     names, slots = _kernel_source(diagram)[:2]
     src, n = Source(names, slots), len(diagram.transitions)
     ys = [f"y{i}" for i in range(slots["t"])]
-    src.row, flows = [*ys, "0.0"], []
-    unpack = f"    [{', '.join(ys)}] = "
-    config = f"({''.join(f'{y}, ' for y in ys)})"
+    src.row, flows, jumps = [*ys, "0.0"], [], []
+    unpack = f"[{', '.join(ys)}] = "
     for k, tr in enumerate(diagram.transitions):
         si, ti = slots[tr.source], slots[tr.target]
         rate = (f"v if (v := {src.value(tr.rate)}) > 0.0 "
@@ -282,29 +271,37 @@ def _generate_chain(diagram):
                   f"f{k} = 0.0 if y{si} < 1.0 else {rate}",
                   f"s{k} = s{k - 1} + f{k}" if k else "s0 = f0"]
         dv = [(slots[name], src.value(e)) for name, e in tr.env_effects]
-        moves = [f"d{j} = _whole({x})" for j, (_, x) in enumerate(dv)]
-        moves += [] if si == ti else [f"y{si} -= 1.0", f"y{ti} += 1.0"]
-        moves = [f"    {m}" for m in moves] + [
-            f"    y{i} += d{j}" for j, (i, _) in enumerate(dv)]
+        effects = [f"    d{j} = _whole({x})" for j, (_, x) in enumerate(dv)]
+        nxt = list(ys)  # the next y, slot by slot: the move, then effects
+        if si != ti:
+            nxt[si] += " - 1.0"
+            nxt[ti] += " + 1.0"
+        for j, (i, _) in enumerate(dv):
+            nxt[i] += f" + d{j}"
+        nxt = f"({''.join(f'{x}, ' for x in nxt)})"
+        jumps += [f"if f{k} > 0.0:", *effects,
+                  f"    jumps.append((f{k}, {nxt}))"]
         src.lines += [
-            f"def move{k}(y):", unpack + "y", *moves, f"    return {config}",
-            f"def follow{k}(e):", "    nonlocal room", f"{unpack}e[{n}]",
-            *moves, f"    y = {config}", "    if room <= 0:",
-            "        return rule(y)", "    if (f := table.get(y)) is None:",
-            "        f = table[y] = rule(y)", "        room -= 1",
-            f"    e[{n + 1 + k}] = f", "    return f"]
+            f"def follow{k}(e):", f"    {unpack}e[{n}]", *effects,
+            f"    y = {nxt}", "    if len(entries) > cap:",
+            "        return rule(y)", "    if (j := table.get(y)) is None:",
+            "        entries.append(rule(y))",
+            "        j = table[y] = len(entries) - 1",
+            f"    e[{n + 1 + k}] = j", "    return entries[j]"]
     total = f"s{n - 1}" if n else "0.0"
-    src.lines += ["table = {}", "def rule(y, rates=False):", unpack + "y", *(
-        f"    {x}" for x in [
-            *flows, f"if {total} == _inf:", f"    _refuse_rate({total})",
-            f"return ({''.join(f'f{k}, ' for k in range(n))}) if rates else "
-            f"[{total}, {''.join(f's{k}, ' for k in range(n - 1))}y"
-            f"{', None' * n}]"])]
+    rates = [unpack + "y", *flows, f"if {total} == _inf:",
+             f"    _refuse_rate({total})"]
+    entry = (f"[{total}, {''.join(f's{k}, ' for k in range(n - 1))}y"
+             f"{', None' * n}]")
+    src.lines += [
+        "table, entries = {}, [None]",
+        "def rule(y):", *(f"    {x}" for x in [*rates, f"return {entry}"]),
+        "def out(y):", *(f"    {x}" for x in [
+            *rates, "jumps = []", *jumps, "return jumps"])]
     src.env.update(_inf=math.inf, _refuse_rate=_refuse_rate, _whole=_whole)
-    moves, follows = ("".join(f"{f}{k}, " for k in range(n))
-                      for f in ("move", "follow"))
-    return src.compile(f"rule, ({moves}), ({'None, ' * (n + 1)}{follows}), "
-                       "table", "_p, room")
+    follows = "".join(f"follow{k}, " for k in range(n))
+    return src.compile(f"rule, out, ({'None, ' * (n + 1)}{follows}), table, "
+                       "entries", "_p, cap")
 
 
 def semimarkov_run(n0, m0, alpha, r_g, tau, t_end=10.0, seed=0):

@@ -558,6 +558,18 @@ def test_exact_rows_end_at_t_end(capsys):
     assert len(times) == 176
 
 
+@pytest.mark.parametrize("t_end, rows", [("10.09", 1010), ("10.08", 113)])
+def test_exact_writes_at_least_101_rows(capsys, t_end, rows):
+    # the stride is the largest divisor of the step count at most a
+    # hundredth of it: 1 of 1,009 steps, a prime, and 9 of 1,008
+    code, out, err = _run(capsys, "exact", "--model", "stickpull-counts",
+                          "--t-end", t_end)
+    assert (code, err) == (0, "")
+    times = [float(line.split(",")[0]) for line in out.splitlines()[1:]]
+    assert len(times) == rows
+    assert times[-1] == float(t_end)
+
+
 _CHAIN_REFUSALS = {
     "negative": ("state s = -1\nstate g = 2\nrate(s): s -> g\n",
                  "invalid diagram: negative initial count for state s"),
@@ -880,10 +892,10 @@ def test_exact_refuses_fractional_initial_counts(capsys):
 
 
 def test_an_arithmetic_failure_mid_run_is_exit_2(capsys, tmp_path):
-    # 1 / step(12.31 - t) divides by zero once t passes 12.31; no typed
-    # error names it, so the CLI's SwarmkError fallback reports it
+    # 1 / step(12.31 - t) divides by zero once t passes 12.31: an
+    # EvalError, which is a model error
     f = tmp_path / "cutoff.mas"
     f.write_text("state a = 1\nstate b = 0\n"
                  "rate(a / step(12.31 - t)): a -> b\n")
     assert _run(capsys, "run", "--model", str(f), "--t-end", "20") == (
-        2, "", "error: division by zero\n")
+        2, "", "model error: division by zero\n")

@@ -506,9 +506,17 @@ _CHAIN_MODELS = ["foraging", "sugawara", "stickpull-simple",
                  "stickpull-counts", "stickpull-simple-depletion"]
 
 
+def _places(diagram):
+    """The diagram's chain table, configuration -> place, and its entries
+    list, which holds each entry at its place."""
+    return stochastic._kept(diagram, "_chain", stochastic._chain)[3:]
+
+
 def _table(diagram):
-    """The diagram's chain table: configuration -> entry."""
-    return stochastic._kept(diagram, "_chain", stochastic._chain)[3]
+    """The diagram's chain table read through places: configuration ->
+    entry."""
+    table, entries = _places(diagram)
+    return {y: entries[j] for y, j in table.items()}
 
 
 @pytest.mark.parametrize("cap", [0, 3])
@@ -530,8 +538,10 @@ def test_a_full_table_keeps_the_paths_of_the_direct_method(name, cap,
     assert len(table) == min(cap, len({tuple(r) for r in data}))
     # every link leads to an entry the table keeps: none to a refilled one
     n = len(d.transitions)
+    entries = _places(d)[1]
     for e in table.values():
-        assert all(f is None or table[f[n]] is f for f in e[n + 1:])
+        assert all(f is None or table[entries[f][n]] is entries[f]
+                   for f in e[n + 1:])
 
 
 def _counted_follows(monkeypatch):
@@ -549,10 +559,10 @@ def _counted_follows(monkeypatch):
         bind = generate_chain(diagram)
 
         def counted_bind(*args):
-            rule, moves, follows, table = bind(*args)
-            return (rule, moves,
+            rule, out, follows, table, entries = bind(*args)
+            return (rule, out,
                     tuple(f and count(k, f) for k, f in enumerate(follows)),
-                    table)
+                    table, entries)
         return counted_bind
 
     generate_chain = stochastic._generate_chain
@@ -585,25 +595,25 @@ def test_a_params_edit_or_a_copy_gets_a_fresh_table():
 
     d = sk.build_builtin("foraging", n0=3, m0=6)
     sk.ssa_run(d, t_end=20.0, seed=0)
-    table = _table(d)
+    table = _places(d)[0]
     assert table
     copy = replace(d)
     sk.ssa_run(copy, t_end=20.0, seed=0)
-    assert _table(copy) is not table
+    assert _places(copy)[0] is not table
     d.params["ap"] *= 4.0  # in place: the chain binds the new value
-    assert _table(d) is not table and len(_table(d)) == 1  # the start
+    assert _places(d)[0] is not table and len(_table(d)) == 1  # the start
     for seed in range(5):
         times, data = _direct_method(d, 20.0, seed)
         path = sk.ssa_run(d, t_end=20.0, seed=seed)
         assert np.array_equal(path.times, times)
         assert np.array_equal(path.data, data)
-    assert _table(copy) is not _table(d)
+    assert _places(copy)[0] is not _places(d)[0]
 
 
 def test_a_dropped_table_is_freed_without_the_cyclic_collector():
-    # linked entries refer to each other; a dropped chain unlinks them, so
-    # reference counting frees every entry: on dropping the diagram, and on
-    # the new chain an edit of its params in place makes
+    # links are places, so no entry refers to another and reference
+    # counting frees every entry: on dropping the diagram, and on the new
+    # chain an edit of its params in place makes
     d = sk.build_builtin("foraging", n0=5, m0=15)
     links = len(d.transitions) + 1
     gc.collect()
@@ -693,6 +703,41 @@ def test_enumeration_lists_the_jumps_of_the_reference(name, params):
     space = ConfigurationSpace.build(d)
     assert (space.configs, space.index, space.jumps) == _enumeration(d)
     assert space.size > 1
+
+
+@pytest.mark.parametrize("n", [1, 3, 6])
+@pytest.mark.parametrize("s", [2, 3, 4])
+def test_enumeration_of_a_ring_is_the_known_chain(s, n):
+    # n agents on a ring of s states, each leaving state i for i + 1 at
+    # rate k_i * s_i: every occupation vector summing to n is reachable,
+    # C(n + s - 1, s - 1) of them, and each of the s moves leaves every
+    # vector with s_i >= 1, C(n + s - 2, s - 1) of them
+    k = [0.3 + 0.7 * i for i in range(s)]
+    d = sk.parse_model("".join(
+        [f"param k{i} = {k[i]!r}\n" for i in range(s)]
+        + [f"state s{i} = {n if i == 0 else 0}\n" for i in range(s)]
+        + [f"rate(k{i} * s{i}): s{i} -> s{(i + 1) % s}\n"
+           for i in range(s)]))
+    space = ConfigurationSpace.build(d)
+    configs = [y for y in np.ndindex(*[n + 1] * s) if sum(y) == n]
+    assert space.size == len(configs) == math.comb(n + s - 1, s - 1)
+    assert set(space.configs) == set(configs)
+
+    def moved(y, i):
+        z = list(y)
+        z[i] -= 1.0
+        z[(i + 1) % s] += 1.0
+        return tuple(z)
+    jumps = {(y, moved(y, i), k[i] * y[i])
+             for y in map(tuple, np.array(configs, dtype=float).tolist())
+             for i in range(s) if y[i] >= 1.0}
+    assert len(space.jumps) == len(jumps) == s * math.comb(n + s - 2, s - 1)
+    # each rate bit for bit
+    assert {(space.configs[i], space.configs[j], rate)
+            for i, j, rate in space.jumps} == jumps
+    for seed in range(5):
+        path = sk.ssa_run(d, t_end=10.0, seed=seed)
+        assert {tuple(y) for y in path.data.tolist()} <= set(configs)
 
 
 def test_generated_ssa_loop_raises_what_the_direct_method_raises():
