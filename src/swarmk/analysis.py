@@ -173,12 +173,14 @@ def tau_opt(beta, r_g):
 
 
 def completion_time(traj, counter, mode, threshold):
-    """Time at which an environment counter crosses a threshold.
+    """Time at which an environment counter crosses a finite threshold.
 
     ``deplete`` mode: first time the counter falls to ``threshold`` or
     below.  ``reach`` mode: first time it rises to ``threshold`` or above.
     Linear interpolation between the bracketing samples.
     """
+    if not math.isfinite(threshold):
+        raise ValueError("threshold must be finite")
     col = np.asarray(traj.column(counter), dtype=float)
     times = np.asarray(traj.times, dtype=float)
     if mode == "deplete":
@@ -203,6 +205,8 @@ def scaling_exponent(points):
     pts = [(float(n), float(t)) for n, t in points]
     if len(pts) < 3:
         raise ValueError("need at least 3 points")
+    if not all(math.isfinite(v) for p in pts for v in p):
+        raise ValueError("all points must be finite")
     if any(n <= 0 or t <= 0 for n, t in pts):
         raise ValueError("all points must be positive")
     x = np.log([n for n, _ in pts])
@@ -298,10 +302,10 @@ def sweep(model, param, grid, observables=("nstar", "R"), *, t_end=100.0,
     ``final:<col>`` reads its last value.  Before any row, each observable
     is decided once, into its reader: a ValueError refuses any other
     observable, a column or counter that is not a state or env counter, and
-    ``T`` without a counter and a threshold or with another mode; then a
-    ModelError refuses a ``param`` that is not a parameter of ``model``.  A
-    failed row keeps its error message; a StepGridError (``t_end`` off the
-    ``dt`` grid, ...) fails the sweep at once.
+    ``T`` without a counter and a finite threshold or with another mode;
+    then a ModelError refuses a ``param`` that is not a parameter of
+    ``model``.  A failed row keeps its error message; a StepGridError
+    (``t_end`` off the ``dt`` grid, ...) fails the sweep at once.
     """
     grid = tuple(float(v) for v in grid)
     if not grid:
@@ -318,6 +322,8 @@ def sweep(model, param, grid, observables=("nstar", "R"), *, t_end=100.0,
         if o == "T":
             if counter is None or threshold is None:
                 raise ValueError("observable T needs a counter and a threshold")
+            if not math.isfinite(threshold):
+                raise ValueError("threshold must be finite")
             if mode not in ("deplete", "reach"):
                 raise ValueError(f"unknown mode {mode!r}")
             name = counter

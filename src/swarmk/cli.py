@@ -115,9 +115,9 @@ def _traj_text(traj, fmt):
 
 def _stepped(diagram, args, analytic=False):
     """Check and fill in the time options of ``run``/``sweep``: ``--steps``
-    needs a synchronous model, ``--dt`` any other, a sweep of ``analytic``
-    observables none of them.  ``--steps N`` sets ``t_end`` to N (a
-    synchronous run's length is its step count); an unset ``--dt`` is
+    needs a synchronous model and is >= 0, ``--dt`` any other, a sweep of
+    ``analytic`` observables none of them.  ``--steps N`` sets ``t_end`` to
+    N (a synchronous run's length is its step count); an unset ``--dt`` is
     0.01, ``--t-end`` 10."""
     given = [name for name, v in (("--dt", args.dt), ("--t-end", args.t_end),
                                   ("--steps", args.steps)) if v is not None]
@@ -126,6 +126,8 @@ def _stepped(diagram, args, analytic=False):
                           f"observables {', '.join(analysis.STEADY_NAMES)}")
     if args.steps is not None and not diagram.discrete:
         raise _UsageError("--steps applies only to a synchronous model")
+    if args.steps is not None and args.steps < 0:
+        raise _UsageError("--steps must be >= 0")
     if args.dt is not None and diagram.discrete:
         raise _UsageError("--dt applies only to a non-synchronous model; "
                           "a synchronous one takes whole steps")

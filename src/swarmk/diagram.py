@@ -168,12 +168,11 @@ def validate_diagram(diagram):
     # physically unreachable corners, e.g. negative free-stick counts, and
     # would reject valid models).  A rate must not be negative at the
     # initial configuration; each point checks that the rate, then each
-    # env effect, evaluates to a finite value.  Delayed terms read a
-    # one-row history: constant pre-history, so the past equals the sampled
-    # present.  The transitions take their samples in turn from one stream,
-    # each until its rate or an effect fails or it has N_SAMPLES.
-    from .integrate import HistoryAccessor
-
+    # env effect, evaluates to a finite value.  Delayed terms read the
+    # sampled present as their past (the table's stationary reading), as a
+    # constant pre-history would.  The transitions take their samples in
+    # turn from one stream, each until its rate or an effect fails or it
+    # has N_SAMPLES.
     times, simplex = _shared(diagram, "_samples", _samples)
     stream = zip(times, (simplex * diagram.n0).tolist())
     first = (0.0, [float(v) for _, v in diagram.states])
@@ -184,15 +183,12 @@ def validate_diagram(diagram):
         checks = [(rate, fn)] + [
             (f"env effect {effect_source(n, e)} of {rate}", efn)
             for (n, e), (_, efn) in zip(tr.env_effects, effects)]
-        delayed = any(map(delay_windows, tr.exprs))
         for sample, (t, counts) in enumerate(itertools.chain(
                 [first], itertools.islice(stream, N_SAMPLES))):
-            row = counts + env0
-            history = HistoryAccessor(t, 1.0, np.array([row])) \
-                if delayed else None
+            row = counts + env0 + [t]
             for what, f in checks:
                 try:
-                    v = f(row + [t], history)
+                    v = f(row)
                 except EvalError as exc:
                     defects.append(f"{what} failed to evaluate: {exc}")
                     break
@@ -273,9 +269,10 @@ def _samples(diagram):
 
 def transition_table(diagram):
     """One row per transition, ``(source index, target index, rate fn,
-    ((env index, effect fn), ...))``, each ``fn(row, history=None)`` over
-    the evaluation row (states, env counters, then ``t``).  Validation
-    samples it; ``rhs``, the step and the chain inline its expressions."""
+    ((env index, effect fn), ...))``, each ``fn(row)`` over the evaluation
+    row (states, env counters, then ``t``), also the past its delayed terms
+    read (``Source.stationary``).  Validation samples it; ``rhs``, the step
+    and the chain inline its expressions, with their history."""
     return rate_kernel(diagram)[1]
 
 
@@ -364,9 +361,9 @@ def _generate_kernel(diagram):
     ``e{k}_{j}``, one line each, then each component as a sum from 0.0 in
     transition order: minus the flow at the source, plus the flow at the
     target, plus effect times flow at an env counter.  Under the same names
-    the source also defines one function per rate and effect, for the
-    transition table.  The names, slots, trees and sums are kept, for
-    ``_generate_step`` and the chain."""
+    the source also defines one function per rate and effect, read
+    ``stationary``, for the transition table.  The names, slots, trees and
+    sums are kept, for ``_generate_step`` and the chain."""
     states = {n: i for i, n in enumerate(diagram.state_names)}
     env = {n: i for i, n in enumerate(diagram.env_names, len(states))}
     slots = {"t": len(states) + len(env), **states, **env}
@@ -389,7 +386,10 @@ def _generate_kernel(diagram):
         fx = "".join(f"({ei}, {e}), " for ei, e in effects)
         table.append(f"({si}, {ti}, f{k}, ({fx})), ")
     sums = ["0.0" + "".join(ts) for ts in terms]
-    flows = [f"    {n} = {src.function(n, e)}" for n, e in exprs]
+    flows = [f"    {n} = {src.value(e)}" for n, e in exprs]
+    src.stationary = True
+    for n, e in exprs:
+        src.function(n, e)
     src.env["_array"] = np.array
     src.lines += ["def rhs(t, y, h=None):", "    r = y.tolist()",
                   "    r.append(t)", *flows,

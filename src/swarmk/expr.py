@@ -19,6 +19,7 @@ to parameter values.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -62,17 +63,7 @@ class Call(Expr):
     args: tuple = ()
 
 
-def _exp(x):
-    try:
-        return math.exp(x)
-    except OverflowError:
-        raise EvalError(f"exp overflows at {x!r}") from None
-
-
-def _ln(x):
-    if x <= 0.0:
-        raise EvalError(f"ln of non-positive value {x!r}")
-    return math.log(x)
+_EXP_MAX = math.log(sys.float_info.max)  # exp of a larger float overflows
 
 
 def _fail(message):
@@ -90,16 +81,16 @@ class Source:
     raises the unbound ``EvalError``.  Every operation is the one the tree
     names, on the same operands, so results match a direct evaluation of
     the tree bit for bit.  Python evaluates operands left to right and a
-    conditional's test first, so the checks (a divisor or lag tested before
-    use, ``_exp``, ``_ln``, ``_fail``) run in the order a recursive
-    evaluation reaches them: the first failure is the same too.
+    conditional's test first, so the checks (a divisor, ``exp`` or ``ln``
+    argument or lag tested before use, ``_fail``) run in the order a
+    recursive evaluation reaches them: the first failure is the same too.
 
     The history ``h`` must provide ``bindings_at(t)`` (the evaluation row
     at ``t``) and ``window_integral(key, fn, t_lo, t_hi, now)`` (the
     integral of the generated integrand ``fn(r, h)`` over [t_lo, t_hi];
-    ``now`` is the caller's row).  Both are looked up on ``h`` at each
-    call, so a replacement of either on the history's class takes effect
-    in validation and ``rhs``, not in a run's step (``diagram._Indexed``).
+    ``now`` is the caller's row).  Both are looked up at each call, so a
+    replacement of either on the history's class takes effect in ``rhs``,
+    not in a run's step (``diagram._Indexed``) or a ``stationary`` read.
     """
 
     def __init__(self, names, slots):
@@ -110,7 +101,9 @@ class Source:
         self.row = [f"r[{i}]" for i in range(len(slots))]  # slot sources
         self.lines = []
         self.fixed = {}  # source -> name of a value bind computes first
-        self.env = {"_exp": _exp, "_ln": _ln, "_fail": _fail}
+        self.env = {"_fail": _fail, "_e": math.exp, "_log": math.log,
+                    "_EXP_MAX": _EXP_MAX, "_inf": math.inf}
+        self.stationary = False  # delayed terms read the row as their past
         self._functions = {}  # expression source -> generated function name
         self._count = 0
 
@@ -194,8 +187,12 @@ class Source:
         arg = e.args[0]
         if e.func == "step":
             return self._share(f"(0.0 if {self.value(arg)} < 0.0 else 1.0)")
-        if e.func in UNARY_CALLS:
-            return f"_{e.func}({self.value(arg)})"
+        if e.func in UNARY_CALLS:  # exp, ln: the argument held, then tested
+            v, x = self._fresh(), self.value(arg)
+            return (f"(_fail('exp overflows at ' + repr({v})) if _EXP_MAX < "
+                    f"({v} := {x}) < _inf else _e({v}))" if e.func == "exp"
+                    else f"(_fail('ln of non-positive value ' + repr({v})) "
+                    f"if ({v} := {x}) <= 0.0 else _log({v}))")
         # delay and histint: the lag or window first (by bind if fixed); t is
         # read only from the history, so a zero lag or window needs no time
         w = self.value(e.args[1])
@@ -210,7 +207,14 @@ class Source:
         return x
 
     def _past(self, e, x, v, w, t):
-        """Term ``e`` from history ``h``: ``x`` its argument, ``v`` its lag."""
+        """Term ``e`` from history ``h``: ``x`` its argument, ``v`` its lag;
+        ``stationary``, x with ``t - v`` for ``t`` (t last), or ``v * x``."""
+        if self.stationary and e.func == "histint":
+            return f"{v} * ({x})"
+        if self.stationary:
+            row, self.row = self.row, [*self.row[:-1], f"({t} - {v})"]
+            x, self.row = self.value(e.args[0]), row
+            return x
         fn, arg = self._function_of(x), e.args[0]
         past = (f"{fn}(h.bindings_at({t} - {v}), h)" if e.func == "delay" else
                 f"h.window_integral({unparse(arg)!r}, {fn}, {t} - {v}, {t}, r)")

@@ -49,18 +49,18 @@ class Trajectory:
 
 # perfbench/spans.py traces the four public methods below by name
 class HistoryAccessor:
-    """Past rows of one trajectory, row i at ``t0 + i*dt``, read with the
+    """Past rows of one trajectory, row i at ``i*dt``, read with the
     numbers of a run's fused step (``diagram._Indexed``).  ``rows`` is the
     output array, row 0 filled; ``append`` stores the next row.  A read
     snaps its time to the half-step grid and returns the evaluation row
-    (the occupation row, then ``t``): the first row at or before ``t0``,
+    (the occupation row, then ``t``): the first row at or before 0,
     ``0.5*a + 0.5*b`` half a step between rows, an error beyond the newest.
     Each ``histint`` integrand keeps a running integral over the rows (the
     trapezoid rule, or a left sum if ``discrete``); a window integral is
     the difference of two reads of it."""
 
-    def __init__(self, t0, dt, rows, discrete=False):
-        self.t0, self.dt, self.rows, self.discrete = t0, dt, rows, discrete
+    def __init__(self, dt, rows, discrete=False):
+        self.dt, self.rows, self.discrete = dt, rows, discrete
         self.count = 1  # rows stored so far
         # key -> (fn, integrand value per row, running integral per row)
         self._caches = {}
@@ -74,11 +74,11 @@ class HistoryAccessor:
 
     def _locate(self, t):
         """Row index at or below ``t``, and 1 if half a step past it."""
-        return divmod(round(2 * (t - self.t0) / self.dt), 2)
+        return divmod(round(2 * t / self.dt), 2)
 
     def bindings_at(self, t):
         """The evaluation row at ``t``."""
-        i, half = (0, 0) if t <= self.t0 else self._locate(t)
+        i, half = (0, 0) if t <= 0.0 else self._locate(t)
         if i + half >= self.count:
             raise IntegrationError(
                 f"history query at t={t!r} is beyond the stored window")
@@ -97,7 +97,7 @@ class HistoryAccessor:
             self.register_integrand(key, fn)
         fn, vals, cum = cache = self._caches[key]
         for i in range(len(vals), self.count):
-            vals.append(fn(self.rows[i].tolist() + [self.t0 + i * self.dt],
+            vals.append(fn(self.rows[i].tolist() + [float(i * self.dt)],
                            self))
             if i:
                 cum.append(cum[-1] + (vals[i - 1] if self.discrete else
@@ -106,10 +106,10 @@ class HistoryAccessor:
             - self._cumulative(cache, t_lo, now)
 
     def _cumulative(self, cache, t, now):
-        """Running integral of a cached integrand from t0 to t."""
+        """Running integral of a cached integrand from 0 to t."""
         fn, vals, cum = cache
-        if t <= self.t0:
-            return (t - self.t0) * vals[0]
+        if t <= 0.0:
+            return t * vals[0]
         i, half = self._locate(t)
         last = len(vals) - 1
         if i + half > last:
@@ -183,7 +183,7 @@ def _march(system, flavor, t_end, dt):
     make = _shared(system.diagram, "_step" if fused else "_rhs_step", lambda d:
                    _generate_step(d, history, CONSERVATION_BUDGET, not fused))
     h = None if fused or history is None \
-        else HistoryAccessor(0.0, dt, data, discrete=history)
+        else HistoryAccessor(dt, data, discrete=history)
     step = make(_values(system.diagram), memoryview(data.reshape(-1)), dt, h,
                 system.rhs, floor)
     y = y.tolist()

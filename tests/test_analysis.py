@@ -384,6 +384,12 @@ def test_completion_time_crossed_at_the_first_row():
     assert sk.completion_time(_decay_traj(), "m", "deplete", 1.0) == 0.0
 
 
+@pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
+def test_completion_time_refuses_a_threshold_that_is_not_finite(threshold):
+    with pytest.raises(ValueError, match="threshold must be finite"):
+        sk.completion_time(_decay_traj(), "m", "deplete", threshold)
+
+
 def test_scaling_exponent_exact_laws():
     pts = [(n, 100.0 / n) for n in (2, 4, 8, 16, 32)]
     slope, err = sk.scaling_exponent(pts)
@@ -401,6 +407,13 @@ def test_scaling_exponent_validation():
         sk.scaling_exponent([(1, 1), (1, 2), (1, 3)])
     with pytest.raises(ValueError):
         sk.scaling_exponent([(1, 1), (2, -2), (3, 1)])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_scaling_exponent_refuses_a_point_that_is_not_finite(bad):
+    for pts in ([(1, 1), (2, bad), (3, 1)], [(1, 1), (bad, 2), (3, 1)]):
+        with pytest.raises(ValueError, match="all points must be finite"):
+            sk.scaling_exponent(pts)
 
 
 def test_efficiency_per_robot():
@@ -536,6 +549,19 @@ def test_sweep_of_a_difference_model_runs_t_end_steps():
     last = sk.iterate_difference(sk.compile_rhs(d.with_params(n0=6)),
                                  k_steps=300).data[-1]
     assert table.rows[0] == tuple(last)
+
+
+def test_sweep_refuses_a_threshold_that_is_not_finite_before_any_row(
+        monkeypatch):
+    from swarmk import analysis
+
+    def run(*args):
+        raise AssertionError("a row ran")
+
+    monkeypatch.setattr(analysis, "_run_to_trajectory", run)
+    with pytest.raises(ValueError, match="threshold must be finite"):
+        sk.sweep(sk.build_builtin("foraging"), "n0", [1, 3], ("T",),
+                 t_end=10, dt=0.5, counter="m", threshold=math.nan)
 
 
 def test_sweep_completion_time_observable():

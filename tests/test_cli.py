@@ -182,6 +182,20 @@ def test_validate_bad_file_exit_2(capsys, tmp_path):
     assert "2:6" in err
 
 
+# every shipped model, and collab-difference at at = 1, where its window
+# integrand ln(1 - at * s) goes below zero at the initial s = 8
+@pytest.mark.parametrize("argv, verdict", [
+    *(((name,), (0, f"ok: {name} has no defects\n", ""))
+      for name in models.BUILTIN_NAMES),
+    (("collab-difference", "--set", "at=1"), (2, "", (
+        "defect: rate delay(alpha * (m0 - g), tcda) * delay(s, tcga) * "
+        "exp(histint(ln(1 - at * s), tga)) * step(t - tga) failed to "
+        "evaluate: ln of non-positive value -7.0\n")))],
+    ids=[*models.BUILTIN_NAMES, "collab-difference-at-1"])
+def test_validate_verdicts_of_the_shipped_models(capsys, argv, verdict):
+    assert _run(capsys, "validate", "--model", *argv) == verdict
+
+
 def test_validate_good_model(capsys):
     code, out, _ = _run(capsys, "validate", "--model", "foraging")
     assert code == 0
@@ -432,7 +446,14 @@ def test_compare_json_equals_csv(capsys):
      "--set value for 'k' is not a number: 'abc'"),
     (("sweep", "--model", "stickpull-simple", "--param", "gamma", "--from",
       "0.1", "--to", "0.2", "--sweep-steps", "0"),
-     "--sweep-steps must be >= 1")])
+     "--sweep-steps must be >= 1"),
+    # a threshold or step count that no run can use is refused before any
+    (("sweep", "--model", "foraging", "--param", "n0", "--from", "1", "--to",
+      "3", "--sweep-steps", "3", "--observables", "T", "--counter", "m",
+      "--threshold", "nan", "--t-end", "1600", "--dt", "0.5"),
+     "threshold must be finite"),
+    (("run", "--model", "collab-difference", "--steps", "-1"),
+     "--steps must be >= 0")])
 def test_usage_error_messages(capsys, argv, message):
     assert _run(capsys, *argv) == (1, "", f"usage error: {message}\n")
 

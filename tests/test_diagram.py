@@ -286,3 +286,82 @@ def test_a_row_failing_sampled_validation_keeps_its_message():
         "ModelError: invalid diagram: rate a * ln(k) is negative "
         "(-0.6931471805599453) at the initial configuration",
         None)
+
+
+# -- the transition table's stationary reading -------------------------------
+
+
+def _stationary(e, consts, t=None):
+    """The tree ``e`` with its delayed terms substituted, for the bindings
+    ``consts`` of its lags and windows: ``delay(x, w)`` by x with ``t - w``
+    for ``t``, ``histint(x, w)`` by ``w * x``; a zero lag or window keeps a
+    run's rule, x or 0 (its integrand is not evaluated)."""
+    from swarmk.expr import BinOp, Call, Name, Neg, Num
+    from test_expr import _reference
+
+    t = Name("t") if t is None else t
+    if isinstance(e, Name):
+        return t if e.ident == "t" else e
+    if isinstance(e, Neg):
+        return Neg(_stationary(e.operand, consts, t))
+    if isinstance(e, BinOp):
+        return BinOp(e.op, _stationary(e.left, consts, t),
+                     _stationary(e.right, consts, t))
+    if not isinstance(e, Call):
+        return e
+    if e.func not in ("delay", "histint"):
+        return Call(e.func, tuple(_stationary(a, consts, t) for a in e.args))
+    x, w = e.args
+    if _reference(w, consts) == 0.0:
+        return _stationary(x, consts, t) if e.func == "delay" else Num(0.0)
+    if e.func == "histint":
+        return BinOp("*", w, _stationary(x, consts, t))
+    return _stationary(x, consts, BinOp("-", t, w))
+
+
+@pytest.mark.parametrize("name", ["stickpull-delayed", "collab-difference",
+                                  "stickpull-delayed-depletion",
+                                  "history-forms",
+                                  "history-forms-synchronous"])
+def test_table_reads_delayed_terms_as_the_substituted_trees(name):
+    # every rate and effect function of the table, at every row validation
+    # samples (the initial row and each transition's), equals the direct
+    # evaluation of its substituted tree bit for bit, failures included
+    from swarmk.diagram import _samples, transition_table
+    from swarmk.models import BUILTIN_NAMES, build_builtin
+    from test_expr import _outcome, _reference, _same
+    from test_integrate import FORMS
+
+    d = build_builtin(name) if name in BUILTIN_NAMES \
+        else parse_model(FORMS[name])
+    consts = {**d.params, "N0": d.n0}
+    times, simplex = _samples(d)
+    env0 = [v for _, v in d.env_vars]
+    rows = [[v for _, v in d.states] + env0 + [0.0]] + [
+        counts + env0 + [t]
+        for t, counts in zip(times, (simplex * d.n0).tolist())]
+    pairs = [(f, tree) for tr, (_, _, fn, effects) in zip(
+        d.transitions, transition_table(d)) for f, tree in zip(
+        [fn, *(efn for _, efn in effects)], tr.exprs)]
+    names = d.state_names + d.env_names + ["t"]
+    for f, tree in pairs:
+        oracle = _stationary(tree, consts)
+        for row in rows:
+            env = {**consts, **dict(zip(names, row))}
+            assert _same(_outcome(lambda: f(row)),
+                         _outcome(lambda: _reference(oracle, env)))
+
+
+def test_validation_does_not_evaluate_the_integrand_of_a_zero_window():
+    # at w = 0 the run never evaluates ln(a - 2) and neither does the
+    # gate; at w = 1 validation reports it at the initial row
+    from swarmk.integrate import integrate_delayed
+
+    d = parse_model("param w = 0\nstate a = 1\nstate b = 0\n"
+                    "rate(histint(ln(a - 2), w)): a -> b\n")
+    assert validate_diagram(d).ok
+    traj = integrate_delayed(compile_rhs(d), t_end=1.0, dt=0.5)
+    assert traj.final() == {"a": 1.0, "b": 0.0}
+    assert validate_diagram(d.with_params(w=1)).defects == [
+        "rate histint(ln(a - 2), w) failed to evaluate: "
+        "ln of non-positive value -1.0"]

@@ -63,6 +63,20 @@ def test_exp_ln_step():
         eval_expr(Call("exp", (Num(1000),)), {})
 
 
+def test_exp_refuses_exactly_where_math_exp_overflows():
+    # exp refuses every float above _EXP_MAX: exp(_EXP_MAX) is finite and
+    # exp of the next float overflows in math too
+    from swarmk.expr import _EXP_MAX
+
+    above = math.nextafter(_EXP_MAX, math.inf)
+    assert math.isfinite(math.exp(_EXP_MAX))
+    with pytest.raises(OverflowError):
+        math.exp(above)
+    assert eval_expr(Call("exp", (Num(_EXP_MAX),)), {}) == math.exp(_EXP_MAX)
+    with pytest.raises(EvalError, match=f"^exp overflows at {above!r}$"):
+        eval_expr(Call("exp", (Num(above),)), {})
+
+
 def test_delay_zero_lag_uses_current_bindings():
     e = Call("delay", (Name("x"), Num(0)))
     assert eval_expr(e, {"x": 5.0, "t": 1.0}) == 5.0
@@ -313,6 +327,14 @@ _oracle_exprs = st.recursive(_oracle_leaf, _oracle_tree, max_leaves=16)
 @example(Call("delay", (Name("x"), Call("ln", (Num(0.0),)))),
          1.0, 1.0, 1.0, 2.0, True)
 @example(Call("histint", (Name("x"), Num(0.0))), 1.0, 1.0, 1.0, None, False)
+# exp and ln pass non-finite arguments through (exp(-inf) is 0.0); ln
+# refuses -0.0
+@example(Call("exp", (Name("x"),)), math.nan, 1.0, 1.0, None, False)
+@example(Call("exp", (Name("x"),)), math.inf, 1.0, 1.0, None, False)
+@example(Call("exp", (Name("x"),)), -math.inf, 1.0, 1.0, None, False)
+@example(Call("ln", (Name("x"),)), math.nan, 1.0, 1.0, None, False)
+@example(Call("ln", (Name("x"),)), math.inf, 1.0, 1.0, None, False)
+@example(Call("ln", (Name("x"),)), -0.0, 1.0, 1.0, None, False)
 def test_generated_source_matches_direct_evaluation(e, x, y, z, t, history):
     # x, y and (when drawn) t are row slots, z a folded constant
     slots = {"x": 0, "y": 1} if t is None else {"x": 0, "y": 1, "t": 2}

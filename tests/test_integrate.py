@@ -309,7 +309,7 @@ def _reference_march(system, t_end, dt):
     data = np.empty((n + 1, len(y)))
     data[0] = y
     h = None if system.flavor == "ode" \
-        else HistoryAccessor(0.0, dt, data, discrete=difference)
+        else HistoryAccessor(dt, data, discrete=difference)
     for k in range(n):
         t = k * dt
         if difference:
@@ -454,7 +454,7 @@ def test_an_rhs_swapped_into_the_system_is_called_at_every_stage(name):
 def test_history_read_past_the_newest_row_is_refused():
     from swarmk.integrate import HistoryAccessor
 
-    history = HistoryAccessor(0.0, 0.1, np.zeros((3, 2)))  # row 0 stored
+    history = HistoryAccessor(0.1, np.zeros((3, 2)))  # row 0 stored
     with pytest.raises(IntegrationError, match="beyond the stored window"):
         history.bindings_at(0.2)
 

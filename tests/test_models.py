@@ -449,7 +449,7 @@ def test_collab_difference_stationary_survival_factor():
         # a preallocated output array of 200 rows with row 0 filled
         rows = np.empty((200, len(y0)))
         rows[0] = y0
-        return HistoryAccessor(0.0, dt, rows, discrete)
+        return HistoryAccessor(dt, rows, discrete)
 
     h = history(1.0, discrete=True)
     for k in range(1, 200):
