@@ -270,8 +270,8 @@ def _steady(diagram):
         raise ModelError(f"no closed-form steady state for {diagram.name}: "
                          f"its states, counters or transitions differ from "
                          f"stickpull-{form}")
-    # looked up per call, where perfbench traces the solvers
-    res = globals()[f"steady_state_{form}"](p["beta"], p[key], p["rg"])
+    solve = steady_state_simple if form == "simple" else steady_state_delayed
+    res = solve(p["beta"], p[key], p["rg"])
     return {"nstar": res.n, "R": collaboration_rate(res.n, p["beta"], p["rg"]),
             "residual": res.residual, "branch": res.branch}
 
@@ -279,6 +279,7 @@ def _steady(diagram):
 def _run_to_trajectory(diagram, t_end, dt):
     """Run the diagram to ``t_end`` in steps ``dt``; a difference diagram
     takes ``t_end`` whole steps (and refuses a ``t_end`` between two)."""
+    # per call: perfbench replaces diagram.compile_rhs to trace each rhs
     from .diagram import compile_rhs
 
     system = compile_rhs(diagram)
@@ -290,17 +291,18 @@ def _run_to_trajectory(diagram, t_end, dt):
 
 
 def sweep(model, param, grid, observables=("nstar", "R"), *, t_end=100.0,
-          dt=0.01, counter=None, mode="deplete", threshold=None):
+          dt=0.01, counter=None, mode=None, threshold=None):
     """Evaluate observables over a parameter grid.
 
     Each row sets the swept parameter of the StateDiagram ``model`` with
     ``with_params``.  ``nstar``, ``R`` and ``residual`` read the analytic
     steady state of the stick-pulling models (``_steady``); the others read
     one run of the model to ``t_end`` (``_run_to_trajectory``): ``T``
-    interpolates the crossing time of ``counter`` (``deplete``/``reach`` at
-    ``threshold``), ``steady:<col>`` averages a settled column and
-    ``final:<col>`` reads its last value.  Before any row, each observable
-    is decided once, into its reader: a ValueError refuses any other
+    interpolates the crossing time of ``counter`` (``mode`` ``deplete``,
+    if unset, or ``reach`` at ``threshold``), ``steady:<col>`` averages a
+    settled column and ``final:<col>`` reads its last value.  Before any
+    row, each observable is decided once, into its reader: a ValueError
+    refuses a counter, mode or threshold without ``T``, any other
     observable, a column or counter that is not a state or env counter, and
     ``T`` without a counter and a finite threshold or with another mode;
     then a ModelError refuses a ``param`` that is not a parameter of
@@ -314,6 +316,10 @@ def sweep(model, param, grid, observables=("nstar", "R"), *, t_end=100.0,
     if len(grid) > 1 and not (np.all(diffs > 0) or np.all(diffs < 0)):
         raise ValueError("grid must be strictly monotone")
     observables = tuple(observables)
+    unread = [n for n, v in (("counter", counter), ("mode", mode),
+                             ("threshold", threshold)) if v is not None]
+    if unread and "T" not in observables:
+        raise ValueError(f"{unread[0]} applies only to the observable T")
     # every row reads the same columns: refuse a bad one before any row
     columns = (*model.state_names, *model.env_names)
     analytic, readers = False, {}  # trajectory observable -> its reader
@@ -324,6 +330,7 @@ def sweep(model, param, grid, observables=("nstar", "R"), *, t_end=100.0,
                 raise ValueError("observable T needs a counter and a threshold")
             if not math.isfinite(threshold):
                 raise ValueError("threshold must be finite")
+            mode = "deplete" if mode is None else mode
             if mode not in ("deplete", "reach"):
                 raise ValueError(f"unknown mode {mode!r}")
             name = counter

@@ -278,7 +278,7 @@ _OPTIONS = {
     "sweep-steps": dict(dest="npts", type=int, default=20),
     "observables": dict(default="nstar,R"),
     "counter": {},
-    "mode": dict(choices=("deplete", "reach"), default="deplete"),
+    "mode": dict(choices=("deplete", "reach")),
     "threshold": dict(type=float),
     "runs": dict(type=int, default=100),
     "seed": dict(type=int, default=0),

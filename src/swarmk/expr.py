@@ -90,7 +90,7 @@ class Source:
     integral of the generated integrand ``fn(r, h)`` over [t_lo, t_hi];
     ``now`` is the caller's row).  Both are looked up at each call, so a
     replacement of either on the history's class takes effect in ``rhs``,
-    not in a run's step (``diagram._Indexed``) or a ``stationary`` read.
+    not in a run's step (``integrate._Indexed``) or a ``stationary`` read.
     """
 
     def __init__(self, names, slots):

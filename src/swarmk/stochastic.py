@@ -85,6 +85,7 @@ class MasterTable:
 
 
 POISSON_TAIL = 1e-15  # most Poisson mass left out of one row step
+MASTER_PRODUCTS = 10 ** 6  # most jump-list products one master solve makes
 
 
 def _poisson_weights(q):
@@ -116,7 +117,9 @@ def master_exact(diagram, t_end=10.0, dt=0.005, dt_out=None):
     left out.  W is applied through its jump list, so a product costs
     O(jumps), not O(configurations²).  Rows are ``dt_out`` (default ``dt``)
     apart, a whole number of steps ``dt`` dividing the step count: the last
-    is at ``t_end``.  Returns (MasterTable, expectation Trajectory).
+    is at ``t_end``.  A row step q = ΛΔ that is not finite, or over
+    MASTER_PRODUCTS products in all, is an IntegrationError before any.
+    Returns (MasterTable, expectation Trajectory).
     """
     nsteps = _step_count(t_end, dt)
     if dt_out is None:
@@ -139,9 +142,21 @@ def master_exact(diagram, t_end=10.0, dt=0.005, dt_out=None):
     def jump(v):
         return np.bincount(dst, weights=move * v[src], minlength=n) + stay * v
 
-    first, weights = _poisson_weights(lam * stride * dt)
+    # a row's first + len(weights) passes q: rows * q bounds the count first
+    q, rows = lam * stride * dt, nsteps // stride
+    if not math.isfinite(q):
+        raise IntegrationError(f"master-equation row step q = {q!r} is not "
+                               "finite")
+    count = rows * q
+    if count <= MASTER_PRODUCTS and rows:
+        first, weights = _poisson_weights(q)
+        count = rows * (first + len(weights))
+    if count > MASTER_PRODUCTS:
+        raise IntegrationError(
+            f"master-equation solve needs about {count:.4g} products ({rows} "
+            f"rows at row step q = {q!r}), over {MASTER_PRODUCTS}")
 
-    times = np.arange(nsteps // stride + 1) * stride * dt
+    times = np.arange(rows + 1) * stride * dt
     probs = np.empty((len(times), n))
     p = np.zeros(n)
     p[0] = 1.0

@@ -484,6 +484,64 @@ def test_numeric_failure_messages(capsys, argv, message):
     assert _run(capsys, *argv) == (3, "", f"numeric failure: {message}\n")
 
 
+@pytest.mark.parametrize("observables, extra, name", [
+    ("nstar", ("--threshold", "nan", "--counter", "m"), "counter"),
+    ("nstar", ("--mode", "reach"), "mode"),
+    ("nstar", ("--threshold", "1"), "threshold"),
+    ("final:m", ("--counter", "zz"), "counter")])
+def test_sweep_refuses_options_no_observable_reads(capsys, monkeypatch,
+                                                   observables, extra, name):
+    from swarmk import analysis
+
+    def no_run(*args):
+        raise AssertionError("a row was run")
+
+    monkeypatch.setattr(analysis, "_run_to_trajectory", no_run)
+    monkeypatch.setattr(analysis, "_steady", no_run)
+    assert _run(capsys, "sweep", "--model", "stickpull-delayed", "--param",
+                "tau", "--from", "1", "--to", "2", "--sweep-steps", "2",
+                "--observables", observables, *extra) == (
+        1, "", f"usage error: {name} applies only to the observable T\n")
+
+
+def test_a_run_whose_output_passes_the_cap_exit_3(capsys):
+    # refused before the array is allocated; a sweep's rows fail alike
+    cap = "over 268435456\n"
+    assert _run(capsys, "run", "--model", "stickpull-simple", "--t-end",
+                "1e12", "--dt", "0.01") == (
+        3, "", "numeric failure: an output of 100000000000001 rows would "
+               "take 2400000000000024 bytes, " + cap)
+    assert _run(capsys, "sweep", "--model", "foraging", "--param", "n0",
+                "--from", "1", "--to", "2", "--sweep-steps", "2",
+                "--observables", "T", "--counter", "m", "--threshold", "1",
+                "--t-end", "1e12", "--dt", "0.5") == (
+        0, "param,T\n1.0,\n2.0,\n", "".join(
+            f"row n0={v}: IntegrationError: an output of 2000000000001 rows "
+            "would take 80000000000040 bytes, " + cap for v in ("1.0", "2.0")))
+
+
+@pytest.mark.parametrize("command, rate, argv, message", [
+    ("exact", "1e308", (), "row step q = inf is not finite"),
+    ("compare", "1e308", ("--runs", "2"), "solve needs about inf products "
+     "(50 rows at row step q = 2.0000000000000002e+307), over 1000000"),
+    ("exact", "1e300 * a", (), "solve needs about 1e+301 products (100 rows "
+     "at row step q = 1e+299), over 1000000"),
+    ("compare", "1e300 * a", ("--runs", "2"), "solve needs about 1e+301 "
+     "products (50 rows at row step q = 2e+299), over 1000000"),
+    ("exact", "1e6 * a", ("--t-end", "10", "--dt", "0.1"), "solve needs "
+     "about 1e+07 products (100 rows at row step q = 100000.0), over 1000000"),
+    # q alone is under the cap; the Poisson tails pass it
+    ("exact", "999000 * a", ("--t-end", "1", "--dt", "1"), "solve needs "
+     "about 1.008e+06 products (1 rows at row step q = 999000.0), over "
+     "1000000")])
+def test_a_master_solve_past_its_bounds_exit_3(capsys, tmp_path, command,
+                                               rate, argv, message):
+    f = tmp_path / "fast.mas"
+    f.write_text(f"state a = 1\nstate b = 0\nrate({rate}): a -> b\n")
+    assert _run(capsys, command, "--model", str(f), *argv) == (
+        3, "", f"numeric failure: master-equation {message}\n")
+
+
 def test_master_normalization_drift_exit_3(capsys, monkeypatch):
     from swarmk import stochastic
 
