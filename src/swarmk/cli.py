@@ -101,13 +101,12 @@ def _json(payload):
 
 
 def _traj_text(traj, fmt):
+    rows = np.column_stack((traj.times, traj.data))
     if fmt == "csv":
-        rows = np.column_stack((traj.times, traj.data))
         return _csv(["t"] + traj.columns, map(np.ndarray.tolist, rows))
     return _json({
         "columns": ["t"] + list(traj.columns),
-        "rows": [[float(t)] + [float(v) for v in row]
-                 for t, row in zip(traj.times, traj.data)],
+        "rows": rows.tolist(),
         "metadata": {k: v for k, v in traj.metadata.items()
                      if isinstance(v, (str, int, float, dict))},
     })
@@ -201,7 +200,7 @@ def _ensemble(diagram, args, grid):
 def _cmd_mc(diagram, args):
     stats = _ensemble(diagram, args, _grid(args))
     if args.format == "json":
-        return _json({"times": [float(t) for t in stats.times],
+        return _json({"times": stats.times.tolist(),
                       "columns": stats.columns,
                       "mean": stats.mean.tolist(),
                       "stderr": stats.stderr.tolist(),

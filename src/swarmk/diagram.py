@@ -183,7 +183,7 @@ def validate_diagram(diagram):
         for sample, (t, counts) in enumerate(itertools.chain(
                 [first], itertools.islice(stream, N_SAMPLES))):
             row = counts + env0 + [t]
-            for what, f in checks:
+            for i, (what, f) in enumerate(checks):  # the rate is check 0
                 try:
                     v = f(row)
                 except EvalError as exc:
@@ -192,7 +192,7 @@ def validate_diagram(diagram):
                 if not math.isfinite(v):
                     defects.append(f"{what} is non-finite on a sample")
                     break
-                if sample == 0 and v < 0 and f is fn:
+                if sample == 0 and v < 0 and i == 0:
                     defects.append(f"{what} is negative ({v!r}) at the "
                                    "initial configuration")
                     break
@@ -357,9 +357,9 @@ def _generate_kernel(diagram):
     transition by transition, the flow ``f{k}`` and then the env effects
     ``e{k}_{j}``, one line each, then each component as a sum from 0.0 in
     transition order: minus the flow at the source, plus the flow at the
-    target, plus effect times flow at an env counter.  Under the same names
-    the source also defines one function per rate and effect, read
-    ``stationary``, for the transition table.  The names, slots, trees and
+    target, plus effect times flow at an env counter.  The source also
+    defines, for the transition table, one function per distinct source of
+    a rate or effect read ``stationary``.  The names, slots, trees and
     sums are kept, for the step generator in ``integrate`` and the chain."""
     states = {n: i for i, n in enumerate(diagram.state_names)}
     env = {n: i for i, n in enumerate(diagram.env_names, len(states))}
@@ -369,7 +369,9 @@ def _generate_kernel(diagram):
     exprs = []  # (flow or effect name, tree), in transition order
     # per component, its signed terms in transition order
     terms = [[] for _ in range(len(states) + len(env))]
-    table = []  # (source, target, rate, ((env index, effect), ...)) source
+    # (source, target, rate, ((env index, effect), ...)) per transition,
+    # each function a {} until the functions are generated
+    table = ""
     for k, tr in enumerate(diagram.transitions):
         si, ti = states[tr.source], states[tr.target]
         flow = [f"f{k}", *(f"e{k}_{j}" for j in range(len(tr.env_effects)))]
@@ -377,21 +379,19 @@ def _generate_kernel(diagram):
         if si != ti:
             terms[si].append(f" - f{k}")
             terms[ti].append(f" + f{k}")
-        effects = [(env[n], e) for (n, _), e in zip(tr.env_effects, flow[1:])]
-        for ei, e in effects:
-            terms[ei].append(f" + {e} * f{k}")
-        fx = "".join(f"({ei}, {e}), " for ei, e in effects)
-        table.append(f"({si}, {ti}, f{k}, ({fx})), ")
+        for (n, _), e in zip(tr.env_effects, flow[1:]):
+            terms[env[n]].append(f" + {e} * f{k}")
+        fx = "".join(f"({env[n]}, {{}}), " for n, _ in tr.env_effects)
+        table += f"({si}, {ti}, {{}}, ({fx})), "
     sums = ["0.0" + "".join(ts) for ts in terms]
     flows = [f"    {n} = {src.value(e)}" for n, e in exprs]
     src.stationary = True
-    for n, e in exprs:
-        src.function(n, e)
+    table = table.format(*(src._function_of(src.value(e)) for _, e in exprs))
     src.env["_array"] = np.array
     src.lines += ["def rhs(t, y, h=None):", "    r = y.tolist()",
                   "    r.append(t)", *flows,
                   f"    return _array([{', '.join(sums)}])"]
-    return (src.compile(f"rhs, ({''.join(table)})"),
+    return (src.compile(f"rhs, ({table})"),
             (names, slots, exprs, sums))
 
 

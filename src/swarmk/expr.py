@@ -112,9 +112,9 @@ class Source:
         return f"{stem}{self._count}"
 
     def _literal(self, v):
-        """Source for the constant ``v``: a literal where one reads back as
-        the very same value, else a name bound to it."""
-        if type(v) is int or (type(v) is float and math.isfinite(v)):
+        """Source for the float ``v``: a literal where one reads back as the
+        very same value, else a name bound to it."""
+        if math.isfinite(v):
             s = repr(v)
             return f"({s})" if s.startswith("-") else s
         name = self._fresh("_c")
@@ -158,13 +158,13 @@ class Source:
                 raise EvalError(f"unknown operator {e.op}")
             p = _PREC[e.op]
             if e.op == "/":
-                # the divisor is tested first (by bind if fixed, which also
-                # divides fixed values); a leaf is read in place, else held
+                # the divisor is tested first: by bind if fixed (which also
+                # divides fixed values), else held
                 right, fixed = self.value(e.right), self._fixed(e.right)
                 test = f"{right} != 0.0"
                 if fixed:
                     test = self._bound(test)
-                elif not isinstance(e.right, (Num, Name)):
+                else:
                     held, right = right, self._fresh()
                     test = f"({right} := {held}) != 0.0"
                 x = f"{self.value(e.left, p)} / {right}"
@@ -230,24 +230,16 @@ class Source:
             self.lines.append(f"def {name}(r, h=None): return {x}")
         return self._functions[x]
 
-    def function(self, name, e):
-        """Emit ``def name(r, h=None)``, which returns the value of ``e``;
-        return the source of that value."""
-        x = self.value(e)
-        self.lines.append(f"def {name}(r, h=None): return {x}")
-        return x
-
     def compile(self, returns, args="_p"):
-        """Compile the lines added since the last call, over ``env``, into
-        ``bind(args)``: it binds each name to its value in the tuple ``_p``,
-        runs the lines and returns ``returns`` (source)."""
+        """Compile the lines, once, over ``env``, into ``bind(args)``: it
+        binds each name to its value in the tuple ``_p``, runs the lines
+        and returns ``returns`` (source)."""
         body = [f"[{self._unpack}] = _p",
                 *(f"{name} = {x}" for x, name in self.fixed.items()),
                 *self.lines, f"return {returns}"]
         exec(compile(f"def bind({args}):\n" + "".join(
             f"    {line}\n" for line in body), "<rate kernel>", "exec"),
             self.env)
-        self.lines, self.fixed = [], {}
         return self.env.pop("bind")  # not kept in env: no cycle with it
 
 
@@ -255,8 +247,7 @@ def generate_function(e, consts, slots):
     """``e`` as one generated function ``fn(row, history=None)``, each name
     of ``consts`` bound to its value; names are resolved as in ``Source``."""
     src = Source(consts, slots)
-    src.function("value", e)
-    return src.compile("value")(tuple(consts.values()))
+    return src.compile(src._function_of(src.value(e)))(tuple(consts.values()))
 
 
 def eval_expr(e, bindings):

@@ -179,7 +179,7 @@ class _Indexed(Source):
             self._names[key] = n = self._fresh("_n")
             self.lines.append(f"{n}v, {n}c = _arr('d'), _arr('d')")
         n = self._names[key]
-        hi = f"{n}c[k] + {'_qw' if odd else '_hw'} * ({n}v[k] + {x})" \
+        hi = f"{n}c[k] + {'_qw' if odd else 'c'} * ({n}v[k] + {x})" \
             if over else self._running(n, a, odd)
         lo = self._share(f"({q} * {n}v[0] if ({q} := {t} - {v}) <= 0.0 "
                          f"else {self._running(n, b, odd)})")
@@ -198,7 +198,7 @@ class _Indexed(Source):
         x = self._value_at(("k", False, False),
                            self._cells("k", False, "float(k * dt)"), arg)
         add = f"{n}v[k - 1]" if self.discrete \
-            else f"_hw * ({n}v[k - 1] + {n}v[k])"
+            else f"c * ({n}v[k - 1] + {n}v[k])"
         return (f"({n}v.append({x}) or {n}c.append({n}c[k - 1] + {add} "
                 "if k else 0.0) or True)")
 
@@ -262,8 +262,8 @@ def _generate_step(diagram, history, through=False):
                   *(f"    m[o + {i}] = {y}" for i, y in enumerate(ys))]
     cap = f"{src._literal(CONSERVATION_BUDGET)} * {n0}"
     src.lines += ["c = 0.5 * dt", "c6 = dt / 6.0",
-                  f"_r0 = m[:{len(ys)}].tolist()", "_hw = 0.5 * dt",
-                  "_qw = 0.25 * dt", f"_cap = {cap} if {n0} > 0 else _inf",
+                  f"_r0 = m[:{len(ys)}].tolist()", "_qw = 0.25 * dt",
+                  f"_cap = {cap} if {n0} > 0 else _inf",
                   *lines, f"    return [{', '.join(ys)}]"]
     src.env.update(_isfinite=math.isfinite, _NonFinite=NonFinite,
                    _Drift=ConservationDrift, _Negative=NegativePopulation,

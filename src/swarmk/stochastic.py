@@ -86,6 +86,9 @@ class MasterTable:
 
 POISSON_TAIL = 1e-15  # most Poisson mass left out of one row step
 MASTER_PRODUCTS = 10 ** 6  # most jump-list products one master solve makes
+# most products × (jumps + configurations) one master solve makes: an entry
+# of a product takes ~4 ns on a 2-core x86-64 host, so ~40 s at the cap
+MASTER_WORK = 10 ** 10
 
 
 def _poisson_weights(q):
@@ -117,8 +120,9 @@ def master_exact(diagram, t_end=10.0, dt=0.005, dt_out=None):
     left out.  W is applied through its jump list, so a product costs
     O(jumps), not O(configurations²).  Rows are ``dt_out`` (default ``dt``)
     apart, a whole number of steps ``dt`` dividing the step count: the last
-    is at ``t_end``.  A row step q = ΛΔ that is not finite, or over
-    MASTER_PRODUCTS products in all, is an IntegrationError before any.
+    is at ``t_end``.  A row step q = ΛΔ that is not finite, over
+    MASTER_PRODUCTS products in all, or over MASTER_WORK entries of their
+    jump lists and diagonals, is an IntegrationError before any product.
     Returns (MasterTable, expectation Trajectory).
     """
     nsteps = _step_count(t_end, dt)
@@ -155,6 +159,11 @@ def master_exact(diagram, t_end=10.0, dt=0.005, dt_out=None):
         raise IntegrationError(
             f"master-equation solve needs about {count:.4g} products ({rows} "
             f"rows at row step q = {q!r}), over {MASTER_PRODUCTS}")
+    if (work := count * (len(src) + n)) > MASTER_WORK:
+        raise IntegrationError(
+            f"master-equation solve needs {count} products of {len(src)} "
+            f"jumps and {n} configurations ({work:.4g} entries), over "
+            f"{MASTER_WORK}")
 
     times = np.arange(rows + 1) * stride * dt
     probs = np.empty((len(times), n))

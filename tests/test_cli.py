@@ -533,11 +533,17 @@ def test_a_run_whose_output_passes_the_cap_exit_3(capsys):
     # q alone is under the cap; the Poisson tails pass it
     ("exact", "999000 * a", ("--t-end", "1", "--dt", "1"), "solve needs "
      "about 1.008e+06 products (1 rows at row step q = 999000.0), over "
-     "1000000")])
+     "1000000"),
+    # under the product cap, but each product walks a chain of 10,001
+    # configurations: refused where the solve would take about a minute
+    ("exact", "a", ("--set", "n=10000", "--t-end", "60"), "solve needs "
+     "668300 products of 10000 jumps and 10001 configurations (1.337e+10 "
+     "entries), over 10000000000")])
 def test_a_master_solve_past_its_bounds_exit_3(capsys, tmp_path, command,
                                                rate, argv, message):
     f = tmp_path / "fast.mas"
-    f.write_text(f"state a = 1\nstate b = 0\nrate({rate}): a -> b\n")
+    f.write_text(f"param n = 1\nstate a = n\nstate b = 0\n"
+                 f"rate({rate}): a -> b\n")
     assert _run(capsys, command, "--model", str(f), *argv) == (
         3, "", f"numeric failure: master-equation {message}\n")
 

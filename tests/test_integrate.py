@@ -397,6 +397,12 @@ FAILING = {
     "half-step": ("state a = 6\nstate b = 0\n"
                   "rate(0.01 * a * delay(b / step(12.31 - t), 2)): a -> b\n"
                   "rate(0.01 * b): b -> a\n", "division by zero"),
+    # a leaf divisor: the counter c falls by 40 per unit time, by exactly
+    # 2.0 per RK4 step, so to exactly 0.0 at the last stage of the step
+    # from t = 9.95 (and at the 10th synchronous step)
+    "leaf divisor": ("state a = 6\nstate b = 0\nenv c = 400\n"
+                     "rate(0.01 * delay(a, 2) / c): a -> b\n"
+                     "rate(1): b -> b ; c -= 40\n", "division by zero"),
 }
 
 
