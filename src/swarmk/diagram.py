@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import EvalError, ModelError
 from .expr import (Neg, Source, delay_windows, format_number, free_names,
-                   unparse)
+                   malformed, unparse)
 
 
 @dataclass(frozen=True)
@@ -230,6 +230,7 @@ def _structure(diagram):
                    if n not in env_names]
         checks += [f"unknown identifier {ident}" for e in tr.exprs
                    for ident in sorted(free_names(e) - known)]
+        checks += [m for e in tr.exprs for m in malformed(e)]
         # delay bounds must be computable from params alone
         for w in (w for e in tr.exprs for w in delay_windows(e)):
             bad = free_names(w) - set(diagram.params)

@@ -27,6 +27,10 @@ from .errors import EvalError
 
 UNARY_CALLS = ("exp", "ln", "step")
 BINARY_CALLS = ("delay", "histint")
+# levels the parser admits in a tree, and factors nested in one another:
+# generated code takes up to 4 brackets a level (a fused-step histint), so
+# it stays inside CPython's 200, and every recursive walk far from its limit
+MAX_DEPTH = 40
 
 
 @dataclass(frozen=True)
@@ -256,18 +260,45 @@ def eval_expr(e, bindings):
     return generate_function(e, bindings, {})(())
 
 
+def _children(e):
+    return (e.operand,) if isinstance(e, Neg) else (e.left, e.right) \
+        if isinstance(e, BinOp) else e.args if isinstance(e, Call) else ()
+
+
 def nodes(e):
     """Every node of the tree in pre-order: a node before its children,
     children left to right."""
     yield e
-    if isinstance(e, Neg):
-        yield from nodes(e.operand)
-    elif isinstance(e, BinOp):
-        yield from nodes(e.left)
-        yield from nodes(e.right)
-    elif isinstance(e, Call):
-        for a in e.args:
-            yield from nodes(a)
+    for c in _children(e):
+        yield from nodes(c)
+
+
+def depth(e):
+    """The number of levels of the tree (a leaf is 1), counted level by
+    level, so a tree of any depth is measured."""
+    level, n = [e], 0
+    while level:
+        level, n = [c for x in level for c in _children(x)], n + 1
+    return n
+
+
+_ARITY = {**dict.fromkeys(UNARY_CALLS, 1), **dict.fromkeys(BINARY_CALLS, 2)}
+
+
+def malformed(e):
+    """What ``Source`` cannot compile in ``e``, a message per node: an
+    unknown operator or function, or a call with the wrong argument count.
+    The parser builds none of these; a tree built in Python may."""
+    found = []
+    for n in nodes(e):
+        if isinstance(n, BinOp) and n.op not in _PREC:
+            found.append(f"unknown operator {n.op}")
+        elif isinstance(n, Call) and n.func not in _ARITY:
+            found.append(f"unknown function {n.func}")
+        elif isinstance(n, Call) and len(n.args) != _ARITY[n.func]:
+            found.append(f"{n.func} takes {_ARITY[n.func]} argument(s), "
+                         f"got {len(n.args)}")
+    return found
 
 
 def free_names(e):
@@ -277,8 +308,8 @@ def free_names(e):
 
 def delay_windows(e):
     """Second arguments of every delay/histint call in the tree."""
-    return [n.args[1] for n in nodes(e)
-            if isinstance(n, Call) and n.func in BINARY_CALLS]
+    return [n.args[1] for n in nodes(e) if isinstance(n, Call)
+            and n.func in BINARY_CALLS and len(n.args) == 2]
 
 
 def format_number(v):

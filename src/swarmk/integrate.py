@@ -203,11 +203,11 @@ class _Indexed(Source):
                 "if k else 0.0) or True)")
 
 
-def _generate_step(diagram, history, through=False):
+def _generate_step(diagram, through=False):
     """Generate ``make(p, m, dt, h, _f, floor)`` once per structure, which
     gives a run at the values ``p`` (``_values``) its ``step(k, y)``: the
     list ``y`` at ``t = k * dt`` one step on, over Python floats, as the
-    synchronous ``y + f(float(t))`` (``history`` True) or as RK4 unrolled
+    synchronous ``y + f(float(t))`` (``diagram.discrete``) or as RK4 unrolled
     per component, in the operations and order of a numpy RK4 over ``rhs``
     (``0.5 * dt``, ``y + c*k``, ``k1 + 2.0*k2 + 2.0*k3 + k4`` times ``dt /
     6.0``).  Each stage sets its row's locals and runs the flow lines and
@@ -217,15 +217,15 @@ def _generate_step(diagram, history, through=False):
     raises NonFinite, ConservationDrift (the state total, summed left to
     right, off a positive N0 by over ``CONSERVATION_BUDGET * N0``) or
     NegativePopulation (below ``floor``), in that order, then stores the
-    row in ``m`` or ``h``."""
+    row in ``m``, or ``through``, appends it to ``h``."""
     names, slots, exprs, sums = _kernel_source(diagram)
-    src = _Indexed(names, slots, history is True)
+    src = _Indexed(names, slots, diagram.discrete)
     ys = [f"y{i}" for i in range(len(sums))]
     lines = ["def step(k, y):", f"    [{', '.join(ys)}] = y",
              "    t = float(k * dt)"]
     # per stage: each component's offset from y, the time, its history's at
     stages, last = [("", "t", ("k", False, False))], " + k1_{}"
-    if history is not True:
+    if not diagram.discrete:
         lines[2] = "    t = k * dt; th = t + c; td = t + dt"
         stages += [(" + c * k1_{}", "th", ("k", True, True)),
                    (" + c * k2_{}", "th", ("k", True, True)),
@@ -255,7 +255,7 @@ def _generate_step(diagram, history, through=False):
     for y, name in zip(states, diagram.state_names):
         lines += [f"    if {y} < _floor:",
                   f"        raise _Negative(t, {name!r}, {y})"]
-    if through and history is not None:
+    if through:
         lines.append(f"    h.append([{', '.join(ys)}])")
     else:
         lines += [f"    o = (k + 1) * {len(ys)}",
@@ -302,15 +302,9 @@ def _step_count(t_end, dt, delays=()):
     return int(round(t_end / dt))
 
 
-# flavor -> (entry point, history, negative tolerance): all that differs
-# between the runs.  The history is None or its ``discrete`` flag.  A
-# difference run takes the synchronous step by the integer 1, so a failure
-# names the step, and its states may not go below zero at all.
-_FLAVORS = {
-    "ode": ("integrate", None, NEGATIVE_TOLERANCE),
-    "dde": ("integrate_delayed", False, NEGATIVE_TOLERANCE),
-    "difference": ("iterate_difference", True, 0.0),
-}
+# flavor -> its entry point, named when a run is given the wrong flavor
+_FLAVORS = {"ode": "integrate", "dde": "integrate_delayed",
+            "difference": "iterate_difference"}
 
 
 def _march(system, flavor, t_end, dt):
@@ -318,34 +312,35 @@ def _march(system, flavor, t_end, dt):
     fixed steps ``dt`` of the generated step (made once per structure and
     given the diagram's values each run), which checks and stores each
     row.  An output array over MAX_OUTPUT_BYTES is refused before it is
-    made.  Values inside the tolerated negative band are reported as zero."""
-    caller, history, tolerance = _FLAVORS[flavor]
+    made.  Values inside the tolerated negative band are reported as zero;
+    a difference run, which takes the synchronous step by the integer 1 (a
+    failure names the step), has no band: its states may not go below 0."""
     if system.flavor != flavor:
         article = "an" if flavor == "ode" else "a"
-        raise IntegrationError(
-            f"{caller}() needs {article} {flavor} system, got {system.flavor}")
+        raise IntegrationError(f"{_FLAVORS[flavor]}() needs {article} "
+                               f"{flavor} system, got {system.flavor}")
+    d = system.diagram
     nsteps = _step_count(t_end, dt, system.delay_values)
-    y = system.diagram.initial_vector()
+    y = d.initial_vector()
     if (nbytes := (nsteps + 1) * len(y) * 8) > MAX_OUTPUT_BYTES:
         raise IntegrationError(f"an output of {nsteps + 1} rows would take "
                                f"{nbytes} bytes, over {MAX_OUTPUT_BYTES}")
     data = np.empty((nsteps + 1, len(y)))
     data[0] = y
-    floor = -tolerance * max(1.0, system.diagram.n0)
-    # an rhs swapped into the system (a wrapper, say) is called, not fused
-    fused = system.rhs is rate_kernel(system.diagram)[0]
-    make = _shared(system.diagram, "_step" if fused else "_rhs_step",
-                   lambda d: _generate_step(d, history, not fused))
-    h = None if fused or history is None \
-        else HistoryAccessor(dt, data, discrete=history)
-    step = make(_values(system.diagram), memoryview(data.reshape(-1)), dt, h,
-                system.rhs, floor)
+    floor = 0.0 if d.discrete else -NEGATIVE_TOLERANCE * max(1.0, d.n0)
+    # an rhs swapped into the system (a wrapper, say) is called, not fused,
+    # and handed the run's history in every flavor
+    fused = system.rhs is rate_kernel(d)[0]
+    make = _shared(d, "_step" if fused else "_rhs_step",
+                   lambda d: _generate_step(d, not fused))
+    h = None if fused else HistoryAccessor(dt, data, discrete=d.discrete)
+    step = make(_values(d), memoryview(data.reshape(-1)), dt, h, system.rhs,
+                floor)
     y = y.tolist()
     for k in range(nsteps):
         y = step(k, y)
     data[(data < 0) & (data >= floor)] = 0.0
     times = np.arange(nsteps + 1, dtype=float) * dt
-    d = system.diagram
     return Trajectory(times, data, d.state_names, d.env_names,
                       {"model": d.name, "params": dict(d.params),
                        "dt": float(dt), "flavor": flavor})

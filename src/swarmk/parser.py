@@ -46,8 +46,9 @@ from dataclasses import dataclass
 from .diagram import (StateDiagram, Transition, check_param, domain_source,
                       effect_source)
 from .errors import LexError, ParseError, SemanticError
-from .expr import (_PREC, BINARY_CALLS, UNARY_CALLS, BinOp, Call, Name, Neg,
-                   Num, eval_expr, format_number, nodes, unparse)
+from .expr import (_PREC, BINARY_CALLS, MAX_DEPTH, UNARY_CALLS, BinOp, Call,
+                   Name, Neg, Num, depth, eval_expr, format_number, nodes,
+                   unparse)
 
 RESERVED = {"param", "state", "env", "synchronous", "rate", "in", "inf", "t",
             "N0", *UNARY_CALLS, *BINARY_CALLS}
@@ -106,6 +107,7 @@ class _Parser:
         self.domains = {}
         self.transitions = []
         self.discrete = False
+        self.nesting = 0  # factors open around the cursor
 
     @property
     def cur(self):
@@ -253,19 +255,33 @@ class _Parser:
 
     def parse_expr(self, prec=1):
         """Operands joined by operators that bind at least as tightly as
-        ``prec``; each operator associates to the left."""
+        ``prec``; each operator associates to the left.  A whole expression
+        deeper than MAX_DEPTH is refused at its start."""
         left = self.parse_factor()
         while _PREC.get(self.cur.text, 0) >= prec:
             op = self.advance().text
             right = self.parse_expr(_PREC[op] + 1)
             left = BinOp(op, left, right, line=left.line, col=left.col)
+        if not self.nesting and depth(left) > MAX_DEPTH:
+            raise ParseError(f"expression is deeper than {MAX_DEPTH} levels",
+                             left.line, left.col)
         return left
 
     def parse_factor(self):
+        """A factor; one nested in more than MAX_DEPTH others (brackets,
+        negations, call arguments) is refused at its first token."""
+        tok = self.cur
+        self.nesting += 1
+        if self.nesting > MAX_DEPTH:
+            raise ParseError(f"expression is nested deeper than {MAX_DEPTH} "
+                             "levels", tok.line, tok.col)
         if self.at_op("-"):
-            tok = self.advance()
-            return Neg(self.parse_factor(), line=tok.line, col=tok.col)
-        return self.parse_primary()
+            self.advance()
+            e = Neg(self.parse_factor(), line=tok.line, col=tok.col)
+        else:
+            e = self.parse_primary()
+        self.nesting -= 1
+        return e
 
     def parse_primary(self):
         tok = self.cur

@@ -24,7 +24,8 @@ from .analysis import check_args
 from .diagram import _kept, _kernel_source, _shared, _values, gate
 from .errors import IntegrationError, ModelError, StateSpaceTooLarge
 from .expr import Source
-from .integrate import Trajectory, _check_t_end, _off_grid, _step_count
+from .integrate import (MAX_OUTPUT_BYTES, Trajectory, _check_t_end,
+                        _off_grid, _step_count)
 
 CONFIG_CAP = 100_000
 # uniforms per Generator call in the Gillespie loop: even, so both of an
@@ -121,8 +122,10 @@ def master_exact(diagram, t_end=10.0, dt=0.005, dt_out=None):
     O(jumps), not O(configurations²).  Rows are ``dt_out`` (default ``dt``)
     apart, a whole number of steps ``dt`` dividing the step count: the last
     is at ``t_end``.  A row step q = ΛΔ that is not finite, over
-    MASTER_PRODUCTS products in all, or over MASTER_WORK entries of their
-    jump lists and diagonals, is an IntegrationError before any product.
+    MASTER_PRODUCTS products in all, over MASTER_WORK entries of their
+    jump lists and diagonals, or whose rows would take over
+    ``integrate.MAX_OUTPUT_BYTES``, is an IntegrationError before any
+    product.
     Returns (MasterTable, expectation Trajectory).
     """
     nsteps = _step_count(t_end, dt)
@@ -164,6 +167,10 @@ def master_exact(diagram, t_end=10.0, dt=0.005, dt_out=None):
             f"master-equation solve needs {count} products of {len(src)} "
             f"jumps and {n} configurations ({work:.4g} entries), over "
             f"{MASTER_WORK}")
+    if (nbytes := (rows + 1) * n * 8) > MAX_OUTPUT_BYTES:
+        raise IntegrationError(f"master-equation output of {rows + 1} rows "
+                               f"would take {nbytes} bytes, over "
+                               f"{MAX_OUTPUT_BYTES}")
 
     times = np.arange(rows + 1) * stride * dt
     probs = np.empty((len(times), n))

@@ -180,6 +180,28 @@ def test_validate_bad_file_exit_2(capsys, tmp_path):
     assert code == 2
     assert "unknown identifier" in err
     assert "2:6" in err
+    # a lag its parameters make negative
+    f.write_text("param w = -1\nstate a = 1\nstate b = 0\n"
+                 "rate(0.1 * delay(a, w)): a -> b\n")
+    assert _run(capsys, "validate", "--model", str(f)) == (
+        2, "", "defect: delay bound w = -1.0 is invalid\n")
+
+
+# a rate nested in 400 brackets, a 1,500-term sum and a subtraction nested
+# 210 deep: past the parser's recursion, ``nodes``' recursion and CPython's
+# 200 nested brackets in generated code, each refused where the cap is passed
+@pytest.mark.parametrize("rate, where", [
+    ("(" * 400 + "0.1 * a" + ")" * 400, "4:46: expression is nested"),
+    (" + ".join(["0.001 * a"] * 1500), "4:6: expression is"),
+    ("0.001 - " + "(0.001 - " * 209 + "0.001 * a" + ")" * 209,
+     "4:366: expression is nested")], ids=["brackets", "sum", "difference"])
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_a_too_deep_expression_is_a_located_model_error(capsys, tmp_path,
+                                                        command, rate, where):
+    f = tmp_path / "deep.mas"
+    f.write_text(f"param w = 1\nstate a = 1\nstate b = 0\nrate({rate}): a -> b\n")
+    assert _run(capsys, command, "--model", str(f)) == (
+        2, "", f"model error: {where} deeper than 40 levels\n")
 
 
 # every shipped model, and collab-difference at at = 1, where its window
@@ -538,7 +560,11 @@ def test_a_run_whose_output_passes_the_cap_exit_3(capsys):
     # configurations: refused where the solve would take about a minute
     ("exact", "a", ("--set", "n=10000", "--t-end", "60"), "solve needs "
      "668300 products of 10000 jumps and 10001 configurations (1.337e+10 "
-     "entries), over 10000000000")])
+     "entries), over 10000000000"),
+    # under both work caps, but its rows would take 1.49 GiB
+    ("compare", "0.001 * a", ("--set", "n=2000", "--t-end", "10",
+                              "--grid-points", "100000"), "output of 100001 "
+     "rows would take 1600816008 bytes, over 268435456")])
 def test_a_master_solve_past_its_bounds_exit_3(capsys, tmp_path, command,
                                                rate, argv, message):
     f = tmp_path / "fast.mas"

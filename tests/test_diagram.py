@@ -7,6 +7,7 @@ import pytest
 
 from swarmk.diagram import compile_rhs, validate_diagram
 from swarmk.errors import ModelError
+from swarmk.expr import BinOp, Call, Name, Num
 from swarmk.parser import parse_model
 
 TWO_STATE = """\
@@ -117,6 +118,25 @@ def test_env_effects_are_sampled_with_their_rate():
 def test_compile_rejects_invalid():
     d = parse_model("state s = 1\nrate(delay(s, s)): s -> s\n")
     with pytest.raises(ModelError):
+        compile_rhs(d)
+
+
+@pytest.mark.parametrize("rate, defect", [
+    (BinOp("%", Name("a"), Num(2.0)), "unknown operator %"),
+    (Call("sin", (Name("a"),)), "unknown function sin"),
+    (Call("exp", ()), "exp takes 1 argument(s), got 0"),
+    (Call("delay", (Name("a"),)), "delay takes 2 argument(s), got 1"),
+])
+def test_a_tree_built_in_python_that_cannot_compile_is_a_defect(rate, defect):
+    # the parser builds no such tree; validation lists it as data, and
+    # compilation refuses it before any code is generated from it
+    from swarmk.diagram import StateDiagram, Transition
+
+    d = StateDiagram(states=(("a", 1.0), ("b", 0.0)),
+                     transitions=(Transition("a", "b", rate),))
+    assert validate_diagram(d).defects == [defect]
+    with pytest.raises(ModelError, match=re.escape(
+            f"invalid diagram: {defect}")):
         compile_rhs(d)
 
 

@@ -308,8 +308,7 @@ def _reference_march(system, t_end, dt):
     y = system.diagram.initial_vector()
     data = np.empty((n + 1, len(y)))
     data[0] = y
-    h = None if system.flavor == "ode" \
-        else HistoryAccessor(dt, data, discrete=difference)
+    h = HistoryAccessor(dt, data, discrete=difference)
     for k in range(n):
         t = k * dt
         if difference:
@@ -320,12 +319,9 @@ def _reference_march(system, t_end, dt):
             k3 = f(t + 0.5 * dt, y + 0.5 * dt * k2, h)
             k4 = f(t + dt, y + dt * k3, h)
             y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if h is None:
-            data[k + 1] = y
-        else:
-            h.append(y)  # stores data[k + 1]
-    tolerance = 0.0 if difference else NEGATIVE_TOLERANCE
-    floor = -tolerance * max(1.0, system.diagram.n0)
+        h.append(y)  # stores data[k + 1]
+    floor = 0.0 if difference \
+        else -NEGATIVE_TOLERANCE * max(1.0, system.diagram.n0)
     data[(data < 0) & (data >= floor)] = 0.0
     return data
 
@@ -443,17 +439,21 @@ def test_a_failure_is_the_reference_failure_at_the_same_step(name,
 @pytest.mark.parametrize("name", ["foraging", "stickpull-delayed",
                                   "collab-difference", *FORMS])
 def test_an_rhs_swapped_into_the_system_is_called_at_every_stage(name):
+    from swarmk.integrate import HistoryAccessor
+
     system = _system(name)
-    calls = []
+    calls = []  # the step each call's history names, in every flavor
 
     def counted(t, y, h=None):
-        calls.append(t)
+        assert isinstance(h, HistoryAccessor)
+        calls.append(h.count - 1)
         return system.rhs(t, y, h)
 
     swapped = dataclasses.replace(system, rhs=counted)
     traj, t_end, dt = _march_builtin(swapped)
-    steps = int(round(t_end / dt))
-    assert len(calls) == steps * (1 if system.flavor == "difference" else 4)
+    stages = 1 if system.flavor == "difference" else 4
+    assert calls == [k for k in range(int(round(t_end / dt)))
+                     for _ in range(stages)]
     assert np.array_equal(traj.data, _march_builtin(system)[0].data)
 
 

@@ -62,6 +62,12 @@ def test_number_forms():
     # state, each before the syntax error on the line after it
     ("param a = 1\nparam a = 2\nrate(", SemanticError, 2, 7),
     ("state s = 1\nrate(s): s -> q\nparam = ", SemanticError, 2, 15),
+    # one level past expr.MAX_DEPTH (40): a tree, refused where it starts,
+    # and brackets, refused at the first factor past the cap
+    ("state a = 1\nrate(" + " + ".join(["a"] * 41) + "): a -> a\n",
+     ParseError, 2, 6),
+    ("state a = 1\nrate(" + "(" * 40 + "a" + ")" * 40 + "): a -> a\n",
+     ParseError, 2, 46),
 ])
 def test_malformed_sources_report_location(src, err, line, col):
     with pytest.raises(err) as ei:
@@ -211,6 +217,16 @@ def test_refused_rate_expressions(rate, message):
     with pytest.raises(ParseError) as ei:
         parse_model(f"state a = 1\nstate b = 0\nrate({rate}): a -> b\n")
     assert str(ei.value) == f"3:6: {message}"
+
+
+def test_expressions_at_max_depth_parse():
+    # a tree of MAX_DEPTH levels, and a leaf nested MAX_DEPTH factors deep
+    cap = expr.MAX_DEPTH
+    deepest = parse_model("state a = 1\nrate(" + " + ".join(["a"] * cap)
+                          + "): a -> a\n").transitions[0].rate
+    assert expr.depth(deepest) == cap
+    parse_model(f"state a = 1\nrate({'(' * (cap - 1)}a{')' * (cap - 1)}): "
+                "a -> a\n")
 
 
 def test_synchronous_and_derived_declarations():
