@@ -15,8 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EvalError, ModelError
-from .expr import (Neg, Source, delay_windows, format_number, free_names,
-                   malformed, unparse)
+from .expr import (MAX_DEPTH, MAX_HISTORY, Neg, Source, delay_windows, depth,
+                   format_number, free_names, history_depth, malformed,
+                   unparse)
 
 
 @dataclass(frozen=True)
@@ -212,7 +213,12 @@ def effect_source(name, e):
 def _structure(diagram):
     """``(checks, delay bounds, reads t)``, once per structure: ``checks``
     are the structural defects in report order and, in their places, the
-    checks of a diagram's values, ``check(diagram) -> defects``."""
+    checks of a diagram's values, ``check(diagram) -> defects``.  A tree
+    deeper than MAX_DEPTH, which only one built in Python can be, is the
+    one defect, found before any recursive walk."""
+    exprs = [e for tr in diagram.transitions for e in tr.exprs]
+    if any(depth(e) > MAX_DEPTH for e in exprs):
+        return [f"expression is deeper than {MAX_DEPTH} levels"], (), False
     state_names, env_names = diagram.state_names, diagram.env_names
     # name uniqueness and disjointness
     all_names = state_names + env_names + list(diagram.params)
@@ -231,13 +237,15 @@ def _structure(diagram):
         checks += [f"unknown identifier {ident}" for e in tr.exprs
                    for ident in sorted(free_names(e) - known)]
         checks += [m for e in tr.exprs for m in malformed(e)]
+        checks += [f"delay and histint calls are nested more than "
+                   f"{MAX_HISTORY} deep" for e in tr.exprs
+                   if history_depth(e) > MAX_HISTORY]
         # delay bounds must be computable from params alone
         for w in (w for e in tr.exprs for w in delay_windows(e)):
             bad = free_names(w) - set(diagram.params)
             checks.append("delay bound depends on non-parameter name(s): "
                           + ", ".join(sorted(bad)) if bad
                           else lambda d, w=w: _bound_defects(d, w))
-    exprs = [e for tr in diagram.transitions for e in tr.exprs]
     return (checks, tuple(w for e in exprs for w in delay_windows(e)),
             any("t" in free_names(e) for e in exprs))
 

@@ -31,6 +31,9 @@ BINARY_CALLS = ("delay", "histint")
 # generated code takes up to 4 brackets a level (a fused-step histint), so
 # it stays inside CPython's 200, and every recursive walk far from its limit
 MAX_DEPTH = 40
+# delay/histint calls one path may nest: a run's generated step writes each
+# level's argument out about three times, so its source triples per level
+MAX_HISTORY = 4
 
 
 @dataclass(frozen=True)
@@ -280,6 +283,21 @@ def depth(e):
     while level:
         level, n = [c for x in level for c in _children(x)], n + 1
     return n
+
+
+def history_depth(e):
+    """The most delay/histint calls on one path from the root, counted
+    level by level as ``depth`` counts, so a tree of any depth is measured."""
+    level, most = [(e, 0)], 0
+    while level:
+        below = []
+        for x, k in level:
+            if isinstance(x, Call) and x.func in BINARY_CALLS:
+                k += 1
+                most = max(most, k)
+            below += [(c, k) for c in _children(x)]
+        level = below
+    return most
 
 
 _ARITY = {**dict.fromkeys(UNARY_CALLS, 1), **dict.fromkeys(BINARY_CALLS, 2)}

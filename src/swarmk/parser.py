@@ -46,9 +46,9 @@ from dataclasses import dataclass
 from .diagram import (StateDiagram, Transition, check_param, domain_source,
                       effect_source)
 from .errors import LexError, ParseError, SemanticError
-from .expr import (_PREC, BINARY_CALLS, MAX_DEPTH, UNARY_CALLS, BinOp, Call,
-                   Name, Neg, Num, depth, eval_expr, format_number, nodes,
-                   unparse)
+from .expr import (_PREC, BINARY_CALLS, MAX_DEPTH, MAX_HISTORY, UNARY_CALLS,
+                   BinOp, Call, Name, Neg, Num, depth, eval_expr,
+                   format_number, history_depth, nodes, unparse)
 
 RESERVED = {"param", "state", "env", "synchronous", "rate", "in", "inf", "t",
             "N0", *UNARY_CALLS, *BINARY_CALLS}
@@ -302,7 +302,12 @@ class _Parser:
                     self.expect_op(",")
                     args.append(self.parse_expr())
                 self.expect_op(")")
-                return Call(name, tuple(args), line=tok.line, col=tok.col)
+                e = Call(name, tuple(args), line=tok.line, col=tok.col)
+                if name in BINARY_CALLS and history_depth(e) > MAX_HISTORY:
+                    raise ParseError("delay and histint calls are nested "
+                                     f"more than {MAX_HISTORY} deep",
+                                     tok.line, tok.col)
+                return e
             if name in RESERVED and name not in ("t", "N0"):
                 raise ParseError(f"reserved word {name!r} cannot appear in an expression",
                                  tok.line, tok.col)

@@ -28,8 +28,9 @@ from .integrate import (MAX_OUTPUT_BYTES, Trajectory, _check_t_end,
                         _off_grid, _step_count)
 
 CONFIG_CAP = 100_000
-# uniforms per Generator call in the Gillespie loop: even, so both of an
-# event's uniforms come from one block
+# uniforms per Generator call in the Gillespie loop (even, so both of an
+# event's uniforms come from one block), and v's per block of the master
+# solve
 _BLOCK = 64
 _TABLE = 1024  # most configurations a chain's table keeps, ~500 bytes each
 
@@ -85,11 +86,13 @@ class MasterTable:
     space: ConfigurationSpace
 
 
-POISSON_TAIL = 1e-15  # most Poisson mass left out of one row step
-MASTER_PRODUCTS = 10 ** 6  # most jump-list products one master solve makes
-# most products × (jumps + configurations) one master solve makes: an entry
-# of a product takes ~4 ns on a 2-core x86-64 host, so ~40 s at the cap
+POISSON_TAIL = 1e-15  # most Poisson mass left out of one row
+MASTER_PRODUCTS = 10 ** 6  # most jump-list products + rows of one solve
+# most products × (jumps + configurations) + rows × window × configurations
+# of one solve: an entry of a product takes ~4 ns on a 2-core x86-64 host
 MASTER_WORK = 10 ** 10
+# most events one Gillespie path takes: ~80 bytes of path lists an event
+SSA_EVENTS = 10 ** 6
 
 
 def _poisson_weights(q):
@@ -115,17 +118,17 @@ def master_exact(diagram, t_end=10.0, dt=0.005, dt_out=None):
     """Exact transient probabilities and expected occupation numbers.
 
     Solves dP/dt = W P on the enumerated configuration space by
-    uniformization (Jensen 1953), P(t + Δ) = Σ_k Pois(k; ΛΔ) (I + W/Λ)^k
-    P(t) from each output row to the next, with Λ the largest exit rate:
-    no term is negative, and at most POISSON_TAIL of the Poisson mass is
-    left out.  W is applied through its jump list, so a product costs
-    O(jumps), not O(configurations²).  Rows are ``dt_out`` (default ``dt``)
-    apart, a whole number of steps ``dt`` dividing the step count: the last
-    is at ``t_end``.  A row step q = ΛΔ that is not finite, over
-    MASTER_PRODUCTS products in all, over MASTER_WORK entries of their
-    jump lists and diagonals, or whose rows would take over
-    ``integrate.MAX_OUTPUT_BYTES``, is an IntegrationError before any
-    product.
+    uniformization in one series from t = 0 (Jensen 1953; Reibman &
+    Trivedi 1988): v_k = (I + W/Λ)^k P(0), Λ the largest exit rate, and
+    each row P(t) = Σ_k Pois(k; Λt) v_k over its own Poisson window, so no
+    term is negative and at most POISSON_TAIL of the mass is left out.  W
+    is applied through its jump list, ``_BLOCK`` v's at a time, and each
+    block is added to the rows whose windows it meets.  Rows are ``dt_out``
+    (default ``dt``) apart, a whole number of steps ``dt`` dividing the
+    step count: the last is at ``t_end``.  A solve over MASTER_PRODUCTS
+    products and rows, over MASTER_WORK entries of the products and of the
+    rows' sums, or whose rows and windows would take over
+    ``integrate.MAX_OUTPUT_BYTES`` is an IntegrationError before any product.
     Returns (MasterTable, expectation Trajectory).
     """
     nsteps = _step_count(t_end, dt)
@@ -149,42 +152,46 @@ def master_exact(diagram, t_end=10.0, dt=0.005, dt_out=None):
     def jump(v):
         return np.bincount(dst, weights=move * v[src], minlength=n) + stay * v
 
-    # a row's first + len(weights) passes q: rows * q bounds the count first
-    q, rows = lam * stride * dt, nsteps // stride
-    if not math.isfinite(q):
-        raise IntegrationError(f"master-equation row step q = {q!r} is not "
-                               "finite")
-    count = rows * q
-    if count <= MASTER_PRODUCTS and rows:
-        first, weights = _poisson_weights(q)
-        count = rows * (first + len(weights))
-    if count > MASTER_PRODUCTS:
-        raise IntegrationError(
-            f"master-equation solve needs about {count:.4g} products ({rows} "
-            f"rows at row step q = {q!r}), over {MASTER_PRODUCTS}")
-    if (work := count * (len(src) + n)) > MASTER_WORK:
-        raise IntegrationError(
-            f"master-equation solve needs {count} products of {len(src)} "
-            f"jumps and {n} configurations ({work:.4g} entries), over "
-            f"{MASTER_WORK}")
-    if (nbytes := (rows + 1) * n * 8) > MAX_OUTPUT_BYTES:
-        raise IntegrationError(f"master-equation output of {rows + 1} rows "
-                               f"would take {nbytes} bytes, over "
-                               f"{MAX_OUTPUT_BYTES}")
-
+    # q + rows, then the last row's window (the widest), bound the solve
+    rows = nsteps // stride
     times = np.arange(rows + 1) * stride * dt
-    probs = np.empty((len(times), n))
-    p = np.zeros(n)
-    p[0] = 1.0
-    probs[0] = p
-    for row in range(1, len(times)):
-        v = p
-        for _ in range(first):
-            v = jump(v)
-        p = weights[0] * v
-        for w in weights[1:]:
-            v = jump(v)
-            p += w * v
+    q = lam * (rows * stride * dt)  # Λ times[-1], as a Python float
+    count = q + rows
+    if count <= MASTER_PRODUCTS:
+        first, weights = _poisson_weights(q)
+        count = first + len(weights) + rows
+    if not count <= MASTER_PRODUCTS:
+        raise IntegrationError(
+            f"master-equation solve needs about {count:.4g} products and "
+            f"rows ({rows} rows, series q = {q!r}), over {MASTER_PRODUCTS}")
+    products, width = count - rows, len(weights)
+    if (work := products * (len(src) + n) + rows * width * n) > MASTER_WORK:
+        raise IntegrationError(
+            f"master-equation solve needs {products} products of {len(src)} "
+            f"jumps and {n} configurations and {rows} rows of up to {width} "
+            f"terms ({work:.4g} entries), over {MASTER_WORK}")
+    if (nbytes := (rows + 1) * (n + width) * 8) > MAX_OUTPUT_BYTES:
+        raise IntegrationError(f"master-equation output of {rows + 1} rows "
+                               f"and their windows would take {nbytes} "
+                               f"bytes, over {MAX_OUTPUT_BYTES}")
+
+    windows = [_poisson_weights(lam * t) for t in times[1:].tolist()]
+    firsts = np.array([f for f, _ in windows], dtype=np.intp)
+    ends = firsts + [len(w) for _, w in windows]
+    end = int(ends.max(initial=0))
+    probs = np.zeros((rows + 1, n))
+    probs[0, 0] = 1.0
+    block = np.empty((min(_BLOCK, end), n))
+    for b0 in range(0, end, _BLOCK):
+        b1 = min(b0 + _BLOCK, end)
+        block[0] = jump(block[-1]) if b0 else probs[0]
+        for i in range(1, b1 - b0):
+            block[i] = jump(block[i - 1])
+        for row in np.flatnonzero((firsts < b1) & (ends > b0)).tolist():
+            f, w = windows[row]
+            lo, hi = max(f, b0), min(f + len(w), b1)
+            probs[row + 1] += w[lo - f:hi - f] @ block[lo - b0:hi - b0]
+    for p in probs[1:]:
         total = float(p.sum())
         if abs(total - 1.0) > 1e-9:
             raise IntegrationError(
@@ -193,7 +200,6 @@ def master_exact(diagram, t_end=10.0, dt=0.005, dt_out=None):
         if worst < -1e-12:
             raise IntegrationError(
                 f"master-equation probability went negative ({worst!r})")
-        probs[row] = p
 
     cfg_matrix = np.array(space.configs, dtype=float)  # (n_configs, dim)
     expectations = probs @ cfg_matrix
@@ -216,7 +222,8 @@ def ssa_run(diagram, t_end=10.0, seed=0):
     Generator to every replica in turn.  Returns a piecewise-constant
     Trajectory at the jump times.  ``t_end`` must be finite and
     non-negative; a NaN or infinite rate or effect on the path raises
-    ModelError.
+    ModelError, and a path that passes SSA_EVENTS events before ``t_end``
+    IntegrationError (checked as each block is drawn).
     """
     _check_t_end(t_end)
     start, run = _kept(diagram, "_chain", _chain)[:2]
@@ -265,6 +272,11 @@ def _chain(diagram):
         times, rows = [t], list(y)
         while (total := e[0]) > 0.0:
             if k == _BLOCK:
+                if len(times) > SSA_EVENTS:
+                    raise IntegrationError(
+                        f"Gillespie path reached {len(times) - 1} events at "
+                        f"t = {t!r}, before t_end = {t_end!r}; the cap is "
+                        f"{SSA_EVENTS}")
                 u, k = draw(_BLOCK).tolist(), 0
             t -= log1p(-u[k]) / total
             if t >= t_end:

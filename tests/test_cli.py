@@ -204,6 +204,27 @@ def test_a_too_deep_expression_is_a_located_model_error(capsys, tmp_path,
         2, "", f"model error: {where} deeper than 40 levels\n")
 
 
+# each level of nested delay triples a run's generated step: five are
+# refused at the outermost call, four run
+@pytest.mark.parametrize("func", ["delay", "histint"])
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_history_terms_nested_five_deep_are_a_located_model_error(
+        capsys, tmp_path, command, func):
+    def nested(levels):
+        return "a" if not levels else f"{func}({nested(levels - 1)}, 0.5)"
+
+    f = tmp_path / "nested.mas"
+    f.write_text(f"state a = 1\nstate b = 0\nrate(0.1 * {nested(5)}): "
+                 "a -> b\n")
+    assert _run(capsys, command, "--model", str(f)) == (
+        2, "", "model error: 3:12: delay and histint calls are nested more "
+               "than 4 deep\n")
+    f.write_text(f"state a = 1\nstate b = 0\nrate(0.1 * {nested(4)}): "
+                 "a -> b\n")
+    assert _run(capsys, command, "--model", str(f), *(
+        ("--t-end", "1") if command == "run" else ()))[0] == 0
+
+
 # every shipped model, and collab-difference at at = 1, where its window
 # integrand ln(1 - at * s) goes below zero at the initial s = 8
 @pytest.mark.parametrize("argv, verdict", [
@@ -543,28 +564,37 @@ def test_a_run_whose_output_passes_the_cap_exit_3(capsys):
 
 
 @pytest.mark.parametrize("command, rate, argv, message", [
-    ("exact", "1e308", (), "row step q = inf is not finite"),
+    # q = Λ·t_end overflows: refused by the same count, before any window
+    ("exact", "1e308", (), "solve needs about inf products and rows (100 "
+     "rows, series q = inf), over 1000000"),
     ("compare", "1e308", ("--runs", "2"), "solve needs about inf products "
-     "(50 rows at row step q = 2.0000000000000002e+307), over 1000000"),
-    ("exact", "1e300 * a", (), "solve needs about 1e+301 products (100 rows "
-     "at row step q = 1e+299), over 1000000"),
+     "and rows (50 rows, series q = inf), over 1000000"),
+    ("exact", "1e300 * a", (), "solve needs about 1e+301 products and rows "
+     "(100 rows, series q = 1e+301), over 1000000"),
     ("compare", "1e300 * a", ("--runs", "2"), "solve needs about 1e+301 "
-     "products (50 rows at row step q = 2e+299), over 1000000"),
+     "products and rows (50 rows, series q = 1e+301), over 1000000"),
     ("exact", "1e6 * a", ("--t-end", "10", "--dt", "0.1"), "solve needs "
-     "about 1e+07 products (100 rows at row step q = 100000.0), over 1000000"),
-    # q alone is under the cap; the Poisson tails pass it
+     "about 1e+07 products and rows (100 rows, series q = 10000000.0), over "
+     "1000000"),
+    # q alone is under the cap; the last row's Poisson tail passes it
     ("exact", "999000 * a", ("--t-end", "1", "--dt", "1"), "solve needs "
-     "about 1.008e+06 products (1 rows at row step q = 999000.0), over "
+     "about 1.008e+06 products and rows (1 rows, series q = 999000.0), over "
      "1000000"),
     # under the product cap, but each product walks a chain of 10,001
     # configurations: refused where the solve would take about a minute
     ("exact", "a", ("--set", "n=10000", "--t-end", "60"), "solve needs "
-     "668300 products of 10000 jumps and 10001 configurations (1.337e+10 "
-     "entries), over 10000000000"),
-    # under both work caps, but its rows would take 1.49 GiB
-    ("compare", "0.001 * a", ("--set", "n=2000", "--t-end", "10",
+     "606916 products of 10000 jumps and 10001 configurations and 100 rows "
+     "of up to 13805 terms (2.595e+10 entries), over 10000000000"),
+    # under both work caps, but its rows and windows would take 1.5 GiB
+    ("compare", "0.001 * a", ("--set", "n=2000", "--t-end", "0.1",
                               "--grid-points", "100000"), "output of 100001 "
-     "rows would take 1600816008 bytes, over 268435456")])
+     "rows and their windows would take 1610416104 bytes, over 268435456"),
+    # 68 cheap products (2.7e5 entries), but 100,000 rows each summing up to
+    # 68 v's of 2,001 configurations: refused by the rows' sums alone
+    ("compare", "0.001 * a", ("--set", "n=2000", "--t-end", "10",
+                              "--grid-points", "100000"), "solve needs 68 "
+     "products of 2000 jumps and 2001 configurations and 100000 rows of up "
+     "to 68 terms (1.361e+10 entries), over 10000000000")])
 def test_a_master_solve_past_its_bounds_exit_3(capsys, tmp_path, command,
                                                rate, argv, message):
     f = tmp_path / "fast.mas"
@@ -572,6 +602,17 @@ def test_a_master_solve_past_its_bounds_exit_3(capsys, tmp_path, command,
                  f"rate({rate}): a -> b\n")
     assert _run(capsys, command, "--model", str(f), *argv) == (
         3, "", f"numeric failure: master-equation {message}\n")
+
+
+def test_a_gillespie_path_past_its_event_budget_exit_3(capsys, tmp_path):
+    # a self-loop fires whatever the occupancy: at rate 1e308 the clock
+    # moves ~1e-308 an event and would never reach t_end
+    f = tmp_path / "loop.mas"
+    f.write_text("state a = 1\nrate(1e308): a -> a\n")
+    assert _run(capsys, "mc", "--model", str(f)) == (
+        3, "", "numeric failure: Gillespie path reached 1000000 events at "
+               "t = 1.0011284906211859e-302, before t_end = 10.0; the cap is "
+               "1000000\n")
 
 
 def test_master_normalization_drift_exit_3(capsys, monkeypatch):
@@ -587,7 +628,7 @@ def test_master_normalization_drift_exit_3(capsys, monkeypatch):
     assert _run(capsys, "exact", "--model", "stickpull-counts", "--t-end",
                 "1", "--dt", "0.5") == (
         3, "", "numeric failure: master-equation normalization drifted to "
-               "0.5\n")
+               "0.49999999999999994\n")
 
 
 @pytest.mark.parametrize("override", ["tga=55.5", "ta=2.5"])
@@ -759,10 +800,13 @@ def test_compare_refuses_a_difference_model(capsys):
 # stay the same (repr of each float, so one ulp anywhere changes a digest).
 # The exact digest was recorded again when the master equation moved from
 # RK4 steps to uniformization, whose rows are within 5.6e-9 relative of the
-# RK4 ones.  The stickpull-delayed digest was recorded again when history
-# reads moved to the half-step grid (exact 0.5 weights and widths, not a
-# fraction computed in floating point): every value of run --t-end 100
-# --dt 0.01 stayed within 8.7e-15 relative.
+# RK4 ones, and the exact and compare digests of the chain again when the
+# master solve became one Poisson series from t = 0: its probabilities agree
+# with the per-row solve to 1e-14, and every printed value stayed within
+# 2.2e-14 (absolute).  The stickpull-delayed digest was recorded again when
+# history reads moved to the half-step grid (exact 0.5 weights and widths,
+# not a fraction computed in floating point): every value of run --t-end
+# 100 --dt 0.01 stayed within 8.7e-15 relative.
 _OUTPUT_DIGESTS = {
     ("run", "--model", "stickpull-delayed", "--t-end", "10"):
         "bb356d9b64339794ef9d495bf01ce6085f2f94546baacd7b7cf9faf1561b8393",
@@ -776,7 +820,7 @@ _OUTPUT_DIGESTS = {
      "--t-end", "1600", "--dt", "0.5"):
         "8f44d8cebd8e0b5a8deec9b676049e909f7bc94223572626b4ea3d19eceb6549",
     ("exact", "--model", "stickpull-counts"):
-        "7ab3fc8bfcb1f0e817f87155ace69db4cbd4bf39aba7583a4a238cf73a09f6a4",
+        "219fce3e14be72182014157872294243a82fac1196f2cde62ff551ba46a5f051",
     # Gillespie paths from block-drawn uniforms (waits by inversion), all
     # replicas on one stream: the means were checked within 5 stderr of the
     # exact columns when recorded
@@ -785,7 +829,7 @@ _OUTPUT_DIGESTS = {
     # with an env effect (m -= 1) beside the exact columns
     ("compare", "--model", "foraging", "--set", "n0=3", "--set", "m0=6",
      "--t-end", "5", "--runs", "50", "--seed", "3"):
-        "994262d3f5d190e67680a41de370923c7f6e12a61d45228f67e0daa71a1f776e",
+        "0ed93b53b0f2c2b2531a9fae16a9de37f86f0c98c5dc35dd926a88bd0b2e9884",
     # parameters and N0 as run-time names, not folded literals: an ODE at
     # a set n0, a DDE at set tau and beta, a synchronous sweep over n0, the
     # exact chain at set counts and an analytic sweep over gamma
@@ -801,7 +845,7 @@ _OUTPUT_DIGESTS = {
         "9ca7e120f2d9c6b3a0dc2259045a1c0745b94c8f6ec53c9755fcc82705e3c44f",
     ("exact", "--model", "foraging", "--set", "n0=3", "--set", "m0=6",
      "--t-end", "5"):
-        "4757811446fb03ff5f6aa56db359d15eae4bae08a6a1c2b1ff6a2fdf2d7658c8",
+        "f0a91a16bc9f53bb7a9836958d50b37cffc0eb01b486b9ff95dd9d5d93bc1f23",
     ("sweep", "--model", "stickpull-simple", "--param", "gamma", "--from",
      "0.1", "--to", "2", "--sweep-steps", "20", "--observables",
      "nstar,R,residual"):

@@ -121,11 +121,24 @@ def test_compile_rejects_invalid():
         compile_rhs(d)
 
 
+def _nested(levels, outer, inner):
+    """``outer(x)`` applied ``levels`` times, from ``inner``."""
+    for _ in range(levels):
+        inner = outer(inner)
+    return inner
+
+
 @pytest.mark.parametrize("rate, defect", [
     (BinOp("%", Name("a"), Num(2.0)), "unknown operator %"),
     (Call("sin", (Name("a"),)), "unknown function sin"),
     (Call("exp", ()), "exp takes 1 argument(s), got 0"),
     (Call("delay", (Name("a"),)), "delay takes 2 argument(s), got 1"),
+    # measured level by level before any recursive walk, which would raise
+    # RecursionError at 1,500 levels
+    (_nested(1500, lambda x: BinOp("+", x, Num(1.0)), Name("a")),
+     "expression is deeper than 40 levels"),
+    (_nested(5, lambda x: Call("delay", (x, Num(1.0))), Name("a")),
+     "delay and histint calls are nested more than 4 deep"),
 ])
 def test_a_tree_built_in_python_that_cannot_compile_is_a_defect(rate, defect):
     # the parser builds no such tree; validation lists it as data, and
