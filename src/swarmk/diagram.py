@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -263,9 +264,12 @@ def _bound_defects(diagram, w):
 def _samples(diagram):
     """``N_SAMPLES`` times per transition in [0, 10) and state rows on the
     unit simplex, drawn once per structure: per sample one uniform draw for
-    the time, then one per state, divided by their sum."""
-    u = np.random.default_rng(_RNG_SEED).random(
-        (len(diagram.transitions) * N_SAMPLES, len(diagram.states) + 1))
+    the time, then one per state, divided by their sum.  The uniforms are
+    the top 53 bits of 8-byte words from the stdlib's seeded stream, so
+    validation never loads ``numpy.random``."""
+    shape = (len(diagram.transitions) * N_SAMPLES, len(diagram.states) + 1)
+    bits = random.Random(_RNG_SEED).randbytes(8 * shape[0] * shape[1])
+    u = ((np.frombuffer(bits, "<u8") >> 11) * 2.0 ** -53).reshape(shape)
     counts = u[:, 1:].copy()
     total = counts.sum(axis=1)
     pos = total > 0

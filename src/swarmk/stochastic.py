@@ -427,17 +427,26 @@ def ensemble(run, n_runs, master_seed, t_grid):
     Every run gets the same Generator, ``np.random.default_rng(master_seed)``,
     in turn, and goes on from where the run before left its stream: the
     result is fixed by the master seed alone, and the first n runs of a
-    longer ensemble are the runs of an n-run one.
+    longer ensemble are the runs of an n-run one.  Each run's samples go
+    into one (runs, nt, dim) array, allocated once the first run gives the
+    column count; one over ``integrate.MAX_OUTPUT_BYTES`` is an
+    IntegrationError before the second run.
     """
     if n_runs < 2:
         raise ValueError("n_runs must be >= 2")
     t_grid = np.asarray(t_grid, dtype=float)
     rng = np.random.default_rng(master_seed)
-    samples = []
-    for _ in range(n_runs):
-        traj = run(rng)
-        samples.append(sample_path(traj, t_grid))
-    samples = np.stack(samples)  # (runs, nt, dim)
+    traj = run(rng)
+    first = sample_path(traj, t_grid)
+    if (nbytes := n_runs * first.size * 8) > MAX_OUTPUT_BYTES:
+        raise IntegrationError(
+            f"ensemble of {n_runs} runs at {len(t_grid)} grid points and "
+            f"{first.shape[1]} columns would take {nbytes} bytes, over "
+            f"{MAX_OUTPUT_BYTES}")
+    samples = np.empty((n_runs, *first.shape))
+    samples[0] = first
+    for k in range(1, n_runs):
+        samples[k] = sample_path(run(rng), t_grid)
     mean = samples.mean(axis=0)
     std = samples.std(axis=0, ddof=1)
     stderr = std / math.sqrt(n_runs)

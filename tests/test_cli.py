@@ -61,6 +61,38 @@ def test_module_entry_point_lists_the_builtins():
     assert proc.stdout.splitlines() == list(models.BUILTIN_NAMES)
 
 
+_DETERMINISTIC = [
+    ["run", "--model", "stickpull-simple", "--t-end", "1"],
+    ["sweep", "--model", "collab-difference", "--param", "n0", "--from", "4",
+     "--to", "8", "--sweep-steps", "2", "--observables", "final:s",
+     "--steps", "50"],
+    ["steady", "--model", "stickpull-delayed"],
+    ["validate", "--model", "foraging"],
+    ["exact", "--model", "stickpull-counts", "--t-end", "1"]]
+
+
+def test_only_the_stochastic_engines_load_numpy_random():
+    # validation draws its sample points from the stdlib's stream: in a
+    # fresh interpreter no deterministic command imports numpy.random,
+    # and the first Gillespie ensemble does
+    src = os.path.dirname(os.path.dirname(models.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    code = f"""
+import contextlib, io, sys
+from swarmk.cli import run_cli
+def loaded(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run_cli(argv) == 0, argv
+    return "numpy.random" in sys.modules
+assert not any(loaded(argv) for argv in {_DETERMINISTIC!r})
+assert loaded(["mc", "--model", "stickpull-counts", "--t-end", "1",
+               "--runs", "2"])
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_steady(capsys):
     code, out, _ = _run(capsys, "steady", "--model", "stickpull-simple",
                         "--set", "beta=0.5", "--set", "gamma=0.2")
@@ -613,6 +645,15 @@ def test_a_gillespie_path_past_its_event_budget_exit_3(capsys, tmp_path):
         3, "", "numeric failure: Gillespie path reached 1000000 events at "
                "t = 1.0011284906211859e-302, before t_end = 10.0; the cap is "
                "1000000\n")
+
+
+def test_an_ensemble_past_its_byte_cap_exit_3(capsys):
+    # refused after the first run gives the column count, before the array
+    assert _run(capsys, "mc", "--model", "stickpull-counts", "--runs",
+                "100000", "--grid-points", "100000") == (
+        3, "", "numeric failure: ensemble of 100000 runs at 100001 grid "
+               "points and 2 columns would take 160001600000 bytes, over "
+               "268435456\n")
 
 
 def test_master_normalization_drift_exit_3(capsys, monkeypatch):

@@ -385,6 +385,28 @@ def test_table_reads_delayed_terms_as_the_substituted_trees(name):
                          _outcome(lambda: _reference(oracle, env)))
 
 
+def test_validation_samples_are_drawn_once_per_structure():
+    # N_SAMPLES rows per transition, each a time in [0, 10) and a point on
+    # the unit simplex, the same on every call and shared with every copy
+    from swarmk.diagram import N_SAMPLES, _samples, _shared
+
+    d = parse_model(TWO_STATE)
+    times, simplex = _samples(d)
+    again = _samples(d)
+    assert times == again[0] and np.array_equal(simplex, again[1])
+    rows = len(d.transitions) * N_SAMPLES
+    assert np.column_stack((times, simplex)).shape == (rows,
+                                                       len(d.states) + 1)
+    assert all(0.0 <= t < 10.0 for t in times)
+    assert np.abs(simplex.sum(axis=1) - 1.0).max() <= 1e-15
+    assert validate_diagram(d).ok
+    shared = _shared(d, "_samples", _samples)
+    copy = d.with_params(k=2.0)
+    assert validate_diagram(copy).ok
+    assert _shared(copy, "_samples", _samples) is shared
+    assert shared[0] == times and np.array_equal(shared[1], simplex)
+
+
 def test_validation_does_not_evaluate_the_integrand_of_a_zero_window():
     # at w = 0 the run never evaluates ln(a - 2) and neither does the
     # gate; at w = 1 validation reports it at the initial row

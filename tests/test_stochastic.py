@@ -10,7 +10,8 @@ from hypothesis import assume, given, settings, strategies as st
 import swarmk as sk
 from swarmk import models, stochastic
 from swarmk.diagram import transition_table
-from swarmk.errors import EvalError, ModelError, StateSpaceTooLarge
+from swarmk.errors import (EvalError, IntegrationError, ModelError,
+                           StateSpaceTooLarge)
 from swarmk.expr import Name, Num
 from swarmk.stochastic import ConfigurationSpace, sample_path
 
@@ -333,6 +334,38 @@ def test_master_series_matches_the_per_row_solver_on_random_chains(case):
     tbl, _ = sk.master_exact(d, t_end=1.0, dt=0.01, dt_out=0.05)
     ref = _per_row_master_probs(d, 1.0, 0.01, 0.05)
     assert np.abs(tbl.probs - ref).max() <= 1e-14
+
+
+def _assert_drift_is_rhs(diagram):
+    """At every enumerated configuration y, the chain's drift Σ_jumps
+    rate·(y' − y) is the rate equations' rhs(0, y) to 1e-12 relative: the
+    rate equations are the chain's mean where every rate vanishes at an
+    empty source, as the chain's moves of whole agents need."""
+    space = ConfigurationSpace.build(diagram)
+    configs = np.array(space.configs)
+    drift = np.zeros_like(configs)
+    for i, j, rate in space.jumps:
+        drift[i] += rate * (configs[j] - configs[i])
+    rhs = sk.compile_rhs(diagram).rhs
+    mean_field = np.array([rhs(0.0, y) for y in configs])
+    assert drift.shape == mean_field.shape
+    assert (np.abs(drift - mean_field) <= 1e-12 * np.abs(mean_field)).all()
+
+
+@pytest.mark.parametrize("name, sets", [
+    ("foraging", {"n0": 5, "m0": 15}), ("stickpull-simple", {}),
+    ("stickpull-counts", {}), ("stickpull-simple-depletion", {})])
+def test_the_chain_drift_is_the_rate_equations(name, sets):
+    d = sk.build_builtin(name, **sets)
+    _assert_drift_is_rhs(d)
+    assert ConfigurationSpace.build(d).size > 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(_first_order_diagrams().map(lambda case: case[0]),
+                 _mass_action_diagrams()))
+def test_the_chain_drift_is_the_rate_equations_on_random_chains(d):
+    _assert_drift_is_rhs(d)
 
 
 def test_independent_agents_are_binomial():
@@ -952,6 +985,28 @@ def test_a_shorter_ensemble_runs_the_first_replicas_of_a_longer_one():
     assert all(r is rngs[0] for r in rngs[:100])
     assert all(r is rngs[100] for r in rngs[100:])
     assert rngs[0] is not rngs[100]
+
+
+def test_an_ensemble_past_the_byte_cap_is_refused_after_one_run(
+        monkeypatch):
+    # runs x grid points x columns x 8 bytes, counted once the first run
+    # gives the columns: 3 x 6 x 2 x 8 = 288 passes a cap of 287
+    d = sk.build_builtin("stickpull-counts")
+    grid = np.linspace(0, 10, 6)
+    paths = []
+
+    def run(rng):
+        paths.append(sk.ssa_run(d, t_end=10.0, seed=rng))
+        return paths[-1]
+
+    monkeypatch.setattr(stochastic, "MAX_OUTPUT_BYTES", 287)
+    with pytest.raises(IntegrationError, match=r"^ensemble of 3 runs at 6 "
+                       r"grid points and 2 columns would take 288 bytes, "
+                       r"over 287$"):
+        sk.ensemble(run, 3, 0, grid)
+    assert len(paths) == 1
+    monkeypatch.setattr(stochastic, "MAX_OUTPUT_BYTES", 288)
+    assert sk.ensemble(run, 3, 0, grid).mean.shape == (6, 2)
 
 
 def test_ensemble_seed_derivation_and_stderr():
