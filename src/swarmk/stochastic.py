@@ -33,6 +33,7 @@ CONFIG_CAP = 100_000
 # solve
 _BLOCK = 64
 _TABLE = 1024  # most configurations a chain's table keeps, ~500 bytes each
+_JUMP = np.dtype([("src", np.intp), ("dst", np.intp), ("rate", float)])
 
 
 def _refuse_rate(v):
@@ -52,10 +53,8 @@ def _whole(dv):
 @dataclass
 class ConfigurationSpace:
     """Reachable integer occupation vectors and the jumps between them."""
-    diagram: object
-    configs: list                 # tuples (states + env counters) of floats
-    index: dict                   # config tuple -> row index
-    jumps: list                   # (from_idx, to_idx, rate) with rate > 0
+    configs: np.ndarray  # (n, dim) floats: states, then env counters
+    jumps: np.ndarray    # 24-byte _JUMP records by source, rate > 0
 
     @property
     def size(self):
@@ -66,16 +65,19 @@ class ConfigurationSpace:
         """Breadth-first enumeration from the initial configuration, over
         the jumps ``out(y)`` of the diagram's generated chain."""
         start, _, out = _kept(diagram, "_chain", _chain)[:3]
-        configs, index, jumps = [start], {start: 0}, []
-        for i, cfg in enumerate(configs):  # configs grows as the walk goes
-            for rate, nxt in out(cfg):
-                j = index.setdefault(nxt, len(configs))
-                if j == len(configs):
-                    if j >= cap:
-                        raise StateSpaceTooLarge(j + 1, cap)
-                    configs.append(nxt)
-                jumps.append((i, j, rate))
-        return cls(diagram, configs, index, jumps)
+        configs, index = [start], {start: 0}
+
+        def walk():
+            for i, cfg in enumerate(configs):  # configs grows as it goes
+                for rate, nxt in out(cfg):
+                    j = index.setdefault(nxt, len(configs))
+                    if j == len(configs):
+                        if j >= cap:
+                            raise StateSpaceTooLarge(j + 1, cap)
+                        configs.append(nxt)
+                    yield i, j, rate
+        jumps = np.fromiter(walk(), _JUMP)  # each as the walk yields it
+        return cls(np.array(configs, dtype=float), jumps)
 
 
 @dataclass
@@ -139,11 +141,9 @@ def master_exact(diagram, t_end=10.0, dt=0.005, dt_out=None):
         raise ValueError(f"dt_out={dt_out!r} is not a whole number of steps "
                          f"dt={dt!r} that divides t_end={t_end!r}")
     space = ConfigurationSpace.build(diagram)
+    # every product reads src and dst: contiguous copies are ~3× faster
+    src, dst, rate = (space.jumps[f].copy() for f in _JUMP.names)
     n = space.size
-
-    src = np.array([i for i, _, _ in space.jumps], dtype=np.intp)
-    dst = np.array([j for _, j, _ in space.jumps], dtype=np.intp)
-    rate = np.array([r for _, _, r in space.jumps], dtype=float)
     exit_rate = np.bincount(src, weights=rate, minlength=n)
     lam = float(exit_rate.max())
     # I + W/Λ, as its jump weights and its non-negative diagonal
@@ -201,8 +201,7 @@ def master_exact(diagram, t_end=10.0, dt=0.005, dt_out=None):
             raise IntegrationError(
                 f"master-equation probability went negative ({worst!r})")
 
-    cfg_matrix = np.array(space.configs, dtype=float)  # (n_configs, dim)
-    expectations = probs @ cfg_matrix
+    expectations = probs @ space.configs
     traj = Trajectory(times, expectations, diagram.state_names,
                       diagram.env_names,
                       {"model": diagram.name, "engine": "master", "dt": dt})
@@ -448,8 +447,9 @@ def ensemble(run, n_runs, master_seed, t_grid):
     for k in range(1, n_runs):
         samples[k] = sample_path(run(rng), t_grid)
     mean = samples.mean(axis=0)
-    std = samples.std(axis=0, ddof=1)
-    stderr = std / math.sqrt(n_runs)
+    samples -= mean  # std(ddof=1) as numpy forms it, in the samples' array
+    samples *= samples
+    stderr = np.sqrt(samples.sum(axis=0) / (n_runs - 1)) / math.sqrt(n_runs)
     return EnsembleStats(t_grid, mean, stderr, traj.columns, n_runs,
                          master_seed, {"engine": traj.metadata.get(
                              "engine", "unknown")})

@@ -1,4 +1,5 @@
 """Stochastic engines: exact master equation, Gillespie, agent simulator."""
+import dataclasses
 import gc
 import math
 import tracemalloc
@@ -24,8 +25,8 @@ def _two_state(alpha=1.0, gamma_d=1.0):
 def test_configuration_space_two_state():
     space = ConfigurationSpace.build(_two_state())
     assert space.size == 2
-    assert set(space.configs) == {(1, 0), (0, 1)}
-    assert all(rate > 0 for _, _, rate in space.jumps)
+    assert set(map(tuple, space.configs.tolist())) == {(1, 0), (0, 1)}
+    assert (space.jumps["rate"] > 0).all()
 
 
 def test_configuration_space_cap():
@@ -230,7 +231,7 @@ def _mass_action_diagrams(draw):
 def test_ssa_ensemble_mean_matches_master_mean(d):
     runs = 200
     tbl, exact = sk.master_exact(d, t_end=2.0, dt=0.01, dt_out=0.25)
-    assume(tbl.space.jumps)
+    assume(len(tbl.space.jumps))
     assert tbl.space.size <= 100
     assert np.abs(tbl.probs.sum(axis=1) - 1.0).max() <= 1e-9
     assert tbl.probs.min() >= -1e-12
@@ -251,7 +252,7 @@ def _dense_master_probs(diagram, t_end, dt_out):
     space = ConfigurationSpace.build(diagram)
     n = space.size
     w = np.zeros((n, n))
-    for i, j, rate in space.jumps:
+    for i, j, rate in space.jumps.tolist():
         w[j, i] += rate
         w[i, i] -= rate
     step = _expm(dt_out * w)
@@ -273,7 +274,7 @@ def test_sparse_generator_matches_dense_reference(diagram):
     ref = _dense_master_probs(diagram, 5.0, 0.1)
     assert tbl.probs.shape == ref.shape
     assert np.abs(tbl.probs - ref).max() <= 1e-13
-    if not tbl.space.jumps:
+    if not len(tbl.space.jumps):
         assert np.array_equal(tbl.probs, np.ones((len(tbl.times), 1)))
 
 
@@ -283,9 +284,7 @@ def _per_row_master_probs(diagram, t_end, dt, dt_out):
     over the jump list: the reference for the one series from t = 0."""
     space = ConfigurationSpace.build(diagram)
     n = space.size
-    src = np.array([i for i, _, _ in space.jumps], dtype=np.intp)
-    dst = np.array([j for _, j, _ in space.jumps], dtype=np.intp)
-    rate = np.array([r for _, _, r in space.jumps], dtype=float)
+    src, dst, rate = (space.jumps[f] for f in ("src", "dst", "rate"))
     exit_rate = np.bincount(src, weights=rate, minlength=n)
     lam = float(exit_rate.max())
     move, stay = rate / (lam or 1.0), 1.0 - exit_rate / (lam or 1.0)
@@ -342,10 +341,11 @@ def _assert_drift_is_rhs(diagram):
     rate equations are the chain's mean where every rate vanishes at an
     empty source, as the chain's moves of whole agents need."""
     space = ConfigurationSpace.build(diagram)
-    configs = np.array(space.configs)
+    configs = space.configs
+    src, dst, rate = (space.jumps[f] for f in ("src", "dst", "rate"))
     drift = np.zeros_like(configs)
-    for i, j, rate in space.jumps:
-        drift[i] += rate * (configs[j] - configs[i])
+    # each jump added in turn, in the order the walk took them
+    np.add.at(drift, src, rate[:, None] * (configs[dst] - configs[src]))
     rhs = sk.compile_rhs(diagram).rhs
     mean_field = np.array([rhs(0.0, y) for y in configs])
     assert drift.shape == mean_field.shape
@@ -378,7 +378,9 @@ def test_independent_agents_are_binomial():
                        "rate(kb * b): b -> a\n")
     tbl, _ = sk.master_exact(d, t_end=4.0, dt=0.01, dt_out=0.25)
     p = ka / (ka + kb) * (1.0 - np.exp(-(ka + kb) * tbl.times))
-    cols = [tbl.space.index[(n0 - j, j)] for j in range(n0 + 1)]
+    index = {y: i for i, y in enumerate(map(tuple,
+                                            tbl.space.configs.tolist()))}
+    cols = [index[(n0 - j, j)] for j in range(n0 + 1)]
     pmf = np.array([math.comb(n0, j) * p ** j * (1.0 - p) ** (n0 - j)
                     for j in range(n0 + 1)]).T
     assert np.abs(tbl.probs[:, cols] - pmf).max() <= 1e-13
@@ -411,7 +413,29 @@ def test_master_memory_bounded_by_jumps():
     finally:
         tracemalloc.stop()
     assert tbl.space.size == 4455
-    assert peak < 20e6
+    assert peak < 4e6
+
+
+def test_the_space_is_two_arrays():
+    # the configurations in one float array and the jumps in one array of
+    # 24-byte records in source order: no object per jump outlives the walk
+    d = sk.build_builtin("foraging", n0=8, m0=30)
+    tracemalloc.start()
+    try:
+        space = ConfigurationSpace.build(d)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [f.name for f in dataclasses.fields(space)] == ["configs", "jumps"]
+    dim = len(d.state_names) + len(d.env_names)
+    assert space.configs.dtype == float
+    assert space.configs.shape == (4455, dim)
+    assert len(space.jumps) == 19_320 and space.jumps.itemsize == 24
+    src, dst, rate = (space.jumps[f] for f in ("src", "dst", "rate"))
+    assert (np.diff(src) >= 0).all()
+    assert ((dst >= 0) & (dst < space.size)).all()
+    assert (rate > 0).all()
+    assert held <= 1.5e6
 
 
 @pytest.mark.parametrize("dt_out, times", [
@@ -796,7 +820,7 @@ def _enumeration(diagram):
                 if j == len(configs):
                     configs.append(tuple(nxt))
                 jumps.append((i, j, rate))
-    return configs, index, jumps
+    return configs, jumps
 
 
 @pytest.mark.parametrize("name, params", [
@@ -806,7 +830,9 @@ def test_enumeration_lists_the_jumps_of_the_reference(name, params):
     # same configurations, order and jumps, every rate bit for bit
     d = sk.build_builtin(name, **params)
     space = ConfigurationSpace.build(d)
-    assert (space.configs, space.index, space.jumps) == _enumeration(d)
+    configs, jumps = _enumeration(d)
+    assert space.configs.tolist() == [list(y) for y in configs]
+    assert space.jumps.tolist() == jumps
     assert space.size > 1
 
 
@@ -826,7 +852,8 @@ def test_enumeration_of_a_ring_is_the_known_chain(s, n):
     space = ConfigurationSpace.build(d)
     configs = [y for y in np.ndindex(*[n + 1] * s) if sum(y) == n]
     assert space.size == len(configs) == math.comb(n + s - 1, s - 1)
-    assert set(space.configs) == set(configs)
+    found = list(map(tuple, space.configs.tolist()))
+    assert set(found) == set(configs)
 
     def moved(y, i):
         z = list(y)
@@ -838,8 +865,8 @@ def test_enumeration_of_a_ring_is_the_known_chain(s, n):
              for i in range(s) if y[i] >= 1.0}
     assert len(space.jumps) == len(jumps) == s * math.comb(n + s - 2, s - 1)
     # each rate bit for bit
-    assert {(space.configs[i], space.configs[j], rate)
-            for i, j, rate in space.jumps} == jumps
+    assert {(found[i], found[j], rate)
+            for i, j, rate in space.jumps.tolist()} == jumps
     for seed in range(5):
         path = sk.ssa_run(d, t_end=10.0, seed=seed)
         assert {tuple(y) for y in path.data.tolist()} <= set(configs)
@@ -961,6 +988,22 @@ def test_ensemble_runs_every_replica_on_one_generator():
     assert np.array_equal(stats.mean, samples.mean(axis=0))
     assert np.array_equal(stats.stderr,
                           samples.std(axis=0, ddof=1) / math.sqrt(50))
+
+
+def test_an_ensemble_peaks_at_about_its_samples():
+    # the stderr is formed in the samples' own array, so the ensemble holds
+    # no second array of their size: 100 runs x 20,001 points x 2 columns
+    d = sk.build_builtin("stickpull-counts")
+    grid = np.linspace(0.0, 10.0, 20_001)
+    run = lambda rng: sk.ssa_run(d, t_end=10.0, seed=rng)
+    tracemalloc.start()
+    try:
+        stats = sk.ensemble(run, 100, 5, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert stats.mean.shape == (grid.size, 2)
+    assert peak <= 1.25 * 100 * grid.size * 2 * 8
 
 
 def test_a_shorter_ensemble_runs_the_first_replicas_of_a_longer_one():
