@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EvalError, ModelError
-from .expr import (MAX_DEPTH, MAX_HISTORY, Neg, Source, delay_windows, depth,
-                   format_number, free_names, history_depth, malformed,
+from .expr import (BINARY_CALLS, MAX_DEPTH, MAX_HISTORY, Neg, Source,
+                   delay_windows, depth, format_number, free_names, malformed,
                    unparse)
 
 
@@ -240,7 +240,7 @@ def _structure(diagram):
         checks += [m for e in tr.exprs for m in malformed(e)]
         checks += [f"delay and histint calls are nested more than "
                    f"{MAX_HISTORY} deep" for e in tr.exprs
-                   if history_depth(e) > MAX_HISTORY]
+                   if depth(e, BINARY_CALLS) > MAX_HISTORY]
         # delay bounds must be computable from params alone
         for w in (w for e in tr.exprs for w in delay_windows(e)):
             bad = free_names(w) - set(diagram.params)

@@ -276,25 +276,18 @@ def nodes(e):
         yield from nodes(c)
 
 
-def depth(e):
-    """The number of levels of the tree (a leaf is 1), counted level by
-    level, so a tree of any depth is measured."""
-    level, n = [e], 0
-    while level:
-        level, n = [c for x in level for c in _children(x)], n + 1
-    return n
-
-
-def history_depth(e):
-    """The most delay/histint calls on one path from the root, counted
-    level by level as ``depth`` counts, so a tree of any depth is measured."""
+def depth(e, calls=None):
+    """The most nodes on one path from the root (a leaf is 1), or only the
+    most calls to ``calls`` if given, counted level by level, so a tree of
+    any depth is measured."""
     level, most = [(e, 0)], 0
     while level:
         below = []
         for x, k in level:
-            if isinstance(x, Call) and x.func in BINARY_CALLS:
+            if calls is None or isinstance(x, Call) and x.func in calls:
                 k += 1
-                most = max(most, k)
+                if k > most:
+                    most = k
             below += [(c, k) for c in _children(x)]
         level = below
     return most

@@ -25,7 +25,23 @@ CONSERVATION_BUDGET = 1e-6   # hard failure threshold, relative to N0
 # negative band, relative to max(1, N0): a state below it fails the step,
 # a value inside it is reported as zero
 NEGATIVE_TOLERANCE = 1e-9
-MAX_OUTPUT_BYTES = 2 ** 28  # most bytes a run's output array may take
+# the most work one engine may ask for, each count checked before the work
+# it prices: bytes of one output array (a run's, a master solve's rows and
+# windows, an ensemble's samples); a master solve's jump-list products plus
+# rows, and entries of its products and rows' sums (~4 ns each on a 2-core
+# x86-64 host); events of one Gillespie path (~80 bytes of path lists each);
+# configurations of an enumerated chain
+LIMITS = {"bytes": 2 ** 28, "products": 10 ** 6, "entries": 10 ** 10,
+          "events": 10 ** 6, "configurations": 100_000}
+
+
+def check_limits(engine, **counts):
+    """IntegrationError naming ``engine`` at the first of its named counts
+    that is not at most its entry of LIMITS, a NaN or infinite one too."""
+    for name, count in counts.items():
+        if not count <= LIMITS[name]:
+            raise IntegrationError(f"{engine} needs {count} {name}, over "
+                                   f"the limit of {LIMITS[name]}")
 
 
 @dataclass
@@ -311,7 +327,7 @@ def _march(system, flavor, t_end, dt):
     """Run ``system`` from the diagram's initial values to ``t_end`` in
     fixed steps ``dt`` of the generated step (made once per structure and
     given the diagram's values each run), which checks and stores each
-    row.  An output array over MAX_OUTPUT_BYTES is refused before it is
+    row.  An output array over the bytes of LIMITS is refused before it is
     made.  Values inside the tolerated negative band are reported as zero;
     a difference run, which takes the synchronous step by the integer 1 (a
     failure names the step), has no band: its states may not go below 0."""
@@ -322,9 +338,7 @@ def _march(system, flavor, t_end, dt):
     d = system.diagram
     nsteps = _step_count(t_end, dt, system.delay_values)
     y = d.initial_vector()
-    if (nbytes := (nsteps + 1) * len(y) * 8) > MAX_OUTPUT_BYTES:
-        raise IntegrationError(f"an output of {nsteps + 1} rows would take "
-                               f"{nbytes} bytes, over {MAX_OUTPUT_BYTES}")
+    check_limits(f"{flavor} run", bytes=(nsteps + 1) * len(y) * 8)
     data = np.empty((nsteps + 1, len(y)))
     data[0] = y
     floor = 0.0 if d.discrete else -NEGATIVE_TOLERANCE * max(1.0, d.n0)

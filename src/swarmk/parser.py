@@ -48,7 +48,7 @@ from .diagram import (StateDiagram, Transition, check_param, domain_source,
 from .errors import LexError, ParseError, SemanticError
 from .expr import (_PREC, BINARY_CALLS, MAX_DEPTH, MAX_HISTORY, UNARY_CALLS,
                    BinOp, Call, Name, Neg, Num, depth, eval_expr,
-                   format_number, history_depth, nodes, unparse)
+                   format_number, nodes, unparse)
 
 RESERVED = {"param", "state", "env", "synchronous", "rate", "in", "inf", "t",
             "N0", *UNARY_CALLS, *BINARY_CALLS}
@@ -303,7 +303,7 @@ class _Parser:
                     args.append(self.parse_expr())
                 self.expect_op(")")
                 e = Call(name, tuple(args), line=tok.line, col=tok.col)
-                if name in BINARY_CALLS and history_depth(e) > MAX_HISTORY:
+                if depth(e, BINARY_CALLS) > MAX_HISTORY:
                     raise ParseError("delay and histint calls are nested "
                                      f"more than {MAX_HISTORY} deep",
                                      tok.line, tok.col)

@@ -24,10 +24,9 @@ from .analysis import check_args
 from .diagram import _kept, _kernel_source, _shared, _values, gate
 from .errors import IntegrationError, ModelError, StateSpaceTooLarge
 from .expr import Source
-from .integrate import (MAX_OUTPUT_BYTES, Trajectory, _check_t_end,
-                        _off_grid, _step_count)
+from .integrate import (LIMITS, Trajectory, _check_t_end, _off_grid,
+                        _step_count, check_limits)
 
-CONFIG_CAP = 100_000
 # uniforms per Generator call in the Gillespie loop (even, so both of an
 # event's uniforms come from one block), and v's per block of the master
 # solve
@@ -61,11 +60,12 @@ class ConfigurationSpace:
         return len(self.configs)
 
     @classmethod
-    def build(cls, diagram, cap=CONFIG_CAP):
+    def build(cls, diagram):
         """Breadth-first enumeration from the initial configuration, over
-        the jumps ``out(y)`` of the diagram's generated chain."""
+        the jumps ``out(y)`` of the diagram's generated chain, of at most
+        the configurations of LIMITS (else StateSpaceTooLarge)."""
         start, _, out = _kept(diagram, "_chain", _chain)[:3]
-        configs, index = [start], {start: 0}
+        configs, index, cap = [start], {start: 0}, LIMITS["configurations"]
 
         def walk():
             for i, cfg in enumerate(configs):  # configs grows as it goes
@@ -89,12 +89,6 @@ class MasterTable:
 
 
 POISSON_TAIL = 1e-15  # most Poisson mass left out of one row
-MASTER_PRODUCTS = 10 ** 6  # most jump-list products + rows of one solve
-# most products × (jumps + configurations) + rows × window × configurations
-# of one solve: an entry of a product takes ~4 ns on a 2-core x86-64 host
-MASTER_WORK = 10 ** 10
-# most events one Gillespie path takes: ~80 bytes of path lists an event
-SSA_EVENTS = 10 ** 6
 
 
 def _poisson_weights(q):
@@ -127,10 +121,10 @@ def master_exact(diagram, t_end=10.0, dt=0.005, dt_out=None):
     is applied through its jump list, ``_BLOCK`` v's at a time, and each
     block is added to the rows whose windows it meets.  Rows are ``dt_out``
     (default ``dt``) apart, a whole number of steps ``dt`` dividing the
-    step count: the last is at ``t_end``.  A solve over MASTER_PRODUCTS
-    products and rows, over MASTER_WORK entries of the products and of the
-    rows' sums, or whose rows and windows would take over
-    ``integrate.MAX_OUTPUT_BYTES`` is an IntegrationError before any product.
+    step count: the last is at ``t_end``.  A solve past
+    ``integrate.LIMITS`` in products and rows, in entries of the products
+    (jumps + configurations each) and of the rows' sums, or in the bytes of
+    its rows and windows is an IntegrationError before any product.
     Returns (MasterTable, expectation Trajectory).
     """
     nsteps = _step_count(t_end, dt)
@@ -156,24 +150,12 @@ def master_exact(diagram, t_end=10.0, dt=0.005, dt_out=None):
     rows = nsteps // stride
     times = np.arange(rows + 1) * stride * dt
     q = lam * (rows * stride * dt)  # Λ times[-1], as a Python float
-    count = q + rows
-    if count <= MASTER_PRODUCTS:
-        first, weights = _poisson_weights(q)
-        count = first + len(weights) + rows
-    if not count <= MASTER_PRODUCTS:
-        raise IntegrationError(
-            f"master-equation solve needs about {count:.4g} products and "
-            f"rows ({rows} rows, series q = {q!r}), over {MASTER_PRODUCTS}")
-    products, width = count - rows, len(weights)
-    if (work := products * (len(src) + n) + rows * width * n) > MASTER_WORK:
-        raise IntegrationError(
-            f"master-equation solve needs {products} products of {len(src)} "
-            f"jumps and {n} configurations and {rows} rows of up to {width} "
-            f"terms ({work:.4g} entries), over {MASTER_WORK}")
-    if (nbytes := (rows + 1) * (n + width) * 8) > MAX_OUTPUT_BYTES:
-        raise IntegrationError(f"master-equation output of {rows + 1} rows "
-                               f"and their windows would take {nbytes} "
-                               f"bytes, over {MAX_OUTPUT_BYTES}")
+    check_limits("master-equation solve", products=q + rows)
+    first, weights = _poisson_weights(q)
+    products, width = first + len(weights), len(weights)
+    check_limits("master-equation solve", products=products + rows,
+                 entries=products * (len(src) + n) + rows * width * n,
+                 bytes=(rows + 1) * (n + width) * 8)
 
     windows = [_poisson_weights(lam * t) for t in times[1:].tolist()]
     firsts = np.array([f for f, _ in windows], dtype=np.intp)
@@ -221,12 +203,12 @@ def ssa_run(diagram, t_end=10.0, seed=0):
     Generator to every replica in turn.  Returns a piecewise-constant
     Trajectory at the jump times.  ``t_end`` must be finite and
     non-negative; a NaN or infinite rate or effect on the path raises
-    ModelError, and a path that passes SSA_EVENTS events before ``t_end``
-    IntegrationError (checked as each block is drawn).
+    ModelError, and a path that passes the events of ``integrate.LIMITS``
+    before ``t_end`` IntegrationError (checked as each block is drawn).
     """
     _check_t_end(t_end)
-    start, run = _kept(diagram, "_chain", _chain)[:2]
-    times, rows = run(start, t_end, np.random.default_rng(seed))
+    run = _kept(diagram, "_chain", _chain)[1]
+    times, rows = run(t_end, np.random.default_rng(seed))
     return Trajectory(np.array(times),
                       np.array(rows, dtype=float).reshape(len(times), -1),
                       diagram.state_names, diagram.env_names,
@@ -240,12 +222,12 @@ def _chain(diagram):
     initial values (``start``, as floats), and refuses any other before it
     binds the code generated once per structure (``_generate_chain``) to
     its values.  ``table`` maps the first ``_TABLE`` configurations filled
-    to their places in ``entries`` (place 0 unused), and while it has room
-    a jump first taken links to its target's place; once full, an unlinked
-    jump fills afresh.  No entry refers to another, and a refusal stores
-    nothing.  ``run(y, t_end, rng)`` jumps by the first running sum above
-    the pick, else the last: times and rows, flat.  ``out(y)``: (rate, next
-    y) per positive rate."""
+    to their places in ``entries`` (place 0 unused, ``start`` at place 1),
+    and while it has room a jump first taken links to its target's place;
+    once full, an unlinked jump fills afresh.  No entry refers to another,
+    and a refusal stores nothing.  ``run(t_end, rng)`` starts at ``start``
+    and jumps by the first running sum above the pick, else the last: times
+    and rows, flat.  ``out(y)``: (rate, next y) per positive rate."""
     flavor, _, reads_t = gate(diagram)
     if flavor != "ode":
         raise ModelError("the configuration chain needs a memoryless (ode) "
@@ -260,22 +242,18 @@ def _chain(diagram):
     start = tuple(float(round(v)) for v in init)
     rule, out, follows, table, entries = _shared(
         diagram, "_chain", _generate_chain)(_values(diagram), _TABLE)
-    if _TABLE > 0:  # every run starts here
-        entries.append(rule(start))
-        table[start] = 1
+    entries.append(rule(start))  # every run starts here
+    table[start] = 1
     n = max(len(diagram.transitions), 1)  # index of y in an entry
 
-    def run(y, t_end, rng):
-        e = entries[j] if (j := table.get(y)) else rule(y)
+    def run(t_end, rng):
+        e = entries[1]
         draw, u, k, t, log1p = rng.random, None, _BLOCK, 0.0, math.log1p
-        times, rows = [t], list(y)
+        times, rows, most = [t], list(start), LIMITS["events"]
         while (total := e[0]) > 0.0:
             if k == _BLOCK:
-                if len(times) > SSA_EVENTS:
-                    raise IntegrationError(
-                        f"Gillespie path reached {len(times) - 1} events at "
-                        f"t = {t!r}, before t_end = {t_end!r}; the cap is "
-                        f"{SSA_EVENTS}")
+                if len(times) > most:  # `most` events or more: check them
+                    check_limits("Gillespie path", events=len(times) - 1)
                 u, k = draw(_BLOCK).tolist(), 0
             t -= log1p(-u[k]) / total
             if t >= t_end:
@@ -428,7 +406,7 @@ def ensemble(run, n_runs, master_seed, t_grid):
     result is fixed by the master seed alone, and the first n runs of a
     longer ensemble are the runs of an n-run one.  Each run's samples go
     into one (runs, nt, dim) array, allocated once the first run gives the
-    column count; one over ``integrate.MAX_OUTPUT_BYTES`` is an
+    column count; one over the bytes of ``integrate.LIMITS`` is an
     IntegrationError before the second run.
     """
     if n_runs < 2:
@@ -437,11 +415,7 @@ def ensemble(run, n_runs, master_seed, t_grid):
     rng = np.random.default_rng(master_seed)
     traj = run(rng)
     first = sample_path(traj, t_grid)
-    if (nbytes := n_runs * first.size * 8) > MAX_OUTPUT_BYTES:
-        raise IntegrationError(
-            f"ensemble of {n_runs} runs at {len(t_grid)} grid points and "
-            f"{first.shape[1]} columns would take {nbytes} bytes, over "
-            f"{MAX_OUTPUT_BYTES}")
+    check_limits("ensemble", bytes=n_runs * first.size * 8)
     samples = np.empty((n_runs, *first.shape))
     samples[0] = first
     for k in range(1, n_runs):

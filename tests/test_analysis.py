@@ -570,3 +570,21 @@ def test_sweep_completion_time_observable():
                      threshold=1.0)
     T = table.column("T")
     assert T[1] < T[0] and T[1] < T[2]
+
+
+def test_the_readme_library_sketch_runs_and_gives_its_comments():
+    import pathlib
+
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    sketch = readme.read_text().split("## Library sketch", 1)[1]
+    sketch = sketch.split("```python\n", 1)[1].split("```", 1)[0]
+    names = {}
+    exec(sketch, names)
+    # each value to the digits its comment prints
+    for value, shown in [("root.n", "0.26183"),
+                         ("sk.beta_critical(0.35)", "1.48148"),
+                         ("sk.gamma_opt(0.5, 0.35)", "0.6625"),
+                         ("sk.tau_opt(0.5, 0.35)", "1.4177")]:
+        assert shown in sketch
+        digits = len(shown.partition(".")[2])
+        assert f"{eval(value, names):.{digits}f}" == shown

@@ -581,79 +581,106 @@ def test_sweep_refuses_options_no_observable_reads(capsys, monkeypatch,
 
 def test_a_run_whose_output_passes_the_cap_exit_3(capsys):
     # refused before the array is allocated; a sweep's rows fail alike
-    cap = "over 268435456\n"
+    cap = "over the limit of 268435456\n"
     assert _run(capsys, "run", "--model", "stickpull-simple", "--t-end",
                 "1e12", "--dt", "0.01") == (
-        3, "", "numeric failure: an output of 100000000000001 rows would "
-               "take 2400000000000024 bytes, " + cap)
+        3, "", "numeric failure: ode run needs 2400000000000024 bytes, " + cap)
     assert _run(capsys, "sweep", "--model", "foraging", "--param", "n0",
                 "--from", "1", "--to", "2", "--sweep-steps", "2",
                 "--observables", "T", "--counter", "m", "--threshold", "1",
                 "--t-end", "1e12", "--dt", "0.5") == (
         0, "param,T\n1.0,\n2.0,\n", "".join(
-            f"row n0={v}: IntegrationError: an output of 2000000000001 rows "
-            "would take 80000000000040 bytes, " + cap for v in ("1.0", "2.0")))
+            f"row n0={v}: IntegrationError: ode run needs 80000000000040 "
+            "bytes, " + cap for v in ("1.0", "2.0")))
 
 
+# each case keeps the name it had when each bound wrote its own message: the
+# name says which count of the solve passes its limit, and how
 @pytest.mark.parametrize("command, rate, argv, message", [
     # q = Λ·t_end overflows: refused by the same count, before any window
-    ("exact", "1e308", (), "solve needs about inf products and rows (100 "
-     "rows, series q = inf), over 1000000"),
-    ("compare", "1e308", ("--runs", "2"), "solve needs about inf products "
-     "and rows (50 rows, series q = inf), over 1000000"),
-    ("exact", "1e300 * a", (), "solve needs about 1e+301 products and rows "
-     "(100 rows, series q = 1e+301), over 1000000"),
-    ("compare", "1e300 * a", ("--runs", "2"), "solve needs about 1e+301 "
-     "products and rows (50 rows, series q = 1e+301), over 1000000"),
-    ("exact", "1e6 * a", ("--t-end", "10", "--dt", "0.1"), "solve needs "
-     "about 1e+07 products and rows (100 rows, series q = 10000000.0), over "
-     "1000000"),
-    # q alone is under the cap; the last row's Poisson tail passes it
-    ("exact", "999000 * a", ("--t-end", "1", "--dt", "1"), "solve needs "
-     "about 1.008e+06 products and rows (1 rows, series q = 999000.0), over "
-     "1000000"),
-    # under the product cap, but each product walks a chain of 10,001
-    # configurations: refused where the solve would take about a minute
-    ("exact", "a", ("--set", "n=10000", "--t-end", "60"), "solve needs "
-     "606916 products of 10000 jumps and 10001 configurations and 100 rows "
-     "of up to 13805 terms (2.595e+10 entries), over 10000000000"),
-    # under both work caps, but its rows and windows would take 1.5 GiB
-    ("compare", "0.001 * a", ("--set", "n=2000", "--t-end", "0.1",
-                              "--grid-points", "100000"), "output of 100001 "
-     "rows and their windows would take 1610416104 bytes, over 268435456"),
+    pytest.param("exact", "1e308", (), "inf products, over the limit of "
+                 "1000000", id="exact-1e308-argv0-solve needs about inf "
+                 "products and rows (100 rows, series q = inf), over 1000000"),
+    pytest.param("compare", "1e308", ("--runs", "2"), "inf products, over "
+                 "the limit of 1000000", id="compare-1e308-argv1-solve needs "
+                 "about inf products and rows (50 rows, series q = inf), over "
+                 "1000000"),
+    pytest.param("exact", "1e300 * a", (), "1e+301 products, over the limit "
+                 "of 1000000", id="exact-1e300 * a-argv2-solve needs about "
+                 "1e+301 products and rows (100 rows, series q = 1e+301), "
+                 "over 1000000"),
+    pytest.param("compare", "1e300 * a", ("--runs", "2"), "1e+301 products, "
+                 "over the limit of 1000000", id="compare-1e300 * a-argv3-"
+                 "solve needs about 1e+301 products and rows (50 rows, series "
+                 "q = 1e+301), over 1000000"),
+    # q + rows: Λ·t_end = 1e7 and 100 rows
+    pytest.param("exact", "1e6 * a", ("--t-end", "10", "--dt", "0.1"),
+                 "10000100.0 products, over the limit of 1000000",
+                 id="exact-1e6 * a-argv4-solve needs about 1e+07 products and "
+                 "rows (100 rows, series q = 10000000.0), over 1000000"),
+    # q alone is under the limit; the last row's Poisson tail passes it
+    pytest.param("exact", "999000 * a", ("--t-end", "1", "--dt", "1"),
+                 "1007949 products, over the limit of 1000000",
+                 id="exact-999000 * a-argv5-solve needs about 1.008e+06 "
+                 "products and rows (1 rows, series q = 999000.0), over "
+                 "1000000"),
+    # under the product limit, but each of 606,916 products walks a chain of
+    # 10,001 configurations: refused where the solve would take about a
+    # minute
+    pytest.param("exact", "a", ("--set", "n=10000", "--t-end", "60"),
+                 "25945307416 entries, over the limit of 10000000000",
+                 id="exact-a-argv6-solve needs 606916 products of 10000 jumps "
+                 "and 10001 configurations and 100 rows of up to 13805 terms "
+                 "(2.595e+10 entries), over 10000000000"),
+    # within both work limits, but its rows and windows would take 1.5 GiB
+    pytest.param("compare", "0.001 * a", ("--set", "n=2000", "--t-end", "0.1",
+                                          "--grid-points", "100000"),
+                 "1610416104 bytes, over the limit of 268435456",
+                 id="compare-0.001 * a-argv7-output of 100001 rows and their "
+                 "windows would take 1610416104 bytes, over 268435456"),
     # 68 cheap products (2.7e5 entries), but 100,000 rows each summing up to
     # 68 v's of 2,001 configurations: refused by the rows' sums alone
-    ("compare", "0.001 * a", ("--set", "n=2000", "--t-end", "10",
-                              "--grid-points", "100000"), "solve needs 68 "
-     "products of 2000 jumps and 2001 configurations and 100000 rows of up "
-     "to 68 terms (1.361e+10 entries), over 10000000000")])
+    pytest.param("compare", "0.001 * a", ("--set", "n=2000", "--t-end", "10",
+                                          "--grid-points", "100000"),
+                 "13607072068 entries, over the limit of 10000000000",
+                 id="compare-0.001 * a-argv8-solve needs 68 products of 2000 "
+                 "jumps and 2001 configurations and 100000 rows of up to 68 "
+                 "terms (1.361e+10 entries), over 10000000000")])
 def test_a_master_solve_past_its_bounds_exit_3(capsys, tmp_path, command,
                                                rate, argv, message):
     f = tmp_path / "fast.mas"
     f.write_text(f"param n = 1\nstate a = n\nstate b = 0\n"
                  f"rate({rate}): a -> b\n")
     assert _run(capsys, command, "--model", str(f), *argv) == (
-        3, "", f"numeric failure: master-equation {message}\n")
+        3, "", f"numeric failure: master-equation solve needs {message}\n")
 
 
 def test_a_gillespie_path_past_its_event_budget_exit_3(capsys, tmp_path):
     # a self-loop fires whatever the occupancy: at rate 1e308 the clock
-    # moves ~1e-308 an event and would never reach t_end
+    # moves ~1e-308 an event and would never reach t_end; the budget is read
+    # as each block of 32 events' uniforms is drawn
     f = tmp_path / "loop.mas"
     f.write_text("state a = 1\nrate(1e308): a -> a\n")
     assert _run(capsys, "mc", "--model", str(f)) == (
-        3, "", "numeric failure: Gillespie path reached 1000000 events at "
-               "t = 1.0011284906211859e-302, before t_end = 10.0; the cap is "
-               "1000000\n")
+        3, "", "numeric failure: Gillespie path needs 1000032 events, over "
+               "the limit of 1000000\n")
 
 
 def test_an_ensemble_past_its_byte_cap_exit_3(capsys):
-    # refused after the first run gives the column count, before the array
+    # refused after the first run gives the column count, before the array:
+    # 100,000 runs x 100,001 grid points x 2 columns x 8 bytes
     assert _run(capsys, "mc", "--model", "stickpull-counts", "--runs",
                 "100000", "--grid-points", "100000") == (
-        3, "", "numeric failure: ensemble of 100000 runs at 100001 grid "
-               "points and 2 columns would take 160001600000 bytes, over "
-               "268435456\n")
+        3, "", "numeric failure: ensemble needs 160001600000 bytes, over the "
+               "limit of 268435456\n")
+
+
+def test_an_unbounded_chain_past_its_configurations_exit_3(capsys):
+    # sugawara's delivery counter grows without bound, so its enumeration
+    # passes the configurations limit
+    assert _run(capsys, "exact", "--model", "sugawara") == (
+        3, "", "numeric failure: configuration space exceeds cap (100001 > "
+               "100000)\n")
 
 
 def test_master_normalization_drift_exit_3(capsys, monkeypatch):

@@ -14,6 +14,7 @@ from swarmk.diagram import transition_table
 from swarmk.errors import (EvalError, IntegrationError, ModelError,
                            StateSpaceTooLarge)
 from swarmk.expr import Name, Num
+from swarmk.integrate import LIMITS
 from swarmk.stochastic import ConfigurationSpace, sample_path
 
 
@@ -27,12 +28,6 @@ def test_configuration_space_two_state():
     assert space.size == 2
     assert set(map(tuple, space.configs.tolist())) == {(1, 0), (0, 1)}
     assert (space.jumps["rate"] > 0).all()
-
-
-def test_configuration_space_cap():
-    d = sk.build_builtin("stickpull-counts", n0=4, m0=4)
-    with pytest.raises(StateSpaceTooLarge):
-        ConfigurationSpace.build(d, cap=3)
 
 
 def test_configuration_space_rejects_delays():
@@ -71,18 +66,6 @@ def test_chain_rejects_synchronous_steps():
         sk.master_exact(d, t_end=1.0, dt=0.01)
     with pytest.raises(ModelError, match=message):
         ConfigurationSpace.build(d)
-
-
-def test_ssa_refuses_a_path_past_its_event_budget(monkeypatch):
-    # the budget is read where a block of uniforms is drawn, every 32
-    # events: a self-loop at rate 1e6 passes 100 events at the 128th
-    d = sk.parse_model("state a = 1\nrate(1e6): a -> a\n")
-    monkeypatch.setattr(stochastic, "SSA_EVENTS", 100)
-    assert len(sk.ssa_run(d, t_end=9e-5, seed=0).times) - 2 < 100
-    with pytest.raises(sk.IntegrationError, match=r"^Gillespie path reached "
-                       r"128 events at t = .*, before t_end = 1\.0; the cap "
-                       r"is 100$"):
-        sk.ssa_run(d, t_end=1.0, seed=0)
 
 
 def test_chain_rejects_non_integer_env_effects():
@@ -652,19 +635,21 @@ def _table(diagram):
 @pytest.mark.parametrize("name", _CHAIN_MODELS)
 def test_a_full_table_keeps_the_paths_of_the_direct_method(name, cap,
                                                            monkeypatch):
-    # at most `cap` entries: past them a jump not linked fills its
-    # configuration again, and the paths are still the reference's, bit
-    # for bit
+    # at most `cap` entries, and always the start, where every path begins
+    # (so a cap of 0 keeps what a cap of 1 keeps): past them a jump not
+    # linked fills its configuration again, and the paths are still the
+    # reference's, bit for bit
     monkeypatch.setattr(stochastic, "_TABLE", cap)
+    kept = max(cap, 1)
     d = sk.build_builtin(name)
     for seed in range(20):
         times, data = _direct_method(d, 20.0, seed)
         path = sk.ssa_run(d, t_end=20.0, seed=seed)
         assert np.array_equal(path.times, times)
         assert np.array_equal(path.data, data)
-        assert len(_table(d)) <= cap
+        assert len(_table(d)) <= kept
     table = _table(d)
-    assert len(table) == min(cap, len({tuple(r) for r in data}))
+    assert len(table) == min(kept, len({tuple(r) for r in data}))
     # every link leads to an entry the table keeps: none to a refilled one
     n = len(d.transitions)
     entries = _places(d)[1]
@@ -1030,26 +1015,98 @@ def test_a_shorter_ensemble_runs_the_first_replicas_of_a_longer_one():
     assert rngs[0] is not rngs[100]
 
 
-def test_an_ensemble_past_the_byte_cap_is_refused_after_one_run(
-        monkeypatch):
-    # runs x grid points x columns x 8 bytes, counted once the first run
-    # gives the columns: 3 x 6 x 2 x 8 = 288 passes a cap of 287
-    d = sk.build_builtin("stickpull-counts")
-    grid = np.linspace(0, 10, 6)
-    paths = []
+# each case of the limits test returns what it needs of each limit, a list
+# that gets one item per unit of its work, how many of those it makes before
+# a refusal, and a function that runs it
+def _a_run(monkeypatch):
+    """An ODE run of 11 rows of 3 columns; a call per RK4 stage."""
+    system, calls = sk.compile_rhs(sk.build_builtin("stickpull-simple")), []
+
+    def counted(t, y, h):
+        calls.append(t)
+        return system.rhs(t, y, h)
+    swapped = dataclasses.replace(system, rhs=counted)
+    return ({"bytes": 11 * 3 * 8}, calls, 0,
+            lambda: sk.integrate(swapped, t_end=1.0, dt=0.1))
+
+
+def _a_master_solve(monkeypatch):
+    """4 rows of a chain of 2 configurations and 1 jump, Λ t_end = 2; a
+    call per Poisson window, of which the limits read the last row's."""
+    d = sk.parse_model("state a = 1\nstate b = 0\nrate(a): a -> b\n")
+    poisson, calls = stochastic._poisson_weights, []
+    first, w = poisson(2.0)
+    products = first + len(w)
+    needs = {"products": products + 4,
+             "entries": products * (1 + 2) + 4 * len(w) * 2,
+             "bytes": (4 + 1) * (2 + len(w)) * 8}
+
+    def counted(q):
+        calls.append(q)
+        return poisson(q)
+    monkeypatch.setattr(stochastic, "_poisson_weights", counted)
+    return needs, calls, 1, lambda: sk.master_exact(d, t_end=2.0, dt=0.5)
+
+
+def _an_ensemble(monkeypatch):
+    """3 runs at 6 grid points of 2 columns; a call per run."""
+    d, calls = sk.build_builtin("stickpull-counts"), []
 
     def run(rng):
-        paths.append(sk.ssa_run(d, t_end=10.0, seed=rng))
-        return paths[-1]
+        calls.append(sk.ssa_run(d, t_end=10.0, seed=rng))
+        return calls[-1]
+    return ({"bytes": 3 * 6 * 2 * 8}, calls, 1,
+            lambda: sk.ensemble(run, 3, 0, np.linspace(0, 10, 6)))
 
-    monkeypatch.setattr(stochastic, "MAX_OUTPUT_BYTES", 287)
-    with pytest.raises(IntegrationError, match=r"^ensemble of 3 runs at 6 "
-                       r"grid points and 2 columns would take 288 bytes, "
-                       r"over 287$"):
-        sk.ensemble(run, 3, 0, grid)
-    assert len(paths) == 1
-    monkeypatch.setattr(stochastic, "MAX_OUTPUT_BYTES", 288)
-    assert sk.ensemble(run, 3, 0, grid).mean.shape == (6, 2)
+
+def _a_path(monkeypatch):
+    """A path of exactly 32 events, one block of uniforms: the limit is
+    read as the second block is drawn; a call per block."""
+    d, calls = sk.parse_model("state a = 1\nrate(1): a -> a\n"), []
+    times = sk.ssa_run(d, t_end=100.0, seed=0).times
+    t_end = 0.5 * (times[32] + times[33])
+
+    class Counted(np.random.Generator):
+        def random(self, size):
+            calls.append(size)
+            return super().random(size)
+    return ({"events": 32}, calls, 1,
+            lambda: sk.ssa_run(d, t_end, Counted(np.random.PCG64(0))))
+
+
+def _an_enumeration(monkeypatch):
+    """4 configurations, 3 to 0 agents in a; a call per space built."""
+    d = sk.parse_model("state a = 3\nstate b = 0\nrate(a): a -> b\n")
+    calls = []
+    return ({"configurations": 4}, calls, 0,
+            lambda: calls.append(ConfigurationSpace.build(d)))
+
+
+@pytest.mark.parametrize("entry, case", [
+    ("bytes", _a_run), ("products", _a_master_solve),
+    ("entries", _a_master_solve), ("bytes", _a_master_solve),
+    ("bytes", _an_ensemble), ("events", _a_path),
+    ("configurations", _an_enumeration)], ids=[
+    "run-bytes", "master-products", "master-entries", "master-bytes",
+    "ensemble-bytes", "path-events", "chain-configurations"])
+def test_a_limit_admits_exactly_its_count(monkeypatch, entry, case):
+    # a limit set to exactly what a case needs admits it; one lower refuses
+    # it before its first stage, product (its rows' windows), second replica
+    # or second block
+    needs, calls, refused, run = case(monkeypatch)
+    need = needs[entry]
+    monkeypatch.setitem(LIMITS, entry, need)
+    run()
+    assert len(calls) > refused
+    calls.clear()
+    monkeypatch.setitem(LIMITS, entry, need - 1)
+    error, message = (StateSpaceTooLarge, rf"\({need} > {need - 1}\)$") \
+        if entry == "configurations" else \
+        (IntegrationError, f" needs {need} {entry}, over the limit of "
+         f"{need - 1}$")
+    with pytest.raises(error, match=message):
+        run()
+    assert len(calls) == refused
 
 
 def test_ensemble_seed_derivation_and_stderr():
