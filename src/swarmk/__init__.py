@@ -10,8 +10,8 @@ from .diagram import (RateSystem, StateDiagram, Transition, ValidationReport,
 from .errors import (ConservationDrift, DelayMisaligned, EvalError,
                      IntegrationError, LexError, ModelError,
                      NegativePopulation, NonFinite, NotReached,
-                     ParseError, SemanticError, StateSpaceTooLarge,
-                     StepGridError, SwarmkError)
+                     ParseError, SemanticError, StepGridError,
+                     SwarmkError)
 from .integrate import (HistoryAccessor, Trajectory, integrate,
                         integrate_delayed, iterate_difference)
 from .models import BUILTIN_NAMES, build_builtin, shipped_source
@@ -31,7 +31,7 @@ __all__ = [
     "DelayMisaligned", "EnsembleStats", "EvalError", "HistoryAccessor",
     "IntegrationError", "LexError", "ModelError", "NegativePopulation",
     "NonFinite", "NotReached", "ParseError", "RateSystem",
-    "SemanticError", "StateDiagram", "StateSpaceTooLarge", "StepGridError", "SteadyStateResult",
+    "SemanticError", "StateDiagram", "StepGridError", "SteadyStateResult",
     "SwarmkError", "SweepTable", "Trajectory", "Transition",
     "ValidationReport", "beta_critical", "build_builtin",
     "collaboration_rate", "compile_rhs", "completion_time",

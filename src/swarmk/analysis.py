@@ -172,6 +172,15 @@ def tau_opt(beta, r_g):
     return (-math.log1p(-x) / x if x else 1.0) * 2.0 / (2.0 - beta)
 
 
+def _check_crossing(mode, threshold):
+    """ValueError for a non-finite threshold, then for a mode that is
+    neither ``deplete`` nor ``reach``."""
+    if not math.isfinite(threshold):
+        raise ValueError("threshold must be finite")
+    if mode not in ("deplete", "reach"):
+        raise ValueError(f"unknown mode {mode!r}")
+
+
 def completion_time(traj, counter, mode, threshold):
     """Time at which an environment counter crosses a finite threshold.
 
@@ -179,16 +188,10 @@ def completion_time(traj, counter, mode, threshold):
     below.  ``reach`` mode: first time it rises to ``threshold`` or above.
     Linear interpolation between the bracketing samples.
     """
-    if not math.isfinite(threshold):
-        raise ValueError("threshold must be finite")
+    _check_crossing(mode, threshold)
     col = np.asarray(traj.column(counter), dtype=float)
     times = np.asarray(traj.times, dtype=float)
-    if mode == "deplete":
-        hit = col <= threshold
-    elif mode == "reach":
-        hit = col >= threshold
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    hit = col <= threshold if mode == "deplete" else col >= threshold
     idx = np.flatnonzero(hit)
     if idx.size == 0:
         raise NotReached(float(col[-1]))
@@ -328,11 +331,8 @@ def sweep(model, param, grid, observables=("nstar", "R"), *, t_end=100.0,
         if o == "T":
             if counter is None or threshold is None:
                 raise ValueError("observable T needs a counter and a threshold")
-            if not math.isfinite(threshold):
-                raise ValueError("threshold must be finite")
             mode = "deplete" if mode is None else mode
-            if mode not in ("deplete", "reach"):
-                raise ValueError(f"unknown mode {mode!r}")
+            _check_crossing(mode, threshold)
             name = counter
             # completion_time is looked up per row, where perfbench traces it
             readers[o] = lambda traj: completion_time(traj, counter, mode,

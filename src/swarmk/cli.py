@@ -1,8 +1,8 @@
 """Command-line front end: run, analyze and serialize models.
 
 Exit codes: 0 success, 1 usage error, 2 model error (parse, validation,
-evaluation), 3 numeric failure (integration, target not reached,
-state-space limits).
+evaluation), 3 numeric failure (any IntegrationError: a blow-up, drift or
+work limit).
 
 ``_TABLE`` lists each command's handler, help and options; the parser is
 built from it once per process, on the first ``run_cli``, which loads the
@@ -22,8 +22,7 @@ import numpy as np
 
 from . import analysis, models, stochastic
 from .diagram import compile_rhs, validate_diagram
-from .errors import IntegrationError, ModelError, NotReached, \
-    StateSpaceTooLarge
+from .errors import IntegrationError, ModelError
 # all three integrators stay bound here: perfbench/spans.py traces them
 # at these names (``run`` reaches them through analysis)
 from .integrate import (_check_t_end, _step_count, integrate,  # noqa: F401
@@ -342,7 +341,7 @@ def run_cli(argv=None):
     except ModelError as exc:
         print(f"model error: {exc}", file=sys.stderr)
         return EXIT_MODEL
-    except (IntegrationError, NotReached, StateSpaceTooLarge) as exc:
+    except IntegrationError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

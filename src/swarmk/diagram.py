@@ -177,7 +177,7 @@ def validate_diagram(diagram):
     first = (0.0, [float(v) for _, v in diagram.states])
     env0 = [float(v) for _, v in diagram.env_vars]
     for tr, (_, _, fn, effects) in zip(diagram.transitions,
-                                       transition_table(diagram)):
+                                       rate_kernel(diagram)[1]):
         rate = f"rate {unparse(tr.rate)}"
         checks = [(rate, fn)] + [
             (f"env effect {effect_source(n, e)} of {rate}", efn)
@@ -277,15 +277,6 @@ def _samples(diagram):
     return (0.0 + 10.0 * u[:, 0]).tolist(), counts
 
 
-def transition_table(diagram):
-    """One row per transition, ``(source index, target index, rate fn,
-    ((env index, effect fn), ...))``, each ``fn(row)`` over the evaluation
-    row (states, env counters, then ``t``), also the past its delayed terms
-    read (``Source.stationary``).  Validation samples it; ``rhs``, the step
-    and the chain inline its expressions, with their history."""
-    return rate_kernel(diagram)[1]
-
-
 def _kept(diagram, attr, make):
     """``make(diagram)``, computed once per diagram instance and kept on it
     under ``attr`` in its dict ``_kept``.  A StateDiagram is frozen but for
@@ -330,7 +321,12 @@ def _param_function(diagram, e):
 def rate_kernel(diagram):
     """``(rhs, transition table)`` of a structurally valid diagram: its
     structure's kernel bound to its parameters and N0 once per instance,
-    so ``rhs`` is one object per instance."""
+    so ``rhs`` is one object per instance.  The table has one row per
+    transition, ``(source index, target index, rate fn, ((env index,
+    effect fn), ...))``, each ``fn(row)`` over the evaluation row (states,
+    env counters, then ``t``), also the past its delayed terms read
+    (``Source.stationary``).  Validation samples it; ``rhs``, the step and
+    the chain inline its expressions, with their history."""
     return _kept(diagram, "_rate_kernel", lambda d: _shared(
         d, "_kernel", _generate_kernel)[0](_values(d)))
 

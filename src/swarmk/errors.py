@@ -66,12 +66,7 @@ class NegativePopulation(IntegrationError):
         super().__init__(f"state {name} went negative ({value!r}) at t={t!r}")
 
 
-class NotReached(SwarmkError):
+class NotReached(IntegrationError):
     def __init__(self, final_value):
         self.final_value = final_value
         super().__init__(f"threshold never crossed; final counter value {final_value!r}")
-
-
-class StateSpaceTooLarge(SwarmkError):
-    def __init__(self, size, cap):
-        super().__init__(f"configuration space exceeds cap ({size} > {cap})")

@@ -22,7 +22,7 @@ import numpy as np
 
 from .analysis import check_args
 from .diagram import _kept, _kernel_source, _shared, _values, gate
-from .errors import IntegrationError, ModelError, StateSpaceTooLarge
+from .errors import IntegrationError, ModelError
 from .expr import Source
 from .integrate import (LIMITS, Trajectory, _check_t_end, _off_grid,
                         _step_count, check_limits)
@@ -63,7 +63,7 @@ class ConfigurationSpace:
     def build(cls, diagram):
         """Breadth-first enumeration from the initial configuration, over
         the jumps ``out(y)`` of the diagram's generated chain, of at most
-        the configurations of LIMITS (else StateSpaceTooLarge)."""
+        the configurations of LIMITS (else IntegrationError)."""
         start, _, out = _kept(diagram, "_chain", _chain)[:3]
         configs, index, cap = [start], {start: 0}, LIMITS["configurations"]
 
@@ -73,7 +73,8 @@ class ConfigurationSpace:
                     j = index.setdefault(nxt, len(configs))
                     if j == len(configs):
                         if j >= cap:
-                            raise StateSpaceTooLarge(j + 1, cap)
+                            check_limits("chain enumeration",
+                                         configurations=j + 1)
                         configs.append(nxt)
                     yield i, j, rate
         jumps = np.fromiter(walk(), _JUMP)  # each as the walk yields it

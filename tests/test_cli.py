@@ -1,13 +1,18 @@
 """Command-line interface: subcommands, exit codes, serialization."""
+import contextlib
 import gc
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from swarmk import models
 from swarmk.cli import run_cli
@@ -580,11 +585,9 @@ def test_sweep_refuses_options_no_observable_reads(capsys, monkeypatch,
 
 
 def test_a_run_whose_output_passes_the_cap_exit_3(capsys):
-    # refused before the array is allocated; a sweep's rows fail alike
+    # refused before the array is allocated (README's bytes row runs the
+    # command alone); a sweep's rows fail alike, each as row data
     cap = "over the limit of 268435456\n"
-    assert _run(capsys, "run", "--model", "stickpull-simple", "--t-end",
-                "1e12", "--dt", "0.01") == (
-        3, "", "numeric failure: ode run needs 2400000000000024 bytes, " + cap)
     assert _run(capsys, "sweep", "--model", "foraging", "--param", "n0",
                 "--from", "1", "--to", "2", "--sweep-steps", "2",
                 "--observables", "T", "--counter", "m", "--threshold", "1",
@@ -655,17 +658,6 @@ def test_a_master_solve_past_its_bounds_exit_3(capsys, tmp_path, command,
         3, "", f"numeric failure: master-equation solve needs {message}\n")
 
 
-def test_a_gillespie_path_past_its_event_budget_exit_3(capsys, tmp_path):
-    # a self-loop fires whatever the occupancy: at rate 1e308 the clock
-    # moves ~1e-308 an event and would never reach t_end; the budget is read
-    # as each block of 32 events' uniforms is drawn
-    f = tmp_path / "loop.mas"
-    f.write_text("state a = 1\nrate(1e308): a -> a\n")
-    assert _run(capsys, "mc", "--model", str(f)) == (
-        3, "", "numeric failure: Gillespie path needs 1000032 events, over "
-               "the limit of 1000000\n")
-
-
 def test_an_ensemble_past_its_byte_cap_exit_3(capsys):
     # refused after the first run gives the column count, before the array:
     # 100,000 runs x 100,001 grid points x 2 columns x 8 bytes
@@ -675,12 +667,39 @@ def test_an_ensemble_past_its_byte_cap_exit_3(capsys):
                "limit of 268435456\n")
 
 
-def test_an_unbounded_chain_past_its_configurations_exit_3(capsys):
+# each row of README's work-limits table: its example, as a .mas source
+# (or None, a built-in) and the command's arguments after it
+README_LIMITS = {
+    "bytes": (None, ("run", "--model", "stickpull-simple", "--t-end",
+                     "1e12")),
+    "products": ("state a = 1\nstate b = 0\nrate(1e308): a -> b\n",
+                 ("exact",)),
+    # 43,656 configurations enumerated before the solve is refused
+    "entries": (None, ("exact", "--model", "foraging", "--set", "n0=15",
+                       "--set", "m0=60", "--t-end", "1000")),
+    # a self-loop fires whatever the occupancy: at rate 1e308 the clock
+    # moves ~1e-308 an event and would never reach t_end; the budget is
+    # read as each block of 32 events' uniforms is drawn
+    "events": ("state a = 1\nrate(1e308): a -> a\n", ("mc",)),
     # sugawara's delivery counter grows without bound, so its enumeration
     # passes the configurations limit
-    assert _run(capsys, "exact", "--model", "sugawara") == (
-        3, "", "numeric failure: configuration space exceeds cap (100001 > "
-               "100000)\n")
+    "configurations": (None, ("exact", "--model", "sugawara")),
+}
+
+
+@pytest.mark.parametrize("limit", README_LIMITS)
+def test_the_readme_limits_table_is_what_the_cli_prints(capsys, tmp_path,
+                                                        limit):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = dict(re.findall(r"^\| `(\w+)` \|.*`(numeric failure: [^`]*)`",
+                           readme, re.M))
+    assert list(rows) == list(README_LIMITS)
+    source, argv = README_LIMITS[limit]
+    if source is not None:
+        f = tmp_path / "model.mas"
+        f.write_text(source)
+        argv = (*argv, "--model", str(f))
+    assert _run(capsys, *argv) == (3, "", rows[limit] + "\n")
 
 
 def test_master_normalization_drift_exit_3(capsys, monkeypatch):
@@ -1122,3 +1141,76 @@ def test_an_arithmetic_failure_mid_run_is_exit_2(capsys, tmp_path):
                  "rate(a / step(12.31 - t)): a -> b\n")
     assert _run(capsys, "run", "--model", str(f), "--t-end", "20") == (
         2, "", "model error: division by zero\n")
+
+
+# -- the exit-code contract, fuzzed over random models ------------------------
+
+def _fuzz_rate(states):
+    """A rate tree over ``+ - * /``, exp, ln, step, delay and histint (lags
+    whole multiples of 0.25), the states, ``t``, ``N0`` and the param k."""
+    leaves = st.sampled_from([*states, "t", "N0", "k", "0", "0.5", "1", "2"])
+    lag = st.sampled_from(["0.25", "0.5", "1"])
+    return st.recursive(leaves, lambda x: st.one_of(
+        st.builds("({} {} {})".format, x, st.sampled_from("+-*/"), x),
+        st.builds("{}({})".format, st.sampled_from(["exp", "ln", "step"]), x),
+        st.builds("{}({}, {})".format, st.sampled_from(["delay", "histint"]),
+                  x, lag)), max_leaves=5)
+
+
+@st.composite
+def _fuzz_models(draw):
+    """``(source, state names, N0)`` of a two- or three-state model with
+    small whole start counts (the first at least 1), one param and up to
+    three transitions, and an optional env counter c with ±1 effects.  A
+    transition with an effect is gated by c, so the chain stays finite."""
+    states = ["a", "b", "c3"][:draw(st.integers(2, 3))]
+    lines = [f"param k = {draw(st.sampled_from(['0.5', '1', '2']))}"]
+    counts = [draw(st.integers(1 if i == 0 else 0, 3))
+              for i in range(len(states))]
+    lines += [f"state {s} = {n}" for s, n in zip(states, counts)]
+    counter = draw(st.booleans())
+    if counter:
+        lines.append(f"env c = {draw(st.integers(0, 3))}")
+    for _ in range(draw(st.integers(1, 3))):
+        rate = draw(_fuzz_rate(states))
+        src, dst = draw(st.sampled_from(states)), draw(st.sampled_from(states))
+        effect = draw(st.sampled_from([None, "+", "-"] if counter else [None]))
+        if effect is None:
+            lines.append(f"rate({rate}): {src} -> {dst}")
+        else:
+            gate = "step(c - 1)" if effect == "-" else "step(2 - c)"
+            lines.append(f"rate(({rate}) * {gate}): {src} -> {dst} ; "
+                         f"c {effect}= 1")
+    return "\n".join(lines) + "\n", states, float(sum(counts))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(_fuzz_models())
+def test_every_command_keeps_the_exit_code_contract(tmp_path_factory, model):
+    from swarmk.integrate import CONSERVATION_BUDGET, NEGATIVE_TOLERANCE
+
+    source, states, n0 = model
+    f = tmp_path_factory.mktemp("fuzz") / "model.mas"
+    f.write_text(source)
+    chain = ("--t-end", "1", "--runs", "2", "--grid-points", "4")
+    for argv in [("validate",), ("run", "--t-end", "1"),
+                 ("sweep", "--param", "k", "--from", "0.5", "--to", "2",
+                  "--sweep-steps", "2", "--observables", f"final:{states[0]}",
+                  "--t-end", "1"),
+                 ("mc", *chain), ("exact", "--t-end", "1"),
+                 ("compare", *chain)]:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = run_cli([*argv, "--model", str(f)])
+        assert code in (0, 1, 2, 3), (argv, source)
+        if code != 0 or argv[0] not in ("run", "exact"):
+            continue
+        rows = [row.split(",") for row in out.getvalue().splitlines()[1:]]
+        counts = np.array(rows, dtype=float)[:, 1:1 + len(states)]  # after t
+        drift = np.abs(counts.sum(axis=1) - n0).max()
+        if argv[0] == "run":
+            assert counts.min() >= -NEGATIVE_TOLERANCE * max(1.0, n0), source
+            assert drift <= CONSERVATION_BUDGET * n0, source
+        else:
+            assert drift <= 1e-8, source

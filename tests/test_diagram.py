@@ -28,10 +28,10 @@ def test_validate_clean_model():
 
 
 def test_n0_binding_available_in_rates():
-    from swarmk.diagram import transition_table
+    from swarmk.diagram import rate_kernel
 
     d = parse_model("state s = 4\nrate(s / N0): s -> s\n")
-    assert transition_table(d)[0][2]([4.0, 0.0]) == 1.0  # N0 = 4
+    assert rate_kernel(d)[1][0][2]([4.0, 0.0]) == 1.0  # N0 = 4
 
 
 def test_with_params_override_and_reject_unknown():
@@ -284,7 +284,7 @@ def test_equal_names_with_other_transitions_do_not_share_code():
     # shares its diagram's
     from dataclasses import replace
 
-    from swarmk.diagram import Transition, _kernel_source, transition_table
+    from swarmk.diagram import Transition, _kernel_source, rate_kernel
     from swarmk.expr import BinOp, Name, Num
 
     def zero_rate(zero):
@@ -296,7 +296,7 @@ def test_equal_names_with_other_transitions_do_not_share_code():
     assert pos.transitions == neg.transitions
     other = replace(d, transitions=(Transition("a", "b", Name("k")),))
     row = [1.0, 0.0, 0.0]
-    flows = [transition_table(x)[0][2](row) for x in (d, pos, neg, other)]
+    flows = [rate_kernel(x)[1][0][2](row) for x in (d, pos, neg, other)]
     assert [math.copysign(1.0, f) for f in flows] == [1.0, 1.0, -1.0, 1.0]
     assert flows[3] == 1.0
     sources = [_kernel_source(x) for x in (d, pos, neg, other)]
@@ -360,7 +360,7 @@ def test_table_reads_delayed_terms_as_the_substituted_trees(name):
     # every rate and effect function of the table, at every row validation
     # samples (the initial row and each transition's), equals the direct
     # evaluation of its substituted tree bit for bit, failures included
-    from swarmk.diagram import _samples, transition_table
+    from swarmk.diagram import _samples, rate_kernel
     from swarmk.models import BUILTIN_NAMES, build_builtin
     from test_expr import _outcome, _reference, _same
     from test_integrate import FORMS
@@ -374,7 +374,7 @@ def test_table_reads_delayed_terms_as_the_substituted_trees(name):
         counts + env0 + [t]
         for t, counts in zip(times, (simplex * d.n0).tolist())]
     pairs = [(f, tree) for tr, (_, _, fn, effects) in zip(
-        d.transitions, transition_table(d)) for f, tree in zip(
+        d.transitions, rate_kernel(d)[1]) for f, tree in zip(
         [fn, *(efn for _, efn in effects)], tr.exprs)]
     names = d.state_names + d.env_names + ["t"]
     for f, tree in pairs:
