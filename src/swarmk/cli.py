@@ -25,8 +25,8 @@ from .diagram import compile_rhs, validate_diagram
 from .errors import IntegrationError, ModelError
 # all three integrators stay bound here: perfbench/spans.py traces them
 # at these names (``run`` reaches them through analysis)
-from .integrate import (_check_t_end, _step_count, integrate,  # noqa: F401
-                        integrate_delayed, iterate_difference)
+from .integrate import (_check_t_end, _step_count, check_limits,  # noqa: F401
+                        integrate, integrate_delayed, iterate_difference)
 from .parser import parse_file
 
 EXIT_OK = 0
@@ -157,6 +157,7 @@ def _cmd_sweep(diagram, args):
     observables = tuple(s.strip() for s in args.observables.split(",") if s.strip())
     _stepped(diagram, args,
              analytic=set(observables) <= set(analysis.STEADY_NAMES))
+    check_limits("output grid", bytes=args.npts * 8)
     table = analysis.sweep(diagram, args.param,
                            np.linspace(args.lo, args.hi, args.npts),
                            observables, t_end=args.t_end, dt=args.dt,
@@ -180,24 +181,34 @@ def _cmd_sweep(diagram, args):
     })
 
 
-def _grid(args):
-    """The ensemble's output times, ``--grid-points`` steps over
-    [0, t_end] (refused first where ``linspace`` would fail or warn)."""
+def _grid_points(args):
+    """``--grid-points``, refused where ``linspace`` over [0, t_end] would
+    fail or warn, or its array pass the bytes limit."""
     if args.grid_points < 1:
         raise _UsageError("--grid-points must be >= 1")
     _check_t_end(args.t_end)
-    return np.linspace(0.0, args.t_end, args.grid_points + 1)
+    check_limits("output grid", bytes=(args.grid_points + 1) * 8)
+    return args.grid_points
 
 
-def _ensemble(diagram, args, grid):
-    """Statistics at ``grid`` of ``--runs`` Gillespie runs from ``--seed``."""
+def _exact(diagram, args):
+    """The chain's expectations at the ``--grid-points`` steps over
+    [0, t_end] (one row at t_end = 0)."""
+    dt = args.t_end / _grid_points(args) or 1.0
+    return stochastic.master_exact(diagram, t_end=args.t_end, dt=dt)[1]
+
+
+def _ensemble(diagram, args):
+    """Statistics of ``--runs`` Gillespie runs from ``--seed`` at the
+    ``--grid-points`` steps over [0, t_end]."""
+    grid = np.linspace(0.0, args.t_end, _grid_points(args) + 1)
     return stochastic.ensemble(
         lambda seed: stochastic.ssa_run(diagram, t_end=args.t_end, seed=seed),
         args.runs, args.seed, grid)
 
 
 def _cmd_mc(diagram, args):
-    stats = _ensemble(diagram, args, _grid(args))
+    stats = _ensemble(diagram, args)
     if args.format == "json":
         return _json({"times": stats.times.tolist(),
                       "columns": stats.columns,
@@ -214,25 +225,17 @@ def _cmd_mc(diagram, args):
 
 
 def _cmd_exact(diagram, args):
-    # rows ending at t_end, 101 or more (every step's below 100 steps): the
-    # stride is the largest divisor of steps <= steps // 100
-    n = _step_count(args.t_end, args.dt)
-    stride = next(k for k in range(max(1, n // 100), 0, -1) if n % k == 0)
-    _, traj = stochastic.master_exact(diagram, t_end=args.t_end, dt=args.dt,
-                                      dt_out=stride * args.dt)
-    return _traj_text(traj, args.format)
+    return _traj_text(_exact(diagram, args), args.format)
 
 
 def _cmd_compare(diagram, args):
-    grid = _grid(args)
+    _grid_points(args)
     _step_count(args.t_end, args.dt)  # the mean field's --dt, checked first
-    # the chain refuses first what it cannot represent: any flavor but ode.
-    # It is solved at the grid's rows (one row at t_end = 0)
-    _, exact = stochastic.master_exact(
-        diagram, t_end=args.t_end, dt=args.t_end / args.grid_points or args.dt)
+    # the chain refuses first what it cannot represent: any flavor but ode
+    exact = _exact(diagram, args)
     mf = integrate(compile_rhs(diagram), t_end=args.t_end, dt=args.dt)
-    stats = _ensemble(diagram, args, grid)
-    cols = diagram.state_names + diagram.env_names
+    stats = _ensemble(diagram, args)
+    grid, cols = stats.times, diagram.state_names + diagram.env_names
     v_mf = np.column_stack([np.interp(grid, mf.times, mf.column(c))
                             for c in cols])
     v_ex = np.broadcast_to(exact.data, v_mf.shape)
@@ -297,7 +300,7 @@ _TABLE = {
     "mc": (_cmd_mc, "Gillespie ensemble statistics",
            ("format", "t-end", "runs", "seed", "grid-points")),
     "exact": (_cmd_exact, "master-equation expectations",
-              ("format", "dt", "t-end")),
+              ("format", "t-end", "grid-points")),
     "compare": (_cmd_compare, "mean-field vs exact vs mc",
                 ("format", "dt", "t-end", "runs", "seed", "grid-points")),
     "validate": (_cmd_validate, "report diagram defects", ()),

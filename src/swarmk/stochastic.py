@@ -24,8 +24,8 @@ from .analysis import check_args
 from .diagram import _kept, _kernel_source, _shared, _values, gate
 from .errors import IntegrationError, ModelError
 from .expr import Source
-from .integrate import (LIMITS, Trajectory, _check_t_end, _off_grid,
-                        _step_count, check_limits)
+from .integrate import (LIMITS, Trajectory, _check_t_end, _step_count,
+                        check_limits)
 
 # uniforms per Generator call in the Gillespie loop (even, so both of an
 # event's uniforms come from one block), and v's per block of the master
@@ -111,7 +111,7 @@ def _poisson_weights(q):
     return first, np.array(weights) / math.fsum(weights)
 
 
-def master_exact(diagram, t_end=10.0, dt=0.005, dt_out=None):
+def master_exact(diagram, t_end=10.0, dt=0.005):
     """Exact transient probabilities and expected occupation numbers.
 
     Solves dP/dt = W P on the enumerated configuration space by
@@ -120,21 +120,15 @@ def master_exact(diagram, t_end=10.0, dt=0.005, dt_out=None):
     each row P(t) = Σ_k Pois(k; Λt) v_k over its own Poisson window, so no
     term is negative and at most POISSON_TAIL of the mass is left out.  W
     is applied through its jump list, ``_BLOCK`` v's at a time, and each
-    block is added to the rows whose windows it meets.  Rows are ``dt_out``
-    (default ``dt``) apart, a whole number of steps ``dt`` dividing the
-    step count: the last is at ``t_end``.  A solve past
-    ``integrate.LIMITS`` in products and rows, in entries of the products
-    (jumps + configurations each) and of the rows' sums, or in the bytes of
-    its rows and windows is an IntegrationError before any product.
+    block is added to the rows whose windows it meets.  Rows are ``dt``
+    apart, ``t_end`` a whole number of them, so the last is at ``t_end``.
+    A solve past ``integrate.LIMITS`` in products and rows, in entries of
+    the products (jumps + configurations each) and of the rows' sums, or in
+    the bytes of its rows and windows is an IntegrationError before any
+    product.
     Returns (MasterTable, expectation Trajectory).
     """
-    nsteps = _step_count(t_end, dt)
-    if dt_out is None:
-        dt_out = dt
-    stride = round(dt_out / dt)
-    if stride < 1 or nsteps % stride or _off_grid(dt_out, dt):
-        raise ValueError(f"dt_out={dt_out!r} is not a whole number of steps "
-                         f"dt={dt!r} that divides t_end={t_end!r}")
+    rows = _step_count(t_end, dt)
     space = ConfigurationSpace.build(diagram)
     # every product reads src and dst: contiguous copies are ~3× faster
     src, dst, rate = (space.jumps[f].copy() for f in _JUMP.names)
@@ -148,9 +142,8 @@ def master_exact(diagram, t_end=10.0, dt=0.005, dt_out=None):
         return np.bincount(dst, weights=move * v[src], minlength=n) + stay * v
 
     # q + rows, then the last row's window (the widest), bound the solve
-    rows = nsteps // stride
-    times = np.arange(rows + 1) * stride * dt
-    q = lam * (rows * stride * dt)  # Λ times[-1], as a Python float
+    times = np.arange(rows + 1) * dt
+    q = lam * (rows * dt)  # Λ times[-1], as a Python float
     check_limits("master-equation solve", products=q + rows)
     first, weights = _poisson_weights(q)
     products, width = first + len(weights), len(weights)
@@ -174,15 +167,17 @@ def master_exact(diagram, t_end=10.0, dt=0.005, dt_out=None):
             f, w = windows[row]
             lo, hi = max(f, b0), min(f + len(w), b1)
             probs[row + 1] += w[lo - f:hi - f] @ block[lo - b0:hi - b0]
-    for p in probs[1:]:
-        total = float(p.sum())
-        if abs(total - 1.0) > 1e-9:
-            raise IntegrationError(
-                f"master-equation normalization drifted to {total!r}")
-        worst = float(p.min())
-        if worst < -1e-12:
-            raise IntegrationError(
-                f"master-equation probability went negative ({worst!r})")
+    # the first failing row is refused, for its normalization first
+    total, worst = probs[1:].sum(axis=1), probs[1:].min(axis=1)
+    drifted = np.abs(total - 1.0) > 1e-9
+    failing = np.flatnonzero(drifted | (worst < -1e-12))
+    if failing.size:
+        row = failing[0]
+        if drifted[row]:
+            raise IntegrationError("master-equation normalization drifted "
+                                   f"to {float(total[row])!r}")
+        raise IntegrationError("master-equation probability went negative "
+                               f"({float(worst[row])!r})")
 
     expectations = probs @ space.configs
     traj = Trajectory(times, expectations, diagram.state_names,

@@ -166,7 +166,7 @@ def test_criterion_7_oracle_chain_small_instances():
         t0 = time.perf_counter()
         d4 = sk.build_builtin("stickpull-counts", n0=4, m0=4, alpha=0.25,
                               gammad=0.2)
-        _, exact = sk.master_exact(d4, t_end=20.0, dt=0.005, dt_out=0.5)
+        _, exact = sk.master_exact(d4, t_end=20.0, dt=0.5)
         grid = np.linspace(1.0, 20.0, 20)
         stats = sk.ensemble(lambda s: sk.ssa_run(d4, t_end=20.0, seed=s),
                             2000, 0, grid)
@@ -178,7 +178,7 @@ def test_criterion_7_oracle_chain_small_instances():
         def mean_field_gap(n0):
             d = sk.build_builtin("stickpull-counts", n0=n0, m0=n0,
                                  alpha=1.0 / n0, gammad=0.2)
-            _, tr = sk.master_exact(d, t_end=20.0, dt=0.005, dt_out=0.5)
+            _, tr = sk.master_exact(d, t_end=20.0, dt=0.5)
             mf = sk.integrate(sk.compile_rhs(sk.build_builtin(
                 "stickpull-simple", beta=1.0, gamma=0.2)),
                 t_end=20.0, dt=0.005)
@@ -243,7 +243,7 @@ def test_criterion_9_solver_properties():
             assert drift <= 1e-9 * d.n0
 
         tbl, _ = sk.master_exact(sk.build_builtin("stickpull-counts"), t_end=10.0,
-                                 dt=0.005, dt_out=0.5)
+                                 dt=0.5)
         assert np.abs(tbl.probs.sum(axis=1) - 1.0).max() <= 1e-9
         assert time.perf_counter() - t0 < 10.0
 

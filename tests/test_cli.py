@@ -7,6 +7,8 @@ import os
 import re
 import subprocess
 import sys
+import time
+import tracemalloc
 from importlib import resources
 from pathlib import Path
 
@@ -307,8 +309,6 @@ def test_usage_errors_exit_1(capsys):
                   "--dt", "0.3"),
                  ("compare", "--model", "stickpull-counts", "--t-end", "1",
                   "--dt", "0.3", "--runs", "5"),
-                 ("exact", "--model", "stickpull-counts", "--t-end", "5",
-                  "--dt", "3"),
                  # a difference run takes --steps or whole --t-end steps
                  ("run", "--model", "collab-difference", "--t-end", "10.4"),
                  ("sweep", "--model", "collab-difference", "--param",
@@ -345,6 +345,8 @@ def test_usage_errors_exit_1(capsys):
                  ("mc", "--model", "stickpull-counts", "--steps", "5",
                   "--runs", "3"),
                  ("exact", "--model", "stickpull-counts", "--steps", "5"),
+                 ("exact", "--model", "stickpull-counts", "--t-end", "5",
+                  "--dt", "3"),
                  ("compare", "--model", "stickpull-counts", "--steps", "5",
                   "--runs", "3"),
                  ("validate", "--model", "foraging", "--format", "json"),
@@ -425,7 +427,7 @@ def test_mc_csv_schema(capsys):
 
 def test_exact_csv(capsys):
     code, out, _ = _run(capsys, "exact", "--model", "stickpull-counts",
-                        "--t-end", "2", "--dt", "0.01")
+                        "--t-end", "2", "--grid-points", "200")
     assert code == 0
     assert out.splitlines()[0] == "t,s,g"
 
@@ -445,12 +447,14 @@ def test_mc_rejects_delayed_model(capsys):
 
 @pytest.mark.parametrize("t_end, dt", [("10", "1"), ("6", "3")])
 def test_exact_at_a_coarse_dt_matches_a_fine_one(capsys, t_end, dt):
-    # --dt only spaces the rows of the uniformized solve: a dt far outside
-    # RK4's stability region gives the rows a fine dt gives at those times
+    # the grid only spaces the rows of the uniformized solve: rows dt apart,
+    # a spacing far outside RK4's stability region, equal the rows of a
+    # 0.005 grid at their times
     rows = []
-    for step in (dt, "0.005"):
+    for step in (float(dt), 0.005):
         code, out, err = _run(capsys, "exact", "--model", "stickpull-counts",
-                              "--t-end", t_end, "--dt", step)
+                              "--t-end", t_end, "--grid-points",
+                              str(round(float(t_end) / step)))
         assert (code, err) == (0, "")
         rows.append(np.loadtxt(out.splitlines()[1:], delimiter=",",
                                ndmin=2))
@@ -617,12 +621,14 @@ def test_a_run_whose_output_passes_the_cap_exit_3(capsys):
                  "solve needs about 1e+301 products and rows (50 rows, series "
                  "q = 1e+301), over 1000000"),
     # q + rows: Λ·t_end = 1e7 and 100 rows
-    pytest.param("exact", "1e6 * a", ("--t-end", "10", "--dt", "0.1"),
+    pytest.param("exact", "1e6 * a", ("--t-end", "10", "--grid-points",
+                                       "100"),
                  "10000100.0 products, over the limit of 1000000",
                  id="exact-1e6 * a-argv4-solve needs about 1e+07 products and "
                  "rows (100 rows, series q = 10000000.0), over 1000000"),
     # q alone is under the limit; the last row's Poisson tail passes it
-    pytest.param("exact", "999000 * a", ("--t-end", "1", "--dt", "1"),
+    pytest.param("exact", "999000 * a", ("--t-end", "1", "--grid-points",
+                                          "1"),
                  "1007949 products, over the limit of 1000000",
                  id="exact-999000 * a-argv5-solve needs about 1.008e+06 "
                  "products and rows (1 rows, series q = 999000.0), over "
@@ -631,7 +637,7 @@ def test_a_run_whose_output_passes_the_cap_exit_3(capsys):
     # 10,001 configurations: refused where the solve would take about a
     # minute
     pytest.param("exact", "a", ("--set", "n=10000", "--t-end", "60"),
-                 "25945307416 entries, over the limit of 10000000000",
+                 "19042117166 entries, over the limit of 10000000000",
                  id="exact-a-argv6-solve needs 606916 products of 10000 jumps "
                  "and 10001 configurations and 100 rows of up to 13805 terms "
                  "(2.595e+10 entries), over 10000000000"),
@@ -665,6 +671,42 @@ def test_an_ensemble_past_its_byte_cap_exit_3(capsys):
                 "100000", "--grid-points", "100000") == (
         3, "", "numeric failure: ensemble needs 160001600000 bytes, over the "
                "limit of 268435456\n")
+
+
+# 10^9 grid steps: linspace would make a 7.45 GiB array
+@pytest.mark.parametrize("argv, size", [
+    (("mc", "--model", "stickpull-counts", "--grid-points", "1000000000"),
+     8000000008),
+    (("exact", "--model", "stickpull-counts", "--grid-points",
+      "1000000000"), 8000000008),
+    (("compare", "--model", "stickpull-counts", "--grid-points",
+      "1000000000"), 8000000008),
+    (("sweep", "--model", "stickpull-delayed", "--param", "tau", "--from",
+      "1", "--to", "2", "--sweep-steps", "1000000000"), 8000000000)],
+    ids=["mc", "exact", "compare", "sweep"])
+def test_an_output_grid_past_the_byte_cap_exit_3(capsys, argv, size):
+    # refused before the grid is made, with the one limit message
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        result = _run(capsys, *argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result == (3, "", f"numeric failure: output grid needs {size} "
+                             "bytes, over the limit of 268435456\n")
+    assert time.perf_counter() - start < 1.0
+    assert peak < 4e6
+
+
+def test_exact_at_a_far_t_end_is_refused_at_once(capsys):
+    # its 50 rows are the grid's: 4e11 products refused before any work
+    start = time.perf_counter()
+    assert _run(capsys, "exact", "--model", "stickpull-counts", "--t-end",
+                "100000000003") == (
+        3, "", "numeric failure: master-equation solve needs 400000000062.0 "
+               "products, over the limit of 1000000\n")
+    assert time.perf_counter() - start < 2.0
 
 
 # each row of README's work-limits table: its example, as a .mas source
@@ -713,7 +755,7 @@ def test_master_normalization_drift_exit_3(capsys, monkeypatch):
 
     monkeypatch.setattr(stochastic, "_poisson_weights", half_the_mass)
     assert _run(capsys, "exact", "--model", "stickpull-counts", "--t-end",
-                "1", "--dt", "0.5") == (
+                "1", "--grid-points", "2") == (
         3, "", "numeric failure: master-equation normalization drifted to "
                "0.49999999999999994\n")
 
@@ -788,21 +830,23 @@ def test_analytic_sweep_refuses_time_options(capsys, option, value,
 
 
 def test_exact_rows_end_at_t_end(capsys):
-    # 175 steps of 0.04: the stride divides the step count
+    # 175 rows 0.04 apart
     code, out, _ = _run(capsys, "exact", "--model", "stickpull-counts",
-                        "--t-end", "7", "--dt", "0.04")
+                        "--t-end", "7", "--grid-points", "175")
     assert code == 0
     times = [float(line.split(",")[0]) for line in out.splitlines()[1:]]
     assert times[-1] == 7.0
     assert len(times) == 176
 
 
-@pytest.mark.parametrize("t_end, rows", [("10.09", 1010), ("10.08", 113)])
-def test_exact_writes_at_least_101_rows(capsys, t_end, rows):
-    # the stride is the largest divisor of the step count at most a
-    # hundredth of it: 1 of 1,009 steps, a prime, and 9 of 1,008
+@pytest.mark.parametrize("t_end, argv, rows", [
+    ("10.09", (), 51), ("10.09", ("--grid-points", "1009"), 1010),
+    ("0", ("--grid-points", "7"), 1)], ids=["default", "1009", "t_end-0"])
+def test_exact_writes_a_row_per_grid_point(capsys, t_end, argv, rows):
+    # --grid-points steps over [0, t_end], 50 unless given; one row at
+    # t_end = 0
     code, out, err = _run(capsys, "exact", "--model", "stickpull-counts",
-                          "--t-end", t_end)
+                          "--t-end", t_end, *argv)
     assert (code, err) == (0, "")
     times = [float(line.split(",")[0]) for line in out.splitlines()[1:]]
     assert len(times) == rows
@@ -835,7 +879,7 @@ def test_chain_commands_refuse_what_run_refuses(capsys, tmp_path, command,
     f = tmp_path / "model.mas"
     f.write_text(source)
     argv = (command, "--model", str(f), "--t-end", "10")
-    if command != "mc":  # mc has no steps: it takes no --dt
+    if command == "compare":  # only its mean field takes steps and --dt
         argv += ("--dt", "0.5")
     if command != "exact":
         argv += ("--runs", "2")
@@ -893,7 +937,10 @@ def test_compare_refuses_a_difference_model(capsys):
 # 2.2e-14 (absolute).  The stickpull-delayed digest was recorded again when
 # history reads moved to the half-step grid (exact 0.5 weights and widths,
 # not a fraction computed in floating point): every value of run --t-end
-# 100 --dt 0.01 stayed within 8.7e-15 relative.
+# 100 --dt 0.01 stayed within 8.7e-15 relative.  The two exact digests were
+# recorded again when exact's rows became its --grid-points steps (51, not
+# 101): each row is within 1.8e-15 of the row printed before at its time
+# (test_exact_rows_are_the_rows_a_finer_grid_gives).
 _OUTPUT_DIGESTS = {
     ("run", "--model", "stickpull-delayed", "--t-end", "10"):
         "bb356d9b64339794ef9d495bf01ce6085f2f94546baacd7b7cf9faf1561b8393",
@@ -907,7 +954,7 @@ _OUTPUT_DIGESTS = {
      "--t-end", "1600", "--dt", "0.5"):
         "8f44d8cebd8e0b5a8deec9b676049e909f7bc94223572626b4ea3d19eceb6549",
     ("exact", "--model", "stickpull-counts"):
-        "219fce3e14be72182014157872294243a82fac1196f2cde62ff551ba46a5f051",
+        "e864216fc7565ccba58bf8ee6a236a5635b9ccba8efc2d133f9417e3bb97c3f7",
     # Gillespie paths from block-drawn uniforms (waits by inversion), all
     # replicas on one stream: the means were checked within 5 stderr of the
     # exact columns when recorded
@@ -932,12 +979,34 @@ _OUTPUT_DIGESTS = {
         "9ca7e120f2d9c6b3a0dc2259045a1c0745b94c8f6ec53c9755fcc82705e3c44f",
     ("exact", "--model", "foraging", "--set", "n0=3", "--set", "m0=6",
      "--t-end", "5"):
-        "f0a91a16bc9f53bb7a9836958d50b37cffc0eb01b486b9ff95dd9d5d93bc1f23",
+        "b005776c54f097e33000c9fac222f7bfed7af6d5a84f35143f3742d7d452cbf8",
     ("sweep", "--model", "stickpull-simple", "--param", "gamma", "--from",
      "0.1", "--to", "2", "--sweep-steps", "20", "--observables",
      "nstar,R,residual"):
         "733b10aacce68c124ea1c6bd5cf5040afb2f2047bd69257df68ba580cdf98539",
 }
+
+
+# the two exact pins: their rows were 0.1 and 0.05 apart before exact's rows
+# became its --grid-points steps
+@pytest.mark.parametrize("name, sets, t_end, before", [
+    ("stickpull-counts", {}, 10.0, 0.1),
+    ("foraging", {"n0": 3, "m0": 6}, 5.0, 0.05)], ids=["counts", "foraging"])
+def test_exact_rows_are_the_rows_a_finer_grid_gives(capsys, name, sets,
+                                                    t_end, before):
+    import swarmk as sk
+
+    argv = ["exact", "--model", name, "--t-end", repr(t_end)]
+    for k, v in sets.items():
+        argv += ["--set", f"{k}={v}"]
+    code, out, err = _run(capsys, *argv)
+    assert (code, err) == (0, "")
+    rows = np.loadtxt(out.splitlines()[1:], delimiter=",", ndmin=2)
+    _, fine = sk.master_exact(sk.build_builtin(name, **sets), t_end=t_end,
+                              dt=before)
+    assert rows.shape == (51, 1 + fine.data.shape[1])
+    shared = np.column_stack((fine.times, fine.data))[::2]
+    assert np.abs(rows - shared).max() <= 1e-14
 
 
 def test_outputs_byte_identical(capsys):

@@ -212,7 +212,7 @@ def _mass_action_diagrams(draw):
 @given(_mass_action_diagrams())
 def test_ssa_ensemble_mean_matches_master_mean(d):
     runs = 200
-    tbl, exact = sk.master_exact(d, t_end=2.0, dt=0.01, dt_out=0.25)
+    tbl, exact = sk.master_exact(d, t_end=2.0, dt=0.25)
     assume(len(tbl.space.jumps))
     assert tbl.space.size <= 100
     assert np.abs(tbl.probs.sum(axis=1) - 1.0).max() <= 1e-9
@@ -227,9 +227,9 @@ def test_ssa_ensemble_mean_matches_master_mean(d):
     assert (np.abs(stats.mean - exact.data) / se).max() <= 5.0
 
 
-def _dense_master_probs(diagram, t_end, dt_out):
-    """The master equation's solution at rows ``dt_out`` apart with the
-    generator W as a dense n x n matrix, each row expm(dt_out W) times the
+def _dense_master_probs(diagram, t_end, dt):
+    """The master equation's solution at rows ``dt`` apart with the
+    generator W as a dense n x n matrix, each row expm(dt W) times the
     one before: the reference for the uniformized jump-list solve."""
     space = ConfigurationSpace.build(diagram)
     n = space.size
@@ -237,9 +237,9 @@ def _dense_master_probs(diagram, t_end, dt_out):
     for i, j, rate in space.jumps.tolist():
         w[j, i] += rate
         w[i, i] -= rate
-    step = _expm(dt_out * w)
+    step = _expm(dt * w)
     rows = [np.eye(n)[0]]
-    for _ in range(int(round(t_end / dt_out))):
+    for _ in range(int(round(t_end / dt))):
         rows.append(step @ rows[-1])
     return np.vstack(rows)
 
@@ -252,7 +252,7 @@ def _dense_master_probs(diagram, t_end, dt_out):
                    "rate(k * a): a -> b\n"),
 ], ids=["stickpull-counts", "foraging", "no-jumps"])
 def test_sparse_generator_matches_dense_reference(diagram):
-    tbl, _ = sk.master_exact(diagram, t_end=5.0, dt=0.01, dt_out=0.1)
+    tbl, _ = sk.master_exact(diagram, t_end=5.0, dt=0.1)
     ref = _dense_master_probs(diagram, 5.0, 0.1)
     assert tbl.probs.shape == ref.shape
     assert np.abs(tbl.probs - ref).max() <= 1e-13
@@ -260,7 +260,7 @@ def test_sparse_generator_matches_dense_reference(diagram):
         assert np.array_equal(tbl.probs, np.ones((len(tbl.times), 1)))
 
 
-def _per_row_master_probs(diagram, t_end, dt, dt_out):
+def _per_row_master_probs(diagram, t_end, dt):
     """The master equation's rows by uniformization restarted at every row,
     P(t + Δ) = Σ_k Pois(k; ΛΔ) (I + W/Λ)^k P(t), each from the one before,
     over the jump list: the reference for the one series from t = 0."""
@@ -274,10 +274,9 @@ def _per_row_master_probs(diagram, t_end, dt, dt_out):
     def jump(v):
         return np.bincount(dst, weights=move * v[src], minlength=n) + stay * v
 
-    stride = round(dt_out / dt)
-    first, weights = stochastic._poisson_weights(lam * stride * dt)
+    first, weights = stochastic._poisson_weights(lam * dt)
     rows = [np.eye(n)[0]]
-    for _ in range(round(t_end / dt) // stride):
+    for _ in range(round(t_end / dt)):
         v = rows[-1]
         for _ in range(first):
             v = jump(v)
@@ -290,20 +289,25 @@ def _per_row_master_probs(diagram, t_end, dt, dt_out):
 
 
 # every shipped model the chain takes: the others are delayed, synchronous
-# or, as sugawara's unbounded delivery counter is, past CONFIG_CAP
-@pytest.mark.parametrize("name, sets, t_end, dt, dt_out", [
-    ("foraging", {}, 10.0, 0.01, 0.1),
-    ("stickpull-simple", {}, 10.0, 0.01, 0.1),
-    ("stickpull-counts", {}, 10.0, 0.01, 0.1),
-    ("stickpull-simple-depletion", {}, 10.0, 0.01, 0.1),
-    # every step a row: 5,001 rows on the crosscheck chain (756 configs)
-    ("foraging", {"n0": 5, "m0": 15}, 20.0, 0.004, 0.004),
+# or, as sugawara's unbounded delivery counter is, past CONFIG_CAP.  Each
+# case keeps the id it had when the solve also took a step below its rows
+@pytest.mark.parametrize("name, sets, t_end, dt", [
+    pytest.param("foraging", {}, 10.0, 0.1,
+                 id="foraging-sets0-10.0-0.01-0.1"),
+    pytest.param("stickpull-simple", {}, 10.0, 0.1,
+                 id="stickpull-simple-sets1-10.0-0.01-0.1"),
+    pytest.param("stickpull-counts", {}, 10.0, 0.1,
+                 id="stickpull-counts-sets2-10.0-0.01-0.1"),
+    pytest.param("stickpull-simple-depletion", {}, 10.0, 0.1,
+                 id="stickpull-simple-depletion-sets3-10.0-0.01-0.1"),
+    # 5,001 rows on the crosscheck chain (756 configs)
+    pytest.param("foraging", {"n0": 5, "m0": 15}, 20.0, 0.004,
+                 id="foraging-sets4-20.0-0.004-0.004"),
 ])
-def test_master_series_matches_the_per_row_solver(name, sets, t_end, dt,
-                                                  dt_out):
+def test_master_series_matches_the_per_row_solver(name, sets, t_end, dt):
     d = sk.build_builtin(name, **sets)
-    tbl, _ = sk.master_exact(d, t_end=t_end, dt=dt, dt_out=dt_out)
-    ref = _per_row_master_probs(d, t_end, dt, dt_out)
+    tbl, _ = sk.master_exact(d, t_end=t_end, dt=dt)
+    ref = _per_row_master_probs(d, t_end, dt)
     assert tbl.probs.shape == ref.shape
     assert np.abs(tbl.probs - ref).max() <= 1e-14
 
@@ -312,8 +316,8 @@ def test_master_series_matches_the_per_row_solver(name, sets, t_end, dt,
 @given(_first_order_diagrams())
 def test_master_series_matches_the_per_row_solver_on_random_chains(case):
     d, _ = case
-    tbl, _ = sk.master_exact(d, t_end=1.0, dt=0.01, dt_out=0.05)
-    ref = _per_row_master_probs(d, 1.0, 0.01, 0.05)
+    tbl, _ = sk.master_exact(d, t_end=1.0, dt=0.05)
+    ref = _per_row_master_probs(d, 1.0, 0.05)
     assert np.abs(tbl.probs - ref).max() <= 1e-14
 
 
@@ -358,7 +362,7 @@ def test_independent_agents_are_binomial():
     d = sk.parse_model(f"param ka = {ka}\nparam kb = {kb}\nstate a = {n0}\n"
                        "state b = 0\nrate(ka * a): a -> b\n"
                        "rate(kb * b): b -> a\n")
-    tbl, _ = sk.master_exact(d, t_end=4.0, dt=0.01, dt_out=0.25)
+    tbl, _ = sk.master_exact(d, t_end=4.0, dt=0.25)
     p = ka / (ka + kb) * (1.0 - np.exp(-(ka + kb) * tbl.times))
     index = {y: i for i, y in enumerate(map(tuple,
                                             tbl.space.configs.tolist()))}
@@ -369,10 +373,10 @@ def test_independent_agents_are_binomial():
 
 
 def test_master_rows_far_apart_in_uniformized_steps():
-    # Λ dt_out = 3000: e^-3000 underflows, so the Poisson weights are built
+    # Λ dt = 3000: e^-3000 underflows, so the Poisson weights are built
     # from the mode; the chain settles to P(gripping) = 1000 / 4000
     tbl, traj = sk.master_exact(_two_state(alpha=1000.0, gamma_d=3000.0),
-                                t_end=3.0, dt=0.01, dt_out=1.0)
+                                t_end=3.0, dt=1.0)
     assert np.abs(tbl.probs.sum(axis=1) - 1.0).max() <= 1e-12
     assert tbl.probs.min() >= 0.0
     assert np.abs(traj.column("g")[1:] - 0.25).max() <= 1e-12
@@ -380,8 +384,8 @@ def test_master_rows_far_apart_in_uniformized_steps():
 
 def test_master_rows_agree_across_output_strides():
     d = sk.build_builtin("stickpull-counts", n0=4, m0=4)
-    coarse, _ = sk.master_exact(d, t_end=5.0, dt=0.1, dt_out=0.5)
-    fine, _ = sk.master_exact(d, t_end=5.0, dt=0.1, dt_out=0.1)
+    coarse, _ = sk.master_exact(d, t_end=5.0, dt=0.5)
+    fine, _ = sk.master_exact(d, t_end=5.0, dt=0.1)
     assert np.abs(fine.probs[::5] - coarse.probs).max() <= 1e-13
 
 
@@ -420,21 +424,19 @@ def test_the_space_is_two_arrays():
     assert held <= 1.5e6
 
 
-@pytest.mark.parametrize("dt_out, times", [
-    # no rows: 0.3 would stop at t=0.9, and 0.004 is less than one step
+@pytest.mark.parametrize("dt, times", [
+    # no rows: 0.3 would stop at t=0.9
     (0.3, []),
-    (0.004, []),
+    (0.004, (np.arange(251) * 0.004).tolist()),
     (0.25, [0.0, 0.25, 0.5, 0.75, 1.0]),
 ])
-def test_master_output_stride(dt_out, times):
+def test_master_output_stride(dt, times):
     if not times:
-        with pytest.raises(ValueError, match=f"^dt_out={dt_out} is not a "
-                           "whole number of steps dt=0.01 that divides "
-                           "t_end=1.0$"):
-            sk.master_exact(_two_state(), t_end=1.0, dt=0.01, dt_out=dt_out)
+        with pytest.raises(sk.StepGridError, match=f"^t_end=1.0 is not a "
+                           f"whole number of steps dt={dt}$"):
+            sk.master_exact(_two_state(), t_end=1.0, dt=dt)
         return
-    tbl, traj = sk.master_exact(_two_state(), t_end=1.0, dt=0.01,
-                                dt_out=dt_out)
+    tbl, traj = sk.master_exact(_two_state(), t_end=1.0, dt=dt)
     assert tbl.times == pytest.approx(times, abs=1e-12)
     assert tbl.probs.shape == (len(times), 2)
     assert traj.data.shape == (len(times), 2)
@@ -462,7 +464,7 @@ def test_master_refuses_a_row_that_is_not_a_distribution(monkeypatch, weights,
 
 def test_master_two_state_stationary_split():
     # symmetric grip/release: stationary occupancy one half each
-    tbl, traj = sk.master_exact(_two_state(), t_end=20.0, dt=0.01, dt_out=1.0)
+    tbl, traj = sk.master_exact(_two_state(), t_end=20.0, dt=1.0)
     assert tbl.probs[-1] == pytest.approx([0.5, 0.5], abs=1e-9)
     assert traj.final()["g"] == pytest.approx(0.5, abs=1e-9)
 
@@ -470,13 +472,13 @@ def test_master_two_state_stationary_split():
 def test_master_asymmetric_two_state():
     # stationary P(gripping) = alpha / (alpha + gamma_d)
     tbl, traj = sk.master_exact(_two_state(alpha=1.0, gamma_d=3.0),
-                                t_end=30.0, dt=0.01, dt_out=5.0)
+                                t_end=30.0, dt=5.0)
     assert traj.final()["g"] == pytest.approx(0.25, abs=1e-9)
 
 
 def test_master_normalization_everywhere():
     d = sk.build_builtin("stickpull-counts", n0=4, m0=4)
-    tbl, _ = sk.master_exact(d, t_end=10.0, dt=0.005, dt_out=0.5)
+    tbl, _ = sk.master_exact(d, t_end=10.0, dt=0.5)
     sums = tbl.probs.sum(axis=1)
     assert np.abs(sums - 1.0).max() <= 1e-9
     assert tbl.probs.min() >= -1e-12
@@ -486,7 +488,7 @@ def test_master_gap_shrinks_with_system_size():
     def gap(n0):
         d = sk.build_builtin("stickpull-counts", n0=n0, m0=n0,
                              alpha=1.0 / n0, gammad=0.2)
-        _, tr = sk.master_exact(d, t_end=20.0, dt=0.005, dt_out=0.5)
+        _, tr = sk.master_exact(d, t_end=20.0, dt=0.5)
         mf = sk.integrate(sk.compile_rhs(sk.build_builtin(
             "stickpull-simple", beta=1.0, gamma=0.2)), t_end=20.0, dt=0.005)
         n_mf = np.interp(tr.times, mf.times, mf.column("s"))
@@ -1143,7 +1145,7 @@ def test_ensemble_stderr_shrinks_with_runs():
 
 def test_ssa_ensemble_agrees_with_master():
     d = sk.build_builtin("stickpull-counts")  # N0 = M0 = 4
-    _, exact = sk.master_exact(d, t_end=20.0, dt=0.005, dt_out=0.5)
+    _, exact = sk.master_exact(d, t_end=20.0, dt=0.5)
     grid = np.linspace(1, 20, 20)
     stats = sk.ensemble(lambda s: sk.ssa_run(d, t_end=20.0, seed=s),
                         500, 2, grid)
